@@ -64,7 +64,6 @@ from .sampling import (
     AliasTable,
     WalkConfig,
     build_alias,
-    random_walk_endpoint,
     random_walk_path,
     walk_endpoints,
 )

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .oracle import as_distribution, exact_global_pagerank
+from .oracle import exact_global_pagerank
 from .push import PushResult, SparseVec, reverse_push, reverse_push_balanced
-from .sampling import WalkConfig, walk_endpoints
+from .sampling import WalkConfig, source_of, walk_endpoints
 
 __all__ = [
     "PprParams",
@@ -117,14 +117,6 @@ def _settle_r_max(g: Graph, params: PprParams) -> float:
     return r_max
 
 
-def _estimate_side(g: Graph, source, estimates: SparseVec) -> float:
-    """p[s] for a node source, or sum_v sigma[v]*p[v] for a distribution."""
-    if isinstance(source, (int, np.integer)):
-        return estimates.get(int(source), 0.0)
-    sigma = as_distribution(g, source)
-    return float(sum(sigma[v] * pv for v, pv in estimates.items()))
-
-
 def _residual_mean(
     g: Graph,
     source,
@@ -154,9 +146,10 @@ def estimate_ppr(
     for a distribution the push estimate is averaged under it and each walk
     starts from an independently sampled node.
     """
+    s = source_of(g, s)
     r_max = _settle_r_max(g, params)
     pr = reverse_push(g, t, r_max, params.alpha)
-    value = _estimate_side(g, s, pr.estimates)
+    value = s.dot(pr.estimates)
     w = num_walks(params, r_max)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     if pr.residuals:
@@ -179,10 +172,11 @@ def estimate_ppr_balanced(
     The walk budget is then c * achieved_rmax / delta. When the push queue
     drains completely the answer is already exact and no walks run.
     """
+    s = source_of(g, s)
     pr = reverse_push_balanced(
         g, t, params.alpha, params.delta, params.effective_c(), walk_time_constant
     )
-    value = _estimate_side(g, s, pr.estimates)
+    value = s.dot(pr.estimates)
     if pr.achieved_rmax == 0.0:
         return PprEstimate(value, 0, pr.pushes_performed, 0.0)
     w = num_walks(params, pr.achieved_rmax)

@@ -61,6 +61,7 @@ from .search import (
     build_forward_vector,
     build_grouped_index,
     build_target_sampler,
+    coord_vector,
     load_index,
     sample_targets,
     save_index,
@@ -294,12 +295,6 @@ def _build_parser() -> _Parser:
     )
     common.add_argument("--alpha", type=float, default=0.2, help="teleport rate")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (reserved; the current build is single-threaded)",
-    )
     common.add_argument("--output", help="write records here instead of stdout")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -877,9 +872,7 @@ def _cmd_serve_sim(args, out) -> int:
         t0 = time.perf_counter()
         local = query_shared_walks(g, store, s, t)
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
-        y_vec = {int(v): float(val) for v, val in rev.estimates.items()}
-        for u, val in rev.residuals.items():
-            y_vec[g.n + int(u)] = float(val)
+        y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
         key = ("y", t)
         for shard in shards:
             shard.owners.add(key)
@@ -976,8 +969,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     out = sys.stdout
     close_out = False
     try:

@@ -8,7 +8,7 @@ weight w[u][v] is directly the transition probability of the random walk.
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -116,74 +116,6 @@ class Graph:
 
     def dangling_nodes(self) -> list[int]:
         return [u for u in range(self.n) if not self.out_adj[u]]
-
-    # ------------------------------------------------------------------
-    # Binary snapshot (versioned, little-endian)
-    # ------------------------------------------------------------------
-    _MAGIC = b"PWGR"
-    _VERSION = 1
-
-    def save_binary(self, path: str) -> None:
-        """Write a versioned little-endian snapshot for fast reload."""
-        name_blob = "\n".join(self.names).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(self._MAGIC)
-            fh.write(struct.pack("<IIQQ", self._VERSION, int(self.undirected_flag), self.n, self.m))
-            offsets = [0]
-            for adj in self.out_adj:
-                offsets.append(offsets[-1] + len(adj))
-            fh.write(struct.pack(f"<{self.n + 1}Q", *offsets))
-            targets: list[int] = []
-            weights: list[float] = []
-            for adj in self.out_adj:
-                for v, w in adj:
-                    targets.append(v)
-                    weights.append(w)
-            if self.m:
-                fh.write(struct.pack(f"<{self.m}Q", *targets))
-                fh.write(struct.pack(f"<{self.m}d", *weights))
-            if self.undirected_flag and self.node_degree is not None:
-                fh.write(struct.pack("<B", 1))
-                fh.write(struct.pack(f"<{self.n}d", *self.node_degree))
-            else:
-                fh.write(struct.pack("<B", 0))
-            fh.write(struct.pack("<Q", len(name_blob)))
-            fh.write(name_blob)
-
-    @classmethod
-    def load_binary(cls, path: str) -> "Graph":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != cls._MAGIC:
-                raise GraphFormatError(f"{path}: bad magic {magic!r}")
-            version, undirected, n, m = struct.unpack("<IIQQ", fh.read(24))
-            if version != cls._VERSION:
-                raise GraphFormatError(f"{path}: unsupported snapshot version {version}")
-            offsets = struct.unpack(f"<{n + 1}Q", fh.read(8 * (n + 1)))
-            targets = struct.unpack(f"<{m}Q", fh.read(8 * m)) if m else ()
-            weights = struct.unpack(f"<{m}d", fh.read(8 * m)) if m else ()
-            (has_degree,) = struct.unpack("<B", fh.read(1))
-            node_degree = list(struct.unpack(f"<{n}d", fh.read(8 * n))) if has_degree else None
-            (blob_len,) = struct.unpack("<Q", fh.read(8))
-            blob = fh.read(blob_len).decode("utf-8")
-        names = blob.split("\n") if blob else []
-        out_adj: list[list[tuple[int, float]]] = []
-        for u in range(n):
-            lo, hi = offsets[u], offsets[u + 1]
-            out_adj.append([(targets[i], weights[i]) for i in range(lo, hi)])
-        in_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, adj in enumerate(out_adj):
-            for v, w in adj:
-                in_adj[v].append((u, w))
-        return cls(
-            n=n,
-            m=m,
-            out_adj=out_adj,
-            in_adj=in_adj,
-            undirected_flag=bool(undirected),
-            node_degree=node_degree,
-            names=names,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -296,14 +228,20 @@ def from_edges(
             w = 1.0
         else:
             u, v, w = edge
-        if not w > 0.0:
-            raise GraphFormatError(f"weight must be positive on edge {u}->{v}")
+        if not 0.0 < w < math.inf:
+            raise GraphFormatError(
+                f"weight must be positive and finite on edge {u}->{v}, got {w!r}"
+            )
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"negative node id on edge {u}->{v}")
         max_node = max(max_node, u, v)
         raw[(u, v)] = raw.get((u, v), 0.0) + w
         if undirected:
             raw[(v, u)] = raw.get((v, u), 0.0) + w
     if n is None:
         n = max_node + 1
+    elif max_node >= n:
+        raise GraphFormatError(f"node id {max_node} out of range for n={n}")
     names = [str(i) for i in range(n)]
     return _build(raw, n, undirected, names)
 

@@ -15,15 +15,15 @@ horizon up to ell_max at once, which is what makes diffusion sums cheap.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .oracle import as_distribution
 from .push import SparseVec
-from .sampling import WalkConfig, build_alias, random_walk_path
+from .sampling import WalkConfig, build_alias, random_walk_path, source_of
 
 __all__ = [
     "MstpParams",
@@ -44,8 +44,6 @@ class MstpParams:
     eps_r (the reverse residual threshold) defaults to sqrt(delta/c); c
     defaults to the empirically tuned 7, or the worst-case constant
     max(6e/eps^2, 1/ln 2) * ln(2*ell_max/p_fail) when use_theorem_c is set.
-    shrunk_multiplier selects the walk-score factor ell instead of the
-    unbiased ell+1 (kept for comparison; see estimate_mstp).
     """
 
     ell_max: int
@@ -55,7 +53,6 @@ class MstpParams:
     c: float = 7.0
     eps_r: float | None = None
     use_theorem_c: bool = False
-    shrunk_multiplier: bool = False
 
     def __post_init__(self) -> None:
         if self.ell_max < 1:
@@ -199,31 +196,56 @@ def _drain(
     return state
 
 
-def _source_dot(g: Graph, source, vec: SparseVec) -> float:
-    if isinstance(source, (int, np.integer)):
-        return vec.get(int(source), 0.0)
-    sigma = as_distribution(g, source)
-    return float(sum(sigma[v] * x for v, x in vec.items()))
+def _forward_phase(
+    g: Graph,
+    s,
+    t: int,
+    params: MstpParams,
+    seed: int,
+    rng: np.random.Generator | None,
+    first_arrival: bool,
+) -> np.ndarray:
+    """Reverse drain and path pickups of estimate_mstp.
 
-
-def _source_mass_at(g: Graph, source, t: int) -> float:
-    if isinstance(source, (int, np.integer)):
-        return 1.0 if int(source) == t else 0.0
-    return float(as_distribution(g, source)[t])
-
-
-def _sample_paths(
-    g: Graph, source, count: int, ell_max: int, cfg: WalkConfig, rng
-) -> list[list[int]]:
-    if isinstance(source, (int, np.integer)):
-        starts = [int(source)] * count
+    With first_arrival set, the drain banks residual that reaches t, and
+    the (path, k) pairs that estimate_truncated_hitting voids are dropped
+    before the pickup loop.
+    """
+    src = source_of(g, s)
+    state = _drain(g, t, params.ell_max, params.effective_eps_r(), first_arrival)
+    if rng is None:
+        rng = WalkConfig(alpha=0.5, seed=seed).stream()
+    cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
+    n_f = params.num_paths()
+    if src.node is not None:
+        starts = [src.node] * n_f
     else:
-        sigma = as_distribution(g, source)
-        table = build_alias([(i, float(w)) for i, w in enumerate(sigma)])
-        starts = table.sample_many(rng, count)
-    return [
-        random_walk_path(g, u, cfg, fixed_len=ell_max, rng=rng) for u in starts
-    ]
+        starts = build_alias(enumerate(src.sigma)).sample_many(rng, n_f)
+    paths = [random_walk_path(g, u, cfg, fixed_len=params.ell_max, rng=rng) for u in starts]
+    if first_arrival:
+        first_hit = []
+        for path in paths:
+            j = next((k for k in range(1, len(path)) if path[k] == t), None)
+            first_hit.append(j if j is not None else params.ell_max + 1)
+    out = np.zeros(params.ell_max)
+    residuals = state.residuals
+    for ell in range(1, params.ell_max + 1):
+        base = src.dot(state.estimates[ell])
+        pairs = zip(paths, rng.integers(0, ell + 1, size=n_f))
+        if first_arrival:
+            pairs = [
+                (path, k)
+                for (path, k), j in zip(pairs, first_hit)
+                if k < j or k == j == ell
+            ]
+        mult = float(ell + 1)
+        total = 0.0
+        for path, k in pairs:
+            rv = residuals[ell - k].get(path[k], 0.0)
+            if rv:
+                total += mult * rv
+        out[ell - 1] = base + total / n_f
+    return out
 
 
 def estimate_mstp(
@@ -239,32 +261,11 @@ def estimate_mstp(
     Reverse phase: drain all residuals above eps_r. Forward phase: sample
     fixed-length paths from s; for each horizon, each path contributes
     (ell+1) * r^{ell-k}[V_k] with k drawn uniformly from {0..ell} — an
-    unbiased single-position probe of the (ell+1)-term residual sum. Setting
-    params.shrunk_multiplier replaces ell+1 by ell, kept for comparison at
-    the cost of a systematic ell/(ell+1) shrinkage.
+    unbiased single-position probe of the (ell+1)-term residual sum.
 
     Returns a length-ell_max array (index 0 holds horizon 1).
     """
-    eps_r = params.effective_eps_r()
-    state = _drain(g, t, params.ell_max, eps_r, absorb_at_target=False)
-    if rng is None:
-        rng = WalkConfig(alpha=0.5, seed=seed).stream()
-    cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
-    n_f = params.num_paths()
-    paths = _sample_paths(g, s, n_f, params.ell_max, cfg, rng)
-    out = np.zeros(params.ell_max)
-    residuals = state.residuals
-    for ell in range(1, params.ell_max + 1):
-        base = _source_dot(g, s, state.estimates[ell])
-        ks = rng.integers(0, ell + 1, size=n_f)
-        mult = float(ell if params.shrunk_multiplier else ell + 1)
-        total = 0.0
-        for path, k in zip(paths, ks):
-            rv = residuals[ell - k].get(path[k], 0.0)
-            if rv:
-                total += mult * rv
-        out[ell - 1] = base + total / n_f
-    return out
+    return _forward_phase(g, s, t, params, seed, rng, first_arrival=False)
 
 
 def estimate_heat_kernel(
@@ -284,19 +285,11 @@ def estimate_heat_kernel(
     if params is None:
         params = MstpParams(ell_max=hk.ell_max, delta=1e-3)
     elif params.ell_max != hk.ell_max:
-        params = MstpParams(
-            ell_max=hk.ell_max,
-            delta=params.delta,
-            epsilon=params.epsilon,
-            p_fail=params.p_fail,
-            c=params.c,
-            eps_r=params.eps_r,
-            use_theorem_c=params.use_theorem_c,
-            shrunk_multiplier=params.shrunk_multiplier,
-        )
+        params = dataclasses.replace(params, ell_max=hk.ell_max)
+    src = source_of(g, s)
     weights, _ = poisson_weights(hk.t_param, hk.ell_max)
-    per_ell = estimate_mstp(g, s, t, params, seed=seed, rng=rng)
-    value = weights[0] * _source_mass_at(g, s, t)
+    per_ell = estimate_mstp(g, src, t, params, seed=seed, rng=rng)
+    value = weights[0] * src.dot({t: 1.0})  # the source's own mass at t
     for ell in range(1, hk.ell_max + 1):
         value += weights[ell] * per_ell[ell - 1]
     return float(value)
@@ -321,29 +314,4 @@ def estimate_truncated_hitting(
     time zero. Validated against a dynamic-programming oracle; no
     concentration guarantee is claimed for this variant.
     """
-    eps_r = params.effective_eps_r()
-    state = _drain(g, t, params.ell_max, eps_r, absorb_at_target=True)
-    if rng is None:
-        rng = WalkConfig(alpha=0.5, seed=seed).stream()
-    cfg = WalkConfig(alpha=0.5, seed=seed)
-    n_f = params.num_paths()
-    paths = _sample_paths(g, s, n_f, params.ell_max, cfg, rng)
-    first_hit = []
-    for path in paths:
-        j = next((k for k in range(1, len(path)) if path[k] == t), None)
-        first_hit.append(j if j is not None else params.ell_max + 1)
-    out = np.zeros(params.ell_max)
-    residuals = state.residuals
-    for ell in range(1, params.ell_max + 1):
-        base = _source_dot(g, s, state.estimates[ell])
-        ks = rng.integers(0, ell + 1, size=n_f)
-        mult = float(ell if params.shrunk_multiplier else ell + 1)
-        total = 0.0
-        for path, k, j in zip(paths, ks, first_hit):
-            if k > j or (k == j and k != ell):
-                continue
-            rv = residuals[ell - k].get(path[k], 0.0)
-            if rv:
-                total += mult * rv
-        out[ell - 1] = base + total / n_f
-    return out
+    return _forward_phase(g, s, t, params, seed, rng, first_arrival=True)

@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from .graph import Graph
+from .sampling import source_of
 
 __all__ = [
     "ConvergenceError",
     "UnreachableTargetError",
     "transition_matrix",
-    "as_distribution",
     "exact_ppr",
     "exact_ppr_matrix",
     "exact_global_pagerank",
@@ -45,26 +45,6 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return W
 
 
-def as_distribution(g: Graph, source) -> np.ndarray:
-    """Coerce a source (node id, dict, or array) to a dense distribution."""
-    if isinstance(source, (int, np.integer)):
-        vec = np.zeros(g.n)
-        vec[int(source)] = 1.0
-        return vec
-    if isinstance(source, dict):
-        vec = np.zeros(g.n)
-        for node, mass in source.items():
-            vec[node] = mass
-    else:
-        vec = np.asarray(source, dtype=float)
-        if vec.shape != (g.n,):
-            raise ValueError(f"source has shape {vec.shape}, expected ({g.n},)")
-    total = vec.sum()
-    if not vec.min() >= 0.0 or not total > 0.0:
-        raise ValueError("source must be a nonnegative vector with positive mass")
-    return vec / total
-
-
 def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
     """Exact personalized PageRank by power iteration.
 
@@ -78,7 +58,7 @@ def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("tol must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    s = as_distribution(g, source)
+    s = source_of(g, source).distribution()
     W = transition_matrix(g)
     max_iters = math.ceil(math.log(tol) / math.log(1.0 - alpha)) + 64
     p = s.copy()
@@ -121,7 +101,7 @@ def exact_mstp(g: Graph, source, ell: int) -> np.ndarray:
         raise ValueError("ell must be nonnegative")
     if ell > 10_000:
         raise ValueError("ell > 10000 exceeds the desk-scale oracle bound")
-    vec = as_distribution(g, source)
+    vec = source_of(g, source).distribution()
     W = transition_matrix(g)
     for _ in range(ell):
         vec = vec @ W
@@ -138,7 +118,7 @@ def exact_first_passage(g: Graph, source, t: int, ell_max: int) -> np.ndarray:
     if ell_max < 1:
         return np.zeros(0)
     W = transition_matrix(g)
-    s = as_distribution(g, source)
+    s = source_of(g, source).distribution()
     # h[v] = P[first hit of t happens in exactly `steps` more steps | at v],
     # built backwards: h_1[v] = W[v, t]; h_{k}[v] = sum_{u != t} W[v,u] h_{k-1}[u].
     out = np.zeros(ell_max)

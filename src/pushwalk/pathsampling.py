@@ -46,10 +46,11 @@ class ConstantSampler:
 
 
 class ProvenanceSampler:
-    """Immutable weighted choice over child samplers, owned by one node.
+    """Weighted choice over child samplers, owned by one node.
 
-    Freezing happens at push time; references held by other nodes keep
-    resolving to this exact version even after the owner is pushed again.
+    ResidualAccumulator.snapshot freezes a live ledger into one of these at
+    push time; references held by other nodes keep resolving to this exact
+    version even after the owner is pushed again.
     """
 
     __slots__ = ("owner", "children", "cumweights", "total")
@@ -66,16 +67,13 @@ class ProvenanceSampler:
         return self.children[i]
 
 
-class ResidualAccumulator:
+class ResidualAccumulator(ProvenanceSampler):
     """Append-only live ledger of (child sampler, weight) for one node."""
 
-    __slots__ = ("owner", "children", "cumweights", "total")
+    __slots__ = ()
 
     def __init__(self, owner: int):
-        self.owner = owner
-        self.children: list = []
-        self.cumweights: list[float] = []
-        self.total = 0.0
+        super().__init__(owner, [], [], 0.0)
 
     def append(self, child, weight: float) -> None:
         self.total += weight
@@ -86,11 +84,6 @@ class ResidualAccumulator:
         return ProvenanceSampler(
             self.owner, tuple(self.children), tuple(self.cumweights), self.total
         )
-
-    def sample(self, rng: np.random.Generator):
-        x = rng.random() * self.total
-        i = min(bisect_right(self.cumweights, x), len(self.children) - 1)
-        return self.children[i]
 
 
 @dataclass

@@ -20,9 +20,10 @@ __all__ = [
     "AliasTable",
     "build_alias",
     "sample_geometric_length",
-    "random_walk_endpoint",
     "random_walk_path",
     "walk_endpoints",
+    "Source",
+    "source_of",
 ]
 
 
@@ -176,17 +177,73 @@ def _stepper(g: Graph) -> _NodeStepper:
     return stepper
 
 
-def _start_sampler(g: Graph, start):
-    """Return a () -> node callable for a node id or a distribution."""
-    if isinstance(start, (int, np.integer)):
-        node = int(start)
-        return lambda rng: node
-    if isinstance(start, dict):
-        table = build_alias(sorted(start.items()))
+class Source:
+    """Where walks start: one node, or a distribution over nodes.
+
+    Built by ``source_of``. A node source sets ``node``; a distribution sets
+    ``weights``, the caller's weights as a dense array, and ``sigma``, the
+    same weights normalized to sum to 1.
+    """
+
+    __slots__ = ("n", "node", "weights", "sigma")
+
+    def __init__(self, n: int, node=None, weights=None):
+        self.n = n
+        self.node = node
+        self.weights = weights
+        self.sigma = None if weights is None else weights / weights.sum()
+
+    def dot(self, vec) -> float:
+        """sum_v sigma[v] * vec[v] over a sparse vec; vec[node] for a node."""
+        if self.node is not None:
+            return vec.get(self.node, 0.0)
+        sigma = self.sigma
+        return float(sum(sigma[v] * x for v, x in vec.items()))
+
+    def distribution(self) -> np.ndarray:
+        """Dense normalized distribution over the n nodes."""
+        if self.node is None:
+            return self.sigma
+        vec = np.zeros(self.n)
+        vec[self.node] = 1.0
+        return vec
+
+    def picker(self):
+        """An rng -> node callable drawing one walk's start."""
+        if self.node is not None:
+            node = self.node
+            return lambda rng: node
+        table = build_alias(enumerate(self.weights))
+        return lambda rng: table.sample(rng)
+
+
+def source_of(g: Graph, source) -> Source:
+    """Validate a source given as a node id, a {node: weight} dict or a dense
+    length-n array. A node id must lie in [0, n); weights must be
+    nonnegative and finite with positive total mass. Raises ValueError.
+    """
+    if isinstance(source, Source):
+        return source
+
+    def check(node) -> int:
+        if not isinstance(node, (int, np.integer)) or not 0 <= node < g.n:
+            raise ValueError(f"source node {node} out of range for graph with {g.n} nodes")
+        return int(node)
+
+    if isinstance(source, (int, np.integer)):
+        return Source(g.n, node=check(source))
+    if isinstance(source, dict):
+        vec = np.zeros(g.n)
+        for node, mass in source.items():
+            vec[check(node)] = mass
     else:
-        vec = np.asarray(start, dtype=float)
-        table = build_alias([(i, float(w)) for i, w in enumerate(vec)])
-    return lambda rng: table.sample(rng)
+        vec = np.asarray(source, dtype=float)
+        if vec.shape != (g.n,):
+            raise ValueError(f"source has shape {vec.shape}, expected ({g.n},)")
+    total = vec.sum()
+    if not vec.min() >= 0.0 or not 0.0 < total < np.inf:
+        raise ValueError("source must be a nonnegative, finite vector with positive mass")
+    return Source(g.n, weights=vec)
 
 
 def random_walk_path(
@@ -218,25 +275,6 @@ def random_walk_path(
     return path
 
 
-def random_walk_endpoint(
-    g: Graph,
-    start,
-    cfg: WalkConfig,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Endpoint of one geometric-length walk; distributed as pi_start."""
-    if rng is None:
-        rng = cfg.stream()
-    pick = _start_sampler(g, start)
-    stepper = _stepper(g)
-    u = pick(rng)
-    for _ in range(sample_geometric_length(cfg, rng)):
-        if not stepper.neighbors[u]:
-            break
-        u = stepper.step(u, rng.random())
-    return u
-
-
 def walk_endpoints(
     g: Graph,
     start,
@@ -255,7 +293,7 @@ def walk_endpoints(
         return []
     if rng is None:
         rng = cfg.stream()
-    pick = _start_sampler(g, start)
+    pick = source_of(g, start).picker()
     stepper = _stepper(g)
     lengths = rng.geometric(cfg.alpha, size=count) - 1
     neighbors = stepper.neighbors

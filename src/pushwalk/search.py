@@ -21,9 +21,8 @@ import numpy as np
 
 from .bidir import PprParams, default_r_max, num_walks
 from .graph import Graph
-from .oracle import as_distribution
 from .push import SparseVec, reverse_push
-from .sampling import AliasTable, WalkConfig, build_alias, walk_endpoints
+from .sampling import AliasTable, WalkConfig, build_alias, source_of, walk_endpoints
 
 __all__ = [
     "ForwardVector",
@@ -43,12 +42,24 @@ __all__ = [
     "storage_accounting",
     "save_index",
     "load_index",
+    "coord_vector",
     "DEFAULT_SEARCH_C",
     "DEFAULT_BETA",
 ]
 
 DEFAULT_SEARCH_C = 20.0
 DEFAULT_BETA = 0.77
+
+
+def coord_vector(n: int, first, second) -> dict[int, float]:
+    """Two per-node blocks in the 2n-coordinate layout, as {coord: value}.
+
+    Node v's entry in ``first`` goes to coordinate v and its entry in
+    ``second`` to n+v; keys come out in ascending coordinate order.
+    """
+    out = {v: first[v] for v in sorted(first)}
+    out.update((n + v, second[v]) for v in sorted(second))
+    return out
 
 
 @dataclass
@@ -63,11 +74,7 @@ class ForwardVector:
 
     def coord_items(self):
         """Non-zeros as (coordinate, value), ascending coordinate order."""
-        n = self.n
-        for v in sorted(self.indicator):
-            yield v, self.indicator[v]
-        for v in sorted(self.empirical):
-            yield n + v, self.empirical[v]
+        return coord_vector(self.n, self.indicator, self.empirical).items()
 
 
 @dataclass
@@ -87,11 +94,7 @@ class ReverseVector:
         return self.residuals.get(coord - self.n, 0.0)
 
     def coord_items(self):
-        n = self.n
-        for v in sorted(self.estimates):
-            yield v, self.estimates[v]
-        for v in sorted(self.residuals):
-            yield n + v, self.residuals[v]
+        return coord_vector(self.n, self.estimates, self.residuals).items()
 
     def nnz(self) -> int:
         return len(self.estimates) + len(self.residuals)
@@ -188,13 +191,11 @@ def build_forward_vector(
     """Source vector from w walk endpoints plus the exact source indicator."""
     if w < 1:
         raise ValueError("walk count must be at least 1")
-    indicator = SparseVec()
-    if isinstance(s, (int, np.integer)):
-        indicator[int(s)] = 1.0
+    s = source_of(g, s)
+    if s.node is not None:
+        indicator = SparseVec({s.node: 1.0})
     else:
-        sigma = as_distribution(g, s)
-        for v in np.flatnonzero(sigma):
-            indicator[int(v)] = float(sigma[v])
+        indicator = SparseVec((int(v), float(s.sigma[v])) for v in np.flatnonzero(s.sigma))
     empirical = SparseVec()
     for v in walk_endpoints(g, s, w, cfg, rng=rng):
         empirical.add(v, 1.0 / w)

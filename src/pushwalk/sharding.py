@@ -22,6 +22,7 @@ from fractions import Fraction
 from .graph import Graph
 from .push import SparseVec, forward_push, reverse_push
 from .sampling import WalkConfig, walk_endpoints
+from .search import coord_vector
 
 __all__ = [
     "Shard",
@@ -55,19 +56,12 @@ class Shard:
         """Exact partial sum of the query's dot product over local coords."""
         y = self.entries.get(query.target, {})
         total = Fraction(0)
-        if query.payload is None:
-            x = self.entries.get(query.source, {})
-            for coord, xv in x.items():
+        payload = {query.source: 1.0} if query.payload is None else query.payload
+        for owner, weight in payload.items():
+            for coord, xv in self.entries.get(owner, {}).items():
                 yv = y.get(coord)
                 if yv is not None:
-                    total += Fraction(xv * yv)
-        else:
-            for owner, weight in query.payload.items():
-                x = self.entries.get(owner, {})
-                for coord, xv in x.items():
-                    yv = y.get(coord)
-                    if yv is not None:
-                        total += Fraction(weight * xv * yv)
+                    total += Fraction(weight * xv * yv)
         return ShardResponse(self.shard_id, total)
 
 
@@ -201,13 +195,10 @@ class SharedWalkStore:
 
     def as_coord_vectors(self, n: int) -> dict:
         """Walk vectors in 2n-coordinate form for sharding: key ("x", v)."""
-        out = {}
-        for v in range(len(self.walk_counts)):
-            vec = {v: 1.0}
-            for u, freq in self.endpoint_freqs[v].items():
-                vec[n + u] = vec.get(n + u, 0.0) + freq
-            out[("x", v)] = vec
-        return out
+        return {
+            ("x", v): coord_vector(n, {v: 1.0}, freqs)
+            for v, freqs in enumerate(self.endpoint_freqs)
+        }
 
 
 def build_shared_walk_vectors(

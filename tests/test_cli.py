@@ -320,10 +320,6 @@ def test_usage_errors_exit_one(two_cycle_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["estimate", "--graph", two_cycle_file])  # missing node args
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--graph", two_cycle_file, "--source", "a",
-                  "--threads", "0"])
-    assert exc.value.code == 1
     # post-parse usage problems return 1 instead of raising
     assert cli.main(["oracle", "--source", "a"]) == 1
     assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",

@@ -35,6 +35,13 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_bad_weight_reports_line():
     with pytest.raises(pw.GraphFormatError, match=r":2: bad weight"):
         pw.parse_edge_lines(["0 1", "1 0 zero"], undirected=False)
+    for w in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(pw.GraphFormatError, match="positive and finite"):
+            pw.from_edges([(0, 1, w), (0, 2, 1.0), (1, 0), (2, 0)])
+    with pytest.raises(pw.GraphFormatError, match="negative node id"):
+        pw.from_edges([(0, 1), (1, -1), (-1, 0)])
+    with pytest.raises(pw.GraphFormatError, match="out of range"):
+        pw.from_edges([(0, 1), (1, 2)], n=2)
 
 
 def test_parse_empty_input_rejected():

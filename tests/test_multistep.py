@@ -87,18 +87,6 @@ def test_degenerate_thresholds_are_pure_monte_carlo():
     assert est[1] == 0.0 and est[3] == 0.0
 
 
-def test_shrunk_multiplier_scales_scores_exactly():
-    g = two_cycle()
-    a = pw.estimate_mstp(g, 0, 1,
-                         pw.MstpParams(ell_max=4, delta=2.0, eps_r=2.0), seed=5)
-    b = pw.estimate_mstp(g, 0, 1,
-                         pw.MstpParams(ell_max=4, delta=2.0, eps_r=2.0,
-                                       shrunk_multiplier=True), seed=5)
-    for ell in range(1, 5):
-        if a[ell - 1]:
-            assert b[ell - 1] / a[ell - 1] == pytest.approx(ell / (ell + 1))
-
-
 def test_ensemble_unbiased_per_level(rng):
     g = rand_graph(rng, n_max=8, directed=True)
     W = pw.transition_matrix(g)

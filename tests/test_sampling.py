@@ -105,3 +105,41 @@ def test_walk_streams_are_reproducible():
     a = pw.walk_endpoints(g, 0, 64, cfg)
     b = pw.walk_endpoints(g, 0, 64, cfg)
     assert a == b
+
+
+_PATH_WITH_SINK = pw.apply_sink_convention(pw.from_edges([(0, 1), (1, 2)], n=3))
+_MSTP = pw.MstpParams(ell_max=3, delta=0.1)
+_SOURCE_ENTRY_POINTS = {
+    "estimate_ppr": lambda g, s: pw.estimate_ppr(g, s, 0, pw.PprParams(delta=0.1)),
+    "estimate_ppr_balanced": lambda g, s: pw.estimate_ppr_balanced(
+        g, s, 0, pw.PprParams(delta=0.1)),
+    "monte_carlo_ppr": lambda g, s: pw.monte_carlo_ppr(
+        g, s, 0, pw.PprParams(delta=0.1), walks=10),
+    "estimate_heat_kernel": lambda g, s: pw.estimate_heat_kernel(
+        g, s, 0, pw.HeatKernelParams(t_param=1.0)),
+    "estimate_mstp": lambda g, s: pw.estimate_mstp(g, s, 0, _MSTP),
+    "estimate_truncated_hitting": lambda g, s: pw.estimate_truncated_hitting(
+        g, s, 0, _MSTP),
+    "build_forward_vector": lambda g, s: pw.build_forward_vector(
+        g, s, 10, pw.WalkConfig()),
+    "walk_endpoints": lambda g, s: pw.walk_endpoints(g, s, 10, pw.WalkConfig()),
+    "exact_ppr": lambda g, s: pw.exact_ppr(g, s, 0.2),
+}
+
+
+@pytest.mark.parametrize("bad", ["-1", "n", "{-1: 1.0}"])
+@pytest.mark.parametrize("entry", sorted(_SOURCE_ENTRY_POINTS))
+def test_out_of_range_source_is_rejected(entry, bad):
+    g = _PATH_WITH_SINK  # node -1 would wrap to the sink
+    source = {"-1": -1, "n": g.n, "{-1: 1.0}": {-1: 1.0}}[bad]
+    node = -1 if bad != "n" else g.n
+    with pytest.raises(ValueError, match=rf"source node {node} out of range"):
+        _SOURCE_ENTRY_POINTS[entry](g, source)
+
+
+@pytest.mark.parametrize("source", [
+    {0: np.inf}, {0: -1.0, 1: 2.0}, {0: 0.0}, np.full(4, np.nan), np.ones(3),
+])
+def test_source_weights_must_be_a_finite_distribution(source):
+    with pytest.raises(ValueError, match="source"):
+        pw.estimate_ppr(_PATH_WITH_SINK, source, 0, pw.PprParams(delta=0.1))
