@@ -61,9 +61,9 @@ from .push import (
     reverse_push_balanced,
 )
 from .sampling import (
-    AliasTable,
     WalkConfig,
-    build_alias,
+    WeightedSampler,
+    build_sampler,
     random_walk_path,
     walk_endpoints,
 )

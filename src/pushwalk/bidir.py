@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import exact_global_pagerank
-from .push import PushResult, SparseVec, reverse_push, reverse_push_balanced
+from .push import SparseVec, _check_node, reverse_push, reverse_push_balanced
 from .sampling import WalkConfig, source_of, walk_endpoints
 
 __all__ = [
@@ -205,6 +205,8 @@ def monte_carlo_ppr(
         walks = math.ceil(c_mc / (params.epsilon**2 * params.delta))
     if walks <= 0:
         raise ValueError("walk count must be positive")
+    if t is not None:
+        _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     endpoints = walk_endpoints(g, s, walks, cfg, rng=rng)
     if t is not None:
@@ -228,6 +230,7 @@ def choose_delta_from_target(
     stationary vector — resolving scores much below a node's typical share
     costs more than it informs. Pass a precomputed vector to amortize.
     """
+    _check_node(g, t)
     if global_pr is None:
         global_pr = exact_global_pagerank(g, alpha)
     return max(float(global_pr[t]), 1.0 / g.n)

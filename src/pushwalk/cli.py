@@ -54,7 +54,7 @@ from .oracle import (
 )
 from .pathsampling import precompute_path_samplers, sample_path_to_target
 from .push import reverse_push
-from .sampling import WalkConfig, build_alias
+from .sampling import WalkConfig, build_sampler
 from .search import (
     KeywordIndex,
     adaptive_r_max,
@@ -202,8 +202,7 @@ def _sample_pairs(g: Graph, spec: BenchSpec, rng: np.random.Generator):
         targets = rng.integers(g.n, size=spec.n_pairs)
     elif spec.pair_mode == "pagerank":
         pr = exact_global_pagerank(g, spec.alpha)
-        table = build_alias([(v, float(pr[v])) for v in range(g.n) if pr[v] > 0])
-        targets = table.sample_many(rng, spec.n_pairs)
+        targets = build_sampler(enumerate(pr)).sample_many(rng, spec.n_pairs)
     else:
         raise ValueError(f"unknown pair mode {spec.pair_mode!r}")
     sources = rng.integers(g.n, size=spec.n_pairs)
@@ -420,20 +419,6 @@ class SystemExit2(Exception):
     """Usage-level problem detected after parsing."""
 
 
-def _node(g: Graph, token: str) -> int:
-    try:
-        return g.node_id(token)
-    except KeyError:
-        pass
-    try:
-        idx = int(token)
-    except ValueError:
-        raise KeyError(f"unknown node {token!r}") from None
-    if 0 <= idx < g.n:
-        return idx
-    raise KeyError(f"node index {idx} out of range (n={g.n})")
-
-
 def _name(g: Graph, v: int) -> str:
     return g.names[v] if g.names else str(v)
 
@@ -481,7 +466,7 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
+    s = g.node_id(args.source)
     t0 = time.perf_counter()
     if args.global_rank:
         vec = exact_global_pagerank(g, args.alpha)
@@ -495,7 +480,7 @@ def _cmd_oracle(args, out) -> int:
     wall = time.perf_counter() - t0
     _emit(out, _config_record(args, {"n": g.n, "m": g.m, "kind": kind}))
     if args.target is not None:
-        t = _node(g, args.target)
+        t = g.node_id(args.target)
         estimates = {"value": float(vec[t]), "target": _name(g, t)}
     else:
         order = np.argsort(-vec)[: args.top]
@@ -509,8 +494,8 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_estimate(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
-    t = _node(g, args.target)
+    s = g.node_id(args.source)
+    t = g.node_id(args.target)
     delta = args.delta if args.delta is not None else choose_delta_from_target(g, t, args.alpha)
     params = PprParams(
         delta=delta,
@@ -562,8 +547,8 @@ def _cmd_estimate(args, out) -> int:
 
 def _cmd_estimate_mstp(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
-    t = _node(g, args.target)
+    s = g.node_id(args.source)
+    t = g.node_id(args.target)
     delta = args.delta if args.delta is not None else 1.0 / g.n
     params = MstpParams(
         ell_max=args.ell_max,
@@ -610,8 +595,8 @@ def _cmd_estimate_mstp(args, out) -> int:
 
 def _cmd_heat_kernel(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
-    t = _node(g, args.target)
+    s = g.node_id(args.source)
+    t = g.node_id(args.target)
     hk = HeatKernelParams(args.t_param, args.ell_max)
     delta = args.delta if args.delta is not None else 1.0 / g.n
     params = MstpParams(
@@ -647,7 +632,7 @@ def _cmd_heat_kernel(args, out) -> int:
 
 def _cmd_search(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
+    s = g.node_id(args.source)
     payload = None
     if args.index:
         payload = load_index(args.index)
@@ -757,7 +742,7 @@ def _cmd_precompute_search(args, out) -> int:
 
 def _cmd_sample_path(args, out) -> int:
     g = _load_graph(args)
-    s = _node(g, args.source)
+    s = g.node_id(args.source)
     tokens: list[str] = []
     if args.targets:
         tokens += [tok for tok in args.targets.split(",") if tok]
@@ -766,7 +751,7 @@ def _cmd_sample_path(args, out) -> int:
             tokens += fh.read().split()
     if not tokens:
         raise SystemExit2("sample-path needs --targets or --targets-file")
-    targets = sorted({_node(g, tok) for tok in tokens})
+    targets = sorted({g.node_id(tok) for tok in tokens})
     cfg = WalkConfig(args.alpha, args.seed)
     t0 = time.perf_counter()
     state = precompute_path_samplers(g, targets, args.epsr, args.alpha)
@@ -867,8 +852,8 @@ def _cmd_serve_sim(args, out) -> int:
         raise SystemExit2("serve-sim needs --query or --queries")
     _emit(out, _config_record(args, {"n": g.n, "k": bundle["k"]}))
     for s_tok, t_tok in raw_queries:
-        s = _node(g, s_tok)
-        t = _node(g, t_tok)
+        s = g.node_id(s_tok)
+        t = g.node_id(t_tok)
         t0 = time.perf_counter()
         local = query_shared_walks(g, store, s, t)
         rev = reverse_push(g, t, store.r_max_r, store.alpha)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Graph",
@@ -51,6 +52,8 @@ class Graph:
         undirected estimators.
     names:
         Original node labels, indexed by dense NodeId.
+    step_samplers:
+        Per-node walk-step samplers, built by the first walk on the graph.
     """
 
     n: int
@@ -60,6 +63,7 @@ class Graph:
     undirected_flag: bool
     node_degree: list[float] | None = None
     names: list[str] = field(default_factory=list)
+    step_samplers: list | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -80,11 +84,25 @@ class Graph:
     def average_degree(self) -> float:
         return self.m / self.n if self.n else 0.0
 
-    def node_id(self, name: str) -> int:
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        """Label -> node, built on first lookup; a repeated label resolves
+        to its first node."""
+        return {name: v for v, name in reversed(list(enumerate(self.names)))}
+
+    def node_id(self, token: str) -> int:
+        """Node named by a label, else by an in-range integer id; KeyError
+        otherwise."""
+        node = self._ids.get(token)
+        if node is not None:
+            return node
         try:
-            return self.names.index(name)
+            node = int(token)
         except ValueError:
-            raise KeyError(f"unknown node label {name!r}") from None
+            raise KeyError(f"unknown node {token!r}") from None
+        if not 0 <= node < self.n:
+            raise KeyError(f"node index {node} out of range (n={self.n})")
+        return node
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by tests)

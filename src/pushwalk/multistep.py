@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .push import SparseVec
-from .sampling import WalkConfig, build_alias, random_walk_path, source_of
+from .push import SparseVec, _check_node
+from .sampling import WalkConfig, random_walk_path, source_of
 
 __all__ = [
     "MstpParams",
@@ -212,15 +212,13 @@ def _forward_phase(
     before the pickup loop.
     """
     src = source_of(g, s)
+    _check_node(g, t)
     state = _drain(g, t, params.ell_max, params.effective_eps_r(), first_arrival)
     if rng is None:
         rng = WalkConfig(alpha=0.5, seed=seed).stream()
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
     n_f = params.num_paths()
-    if src.node is not None:
-        starts = [src.node] * n_f
-    else:
-        starts = build_alias(enumerate(src.sigma)).sample_many(rng, n_f)
+    starts = src.starts(rng, n_f)
     paths = [random_walk_path(g, u, cfg, fixed_len=params.ell_max, rng=rng) for u in starts]
     if first_arrival:
         first_hit = []

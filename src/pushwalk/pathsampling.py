@@ -14,15 +14,14 @@ run.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph
-from .push import SparseVec
-from .sampling import WalkConfig, random_walk_path
+from .push import SparseVec, _check_node
+from .sampling import WalkConfig, WeightedSampler, random_walk_path
 
 __all__ = [
     "ConstantSampler",
@@ -45,7 +44,7 @@ class ConstantSampler:
     target: int
 
 
-class ProvenanceSampler:
+class ProvenanceSampler(WeightedSampler):
     """Weighted choice over child samplers, owned by one node.
 
     ResidualAccumulator.snapshot freezes a live ledger into one of these at
@@ -53,18 +52,11 @@ class ProvenanceSampler:
     version even after the owner is pushed again.
     """
 
-    __slots__ = ("owner", "children", "cumweights", "total")
+    __slots__ = ("owner",)
 
-    def __init__(self, owner, children, cumweights, total):
+    def __init__(self, owner, items, cumweights, total):
+        super().__init__(items, cumweights, total)
         self.owner = owner
-        self.children = children
-        self.cumweights = cumweights
-        self.total = total
-
-    def sample(self, rng: np.random.Generator):
-        x = rng.random() * self.total
-        i = min(bisect_right(self.cumweights, x), len(self.children) - 1)
-        return self.children[i]
 
 
 class ResidualAccumulator(ProvenanceSampler):
@@ -77,12 +69,12 @@ class ResidualAccumulator(ProvenanceSampler):
 
     def append(self, child, weight: float) -> None:
         self.total += weight
-        self.children.append(child)
+        self.items.append(child)
         self.cumweights.append(self.total)
 
     def snapshot(self) -> ProvenanceSampler:
         return ProvenanceSampler(
-            self.owner, tuple(self.children), tuple(self.cumweights), self.total
+            self.owner, tuple(self.items), tuple(self.cumweights), self.total
         )
 
 
@@ -126,8 +118,7 @@ def precompute_path_samplers(
     if not tset:
         raise ValueError("target set is empty")
     for t in tset:
-        if not 0 <= t < g.n:
-            raise ValueError(f"target {t} out of range")
+        _check_node(g, t)
     state = PathSamplerState(tset, eps_r, alpha)
     queue: deque[int] = deque()
     queued = set()
@@ -204,8 +195,7 @@ def sample_path_to_target(
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range")
+    _check_node(g, s)
     if rng is None:
         rng = cfg.stream()
     p_s = state.estimates.get(s, 0.0)

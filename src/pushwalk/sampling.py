@@ -1,4 +1,4 @@
-"""Randomness substrate: seeded streams, geometric walks, alias tables.
+"""Randomness substrate: seeded streams, geometric walks, weighted draws.
 
 All estimators draw their randomness through this module so that a single
 ``--seed`` makes every run reproducible. Walk lengths follow
@@ -17,8 +17,8 @@ from .graph import Graph
 
 __all__ = [
     "WalkConfig",
-    "AliasTable",
-    "build_alias",
+    "WeightedSampler",
+    "build_sampler",
     "sample_geometric_length",
     "random_walk_path",
     "walk_endpoints",
@@ -50,79 +50,70 @@ class WalkConfig:
         )
 
 
-class AliasTable:
-    """O(1) sampling from a fixed discrete distribution (Vose's method)."""
+class WeightedSampler:
+    """Draws one of ``items`` with probability proportional to its weight.
 
-    __slots__ = ("prob", "alias", "payload", "total_weight")
+    ``cumweights[i]`` is the running weight total through item i, so a
+    uniform variate x in [0, 1) picks the first item whose running total
+    exceeds x * total. ``cumweights`` is None when all weights are equal;
+    x then indexes the items directly.
+    """
 
-    def __init__(self, items: list, weights: list[float]):
-        k = len(weights)
-        total = float(sum(weights))
-        if k == 0 or total <= 0.0:
-            raise ValueError("alias table needs at least one positive weight")
-        self.payload = list(items)
-        self.total_weight = total
-        scaled = [w * k / total for w in weights]
-        prob = [0.0] * k
-        alias = [0] * k
-        small = [i for i, p in enumerate(scaled) if p < 1.0]
-        large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            # Only reachable through floating-point residue; the slot is
-            # effectively full.
-            prob[i] = 1.0
-        self.prob = prob
-        self.alias = alias
+    __slots__ = ("items", "cumweights", "total")
 
-    def __len__(self) -> int:
-        return len(self.payload)
+    def __init__(self, items, cumweights, total: float):
+        self.items = items
+        self.cumweights = cumweights
+        self.total = total
+
+    def pick(self, x: float):
+        """The item drawn by the uniform variate x in [0, 1)."""
+        items = self.items
+        cum = self.cumweights
+        if cum is None:
+            return items[int(x * len(items))]
+        return items[min(bisect_right(cum, x * self.total), len(items) - 1)]
 
     def sample(self, rng: np.random.Generator):
-        k = len(self.prob)
-        i = int(rng.integers(k))
-        if rng.random() < self.prob[i]:
-            return self.payload[i]
-        return self.payload[self.alias[i]]
+        return self.pick(rng.random())
 
     def sample_many(self, rng: np.random.Generator, count: int) -> list:
-        k = len(self.prob)
-        idx = rng.integers(k, size=count)
-        coin = rng.random(count)
-        prob = self.prob
-        alias = self.alias
-        payload = self.payload
-        return [
-            payload[i] if coin[j] < prob[i] else payload[alias[i]]
-            for j, i in enumerate(idx)
-        ]
+        """``count`` draws; the same items as ``pick`` on each of
+        ``rng.random(count)``."""
+        x = rng.random(count)
+        k = len(self.items)
+        if self.cumweights is None:
+            idx = (x * k).astype(np.intp)
+        else:
+            idx = np.searchsorted(self.cumweights, x * self.total, side="right")
+            np.minimum(idx, k - 1, out=idx)
+        items = self.items
+        return [items[i] for i in idx]
 
 
-def build_alias(weighted_items) -> AliasTable:
-    """Build an AliasTable from (item, weight >= 0) pairs.
+def build_sampler(weighted_items) -> WeightedSampler:
+    """Build a WeightedSampler from (item, weight >= 0) pairs.
 
     Zero-weight items are dropped (they must never be sampled); raises
-    ValueError when no item has positive weight.
+    ValueError on a negative weight or when no item has positive weight.
     """
     items = []
     weights = []
+    cum = []
+    total = 0.0
     for item, w in weighted_items:
         if w < 0.0:
             raise ValueError(f"negative weight {w!r} for item {item!r}")
         if w > 0.0:
             items.append(item)
-            weights.append(float(w))
+            weights.append(w)
+            total += float(w)
+            cum.append(total)
     if not items:
         raise ValueError("all weights are zero")
-    return AliasTable(items, weights)
+    if all(abs(w - weights[0]) < 1e-15 * total for w in weights):
+        cum = None  # the direct index keeps unweighted walk steps bisect-free
+    return WeightedSampler(items, cum, total)
 
 
 def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
@@ -130,67 +121,26 @@ def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
     return int(rng.geometric(cfg.alpha)) - 1
 
 
-class _NodeStepper:
-    """Per-graph cache of neighbor arrays for fast weighted stepping."""
-
-    __slots__ = ("neighbors", "cumweights", "uniform")
-
-    def __init__(self, g: Graph):
-        self.neighbors: list[list[int]] = []
-        self.cumweights: list[list[float] | None] = []
-        self.uniform: list[bool] = []
-        for u in range(g.n):
-            adj = g.out_adj[u]
-            nbrs = [v for v, _ in adj]
-            self.neighbors.append(nbrs)
-            if adj and all(abs(w - adj[0][1]) < 1e-15 for _, w in adj):
-                self.cumweights.append(None)  # uniform fast path
-                self.uniform.append(True)
-            else:
-                acc, cum = 0.0, []
-                for _, w in adj:
-                    acc += w
-                    cum.append(acc)
-                self.cumweights.append(cum)
-                self.uniform.append(False)
-
-    def step(self, u: int, x: float) -> int:
-        """Next node from u given a uniform variate x in [0, 1)."""
-        nbrs = self.neighbors[u]
-        if self.uniform[u]:
-            return nbrs[int(x * len(nbrs))]
-        cum = self.cumweights[u]
-        return nbrs[min(bisect_right(cum, x * cum[-1]), len(nbrs) - 1)]
-
-
-_stepper_cache: dict[int, tuple[Graph, _NodeStepper]] = {}
-
-
-def _stepper(g: Graph) -> _NodeStepper:
-    cached = _stepper_cache.get(id(g))
-    if cached is not None and cached[0] is g:
-        return cached[1]
-    stepper = _NodeStepper(g)
-    _stepper_cache[id(g)] = (g, stepper)
-    if len(_stepper_cache) > 64:
-        _stepper_cache.pop(next(iter(_stepper_cache)))
-    return stepper
+def _step_samplers(g: Graph) -> list:
+    """Per-node samplers over out-neighbors (None for a dangling node),
+    built on the first walk and kept on the graph."""
+    if g.step_samplers is None:
+        g.step_samplers = [build_sampler(adj) if adj else None for adj in g.out_adj]
+    return g.step_samplers
 
 
 class Source:
     """Where walks start: one node, or a distribution over nodes.
 
     Built by ``source_of``. A node source sets ``node``; a distribution sets
-    ``weights``, the caller's weights as a dense array, and ``sigma``, the
-    same weights normalized to sum to 1.
+    ``sigma``, the caller's weights as a dense array normalized to sum to 1.
     """
 
-    __slots__ = ("n", "node", "weights", "sigma")
+    __slots__ = ("n", "node", "sigma")
 
     def __init__(self, n: int, node=None, weights=None):
         self.n = n
         self.node = node
-        self.weights = weights
         self.sigma = None if weights is None else weights / weights.sum()
 
     def dot(self, vec) -> float:
@@ -208,13 +158,12 @@ class Source:
         vec[self.node] = 1.0
         return vec
 
-    def picker(self):
-        """An rng -> node callable drawing one walk's start."""
+    def starts(self, rng: np.random.Generator, count: int) -> list[int]:
+        """Start nodes of ``count`` walks; a node source draws nothing."""
         if self.node is not None:
-            node = self.node
-            return lambda rng: node
-        table = build_alias(enumerate(self.weights))
-        return lambda rng: table.sample(rng)
+            return [self.node] * count
+        nodes = np.flatnonzero(self.sigma)
+        return build_sampler(zip(nodes.tolist(), self.sigma[nodes])).sample_many(rng, count)
 
 
 def source_of(g: Graph, source) -> Source:
@@ -262,15 +211,14 @@ def random_walk_path(
     """
     if rng is None:
         rng = cfg.stream()
-    stepper = _stepper(g)
+    samplers = _step_samplers(g)
     length = fixed_len if fixed_len is not None else sample_geometric_length(cfg, rng)
     path = [start]
     u = start
     for _ in range(length):
-        if not stepper.neighbors[u]:
-            path.append(u)
-            continue
-        u = stepper.step(u, rng.random())
+        sampler = samplers[u]
+        if sampler is not None:
+            u = sampler.pick(rng.random())
         path.append(u)
     return path
 
@@ -293,18 +241,16 @@ def walk_endpoints(
         return []
     if rng is None:
         rng = cfg.stream()
-    pick = source_of(g, start).picker()
-    stepper = _stepper(g)
+    src = source_of(g, start)
+    samplers = _step_samplers(g)
     lengths = rng.geometric(cfg.alpha, size=count) - 1
-    neighbors = stepper.neighbors
     out: list[int] = []
     rand = rng.random
-    step = stepper.step
-    for length in lengths:
-        u = pick(rng)
+    for u, length in zip(src.starts(rng, count), lengths):
         for _ in range(length):
-            if not neighbors[u]:
+            sampler = samplers[u]
+            if sampler is None:
                 break
-            u = step(u, rand())
+            u = sampler.pick(rand())
         out.append(u)
     return out

@@ -22,7 +22,7 @@ import numpy as np
 from .bidir import PprParams, default_r_max, num_walks
 from .graph import Graph
 from .push import SparseVec, reverse_push
-from .sampling import AliasTable, WalkConfig, build_alias, source_of, walk_endpoints
+from .sampling import WalkConfig, WeightedSampler, build_sampler, source_of, walk_endpoints
 
 __all__ = [
     "ForwardVector",
@@ -131,7 +131,7 @@ class TargetSamplerIndex:
     r_max: float
     alpha: float
     aggregate: SparseVec = field(default_factory=SparseVec)
-    samplers: dict[int, AliasTable] = field(default_factory=dict)
+    samplers: dict[int, WeightedSampler] = field(default_factory=dict)
 
 
 @dataclass
@@ -144,8 +144,8 @@ class KeywordIndex:
     def from_file(cls, path, g: Graph | None = None) -> "KeywordIndex":
         """Parse a sidecar of 'keyword<TAB>node' lines.
 
-        Node tokens are resolved through the graph's name table when one is
-        supplied, falling back to bare integer ids.
+        Node tokens are resolved by ``Graph.node_id`` when a graph is
+        supplied (an unknown node raises KeyError), else read as integer ids.
         """
         raw: dict[str, set[int]] = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -159,19 +159,10 @@ class KeywordIndex:
                         f"{path}:{lineno}: expected 'keyword<TAB>node', got {line!r}"
                     )
                 keyword, token = parts[0].strip(), parts[1].strip()
-                node = None
-                if g is not None:
-                    try:
-                        node = g.node_id(token)
-                    except KeyError:
-                        node = None
-                if node is None:
-                    try:
-                        node = int(token)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:{lineno}: unknown node {token!r}"
-                        ) from None
+                try:
+                    node = int(token) if g is None else g.node_id(token)
+                except (KeyError, ValueError):
+                    raise KeyError(f"{path}:{lineno}: unknown node {token!r}") from None
                 raw.setdefault(keyword, set()).add(node)
         return cls({kw: sorted(nodes) for kw, nodes in raw.items()})
 
@@ -240,7 +231,7 @@ def build_target_sampler(
             idx.aggregate.add(coord, val)
             per_coord.setdefault(coord, []).append((t, val))
     for coord, pairs in per_coord.items():
-        idx.samplers[coord] = build_alias(pairs)
+        idx.samplers[coord] = build_sampler(pairs)
     return idx
 
 
@@ -321,8 +312,7 @@ def sample_targets(
     total = sum(wt for _, wt in stage1)
     if total <= 0.0:
         raise ValueError("no target is reachable at this accuracy (zero total weight)")
-    coord_table = build_alias(stage1)
-    coords = coord_table.sample_many(rng, n_samples)
+    coords = build_sampler(stage1).sample_many(rng, n_samples)
     counts: dict[int, int] = {}
     coord_counts: dict[int, int] = {}
     for coord in coords:
@@ -396,7 +386,7 @@ def storage_accounting(
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2  # 2: target samplers are WeightedSampler
 
 
 def save_index(path, payload: dict) -> None:

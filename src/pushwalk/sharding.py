@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph
-from .push import SparseVec, forward_push, reverse_push
+from .push import SparseVec, _check_node, forward_push, reverse_push
 from .sampling import WalkConfig, walk_endpoints
 from .search import coord_vector
 
@@ -259,6 +259,7 @@ def query_shared_walks(
     p_s(t) + sum_v r_s(v) * (p_t[v] + mean over v's endpoints of r_t).
     A full-walk source is its own single support node with unit residual.
     """
+    _check_node(g, s)
     if r_max_rev is None:
         r_max_rev = store.r_max_r
     rev = reverse_push(g, t, r_max_rev, store.alpha)

@@ -344,6 +344,17 @@ def test_data_errors_exit_two(tmp_path, two_cycle_file):
                      "--keyword", "absent", "--keywords", str(kw)]) == 2
 
 
+def test_keyword_file_unknown_node_exits_two(tmp_path, two_cycle_file, capsys):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\ntopic\t99\n")
+    assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                     "--keyword", "topic", "--keywords", str(kw)]) == 2
+    assert cli.main(["precompute-search", "--graph", two_cycle_file, "--keywords",
+                     str(kw), "--rmax", "0.1",
+                     "--output", str(tmp_path / "idx.bin")]) == 2
+    assert "kw.tsv:2: unknown node '99'" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     path = tmp_path / "islands.txt"
     path.write_text("a a\nb b\n")

@@ -20,6 +20,15 @@ def test_parse_normalizes_outgoing_weights():
     assert weights == [0.5, 0.5]
 
 
+def test_node_id_resolves_labels_before_integer_ids():
+    g = pw.parse_edge_lines(["5 0", "0 7"], undirected=False)  # ids 0, 1, 2
+    assert (g.node_id("5"), g.node_id("0"), g.node_id("7")) == (0, 1, 2)
+    assert g.node_id("2") == 2  # no such label: read as an id
+    for token in ("3", "-1", "x"):
+        with pytest.raises(KeyError):
+            g.node_id(token)
+
+
 def test_parse_undirected_single_edge():
     g = pw.parse_edge_lines(["0 1"], undirected=True)
     assert g.n == 2 and g.m == 2

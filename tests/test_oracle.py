@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk import oracle
 from conftest import rand_graph, two_cycle
 
 
@@ -32,6 +33,18 @@ def test_matrix_rows_match_single_source(rng):
     pim = pw.exact_ppr_matrix(g, 0.25)
     for s in range(0, g.n, 3):
         assert np.allclose(pim[s], pw.exact_ppr(g, s, 0.25), atol=1e-10)
+
+
+def test_exact_ppr_builds_no_dense_matrix(rng, monkeypatch):
+    g = rand_graph(rng, n_max=15)
+    pim = pw.exact_ppr_matrix(g, 0.25)
+
+    def dense(_g):
+        raise AssertionError("exact_ppr built the dense transition matrix")
+
+    monkeypatch.setattr(oracle, "transition_matrix", dense)
+    assert np.allclose(pw.exact_ppr(g, 0, 0.25), pim[0], atol=1e-10)
+    assert np.allclose(pw.exact_global_pagerank(g, 0.25), pim.mean(axis=0), atol=1e-10)
 
 
 def test_global_rank_two_cycle_symmetric():

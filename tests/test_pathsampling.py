@@ -32,14 +32,14 @@ def test_single_push_ledger_trace():
     assert len(state.snapshots) == 1
     frozen = state.snapshots[0]
     assert frozen.owner == 1
-    assert frozen.children == (pathsampling.ConstantSampler(1),)
+    assert frozen.items == (pathsampling.ConstantSampler(1),)
     # node 0's live ledger references the frozen sampler with the handed mass
     assert state.live[0].total == pytest.approx(0.8)
-    assert state.live[0].children == [frozen]
+    assert state.live[0].items == [frozen]
     # node 1 got a fresh, empty ledger after its push
     assert state.live[1].total == 0.0
     # settled mass at 1 is ledgered under the same frozen sampler
-    assert state.estimate_provenance[1].children == [frozen]
+    assert state.estimate_provenance[1].items == [frozen]
 
 
 def test_repushed_node_freezes_distinct_snapshots():
@@ -49,9 +49,9 @@ def test_repushed_node_freezes_distinct_snapshots():
     assert owners == [1, 0, 1, 0]
     first, second = state.snapshots[0], state.snapshots[2]
     assert first is not second
-    assert first.children == (pathsampling.ConstantSampler(1),)
+    assert first.items == (pathsampling.ConstantSampler(1),)
     # the second freeze of node 1 references node 0's first frozen sampler
-    assert second.children == (state.snapshots[1],)
+    assert second.items == (state.snapshots[1],)
     assert dict(state.estimates) == pytest.approx({1: 0.328, 0: 0.2624})
     assert dict(state.residuals) == pytest.approx({1: 0.4096})
 

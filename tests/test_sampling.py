@@ -1,4 +1,7 @@
-"""Geometric walk lengths, endpoint sampling, alias tables."""
+"""Geometric walk lengths, endpoint sampling, weighted samplers."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -72,7 +75,7 @@ def test_geometric_path_edge_count_mean():
 
 
 def test_alias_uniform_four_items():
-    at = pw.AliasTable(list("abcd"), [1.0] * 4)
+    at = pw.build_sampler(zip("abcd", [1.0] * 4))
     rng = np.random.default_rng(10)
     picks = at.sample_many(rng, 1_000_000)
     for item in "abcd":
@@ -80,23 +83,32 @@ def test_alias_uniform_four_items():
 
 
 def test_alias_one_three_split():
-    at = pw.AliasTable([0, 1], [1.0, 3.0])
+    at = pw.build_sampler(zip([0, 1], [1.0, 3.0]))
     rng = np.random.default_rng(11)
     picks = at.sample_many(rng, 1_000_000)
     assert abs(picks.count(1) / 1e6 - 0.75) < 0.005
 
 
 def test_alias_single_item():
-    at = pw.AliasTable(["only"], [2.5])
+    at = pw.build_sampler(zip(["only"], [2.5]))
     rng = np.random.default_rng(12)
     assert all(at.sample(rng) == "only" for _ in range(20))
 
 
 def test_alias_rejects_empty_and_nonpositive():
     with pytest.raises(ValueError):
-        pw.AliasTable([], [])
+        pw.build_sampler(zip([], []))
     with pytest.raises(ValueError):
-        pw.AliasTable([1], [0.0])
+        pw.build_sampler(zip([1], [0.0]))
+
+
+def test_walked_graph_is_freed_after_del():
+    g = two_cycle()
+    pw.walk_endpoints(g, 0, 64, pw.WalkConfig(alpha=0.2, seed=13))
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_walk_streams_are_reproducible():
@@ -143,3 +155,27 @@ def test_out_of_range_source_is_rejected(entry, bad):
 def test_source_weights_must_be_a_finite_distribution(source):
     with pytest.raises(ValueError, match="source"):
         pw.estimate_ppr(_PATH_WITH_SINK, source, 0, pw.PprParams(delta=0.1))
+
+
+_TARGET_ENTRY_POINTS = {
+    "estimate_mstp": lambda g, t: pw.estimate_mstp(g, 0, t, _MSTP),
+    "estimate_truncated_hitting": lambda g, t: pw.estimate_truncated_hitting(
+        g, 0, t, _MSTP),
+    "estimate_heat_kernel": lambda g, t: pw.estimate_heat_kernel(
+        g, 0, t, pw.HeatKernelParams(t_param=1.0)),
+    "monte_carlo_ppr": lambda g, t: pw.monte_carlo_ppr(
+        g, 0, t, pw.PprParams(delta=0.1), walks=10),
+    "choose_delta_from_target": lambda g, t: pw.choose_delta_from_target(g, t, 0.2),
+    # the sharded query's source indexes the stored per-node vectors
+    "query_shared_walks": lambda g, s: pw.query_shared_walks(
+        g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), s, 0),
+}
+
+
+@pytest.mark.parametrize("bad", ["-1", "n"])
+@pytest.mark.parametrize("entry", sorted(_TARGET_ENTRY_POINTS))
+def test_out_of_range_target_is_rejected(entry, bad):
+    g = _PATH_WITH_SINK
+    node = -1 if bad == "-1" else g.n
+    with pytest.raises(ValueError, match=rf"node {node} out of range"):
+        _TARGET_ENTRY_POINTS[entry](g, node)

@@ -109,7 +109,7 @@ def test_sampler_single_target_always_wins():
 def test_sampler_three_to_one_ratio():
     idx = pw.TargetSamplerIndex(n=5, targets=[1, 2], r_max=0.5, alpha=0.2)
     idx.aggregate.add(8, 0.4)  # residual slot of node 3
-    idx.samplers[8] = pw.AliasTable([1, 2], [0.3, 0.1])
+    idx.samplers[8] = pw.build_sampler(zip([1, 2], [0.3, 0.1]))
     x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
@@ -122,9 +122,9 @@ def test_sampler_worked_two_stage_arithmetic():
     # stage-two sampler splits its targets (5/9, 2/9, 2/9).
     idx = pw.TargetSamplerIndex(n=8, targets=[5, 6, 7], r_max=0.5, alpha=0.2)
     idx.aggregate.add(11, 0.64)
-    idx.samplers[11] = pw.AliasTable([5, 6, 7], [0.4, 0.12, 0.12])
+    idx.samplers[11] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.12, 0.12]))
     idx.aggregate.add(12, 0.72)
-    idx.samplers[12] = pw.AliasTable([5, 6, 7], [0.4, 0.16, 0.16])
+    idx.samplers[12] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.16, 0.16]))
     x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
@@ -133,7 +133,7 @@ def test_sampler_worked_two_stage_arithmetic():
     assert stage1.get(10, 0.0) == 0.0
     assert stage1[11] == pytest.approx(0.64 / 3)
     assert stage1[12] == pytest.approx(0.72 / 3)
-    c_split = pw.AliasTable([5, 6, 7], [0.4, 0.16, 0.16])
+    c_split = pw.build_sampler(zip([5, 6, 7], [0.4, 0.16, 0.16]))
     rng = np.random.default_rng(8)
     picks = c_split.sample_many(rng, 200_000)
     assert abs(picks.count(5) / 2e5 - 5 / 9) < 0.005
