@@ -70,6 +70,7 @@ from .sampling import (
 from .search import (
     ForwardVector,
     GroupedIndex,
+    IndexFormatError,
     IndexStorageReport,
     KeywordIndex,
     ReverseVector,
@@ -103,7 +104,6 @@ from .sharding import (
     variable_delta_r_max,
 )
 from .undirected import (
-    UndirectedEstimate,
     check_symmetry,
     estimate_ppr_undirected,
     forward_work_bound_check,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import exact_global_pagerank
-from .push import SparseVec, _check_node, reverse_push, reverse_push_balanced
-from .sampling import WalkConfig, source_of, walk_endpoints
+from .push import PushResult, _check_node, reverse_push, reverse_push_balanced
+from .sampling import Source, WalkConfig, source_of, walk_endpoints
 
 __all__ = [
     "PprParams",
@@ -73,12 +73,27 @@ class PprParams:
         """Smallest r_max for which the accuracy guarantee is proven."""
         return 2.0 * math.e * self.delta / (self.alpha * self.epsilon)
 
+    def resolved_r_max(self, g: Graph) -> float:
+        """The r_max override when set, else default_r_max on this graph."""
+        return self.r_max if self.r_max is not None else default_r_max(g, self)
+
+    def chernoff_walks(self) -> int:
+        """Walk-only budget: the union-bound count 3 ln(2/p_fail)/(eps^2 delta)."""
+        c_mc = 3.0 * math.log(2.0 / self.p_fail)
+        return max(1, math.ceil(c_mc / (self.epsilon**2 * self.delta)))
+
 
 @dataclass
 class PprEstimate:
+    """What every single-pair estimator returns: the score and its cost.
+
+    pushes counts reverse pushes (forward ones for the undirected variant);
+    r_max_used is 0 after a drained balanced push and inf for walk-only.
+    """
+
     value: float
     walks_used: int
-    reverse_pushes: int
+    pushes: int
     r_max_used: float
 
 
@@ -102,7 +117,7 @@ def num_walks(params: PprParams, r_max: float) -> int:
 
 
 def _settle_r_max(g: Graph, params: PprParams) -> float:
-    r_max = params.r_max if params.r_max is not None else default_r_max(g, params)
+    r_max = params.resolved_r_max(g)
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
     floor = params.guarantee_floor()
@@ -117,19 +132,26 @@ def _settle_r_max(g: Graph, params: PprParams) -> float:
     return r_max
 
 
-def _residual_mean(
+def _walk_phase(
     g: Graph,
-    source,
-    residuals: SparseVec,
-    w: int,
-    cfg: WalkConfig,
+    s: Source,
+    pr: PushResult,
+    r_max: float,
+    params: PprParams,
+    seed: int,
     rng: np.random.Generator | None,
-) -> tuple[float, int]:
-    endpoints = walk_endpoints(g, source, w, cfg, rng=rng)
+) -> PprEstimate:
+    """Dot the push estimates with the source; if residual is left, add the
+    mean residual picked up by c * r_max / delta walks from the source."""
+    value = s.dot(pr.estimates)
+    if not pr.residuals:
+        return PprEstimate(value, 0, pr.pushes_performed, r_max)
+    w = num_walks(params, r_max)
+    cfg = WalkConfig(alpha=params.alpha, seed=seed)
     total = 0.0
-    for v in endpoints:
-        total += residuals.get(v, 0.0)
-    return total / w, w
+    for v in walk_endpoints(g, s, w, cfg, rng=rng):
+        total += pr.residuals.get(v, 0.0)
+    return PprEstimate(value + total / w, w, pr.pushes_performed, r_max)
 
 
 def estimate_ppr(
@@ -149,13 +171,7 @@ def estimate_ppr(
     s = source_of(g, s)
     r_max = _settle_r_max(g, params)
     pr = reverse_push(g, t, r_max, params.alpha)
-    value = s.dot(pr.estimates)
-    w = num_walks(params, r_max)
-    cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    if pr.residuals:
-        mean, w = _residual_mean(g, s, pr.residuals, w, cfg, rng)
-        value += mean
-    return PprEstimate(value, w if pr.residuals else 0, pr.pushes_performed, r_max)
+    return _walk_phase(g, s, pr, r_max, params, seed, rng)
 
 
 def estimate_ppr_balanced(
@@ -176,46 +192,31 @@ def estimate_ppr_balanced(
     pr = reverse_push_balanced(
         g, t, params.alpha, params.delta, params.effective_c(), walk_time_constant
     )
-    value = s.dot(pr.estimates)
-    if pr.achieved_rmax == 0.0:
-        return PprEstimate(value, 0, pr.pushes_performed, 0.0)
-    w = num_walks(params, pr.achieved_rmax)
-    cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    mean, w = _residual_mean(g, s, pr.residuals, w, cfg, rng)
-    return PprEstimate(value + mean, w, pr.pushes_performed, pr.achieved_rmax)
+    return _walk_phase(g, s, pr, pr.achieved_rmax, params, seed, rng)
 
 
 def monte_carlo_ppr(
     g: Graph,
     s,
-    t: int | None,
+    t: int,
     params: PprParams,
     walks: int | None = None,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-):
-    """Plain endpoint-frequency estimate.
+) -> PprEstimate:
+    """Plain endpoint-frequency estimate of pi_s[t].
 
-    With a target node, returns a PprEstimate of pi_s[t]; with t=None,
-    returns a SparseVec of endpoint frequencies for all targets at once.
-    The default budget is the union-bound count 3*ln(2/p_fail)/(eps^2*delta).
+    The default budget is params.chernoff_walks().
     """
     if walks is None:
-        c_mc = 3.0 * math.log(2.0 / params.p_fail)
-        walks = math.ceil(c_mc / (params.epsilon**2 * params.delta))
+        walks = params.chernoff_walks()
     if walks <= 0:
         raise ValueError("walk count must be positive")
-    if t is not None:
-        _check_node(g, t)
+    _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     endpoints = walk_endpoints(g, s, walks, cfg, rng=rng)
-    if t is not None:
-        hits = sum(1 for v in endpoints if v == t)
-        return PprEstimate(hits / walks, walks, 0, math.inf)
-    freq = SparseVec()
-    for v in endpoints:
-        freq.add(v, 1.0 / walks)
-    return freq
+    hits = sum(1 for v in endpoints if v == t)
+    return PprEstimate(hits / walks, walks, 0, math.inf)
 
 
 def choose_delta_from_target(

@@ -4,8 +4,9 @@ Every subcommand prints one JSON record per line: first a ``config`` record
 echoing the full effective configuration, then ``result`` records. Records
 round-trip losslessly through :meth:`RunRecord.to_line` /
 :meth:`RunRecord.from_line`. Exit codes: 0 success, 1 usage error, 2 data
-error (unreadable/malformed graph, unknown node or keyword), 3 numerical
-failure (non-convergence, exhausted sampling budget).
+error (unreadable/malformed graph, unknown node or keyword, broken store or
+search index), 3 numerical failure (non-convergence, exhausted sampling
+budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -23,14 +24,13 @@ import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bidir import (
     PprParams,
     choose_delta_from_target,
-    default_r_max,
     estimate_ppr,
     estimate_ppr_balanced,
     monte_carlo_ppr,
@@ -56,6 +56,9 @@ from .pathsampling import precompute_path_samplers, sample_path_to_target
 from .push import reverse_push
 from .sampling import WalkConfig, build_sampler
 from .search import (
+    DEFAULT_BETA,
+    DEFAULT_SEARCH_C,
+    IndexFormatError,
     KeywordIndex,
     adaptive_r_max,
     build_forward_vector,
@@ -176,25 +179,31 @@ class BenchSpec:
 
     pair_mode: str = "uniform"  # or "pagerank": targets drawn by global rank
     n_pairs: int = 20
-    alpha: float = 0.2
+    alpha: float = PprParams.alpha
     delta: float | None = None  # default 4/n
-    epsilon: float = 0.5
-    p_fail: float = 0.1
-    c: float = 7.0
-    mc_walks: int | None = None  # default: Chernoff-matched 3 ln(2/pf)/(eps^2 delta)
+    epsilon: float = PprParams.epsilon
+    p_fail: float = PprParams.p_fail
+    c: float = PprParams.c
+    mc_walks: int | None = None  # default: PprParams.chernoff_walks
     seed: int = 0
     oracle_limit: int = 2000  # skip accuracy above this many nodes
 
     def resolved_delta(self, g: Graph) -> float:
         return self.delta if self.delta is not None else 4.0 / g.n
 
+    def ppr_params(self, g: Graph) -> PprParams:
+        return PprParams(
+            delta=self.resolved_delta(g),
+            alpha=self.alpha,
+            epsilon=self.epsilon,
+            p_fail=self.p_fail,
+            c=self.c,
+        )
+
     def resolved_mc_walks(self, g: Graph) -> int:
         if self.mc_walks is not None:
             return self.mc_walks
-        d = self.resolved_delta(g)
-        return max(
-            1, math.ceil(3.0 * math.log(2.0 / self.p_fail) / (self.epsilon**2 * d))
-        )
+        return self.ppr_params(g).chernoff_walks()
 
 
 def _sample_pairs(g: Graph, spec: BenchSpec, rng: np.random.Generator):
@@ -221,14 +230,8 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
         return rows
     rng = np.random.default_rng(spec.seed)
     pairs = _sample_pairs(g, spec, rng)
-    delta = spec.resolved_delta(g)
-    params = PprParams(
-        delta=delta,
-        alpha=spec.alpha,
-        epsilon=spec.epsilon,
-        p_fail=spec.p_fail,
-        c=spec.c,
-    )
+    params = spec.ppr_params(g)
+    delta = params.delta
     truth = None
     if g.n <= spec.oracle_limit:
         truth = exact_ppr_matrix(g, spec.alpha)
@@ -292,9 +295,15 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--undirected", action="store_true", help="symmetrize edges on load"
     )
-    common.add_argument("--alpha", type=float, default=0.2, help="teleport rate")
+    common.add_argument("--alpha", type=float, default=PprParams.alpha, help="teleport rate")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output", help="write records here instead of stdout")
+    # The accuracy contract; MstpParams carries the same defaults as PprParams.
+    accuracy = argparse.ArgumentParser(add_help=False)
+    accuracy.add_argument("--delta", type=float, help="smallest score to resolve (default per command)")
+    accuracy.add_argument("--eps", type=float, default=PprParams.epsilon)
+    accuracy.add_argument("--pfail", type=float, default=PprParams.p_fail)
+    accuracy.add_argument("--c", type=float, default=PprParams.c)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="write a synthetic graph")
@@ -308,13 +317,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--global-rank", action="store_true", help="global PageRank instead")
     p.add_argument("--top", type=int, default=10, help="entries to print without --target")
 
-    p = sub.add_parser("estimate", parents=[common], help="single-pair score estimate")
+    p = sub.add_parser("estimate", parents=[common, accuracy], help="single-pair score estimate")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--delta", type=float, help="default: max(pr[t], 1/n)")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--pfail", type=float, default=0.1)
-    p.add_argument("--c", type=float, default=7.0)
     p.add_argument("--rmax", type=float)
     p.add_argument("--use-theorem-c", action="store_true")
     p.add_argument("--balanced", action="store_true", help="work-balanced reverse phase")
@@ -327,14 +332,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--monte-carlo", action="store_true", help="walk-only baseline")
     p.add_argument("--walks", type=int, help="override the walk budget")
 
-    p = sub.add_parser("estimate-mstp", parents=[common], help="multi-step transition probabilities")
+    p = sub.add_parser(
+        "estimate-mstp", parents=[common, accuracy], help="multi-step transition probabilities"
+    )
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--ell-max", type=int, required=True)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--pfail", type=float, default=0.1)
-    p.add_argument("--c", type=float, default=7.0)
     p.add_argument("--eps-r", type=float)
     p.add_argument("--use-theorem-c", action="store_true")
     p.add_argument(
@@ -343,15 +346,11 @@ def _build_parser() -> _Parser:
         help="probability of hitting the target for the first time at each step",
     )
 
-    p = sub.add_parser("heat-kernel", parents=[common], help="heat-kernel score of a pair")
+    p = sub.add_parser("heat-kernel", parents=[common, accuracy], help="heat-kernel score of a pair")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--t", type=float, required=True, dest="t_param")
     p.add_argument("--ell-max", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--pfail", type=float, default=0.1)
-    p.add_argument("--c", type=float, default=7.0)
 
     p = sub.add_parser("search", parents=[common], help="rank a keyword's targets for a source")
     p.add_argument("--source", required=True)
@@ -371,8 +370,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--adaptive", action="store_true", help="size rmax from target popularity")
     p.add_argument("--walks", type=int, default=1000, help="query-time walk budget (adaptive)")
     p.add_argument("--topk", type=int, default=10, help="k assumed by --adaptive")
-    p.add_argument("--beta", type=float, default=0.77)
-    p.add_argument("--c", type=float, default=20.0)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    p.add_argument("--c", type=float, default=DEFAULT_SEARCH_C)
 
     p = sub.add_parser("sample-path", parents=[common], help="draw conditioned walk paths")
     p.add_argument("--source", required=True)
@@ -385,22 +384,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--dmax", type=float, default=1000.0)
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--c1", type=float, default=7.0)
-    p.add_argument("--c2", type=float, default=0.5)
-    p.add_argument("--c3", type=float, default=10.0)
+    p.add_argument("--c1", type=float, default=SharedWalkParams.c1)
+    p.add_argument("--c2", type=float, default=SharedWalkParams.c2)
+    p.add_argument("--c3", type=float, default=SharedWalkParams.c3)
 
     p = sub.add_parser("serve-sim", parents=[common], help="answer queries from a store")
     p.add_argument("--store", required=True, help="file written by precompute")
     p.add_argument("--query", action="append", default=[], help="'s,t' (repeatable)")
     p.add_argument("--queries", help="file with one 's t' pair per line")
 
-    p = sub.add_parser("bench", parents=[common], help="timing/accuracy comparison")
+    p = sub.add_parser("bench", parents=[common, accuracy], help="timing/accuracy comparison")
     p.add_argument("--pairs", type=int, default=20)
     p.add_argument("--mode", choices=["uniform", "pagerank"], default="uniform")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--pfail", type=float, default=0.1)
-    p.add_argument("--c", type=float, default=7.0)
     p.add_argument("--mc-walks", type=int)
 
     return top
@@ -523,9 +518,6 @@ def _cmd_estimate(args, out) -> int:
         est = estimate_ppr(g, s, t, params, seed=args.seed)
     wall = time.perf_counter() - t0
     _emit(out, _config_record(args, {"n": g.n, "m": g.m, "delta": delta, "method": method}))
-    pushes = getattr(est, "reverse_pushes", None)
-    if pushes is None:
-        pushes = getattr(est, "forward_pushes", 0)
     _emit(
         out,
         RunRecord(
@@ -536,7 +528,7 @@ def _cmd_estimate(args, out) -> int:
             {"value": est.value, "source": _name(g, s), "target": _name(g, t)},
             {
                 "walks": est.walks_used,
-                "pushes": pushes,
+                "pushes": est.pushes,
                 "r_max": est.r_max_used if math.isfinite(est.r_max_used) else "inf",
             },
             wall,
@@ -645,12 +637,9 @@ def _cmd_search(args, out) -> int:
         raise KeyError(f"unknown keyword {args.keyword!r}")
     targets = list(kw_map[args.keyword])
     delta = args.delta if args.delta is not None else 1.0 / g.n
-    r_max = args.rmax
-    if payload is not None:
-        r_max = payload["per_keyword"][args.keyword]["r_max"]
-    elif r_max is None:
-        r_max = default_r_max(g, PprParams(delta=delta, alpha=args.alpha))
+    r_max = args.rmax if payload is None else payload["per_keyword"][args.keyword]["r_max"]
     params = PprParams(delta=delta, alpha=args.alpha, r_max=r_max)
+    r_max = params.resolved_r_max(g)
     w = args.walks if args.walks is not None else num_walks(params, r_max)
     t0 = time.perf_counter()
     forward = build_forward_vector(g, s, w, WalkConfig(args.alpha, args.seed))
@@ -855,8 +844,8 @@ def _cmd_serve_sim(args, out) -> int:
         s = g.node_id(s_tok)
         t = g.node_id(t_tok)
         t0 = time.perf_counter()
-        local = query_shared_walks(g, store, s, t)
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
+        local = query_shared_walks(g, store, s, t, rev=rev)
         y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
         key = ("y", t)
         for shard in shards:
@@ -976,7 +965,7 @@ def main(argv=None) -> int:
     except UnreachableTargetError as exc:
         print(f"pushwalk {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (pickle.UnpicklingError, EOFError) as exc:
+    except (pickle.UnpicklingError, EOFError, IndexFormatError) as exc:
         print(f"pushwalk {args.command}: bad store/index file: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

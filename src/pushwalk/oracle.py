@@ -2,8 +2,9 @@
 
 Everything here is deliberately simple: full power iteration or an n x n
 matrix, which leave no room for the approximation bugs these oracles exist
-to catch. exact_ppr, which the CLI also calls at run time, iterates over
-the edge list; the other oracles are dense and meant for desk-scale graphs.
+to catch. exact_ppr, exact_mstp and exact_first_passage, which the CLI also
+calls at run time, iterate over the edge list; exact_ppr_matrix is dense and
+meant for desk-scale graphs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from .graph import Graph
+from .push import _check_node
 from .sampling import source_of
 
 __all__ = [
@@ -45,6 +47,14 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return W
 
 
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge list as (tails, heads, weights) arrays, in adjacency order."""
+    tails = np.repeat(np.arange(g.n), [len(adj) for adj in g.out_adj])
+    heads = np.fromiter((v for adj in g.out_adj for v, _ in adj), np.intp)
+    weights = np.fromiter((w for adj in g.out_adj for _, w in adj), float)
+    return tails, heads, weights
+
+
 def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
     """Exact personalized PageRank by power iteration over the edge list.
 
@@ -60,9 +70,7 @@ def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = source_of(g, source).distribution()
-    tails = np.repeat(np.arange(g.n), [len(adj) for adj in g.out_adj])
-    heads = np.fromiter((v for adj in g.out_adj for v, _ in adj), np.intp)
-    weights = np.fromiter((w for adj in g.out_adj for _, w in adj), float)
+    tails, heads, weights = _edge_arrays(g)
     max_iters = math.ceil(math.log(tol) / math.log(1.0 - alpha)) + 64
     p = s.copy()
     for _ in range(max_iters):
@@ -106,9 +114,9 @@ def exact_mstp(g: Graph, source, ell: int) -> np.ndarray:
     if ell > 10_000:
         raise ValueError("ell > 10000 exceeds the desk-scale oracle bound")
     vec = source_of(g, source).distribution()
-    W = transition_matrix(g)
+    tails, heads, weights = _edge_arrays(g)
     for _ in range(ell):
-        vec = vec @ W
+        vec = np.bincount(heads, weights=vec[tails] * weights, minlength=g.n)
     return vec
 
 
@@ -119,19 +127,20 @@ def exact_first_passage(g: Graph, source, t: int, ell_max: int) -> np.ndarray:
     under the fixed-length chain W. Time-0 occupancy of t is ignored, so for
     source = t this is the first-return distribution.
     """
+    _check_node(g, t)
     if ell_max < 1:
         return np.zeros(0)
-    W = transition_matrix(g)
     s = source_of(g, source).distribution()
+    tails, heads, weights = _edge_arrays(g)
     # h[v] = P[first hit of t happens in exactly `steps` more steps | at v],
     # built backwards: h_1[v] = W[v, t]; h_{k}[v] = sum_{u != t} W[v,u] h_{k-1}[u].
     out = np.zeros(ell_max)
-    h = W[:, t].copy()
+    h = np.bincount(tails, weights=weights * (heads == t), minlength=g.n)
     out[0] = float(s @ h)
     mask = np.ones(g.n)
     mask[t] = 0.0
     for ell in range(2, ell_max + 1):
-        h = W @ (h * mask)
+        h = np.bincount(tails, weights=weights * (h * mask)[heads], minlength=g.n)
         out[ell - 1] = float(s @ h)
     return out
 

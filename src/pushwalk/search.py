@@ -13,13 +13,12 @@ their scores without ever computing them all.
 
 from __future__ import annotations
 
-import math
 import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidir import PprParams, default_r_max, num_walks
+from .bidir import PprParams, num_walks
 from .graph import Graph
 from .push import SparseVec, reverse_push
 from .sampling import WalkConfig, WeightedSampler, build_sampler, source_of, walk_endpoints
@@ -43,6 +42,7 @@ __all__ = [
     "save_index",
     "load_index",
     "coord_vector",
+    "IndexFormatError",
     "DEFAULT_SEARCH_C",
     "DEFAULT_BETA",
 ]
@@ -250,7 +250,7 @@ def score_targets_direct(
     vectors: dict[int, ReverseVector] | None = None,
 ) -> list[tuple[int, float]]:
     """One dot product per target; returns (target, score) ranked."""
-    r_max = params.r_max if params.r_max is not None else default_r_max(g, params)
+    r_max = params.resolved_r_max(g)
     if forward is None:
         w = num_walks(params, r_max)
         forward = build_forward_vector(g, s, w, WalkConfig(params.alpha, seed))
@@ -385,6 +385,10 @@ def storage_accounting(
     return IndexStorageReport(per_keyword, total, gamma, bound, total <= bound)
 
 
+class IndexFormatError(ValueError):
+    """A file that is not a search index this version can read."""
+
+
 _INDEX_MAGIC = b"PWIX"
 _INDEX_VERSION = 2  # 2: target samplers are WeightedSampler
 
@@ -401,8 +405,8 @@ def load_index(path) -> dict:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _INDEX_MAGIC:
-            raise ValueError(f"{path} is not a search index sidecar")
+            raise IndexFormatError(f"{path} is not a search index sidecar")
         version = int.from_bytes(fh.read(2), "little")
         if version != _INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version}")
+            raise IndexFormatError(f"unsupported index version {version}")
         return pickle.load(fh)

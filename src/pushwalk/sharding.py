@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import Graph
-from .push import SparseVec, _check_node, forward_push, reverse_push
+from .push import PushResult, SparseVec, _check_node, forward_push, reverse_push
 from .sampling import WalkConfig, walk_endpoints
 from .search import coord_vector
 
@@ -250,7 +250,7 @@ def query_shared_walks(
     store: SharedWalkStore,
     s: int,
     t: int,
-    r_max_rev: float | None = None,
+    rev: PushResult | None = None,
 ) -> float:
     """Estimate pi_s[t] from the store plus one reverse push at t.
 
@@ -258,11 +258,12 @@ def query_shared_walks(
     residual support contributes its own stored walks:
     p_s(t) + sum_v r_s(v) * (p_t[v] + mean over v's endpoints of r_t).
     A full-walk source is its own single support node with unit residual.
+    A caller that already holds reverse_push(g, t, store.r_max_r,
+    store.alpha) passes it as ``rev`` instead of pushing twice.
     """
     _check_node(g, s)
-    if r_max_rev is None:
-        r_max_rev = store.r_max_r
-    rev = reverse_push(g, t, r_max_rev, store.alpha)
+    if rev is None:
+        rev = reverse_push(g, t, store.r_max_r, store.alpha)
     value = store.fwd_estimates[s].get(t, 0.0)
     rev_p = rev.estimates
     rev_r = rev.residuals
@@ -279,9 +280,9 @@ def query_shared_walks(
 def storage_model(
     n: int,
     delta: float,
-    c1: float = 7.0,
-    c2: float = 0.5,
-    c3: float = 10.0,
+    c1: float = SharedWalkParams.c1,
+    c2: float = SharedWalkParams.c2,
+    c3: float = SharedWalkParams.c3,
     r_max_r: float | None = None,
     r_max_f: float | None = None,
 ) -> dict:

@@ -9,32 +9,22 @@ direction when the target is a high-degree node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bidir import PprParams
+from .bidir import PprEstimate, PprParams
 from .graph import Graph
 from .oracle import exact_ppr
 from .push import forward_push
 from .sampling import WalkConfig, walk_endpoints
 
 __all__ = [
-    "UndirectedEstimate",
     "check_symmetry",
     "natural_delta",
     "worst_case_r_max",
     "estimate_ppr_undirected",
     "forward_work_bound_check",
 ]
-
-
-@dataclass
-class UndirectedEstimate:
-    value: float
-    walks_used: int
-    forward_pushes: int
-    r_max_used: float
 
 
 def _require_undirected(g: Graph) -> None:
@@ -83,7 +73,7 @@ def estimate_ppr_undirected(
     params: PprParams,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-) -> UndirectedEstimate:
+) -> PprEstimate:
     """Estimate pi_s[t] by pushing from s and walking from t.
 
     After forward_push(s, r_max) the correction term is
@@ -104,7 +94,7 @@ def estimate_ppr_undirected(
     pr = forward_push(g, s, r_max, params.alpha)
     value = pr.estimates.get(t, 0.0)
     if not pr.residuals:
-        return UndirectedEstimate(value, 0, pr.pushes_performed, r_max)
+        return PprEstimate(value, 0, pr.pushes_performed, r_max)
     c_u = 3.0 * math.log(2.0 / params.p_fail)
     w = max(
         1,
@@ -118,7 +108,7 @@ def estimate_ppr_undirected(
         rv = residuals.get(v, 0.0)
         if rv:
             total += rv * d_t / g.degree(v)
-    return UndirectedEstimate(value + total / w, w, pr.pushes_performed, r_max)
+    return PprEstimate(value + total / w, w, pr.pushes_performed, r_max)
 
 
 def forward_work_bound_check(g: Graph, s: int, r_max: float, alpha: float) -> bool:

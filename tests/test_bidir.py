@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk import cli
 from conftest import rand_graph, two_cycle
 
 
@@ -53,7 +54,7 @@ def test_estimator_degenerates_to_monte_carlo():
     est = pw.estimate_ppr(g, 0, 0, params, seed=11)
     mc = pw.monte_carlo_ppr(g, 0, 0, params, walks=est.walks_used, seed=11)
     assert est.value == mc.value
-    assert est.reverse_pushes == 0
+    assert est.pushes == 0
 
 
 def test_estimator_residual_pickup_arithmetic():
@@ -68,6 +69,38 @@ def test_estimator_residual_pickup_arithmetic():
     est = pw.estimate_ppr(g, 0, 2, params, seed=28)
     assert est.value == pytest.approx(0.013)
     assert est.walks_used == 100
+
+
+def test_single_pair_estimators_share_one_result_type():
+    g = pw.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], n=3, undirected=True)
+    params = pw.PprParams(delta=0.05, r_max=0.05)
+    results = [
+        pw.estimate_ppr(g, 0, 1, params, seed=1),
+        pw.estimate_ppr_balanced(g, 0, 1, params, seed=1),
+        pw.monte_carlo_ppr(g, 0, 1, params, walks=50, seed=1),
+        pw.estimate_ppr_undirected(g, 0, 1, params, seed=1),
+    ]
+    assert all(type(r) is pw.PprEstimate for r in results)
+    assert results[0].pushes == pw.reverse_push(g, 1, 0.05, 0.2).pushes_performed
+    assert results[2].pushes == 0
+    assert results[3].pushes == pw.forward_push(g, 0, 0.05, 0.2).pushes_performed
+
+
+def test_walk_only_budget_is_the_chernoff_count():
+    g = two_cycle()
+    params = pw.PprParams(delta=0.01, epsilon=0.4, p_fail=0.05)
+    want = math.ceil(3 * math.log(2 / 0.05) / (0.4**2 * 0.01))
+    assert params.chernoff_walks() == want
+    assert pw.monte_carlo_ppr(g, 0, 1, params).walks_used == want
+    spec = cli.BenchSpec(delta=0.01, epsilon=0.4, p_fail=0.05)
+    assert spec.resolved_mc_walks(g) == want
+
+
+def test_r_max_override_or_default():
+    g = _regular_graph()
+    params = pw.PprParams(delta=0.01)
+    assert params.resolved_r_max(g) == pw.default_r_max(g, params)
+    assert pw.PprParams(delta=0.01, r_max=0.3).resolved_r_max(g) == 0.3
 
 
 def test_balanced_estimator_zero_walks_when_drained():
@@ -95,7 +128,7 @@ def test_balanced_budget_tradeoff(rng):
         g, 0, t, pw.PprParams(delta=5e-3), walk_time_constant=0.01, seed=1)
     loose = pw.estimate_ppr_balanced(
         g, 0, t, pw.PprParams(delta=5e-3), walk_time_constant=50.0, seed=1)
-    assert loose.reverse_pushes <= tight.reverse_pushes
+    assert loose.pushes <= tight.pushes
     assert loose.walks_used >= tight.walks_used
 
 
@@ -127,13 +160,6 @@ def test_monte_carlo_rejects_zero_walks():
     g = two_cycle()
     with pytest.raises(ValueError):
         pw.monte_carlo_ppr(g, 0, 0, pw.PprParams(delta=0.1), walks=0)
-
-
-def test_monte_carlo_full_vector_mode():
-    g = two_cycle()
-    vec = pw.monte_carlo_ppr(g, 0, None, pw.PprParams(delta=0.1),
-                             walks=500, seed=3)
-    assert sum(vec.values()) == pytest.approx(1.0)
 
 
 def test_delta_choice_two_cycle():

@@ -1,12 +1,13 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import pushwalk as pw
-from pushwalk import cli, pathsampling
+from pushwalk import cli, pathsampling, search, sharding
 
 
 @pytest.fixture
@@ -280,6 +281,54 @@ def test_serve_sim_queries_file(tmp_path, two_cycle_file, capsys):
     assert recs[2]["estimates"]["source"] == "b"
 
 
+def test_serve_sim_pushes_once_per_query(tmp_path, two_cycle_file, capsys, monkeypatch):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
+                     "0.05", "--output", str(store)]) == 0
+    capsys.readouterr()
+    pushes = []
+
+    def counting(*args):
+        pushes.append(args[1])
+        return pw.reverse_push(*args)
+
+    monkeypatch.setattr(cli, "reverse_push", counting)
+    monkeypatch.setattr(sharding, "reverse_push", counting)
+    rc = cli.main(["serve-sim", "--graph", two_cycle_file, "--store",
+                   str(store), "--query", "a,b", "--query", "b,b"])
+    assert rc == 0
+    assert pushes == [1, 1]
+    monkeypatch.undo()
+    g = pw.load_edge_list(two_cycle_file)
+    with open(store, "rb") as fh:
+        bundle = pickle.load(fh)
+    for rec, (s, t) in zip(_records(capsys)[1:], [(0, 1), (1, 1)]):
+        want = pw.query_shared_walks(g, bundle["store"], s, t)
+        assert rec["estimates"]["in_process_value"] == want
+
+
+def test_flag_defaults_come_from_the_library():
+    parser = cli._build_parser()
+    ppr = pw.PprParams(delta=1.0)
+    mstp = pw.MstpParams(ell_max=1, delta=1.0)
+    for command in (["estimate", "--source", "0", "--target", "0"],
+                    ["estimate-mstp", "--source", "0", "--target", "0", "--ell-max", "1"],
+                    ["heat-kernel", "--source", "0", "--target", "0", "--t", "1"],
+                    ["bench"]):
+        args = parser.parse_args(command)
+        assert args.alpha == ppr.alpha and args.delta is None
+        assert (args.eps, args.pfail, args.c) == (ppr.epsilon, ppr.p_fail, ppr.c)
+        assert (args.eps, args.pfail, args.c) == (mstp.epsilon, mstp.p_fail, mstp.c)
+    args = parser.parse_args(["precompute", "--delta", "0.1"])
+    walk = pw.SharedWalkParams()
+    assert (args.c1, args.c2, args.c3) == (walk.c1, walk.c2, walk.c3)
+    args = parser.parse_args(["precompute-search", "--keywords", "kw"])
+    assert (args.beta, args.c) == (search.DEFAULT_BETA, search.DEFAULT_SEARCH_C)
+    spec = cli.BenchSpec()
+    assert (spec.alpha, spec.epsilon, spec.p_fail, spec.c) == (
+        ppr.alpha, ppr.epsilon, ppr.p_fail, ppr.c)
+
+
 def test_bench_rows_and_empty_run(tmp_path, capsys):
     path = tmp_path / "cycle.txt"
     path.write_text("\n".join(cli.generate_synthetic("cycle", 30)) + "\n")
@@ -342,6 +391,22 @@ def test_data_errors_exit_two(tmp_path, two_cycle_file):
     kw.write_text("topic\tb\n")
     assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
                      "--keyword", "absent", "--keywords", str(kw)]) == 2
+
+
+def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\n")
+    old = tmp_path / "v1.bin"
+    old.write_bytes(b"PWIX" + (1).to_bytes(2, "little") + pickle.dumps({}))
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"this is not an index")
+    for path, why in ((old, "unsupported index version 1"),
+                      (garbage, "is not a search index")):
+        assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                         "--keyword", "topic", "--index", str(path)]) == 2
+        assert "bad store/index file: " in capsys.readouterr().err
+        with pytest.raises(ValueError, match=why):
+            pw.load_index(path)
 
 
 def test_keyword_file_unknown_node_exits_two(tmp_path, two_cycle_file, capsys):

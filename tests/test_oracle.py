@@ -35,16 +35,33 @@ def test_matrix_rows_match_single_source(rng):
         assert np.allclose(pim[s], pw.exact_ppr(g, s, 0.25), atol=1e-10)
 
 
+def _dense_first_passage(W, s, t, ell_max):
+    """P[first hit of t at step ell], from powers of the dense matrix."""
+    out, vec = [], np.eye(len(W))[s]
+    for _ in range(ell_max):
+        vec = vec @ W
+        out.append(vec[t])
+        vec[t] = 0.0  # walks that hit t stop counting
+    return np.array(out)
+
+
 def test_exact_ppr_builds_no_dense_matrix(rng, monkeypatch):
     g = rand_graph(rng, n_max=15)
     pim = pw.exact_ppr_matrix(g, 0.25)
+    W = pw.transition_matrix(g)
+    s, t = 0, g.n - 1
+    mstp = [np.linalg.matrix_power(W, ell)[s] for ell in range(8)]
+    passage = _dense_first_passage(W, s, t, 8)
 
     def dense(_g):
-        raise AssertionError("exact_ppr built the dense transition matrix")
+        raise AssertionError("an oracle built the dense transition matrix")
 
     monkeypatch.setattr(oracle, "transition_matrix", dense)
     assert np.allclose(pw.exact_ppr(g, 0, 0.25), pim[0], atol=1e-10)
     assert np.allclose(pw.exact_global_pagerank(g, 0.25), pim.mean(axis=0), atol=1e-10)
+    for ell in range(8):
+        assert np.max(np.abs(pw.exact_mstp(g, s, ell) - mstp[ell])) < 1e-12
+    assert np.max(np.abs(pw.exact_first_passage(g, s, t, 8) - passage)) < 1e-12
 
 
 def test_global_rank_two_cycle_symmetric():

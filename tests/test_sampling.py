@@ -166,6 +166,7 @@ _TARGET_ENTRY_POINTS = {
     "monte_carlo_ppr": lambda g, t: pw.monte_carlo_ppr(
         g, 0, t, pw.PprParams(delta=0.1), walks=10),
     "choose_delta_from_target": lambda g, t: pw.choose_delta_from_target(g, t, 0.2),
+    "exact_first_passage": lambda g, t: pw.exact_first_passage(g, 0, t, 3),
     # the sharded query's source indexes the stored per-node vectors
     "query_shared_walks": lambda g, s: pw.query_shared_walks(
         g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), s, 0),
