@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
 from .oracle import exact_global_pagerank
 from .push import PushResult, _check_node, reverse_push, reverse_push_balanced
@@ -139,7 +137,6 @@ def _walk_phase(
     r_max: float,
     params: PprParams,
     seed: int,
-    rng: np.random.Generator | None,
 ) -> PprEstimate:
     """Dot the push estimates with the source; if residual is left, add the
     mean residual picked up by c * r_max / delta walks from the source."""
@@ -149,7 +146,7 @@ def _walk_phase(
     w = num_walks(params, r_max)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     total = 0.0
-    for v in walk_endpoints(g, s, w, cfg, rng=rng):
+    for v in walk_endpoints(g, s, w, cfg):
         total += pr.residuals.get(v, 0.0)
     return PprEstimate(value + total / w, w, pr.pushes_performed, r_max)
 
@@ -160,7 +157,6 @@ def estimate_ppr(
     t: int,
     params: PprParams,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> PprEstimate:
     """Unbiased estimate of pi_s[t]: push estimate plus sampled residual mean.
 
@@ -171,7 +167,7 @@ def estimate_ppr(
     s = source_of(g, s)
     r_max = _settle_r_max(g, params)
     pr = reverse_push(g, t, r_max, params.alpha)
-    return _walk_phase(g, s, pr, r_max, params, seed, rng)
+    return _walk_phase(g, s, pr, r_max, params, seed)
 
 
 def estimate_ppr_balanced(
@@ -181,7 +177,6 @@ def estimate_ppr_balanced(
     params: PprParams,
     walk_time_constant: float | None = None,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> PprEstimate:
     """Like estimate_ppr, but the push phase picks its own stopping point.
 
@@ -192,7 +187,7 @@ def estimate_ppr_balanced(
     pr = reverse_push_balanced(
         g, t, params.alpha, params.delta, params.effective_c(), walk_time_constant
     )
-    return _walk_phase(g, s, pr, pr.achieved_rmax, params, seed, rng)
+    return _walk_phase(g, s, pr, pr.achieved_rmax, params, seed)
 
 
 def monte_carlo_ppr(
@@ -202,7 +197,6 @@ def monte_carlo_ppr(
     params: PprParams,
     walks: int | None = None,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> PprEstimate:
     """Plain endpoint-frequency estimate of pi_s[t].
 
@@ -214,24 +208,17 @@ def monte_carlo_ppr(
         raise ValueError("walk count must be positive")
     _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    endpoints = walk_endpoints(g, s, walks, cfg, rng=rng)
+    endpoints = walk_endpoints(g, s, walks, cfg)
     hits = sum(1 for v in endpoints if v == t)
     return PprEstimate(hits / walks, walks, 0, math.inf)
 
 
-def choose_delta_from_target(
-    g: Graph,
-    t: int,
-    alpha: float,
-    global_pr: np.ndarray | None = None,
-) -> float:
+def choose_delta_from_target(g: Graph, t: int, alpha: float) -> float:
     """Score threshold tied to the target's own global importance.
 
     Returns max(pr[t], 1/n) where pr is the global (uniform-teleport)
     stationary vector — resolving scores much below a node's typical share
-    costs more than it informs. Pass a precomputed vector to amortize.
+    costs more than it informs.
     """
     _check_node(g, t)
-    if global_pr is None:
-        global_pr = exact_global_pagerank(g, alpha)
-    return max(float(global_pr[t]), 1.0 / g.n)
+    return max(float(exact_global_pagerank(g, alpha)[t]), 1.0 / g.n)

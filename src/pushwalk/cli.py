@@ -24,6 +24,7 @@ import statistics
 import sys
 import time
 import warnings
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,6 @@ from .oracle import (
     exact_global_pagerank,
     exact_mstp,
     exact_ppr,
-    exact_ppr_matrix,
 )
 from .pathsampling import precompute_path_samplers, sample_path_to_target
 from .push import reverse_push
@@ -186,7 +186,6 @@ class BenchSpec:
     c: float = PprParams.c
     mc_walks: int | None = None  # default: PprParams.chernoff_walks
     seed: int = 0
-    oracle_limit: int = 2000  # skip accuracy above this many nodes
 
     def resolved_delta(self, g: Graph) -> float:
         return self.delta if self.delta is not None else 4.0 / g.n
@@ -221,9 +220,8 @@ def _sample_pairs(g: Graph, spec: BenchSpec, rng: np.random.Generator):
 def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
     """Time the estimators on sampled pairs; one summary row per algorithm.
 
-    Accuracy columns compare against the exact solver and cover only pairs
-    whose true score is at least delta. On graphs past spec.oracle_limit the
-    solver is skipped with a warning and the accuracy columns are None.
+    Accuracy columns compare against exact_ppr, solved once per distinct
+    source, and cover only pairs whose true score is at least delta.
     """
     rows: list[dict] = []
     if spec.n_pairs <= 0:
@@ -232,15 +230,13 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
     pairs = _sample_pairs(g, spec, rng)
     params = spec.ppr_params(g)
     delta = params.delta
-    truth = None
-    if g.n <= spec.oracle_limit:
-        truth = exact_ppr_matrix(g, spec.alpha)
-    else:
-        warnings.warn(
-            f"graph has {g.n} nodes > oracle_limit={spec.oracle_limit}; "
-            "accuracy columns omitted",
-            stacklevel=2,
-        )
+    targets_of: dict[int, set[int]] = {}
+    for s, t in pairs:
+        targets_of.setdefault(s, set()).add(t)
+    truth = {}
+    for s, ts in targets_of.items():
+        row = exact_ppr(g, s, spec.alpha)
+        truth.update(((s, t), row[t]) for t in ts)
     mc_walks = spec.resolved_mc_walks(g)
     algorithms = [
         ("bidirectional", lambda s, t, k: estimate_ppr(g, s, t, params, seed=k)),
@@ -261,7 +257,7 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
                 est = fn(s, t, spec.seed + k)
                 times.append(time.perf_counter() - t0)
                 walks_used += est.walks_used
-                if truth is not None and truth[s, t] >= delta:
+                if truth[s, t] >= delta:
                     rel_errs.append(abs(est.value - truth[s, t]) / truth[s, t])
         rows.append(
             {
@@ -270,7 +266,7 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
                 "median_time_s": statistics.median(times),
                 "mean_time_s": statistics.fmean(times),
                 "mean_rel_err": statistics.fmean(rel_errs) if rel_errs else None,
-                "scored_pairs": len(rel_errs) if truth is not None else None,
+                "scored_pairs": len(rel_errs),
                 "mean_walks": walks_used / len(pairs),
             }
         )
@@ -848,18 +844,17 @@ def _cmd_serve_sim(args, out) -> int:
         local = query_shared_walks(g, store, s, t, rev=rev)
         y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
         key = ("y", t)
-        for shard in shards:
-            shard.owners.add(key)
-            mine = {c: v for c, v in y_vec.items() if c % bundle["k"] == shard.shard_id}
-            if mine:
-                shard.entries[key] = mine
+        # per-query views: the loaded shards plus this query's y-vector slices
+        views = [
+            dataclasses.replace(
+                sh, entries=ChainMap(y.entries, sh.entries), owners=sh.owners | y.owners
+            )
+            for sh, y in zip(shards, shard_vectors({key: y_vec}, bundle["k"]))
+        ]
         payload = {("x", int(v)): float(rv) for v, rv in store.fwd_residuals[s].items()}
         sharded = store.fwd_estimates[s].get(t, 0.0) + broker_estimate(
-            BrokerQuery(target=key, payload=payload), shards
+            BrokerQuery(target=key, payload=payload), views
         )
-        for shard in shards:
-            shard.owners.discard(key)
-            shard.entries.pop(key, None)
         wall = time.perf_counter() - t0
         _emit(
             out,

@@ -68,12 +68,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
-    def out_degree(self, u: int) -> int:
-        return len(self.out_adj[u])
-
-    def in_degree(self, u: int) -> int:
-        return len(self.in_adj[u])
-
     def degree(self, u: int) -> float:
         """Degree used in push thresholds: strength when undirected,
         out-degree count when directed."""

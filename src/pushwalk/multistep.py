@@ -202,7 +202,6 @@ def _forward_phase(
     t: int,
     params: MstpParams,
     seed: int,
-    rng: np.random.Generator | None,
     first_arrival: bool,
 ) -> np.ndarray:
     """Reverse drain and path pickups of estimate_mstp.
@@ -214,9 +213,8 @@ def _forward_phase(
     src = source_of(g, s)
     _check_node(g, t)
     state = _drain(g, t, params.ell_max, params.effective_eps_r(), first_arrival)
-    if rng is None:
-        rng = WalkConfig(alpha=0.5, seed=seed).stream()
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
+    rng = cfg.stream()
     n_f = params.num_paths()
     starts = src.starts(rng, n_f)
     paths = [random_walk_path(g, u, cfg, fixed_len=params.ell_max, rng=rng) for u in starts]
@@ -252,7 +250,6 @@ def estimate_mstp(
     t: int,
     params: MstpParams,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Estimates of P[X_ell = t] for every horizon ell = 1..ell_max.
 
@@ -263,7 +260,7 @@ def estimate_mstp(
 
     Returns a length-ell_max array (index 0 holds horizon 1).
     """
-    return _forward_phase(g, s, t, params, seed, rng, first_arrival=False)
+    return _forward_phase(g, s, t, params, seed, first_arrival=False)
 
 
 def estimate_heat_kernel(
@@ -273,7 +270,6 @@ def estimate_heat_kernel(
     hk: HeatKernelParams,
     params: MstpParams | None = None,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Poisson-weighted diffusion score sum_l alpha_l P[X_l = t].
 
@@ -286,7 +282,7 @@ def estimate_heat_kernel(
         params = dataclasses.replace(params, ell_max=hk.ell_max)
     src = source_of(g, s)
     weights, _ = poisson_weights(hk.t_param, hk.ell_max)
-    per_ell = estimate_mstp(g, src, t, params, seed=seed, rng=rng)
+    per_ell = estimate_mstp(g, src, t, params, seed=seed)
     value = weights[0] * src.dot({t: 1.0})  # the source's own mass at t
     for ell in range(1, hk.ell_max + 1):
         value += weights[ell] * per_ell[ell - 1]
@@ -299,7 +295,6 @@ def estimate_truncated_hitting(
     t: int,
     params: MstpParams,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """First-arrival probabilities: P[X_ell = t and no earlier visit].
 
@@ -312,4 +307,4 @@ def estimate_truncated_hitting(
     time zero. Validated against a dynamic-programming oracle; no
     concentration guarantee is claimed for this variant.
     """
-    return _forward_phase(g, s, t, params, seed, rng, first_arrival=True)
+    return _forward_phase(g, s, t, params, seed, first_arrival=True)

@@ -8,7 +8,8 @@ second), and <x_s, y_t> is exactly the bidirectional estimate of pi_s[t].
 Three query strategies differ only in how the y side is organized: one dot
 product per target, a coordinate-transposed index shared by all targets, or
 a two-stage sampler that draws targets with probability proportional to
-their scores without ever computing them all.
+their scores without ever computing them all. Both sides must be built at
+the same teleport rate alpha; scoring raises ValueError when they differ.
 """
 
 from __future__ import annotations
@@ -198,15 +199,28 @@ def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> Revers
     return ReverseVector(g.n, t, pr.estimates, pr.residuals, r_max, alpha)
 
 
+def _slots(
+    g: Graph,
+    targets: list[int],
+    r_max: float,
+    alpha: float,
+    vectors: dict[int, ReverseVector] | None = None,
+) -> dict[int, list[tuple[int, float]]]:
+    """coordinate -> [(target, value)] over the sorted targets' reverse
+    vectors (given, or pushed at (r_max, alpha)), in target-major order."""
+    slots: dict[int, list[tuple[int, float]]] = {}
+    for t in targets:
+        rv = vectors[t] if vectors is not None else build_reverse_vector(g, t, r_max, alpha)
+        for coord, val in rv.coord_items():
+            slots.setdefault(coord, []).append((t, val))
+    return slots
+
+
 def build_grouped_index(
     g: Graph, targets: list[int], r_max: float, alpha: float
 ) -> GroupedIndex:
-    idx = GroupedIndex(g.n, sorted(targets), r_max, alpha)
-    for t in idx.targets:
-        rv = build_reverse_vector(g, t, r_max, alpha)
-        for coord, val in rv.coord_items():
-            idx.slots.setdefault(coord, []).append((t, val))
-    return idx
+    ts = sorted(targets)
+    return GroupedIndex(g.n, ts, r_max, alpha, _slots(g, ts, r_max, alpha))
 
 
 def build_target_sampler(
@@ -222,17 +236,19 @@ def build_target_sampler(
     otherwise each target gets a fresh reverse push at (r_max, alpha).
     """
     idx = TargetSamplerIndex(g.n, sorted(targets), r_max, alpha)
-    per_coord: dict[int, list[tuple[int, float]]] = {}
-    for t in idx.targets:
-        rv = vectors[t] if vectors is not None else build_reverse_vector(
-            g, t, r_max, alpha
-        )
-        for coord, val in rv.coord_items():
+    for coord, pairs in _slots(g, idx.targets, r_max, alpha, vectors).items():
+        for _, val in pairs:
             idx.aggregate.add(coord, val)
-            per_coord.setdefault(coord, []).append((t, val))
-    for coord, pairs in per_coord.items():
         idx.samplers[coord] = build_sampler(pairs)
     return idx
+
+
+def _check_alpha(x_s: ForwardVector, alpha: float) -> None:
+    if x_s.alpha != alpha:
+        raise ValueError(
+            f"forward vector walks at alpha={x_s.alpha} but the target side "
+            f"was pushed at alpha={alpha}"
+        )
 
 
 def _rank(scores: dict[int, float]) -> list[tuple[int, float]]:
@@ -262,6 +278,7 @@ def score_targets_direct(
     scores: dict[int, float] = {}
     for t in sorted(targets):
         rv = vectors[t]
+        _check_alpha(forward, rv.alpha)
         acc = 0.0
         for coord, xv in x_items:
             yv = rv.coord_value(coord)
@@ -279,6 +296,7 @@ def score_targets_grouped(
     Per-target sums receive exactly the same additions in exactly the same
     order as score_targets_direct, so the two agree bit for bit.
     """
+    _check_alpha(x_s, z.alpha)
     scores: dict[int, float] = {t: 0.0 for t in z.targets}
     for coord, xv in x_s.coord_items():
         for t, yv in z.slots.get(coord, ()):
@@ -298,10 +316,12 @@ def sample_targets(
     Stage one picks a coordinate v with weight x_s[v] * aggregate[v]; stage
     two picks a target from v's sampler. The product of the two stage
     probabilities telescopes to score(t)/total, so the marginal is exact.
-    Returns (target, count) ranked by descending count, ties by node id.
+    Returns (target, count) ranked by descending count, ties by node id;
+    the ranking is empty when no stage-one coordinate carries weight.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    _check_alpha(x_s, idx.alpha)
     if rng is None:
         rng = np.random.default_rng(seed)
     stage1 = [
@@ -309,9 +329,8 @@ def sample_targets(
         for coord, xv in x_s.coord_items()
         if idx.aggregate.get(coord, 0.0) > 0.0 and xv > 0.0
     ]
-    total = sum(wt for _, wt in stage1)
-    if total <= 0.0:
-        raise ValueError("no target is reachable at this accuracy (zero total weight)")
+    if sum(wt for _, wt in stage1) <= 0.0:
+        return []
     coords = build_sampler(stage1).sample_many(rng, n_samples)
     counts: dict[int, int] = {}
     coord_counts: dict[int, int] = {}

@@ -26,7 +26,6 @@ from .search import coord_vector
 
 __all__ = [
     "Shard",
-    "ShardResponse",
     "BrokerQuery",
     "shard_vectors",
     "reassemble",
@@ -52,7 +51,7 @@ class Shard:
     entries: dict = field(default_factory=dict)  # owner key -> {coord: value}
     owners: set = field(default_factory=set)
 
-    def partial_dot(self, query: "BrokerQuery") -> "ShardResponse":
+    def partial_dot(self, query: "BrokerQuery") -> Fraction:
         """Exact partial sum of the query's dot product over local coords."""
         y = self.entries.get(query.target, {})
         total = Fraction(0)
@@ -62,17 +61,7 @@ class Shard:
                 yv = y.get(coord)
                 if yv is not None:
                     total += Fraction(weight * xv * yv)
-        return ShardResponse(self.shard_id, total)
-
-
-@dataclass
-class ShardResponse:
-    shard_id: int
-    partial: Fraction
-
-    @property
-    def value(self) -> float:
-        return float(self.partial)
+        return total
 
 
 @dataclass
@@ -131,18 +120,13 @@ def broker_estimate(query: BrokerQuery, shards: list[Shard]) -> float:
     Because partials are exact rationals, the result equals the unsharded
     dot product exactly for every shard count.
     """
-    known = set()
-    for shard in shards:
-        known |= shard.owners
-    if query.target not in known:
-        raise KeyError(f"unknown vector {query.target!r}")
-    if query.payload is None and query.source not in known:
-        raise KeyError(f"unknown vector {query.source!r}")
-    responses = [shard.partial_dot(query) for shard in shards]
-    responses.sort(key=lambda r: r.shard_id)
+    keys = [query.target] if query.payload is not None else [query.target, query.source]
+    for key in keys:
+        if not any(key in shard.owners for shard in shards):
+            raise KeyError(f"unknown vector {key!r}")
     total = Fraction(0)
-    for resp in responses:
-        total += resp.partial
+    for shard in sorted(shards, key=lambda sh: sh.shard_id):
+        total += shard.partial_dot(query)
     return float(total)
 
 
@@ -313,28 +297,24 @@ class StorageReport:
     model: dict
 
 
-def storage_report(
-    g: Graph,
-    store: SharedWalkStore,
-    sample_targets: list[int] | None = None,
-) -> StorageReport:
+def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
     """Measured non-zeros next to the storage model's predictions.
 
     c2 and c3 are fitted from the measurements themselves (mean reverse
-    vector size times r_max_r, and likewise forward), then fed back into
-    the model for the side-by-side comparison.
+    vector size, over the first 20 nodes as targets, times r_max_r, and
+    likewise forward), then fed back into the model for the side-by-side
+    comparison.
     """
-    if sample_targets is None:
-        sample_targets = list(range(min(g.n, 20)))
+    targets = range(min(g.n, 20))
     walk_entries = sum(len(f) for f in store.endpoint_freqs)
     fwd_entries = sum(len(r) for r in store.fwd_residuals) + sum(
         len(p) for p in store.fwd_estimates
     )
     rev_entries = 0
-    for t in sample_targets:
+    for t in targets:
         pr = reverse_push(g, t, store.r_max_r, store.alpha)
         rev_entries += len(pr.estimates) + len(pr.residuals)
-    mean_rev = rev_entries / max(1, len(sample_targets))
+    mean_rev = rev_entries / max(1, len(targets))
     fitted_c2 = mean_rev * store.r_max_r
     shared_nodes = [v for v in range(g.n) if not store.full_walk[v]]
     if shared_nodes:
@@ -359,11 +339,9 @@ def storage_report(
     )
 
 
-def variable_delta_r_max(
-    w: int, delta: float, global_pr_t: float, c1: float = 7.0
-) -> float:
+def variable_delta_r_max(w: int, delta: float, global_pr_t: float) -> float:
     """Reverse threshold that spends a fixed walk budget per target:
-    r_max_r = w * max(delta, pr[t]) / c1."""
+    r_max_r = w * max(delta, pr[t]) / c1 with c1 = SharedWalkParams.c1."""
     if w < 1:
         raise ValueError("stored walk count must be at least 1")
-    return w * max(delta, global_pr_t) / c1
+    return w * max(delta, global_pr_t) / SharedWalkParams.c1

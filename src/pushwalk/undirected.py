@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .bidir import PprEstimate, PprParams
 from .graph import Graph
 from .oracle import exact_ppr
@@ -72,7 +70,6 @@ def estimate_ppr_undirected(
     t: int,
     params: PprParams,
     seed: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> PprEstimate:
     """Estimate pi_s[t] by pushing from s and walking from t.
 
@@ -101,7 +98,7 @@ def estimate_ppr_undirected(
         math.ceil(c_u * d_t * r_max / (params.epsilon**2 * params.delta)),
     )
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    endpoints = walk_endpoints(g, t, w, cfg, rng=rng)
+    endpoints = walk_endpoints(g, t, w, cfg)
     residuals = pr.residuals
     total = 0.0
     for v in endpoints:

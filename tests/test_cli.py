@@ -178,6 +178,35 @@ def test_search_methods_agree_on_lone_target(tmp_path, two_cycle_file, capsys):
         assert ranking[0][0] == "b"
 
 
+def test_search_with_nothing_reachable_exits_zero(tmp_path, capsys):
+    graph = tmp_path / "two_parts.txt"
+    graph.write_text("0 1\n1 0\n2 3\n3 2\n")
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\t2\ntopic\t3\n")
+    for method in ("direct", "grouped", "sampling"):
+        rc = cli.main(["search", "--graph", str(graph), "--source", "0",
+                       "--keyword", "topic", "--keywords", str(kw),
+                       "--method", method, "--rmax", "0.01"])
+        assert rc == 0
+        _, result = _records(capsys)
+        scores = [score for _, score in result["estimates"]["ranking"]]
+        assert scores == ([] if method == "sampling" else [0.0, 0.0])
+
+
+def test_search_index_at_another_alpha_exits_one(tmp_path, two_cycle_file, capsys):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\n")
+    idx = tmp_path / "idx.bin"
+    assert cli.main(["precompute-search", "--graph", two_cycle_file, "--keywords",
+                     str(kw), "--rmax", "0.3", "--alpha", "0.5",
+                     "--output", str(idx)]) == 0
+    for method in ("grouped", "sampling"):
+        assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                         "--keyword", "topic", "--index", str(idx),
+                         "--method", method]) == 1
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_precompute_search_then_query(tmp_path, two_cycle_file, capsys):
     kw = tmp_path / "kw.tsv"
     kw.write_text("topic\tb\ntopic\ta\n")
@@ -345,6 +374,19 @@ def test_bench_rows_and_empty_run(tmp_path, capsys):
     rc = cli.main(["bench", "--graph", str(path), "--pairs", "0"])
     assert rc == 0
     assert [r["record"] for r in _records(capsys)] == ["config"]
+
+
+def test_bench_scores_accuracy_without_a_dense_matrix(tmp_path, capsys, monkeypatch):
+    def no_dense(g):
+        raise AssertionError("bench built a dense transition matrix")
+
+    monkeypatch.setattr(pw.oracle, "transition_matrix", no_dense)
+    path = tmp_path / "web.txt"
+    path.write_text("\n".join(cli.generate_synthetic("power-law", 2100, seed=3)) + "\n")
+    rc = cli.main(["bench", "--graph", str(path), "--pairs", "3", "--mode", "pagerank"])
+    assert rc == 0
+    for r in _records(capsys)[1:]:
+        assert isinstance(r["estimates"]["scored_pairs"], int)
 
 
 def test_output_file_instead_of_stdout(tmp_path, two_cycle_file, capsys):

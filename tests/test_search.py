@@ -146,12 +146,29 @@ def test_sampler_worked_two_stage_arithmetic():
     assert counts[6] / tot == pytest.approx(0.28 / 1.36, abs=0.004)
 
 
-def test_sampler_zero_weight_raises():
+def test_sampler_with_nothing_reachable_returns_empty_ranking():
     idx = pw.TargetSamplerIndex(n=4, targets=[2], r_max=0.5, alpha=0.2)
     x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({1: 1.0}), walks=1, alpha=0.2)
-    with pytest.raises(ValueError, match="no target"):
-        pw.sample_targets(x, idx, 10, seed=1)
+    assert pw.sample_targets(x, idx, 10, seed=1) == []
+    # Two components: walks from 0 never leave {0, 1}, targets sit in {2, 3}.
+    g = pw.from_edges([(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)], n=4)
+    x = pw.build_forward_vector(g, 0, 50, pw.WalkConfig(alpha=0.2, seed=4))
+    idx = pw.build_target_sampler(g, [2, 3], 0.01, 0.2)
+    assert pw.sample_targets(x, idx, 10, seed=1) == []
+
+
+def test_search_rejects_mixed_teleport_rates():
+    g = two_cycle()
+    x = pw.build_forward_vector(g, 0, 50, pw.WalkConfig(alpha=0.2, seed=4))
+    params = pw.PprParams(delta=0.05, alpha=0.5, r_max=0.1)
+    vectors = {1: pw.build_reverse_vector(g, 1, 0.1, 0.5)}
+    with pytest.raises(ValueError, match="alpha"):
+        pw.score_targets_grouped(x, pw.build_grouped_index(g, [1], 0.1, 0.5))
+    with pytest.raises(ValueError, match="alpha"):
+        pw.sample_targets(x, pw.build_target_sampler(g, [1], 0.1, 0.5), 10)
+    with pytest.raises(ValueError, match="alpha"):
+        pw.score_targets_direct(g, 0, [1], params, forward=x, vectors=vectors)
 
 
 def test_top_ranked_target_is_nearly_best(rng):
