@@ -3,10 +3,15 @@
 Every subcommand prints one JSON record per line: first a ``config`` record
 echoing the full effective configuration, then ``result`` records. Records
 round-trip losslessly through :meth:`RunRecord.to_line` /
-:meth:`RunRecord.from_line`. Exit codes: 0 success, 1 usage error, 2 data
-error (unreadable/malformed graph, unknown node or keyword, broken store or
-search index), 3 numerical failure (non-convergence, exhausted sampling
-budget).
+:meth:`RunRecord.from_line`; ``gen`` and ``sample-path`` print the config
+record as a ``# `` comment above their text output. ``precompute`` stores
+and ``precompute-search`` indexes share one file format (``save_index`` /
+``load_index``). Exit codes: 0 success, 1 usage error (including a flag the
+chosen ``--method`` ignores, or an ``--alpha`` other than the stored one's),
+2 data error (unreadable/malformed graph, unknown node or keyword, broken
+store or search index, a store built for another graph, path targets the
+source cannot reach), 3 numerical failure (non-convergence, exhausted
+sampling budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -19,7 +24,6 @@ import argparse
 import dataclasses
 import json
 import math
-import pickle
 import statistics
 import sys
 import time
@@ -277,6 +281,15 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
 # Plumbing
 
 
+# estimate --method -> the optional flags that method reads
+_ESTIMATE_FLAGS = {
+    "bidirectional": {"rmax"},
+    "balanced": {"walk_time_constant"},
+    "monte-carlo": {"walks"},
+    "undirected": {"rmax"},
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -316,17 +329,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", parents=[common, accuracy], help="single-pair score estimate")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--use-theorem-c", action="store_true")
-    p.add_argument("--balanced", action="store_true", help="work-balanced reverse phase")
-    p.add_argument("--walk-time-constant", type=float)
     p.add_argument(
-        "--undirected-variant",
-        action="store_true",
-        help="degree-symmetric estimator (undirected graphs only)",
+        "--method",
+        choices=list(_ESTIMATE_FLAGS),
+        default="bidirectional",
+        help="balanced: work-balanced reverse phase; monte-carlo: walk-only "
+        "baseline; undirected: degree-symmetric (undirected graphs only)",
     )
-    p.add_argument("--monte-carlo", action="store_true", help="walk-only baseline")
-    p.add_argument("--walks", type=int, help="override the walk budget")
+    p.add_argument("--rmax", type=float, help="push threshold (bidirectional, undirected)")
+    p.add_argument("--use-theorem-c", action="store_true")
+    p.add_argument("--walk-time-constant", type=float, help="balanced only")
+    p.add_argument("--walks", type=int, help="walk budget (monte-carlo only)")
 
     p = sub.add_parser(
         "estimate-mstp", parents=[common, accuracy], help="multi-step transition probabilities"
@@ -411,30 +424,37 @@ class SystemExit2(Exception):
 
 
 def _name(g: Graph, v: int) -> str:
-    return g.names[v] if g.names else str(v)
+    return g.names[v]
 
 
-def _emit(out, rec: RunRecord) -> None:
-    print(rec.to_line(), file=out)
+def _config_record(args, extra: dict) -> RunRecord:
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "graph", "seed", "output")}
+    return RunRecord(args.command, args.graph, {**flags, **extra}, args.seed, {}, {}, 0.0, "config")
 
 
-def _config_record(args, extra: dict | None = None) -> RunRecord:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "graph", "seed", "output") and not callable(v)
-    }
-    if extra:
-        params.update(extra)
-    return RunRecord(
-        command=args.command,
-        graph=args.graph,
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        estimates={},
-        counters={},
-        wall_time_s=0.0,
-        record="config",
+def _emit_run(out, args, config: dict, results) -> None:
+    """Print the config record (the flags plus ``config``), then one result
+    record per ``(parameters, estimates, counters, wall_time_s)`` in
+    ``results``; a generator's records print as each one is produced."""
+    print(_config_record(args, config).to_line(), file=out)
+    for parameters, estimates, counters, wall in results:
+        rec = RunRecord(args.command, args.graph, parameters, args.seed, estimates, counters, wall)
+        print(rec.to_line(), file=out)
+
+
+def _default_delta(args, g: Graph) -> float:
+    """--delta, else 1/n: the default of the multi-step and search commands."""
+    return args.delta if args.delta is not None else 1.0 / g.n
+
+
+def _mstp_params(args, g: Graph, ell_max: int, **knobs) -> MstpParams:
+    return MstpParams(
+        ell_max=ell_max,
+        delta=_default_delta(args, g),
+        epsilon=args.eps,
+        p_fail=args.pfail,
+        c=args.c,
+        **knobs,
     )
 
 
@@ -446,10 +466,8 @@ def _cmd_gen(args, out) -> int:
     lines = generate_synthetic(args.kind, args.n, seed=args.seed)
     config = _config_record(args, {"edges": len(lines)})
     if args.output:
-        _emit(sys.stdout, config)  # keep the edge file loadable as-is
-        print("# " + config.to_line(), file=out)
-    else:
-        print("# " + config.to_line(), file=out)
+        print(config.to_line())  # keep the edge file loadable as-is
+    print("# " + config.to_line(), file=out)
     for line in lines:
         print(line, file=out)
     return 0
@@ -469,21 +487,22 @@ def _cmd_oracle(args, out) -> int:
         vec = exact_ppr(g, s, args.alpha)
         kind = "ppr"
     wall = time.perf_counter() - t0
-    _emit(out, _config_record(args, {"n": g.n, "m": g.m, "kind": kind}))
     if args.target is not None:
         t = g.node_id(args.target)
         estimates = {"value": float(vec[t]), "target": _name(g, t)}
     else:
         order = np.argsort(-vec)[: args.top]
         estimates = {"top": [[_name(g, int(v)), float(vec[v])] for v in order]}
-    _emit(
-        out,
-        RunRecord(args.command, args.graph, {"kind": kind}, args.seed, estimates, {}, wall),
-    )
+    result = ({"kind": kind}, estimates, {}, wall)
+    _emit_run(out, args, {"n": g.n, "m": g.m, "kind": kind}, [result])
     return 0
 
 
 def _cmd_estimate(args, out) -> int:
+    for flag in ("rmax", "walk_time_constant", "walks"):
+        if getattr(args, flag) is not None and flag not in _ESTIMATE_FLAGS[args.method]:
+            option = "--" + flag.replace("_", "-")
+            raise SystemExit2(f"{option} does not apply to --method {args.method}")
     g = _load_graph(args)
     s = g.node_id(args.source)
     t = g.node_id(args.target)
@@ -497,39 +516,26 @@ def _cmd_estimate(args, out) -> int:
         r_max=args.rmax,
         use_theorem_c=args.use_theorem_c,
     )
-    method = "bidirectional"
     t0 = time.perf_counter()
-    if args.monte_carlo:
-        method = "monte-carlo"
+    if args.method == "monte-carlo":
         est = monte_carlo_ppr(g, s, t, params, walks=args.walks, seed=args.seed)
-    elif args.undirected_variant:
-        method = "undirected"
+    elif args.method == "undirected":
         est = estimate_ppr_undirected(g, s, t, params, seed=args.seed)
-    elif args.balanced:
-        method = "balanced"
+    elif args.method == "balanced":
         est = estimate_ppr_balanced(
             g, s, t, params, walk_time_constant=args.walk_time_constant, seed=args.seed
         )
     else:
         est = estimate_ppr(g, s, t, params, seed=args.seed)
     wall = time.perf_counter() - t0
-    _emit(out, _config_record(args, {"n": g.n, "m": g.m, "delta": delta, "method": method}))
-    _emit(
-        out,
-        RunRecord(
-            args.command,
-            args.graph,
-            {"method": method, "delta": delta, "alpha": args.alpha},
-            args.seed,
-            {"value": est.value, "source": _name(g, s), "target": _name(g, t)},
-            {
-                "walks": est.walks_used,
-                "pushes": est.pushes,
-                "r_max": est.r_max_used if math.isfinite(est.r_max_used) else "inf",
-            },
-            wall,
-        ),
+    r_max = est.r_max_used if math.isfinite(est.r_max_used) else "inf"
+    result = (
+        {"method": args.method, "delta": delta, "alpha": args.alpha},
+        {"value": est.value, "source": _name(g, s), "target": _name(g, t)},
+        {"walks": est.walks_used, "pushes": est.pushes, "r_max": r_max},
+        wall,
     )
+    _emit_run(out, args, {"n": g.n, "m": g.m, "delta": delta}, [result])
     return 0
 
 
@@ -537,47 +543,21 @@ def _cmd_estimate_mstp(args, out) -> int:
     g = _load_graph(args)
     s = g.node_id(args.source)
     t = g.node_id(args.target)
-    delta = args.delta if args.delta is not None else 1.0 / g.n
-    params = MstpParams(
-        ell_max=args.ell_max,
-        delta=delta,
-        epsilon=args.eps,
-        p_fail=args.pfail,
-        c=args.c,
-        eps_r=args.eps_r,
-        use_theorem_c=args.use_theorem_c,
+    params = _mstp_params(
+        args, g, args.ell_max, eps_r=args.eps_r, use_theorem_c=args.use_theorem_c
     )
     t0 = time.perf_counter()
     fn = estimate_truncated_hitting if args.first_passage else estimate_mstp
     values = fn(g, s, t, params, seed=args.seed)
     wall = time.perf_counter() - t0
-    _emit(
-        out,
-        _config_record(
-            args,
-            {"n": g.n, "m": g.m, "delta": delta, "eps_r": params.effective_eps_r()},
-        ),
+    config = {"n": g.n, "m": g.m, "delta": params.delta, "eps_r": params.effective_eps_r()}
+    result = (
+        {"ell_max": args.ell_max, "delta": params.delta, "first_passage": args.first_passage},
+        {"per_ell": [float(x) for x in values], "source": _name(g, s), "target": _name(g, t)},
+        {"paths": params.num_paths()},
+        wall,
     )
-    _emit(
-        out,
-        RunRecord(
-            args.command,
-            args.graph,
-            {
-                "ell_max": args.ell_max,
-                "delta": delta,
-                "first_passage": args.first_passage,
-            },
-            args.seed,
-            {
-                "per_ell": [float(x) for x in values],
-                "source": _name(g, s),
-                "target": _name(g, t),
-            },
-            {"paths": params.num_paths()},
-            wall,
-        ),
-    )
+    _emit_run(out, args, config, [result])
     return 0
 
 
@@ -586,44 +566,28 @@ def _cmd_heat_kernel(args, out) -> int:
     s = g.node_id(args.source)
     t = g.node_id(args.target)
     hk = HeatKernelParams(args.t_param, args.ell_max)
-    delta = args.delta if args.delta is not None else 1.0 / g.n
-    params = MstpParams(
-        ell_max=hk.ell_max,
-        delta=delta,
-        epsilon=args.eps,
-        p_fail=args.pfail,
-        c=args.c,
-    )
+    params = _mstp_params(args, g, hk.ell_max)
     t0 = time.perf_counter()
     value = estimate_heat_kernel(g, s, t, hk, params=params, seed=args.seed)
     wall = time.perf_counter() - t0
-    _emit(
-        out,
-        _config_record(
-            args, {"n": g.n, "m": g.m, "delta": delta, "ell_max": params.ell_max}
-        ),
+    config = {"n": g.n, "m": g.m, "delta": params.delta, "ell_max": params.ell_max}
+    result = (
+        {"t": args.t_param, "ell_max": params.ell_max, "delta": params.delta},
+        {"value": float(value), "source": _name(g, s), "target": _name(g, t)},
+        {"paths": params.num_paths()},
+        wall,
     )
-    _emit(
-        out,
-        RunRecord(
-            args.command,
-            args.graph,
-            {"t": args.t_param, "ell_max": params.ell_max, "delta": delta},
-            args.seed,
-            {"value": float(value), "source": _name(g, s), "target": _name(g, t)},
-            {"paths": params.num_paths()},
-            wall,
-        ),
-    )
+    _emit_run(out, args, config, [result])
     return 0
 
 
 def _cmd_search(args, out) -> int:
     g = _load_graph(args)
     s = g.node_id(args.source)
-    payload = None
     if args.index:
         payload = load_index(args.index)
+        if "keywords" not in payload:
+            raise IndexFormatError(f"{args.index} is not a search index")
         kw_map = payload["keywords"]
     elif args.keywords:
         kw_map = KeywordIndex.from_file(args.keywords, g=g).mapping
@@ -632,9 +596,9 @@ def _cmd_search(args, out) -> int:
     if args.keyword not in kw_map:
         raise KeyError(f"unknown keyword {args.keyword!r}")
     targets = list(kw_map[args.keyword])
-    delta = args.delta if args.delta is not None else 1.0 / g.n
-    r_max = args.rmax if payload is None else payload["per_keyword"][args.keyword]["r_max"]
-    params = PprParams(delta=delta, alpha=args.alpha, r_max=r_max)
+    stored = payload["per_keyword"][args.keyword] if args.index else None  # precomputed entry
+    r_max = args.rmax if stored is None else stored["r_max"]
+    params = PprParams(delta=_default_delta(args, g), alpha=args.alpha, r_max=r_max)
     r_max = params.resolved_r_max(g)
     w = args.walks if args.walks is not None else num_walks(params, r_max)
     t0 = time.perf_counter()
@@ -644,37 +608,21 @@ def _cmd_search(args, out) -> int:
             g, s, targets, params, seed=args.seed, forward=forward
         )
     elif args.method == "grouped":
-        if payload is not None:
-            gi = payload["per_keyword"][args.keyword]["grouped"]
-        else:
-            gi = build_grouped_index(g, targets, r_max, args.alpha)
+        gi = stored["grouped"] if stored else build_grouped_index(g, targets, r_max, args.alpha)
         ranked = score_targets_grouped(forward, gi)
     else:
-        if payload is not None:
-            si = payload["per_keyword"][args.keyword]["sampler"]
-        else:
-            si = build_target_sampler(g, targets, r_max, args.alpha)
+        si = stored["sampler"] if stored else build_target_sampler(g, targets, r_max, args.alpha)
         ranked = sample_targets(forward, si, args.nsamples, seed=args.seed)
     wall = time.perf_counter() - t0
-    _emit(
-        out,
-        _config_record(
-            args, {"n": g.n, "m": g.m, "r_max": r_max, "walks": w, "targets": len(targets)}
-        ),
-    )
     top = [[_name(g, v), float(score)] for v, score in ranked[: args.topk]]
-    _emit(
-        out,
-        RunRecord(
-            args.command,
-            args.graph,
-            {"keyword": args.keyword, "method": args.method, "r_max": r_max},
-            args.seed,
-            {"ranking": top, "source": _name(g, s)},
-            {"walks": w, "targets": len(targets)},
-            wall,
-        ),
+    result = (
+        {"keyword": args.keyword, "method": args.method, "r_max": r_max},
+        {"ranking": top, "source": _name(g, s)},
+        {"walks": w, "targets": len(targets)},
+        wall,
     )
+    config = {"n": g.n, "m": g.m, "r_max": r_max, "walks": w, "targets": len(targets)}
+    _emit_run(out, args, config, [result])
     return 0
 
 
@@ -703,25 +651,16 @@ def _cmd_precompute_search(args, out) -> int:
             "sampler": build_target_sampler(g, targets, r_max, args.alpha),
         }
     wall = time.perf_counter() - t0
-    payload = {
-        "alpha": args.alpha,
-        "keywords": kw.mapping,
-        "per_keyword": per_keyword,
-    }
-    save_index(args.output, payload)
-    _emit(sys.stdout, _config_record(args, {"n": g.n, "m": g.m}))
-    _emit(
-        sys.stdout,
-        RunRecord(
-            args.command,
-            args.graph,
-            {"keywords": len(per_keyword), "adaptive": args.adaptive},
-            args.seed,
-            {"index": args.output},
-            {"targets": sum(len(v["targets"]) for v in per_keyword.values())},
-            wall,
-        ),
+    save_index(
+        args.output, {"alpha": args.alpha, "keywords": kw.mapping, "per_keyword": per_keyword}
     )
+    result = (
+        {"keywords": len(per_keyword), "adaptive": args.adaptive},
+        {"index": args.output},
+        {"targets": sum(len(v["targets"]) for v in per_keyword.values())},
+        wall,
+    )
+    _emit_run(out, args, {"n": g.n, "m": g.m}, [result])
     return 0
 
 
@@ -772,55 +711,83 @@ def _cmd_precompute(args, out) -> int:
     )
     shards = shard_vectors(store.as_coord_vectors(g.n), args.shards)
     wall = time.perf_counter() - t0
-    with open(args.output, "wb") as fh:
-        pickle.dump(
-            {
-                "store": store,
-                "shards": shards,
-                "k": args.shards,
-                "alpha": args.alpha,
-                "delta": args.delta,
-            },
-            fh,
-        )
-    _emit(
-        sys.stdout,
-        _config_record(
-            args,
-            {
-                "n": g.n,
-                "m": g.m,
-                "r_max_f": store.r_max_f,
-                "r_max_r": store.r_max_r,
-                "shared_walks": params.shared_walks(args.delta),
-                "full_walks": params.full_walks(args.delta),
-            },
-        ),
+    save_index(
+        args.output,
+        {
+            "store": store,
+            "shards": shards,
+            "k": args.shards,
+            "alpha": args.alpha,
+            "delta": args.delta,
+        },
     )
-    _emit(
-        sys.stdout,
-        RunRecord(
-            args.command,
-            args.graph,
-            {"delta": args.delta, "dmax": args.dmax, "shards": args.shards},
-            args.seed,
-            {"store": args.output},
-            {
-                "walk_entries": sum(len(f) for f in store.endpoint_freqs),
-                "full_walk_nodes": sum(store.full_walk),
-            },
-            wall,
-        ),
+    config = {
+        "n": g.n,
+        "m": g.m,
+        "r_max_f": store.r_max_f,
+        "r_max_r": store.r_max_r,
+        "shared_walks": params.shared_walks(args.delta),
+        "full_walks": params.full_walks(args.delta),
+    }
+    result = (
+        {"delta": args.delta, "dmax": args.dmax, "shards": args.shards},
+        {"store": args.output},
+        {
+            "walk_entries": sum(len(f) for f in store.endpoint_freqs),
+            "full_walk_nodes": sum(store.full_walk),
+        },
+        wall,
     )
+    _emit_run(out, args, config, [result])
     return 0
+
+
+def _serve_queries(g: Graph, bundle: dict, raw_queries):
+    """One result per query: the broker's sharded answer next to the
+    in-process one, both from a single reverse push to the target."""
+    store, shards, k = bundle["store"], bundle["shards"], bundle["k"]
+    for s_tok, t_tok in raw_queries:
+        s = g.node_id(s_tok)
+        t = g.node_id(t_tok)
+        t0 = time.perf_counter()
+        rev = reverse_push(g, t, store.r_max_r, store.alpha)
+        local = query_shared_walks(g, store, s, t, rev=rev)
+        y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
+        key = ("y", t)
+        # per-query views: the loaded shards plus this query's y-vector slices
+        views = [
+            dataclasses.replace(
+                sh, entries=ChainMap(y.entries, sh.entries), owners=sh.owners | y.owners
+            )
+            for sh, y in zip(shards, shard_vectors({key: y_vec}, k))
+        ]
+        payload = {("x", int(v)): float(rv) for v, rv in store.fwd_residuals[s].items()}
+        sharded = store.fwd_estimates[s].get(t, 0.0) + broker_estimate(
+            BrokerQuery(target=key, payload=payload), views
+        )
+        wall = time.perf_counter() - t0
+        estimates = {
+            "source": _name(g, s),
+            "target": _name(g, t),
+            "value": sharded,
+            "in_process_value": local,
+        }
+        yield {"k": k}, estimates, {"shards": k}, wall
 
 
 def _cmd_serve_sim(args, out) -> int:
     g = _load_graph(args)
-    with open(args.store, "rb") as fh:
-        bundle = pickle.load(fh)
+    bundle = load_index(args.store)
+    if "store" not in bundle:
+        raise IndexFormatError(f"{args.store} is not a shared-walk store")
     store = bundle["store"]
-    shards = bundle["shards"]
+    if len(store.walk_counts) != g.n:
+        raise IndexFormatError(
+            f"{args.store} was built for a {len(store.walk_counts)}-node graph, "
+            f"but {args.graph} has {g.n} nodes"
+        )
+    if args.alpha != store.alpha:
+        raise ValueError(f"--alpha {args.alpha} differs from the store's alpha {store.alpha}")
     raw_queries: list[tuple[str, str]] = []
     for q in args.query:
         parts = [p.strip() for p in q.split(",")]
@@ -835,44 +802,7 @@ def _cmd_serve_sim(args, out) -> int:
                     raw_queries.append((a, b))
     if not raw_queries:
         raise SystemExit2("serve-sim needs --query or --queries")
-    _emit(out, _config_record(args, {"n": g.n, "k": bundle["k"]}))
-    for s_tok, t_tok in raw_queries:
-        s = g.node_id(s_tok)
-        t = g.node_id(t_tok)
-        t0 = time.perf_counter()
-        rev = reverse_push(g, t, store.r_max_r, store.alpha)
-        local = query_shared_walks(g, store, s, t, rev=rev)
-        y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
-        key = ("y", t)
-        # per-query views: the loaded shards plus this query's y-vector slices
-        views = [
-            dataclasses.replace(
-                sh, entries=ChainMap(y.entries, sh.entries), owners=sh.owners | y.owners
-            )
-            for sh, y in zip(shards, shard_vectors({key: y_vec}, bundle["k"]))
-        ]
-        payload = {("x", int(v)): float(rv) for v, rv in store.fwd_residuals[s].items()}
-        sharded = store.fwd_estimates[s].get(t, 0.0) + broker_estimate(
-            BrokerQuery(target=key, payload=payload), views
-        )
-        wall = time.perf_counter() - t0
-        _emit(
-            out,
-            RunRecord(
-                args.command,
-                args.graph,
-                {"k": bundle["k"]},
-                args.seed,
-                {
-                    "source": _name(g, s),
-                    "target": _name(g, t),
-                    "value": sharded,
-                    "in_process_value": local,
-                },
-                {"shards": bundle["k"]},
-                wall,
-            ),
-        )
+    _emit_run(out, args, {"n": g.n, "k": bundle["k"]}, _serve_queries(g, bundle, raw_queries))
     return 0
 
 
@@ -892,31 +822,14 @@ def _cmd_bench(args, out) -> int:
     t0 = time.perf_counter()
     rows = run_benchmark(g, spec)
     wall = time.perf_counter() - t0
-    _emit(
-        out,
-        _config_record(
-            args,
-            {
-                "n": g.n,
-                "m": g.m,
-                "delta": spec.resolved_delta(g),
-                "mc_walks": spec.resolved_mc_walks(g),
-            },
-        ),
-    )
-    for row in rows:
-        _emit(
-            out,
-            RunRecord(
-                args.command,
-                args.graph,
-                {"mode": args.mode, "pairs": args.pairs},
-                args.seed,
-                dict(row),
-                {},
-                wall,
-            ),
-        )
+    config = {
+        "n": g.n,
+        "m": g.m,
+        "delta": spec.resolved_delta(g),
+        "mc_walks": spec.resolved_mc_walks(g),
+    }
+    parameters = {"mode": args.mode, "pairs": args.pairs}
+    _emit_run(out, args, config, [(parameters, dict(row), {}, wall) for row in rows])
     return 0
 
 
@@ -939,11 +852,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    close_out = False
     try:
         if args.output and args.command not in ("precompute", "precompute-search"):
             out = open(args.output, "w", encoding="utf-8")
-            close_out = True
         return _HANDLERS[args.command](args, out)
     except SystemExit2 as exc:
         print(f"pushwalk {args.command}: {exc}", file=sys.stderr)
@@ -954,13 +865,10 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"pushwalk {args.command}: cannot read input: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
+    except (KeyError, UnreachableTargetError) as exc:
         print(f"pushwalk {args.command}: {exc.args[0]}", file=sys.stderr)
         return 2
-    except UnreachableTargetError as exc:
-        print(f"pushwalk {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (pickle.UnpicklingError, EOFError, IndexFormatError) as exc:
+    except IndexFormatError as exc:
         print(f"pushwalk {args.command}: bad store/index file: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -970,7 +878,7 @@ def main(argv=None) -> int:
         print(f"pushwalk {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 3
     finally:
-        if close_out:
+        if out is not sys.stdout:
             out.close()
 
 

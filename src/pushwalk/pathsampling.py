@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
+from .oracle import UnreachableTargetError
 from .push import SparseVec, _check_node
 from .sampling import WalkConfig, WeightedSampler, random_walk_path
 
@@ -86,12 +87,14 @@ class PathSamplerState:
     every target); live[v] is v's current residual ledger, whose total
     weight tracks residuals[v] exactly; estimate_provenance[v] ledgers the
     settled mass the same way; snapshots lists the frozen sampler created
-    by each push, in push order.
+    by each push, in push order. reachable holds every node with a path
+    into the target set.
     """
 
     targets: frozenset[int]
     eps_r: float
     alpha: float
+    reachable: frozenset[int]
     estimates: SparseVec = field(default_factory=SparseVec)
     residuals: SparseVec = field(default_factory=SparseVec)
     live: dict[int, ResidualAccumulator] = field(default_factory=dict)
@@ -109,6 +112,8 @@ def precompute_path_samplers(
     (ledgered under the same frozen sampler), hands (1-alpha)*w(u,v)*r[v]
     to each in-neighbor's ledger as a reference to the frozen sampler, and
     gives v a fresh empty ledger. Runs until every residual is <= eps_r.
+    One breadth-first search over in-edges from the targets fills
+    ``reachable``.
     """
     if eps_r <= 0.0:
         raise ValueError("eps_r must be positive")
@@ -119,7 +124,14 @@ def precompute_path_samplers(
         raise ValueError("target set is empty")
     for t in tset:
         _check_node(g, t)
-    state = PathSamplerState(tset, eps_r, alpha)
+    reachable = set(tset)
+    frontier = deque(tset)
+    while frontier:
+        for u, _ in g.in_adj[frontier.popleft()]:
+            if u not in reachable:
+                reachable.add(u)
+                frontier.append(u)
+    state = PathSamplerState(tset, eps_r, alpha, frozenset(reachable))
     queue: deque[int] = deque()
     queued = set()
     for t in sorted(tset):
@@ -189,13 +201,16 @@ def sample_path_to_target(
     endpoint u accepted with probability r[u]/(p[s]+eps_r), in which case
     the walk is the prefix and u's live ledger supplies the suffix. Expected
     attempts: (p[s]+eps_r)/pi_s(T), at most 1 + eps_r/pi_s(T). Raises
-    RuntimeError after ACCEPTANCE_CAP rejections (the conditioning event is
-    unreachable or vanishingly rare from s).
+    UnreachableTargetError before any walk when no path leads from s into
+    the target set, and RuntimeError after ACCEPTANCE_CAP rejections (the
+    conditioning event is vanishingly rare from s).
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
     """
     _check_node(g, s)
+    if s not in state.reachable:
+        raise UnreachableTargetError(f"no path leads from node {s} into the target set")
     if rng is None:
         rng = cfg.stream()
     p_s = state.estimates.get(s, 0.0)
@@ -215,8 +230,8 @@ def sample_path_to_target(
             break
     else:
         raise RuntimeError(
-            f"no sample accepted in {ACCEPTANCE_CAP} attempts; the target set "
-            "is unreachable from the source or its probability is ~0"
+            f"no sample accepted in {ACCEPTANCE_CAP} attempts; the target set's "
+            "probability from the source is ~0"
         )
     out = (path,)
     if return_attempts:

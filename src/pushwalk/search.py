@@ -405,7 +405,7 @@ def storage_accounting(
 
 
 class IndexFormatError(ValueError):
-    """A file that is not a search index this version can read."""
+    """A file that is not a search index or walk store this version can read."""
 
 
 _INDEX_MAGIC = b"PWIX"
@@ -413,7 +413,8 @@ _INDEX_VERSION = 2  # 2: target samplers are WeightedSampler
 
 
 def save_index(path, payload: dict) -> None:
-    """Persist search indexes as a versioned binary sidecar."""
+    """Persist a precomputed payload (search indexes or a shared-walk store)
+    as a versioned binary file."""
     with open(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
         fh.write(_INDEX_VERSION.to_bytes(2, "little"))
@@ -421,11 +422,18 @@ def save_index(path, payload: dict) -> None:
 
 
 def load_index(path) -> dict:
+    """The payload dict save_index wrote; IndexFormatError for anything else."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _INDEX_MAGIC:
-            raise IndexFormatError(f"{path} is not a search index sidecar")
+            raise IndexFormatError(f"{path} is not a search index or walk store")
         version = int.from_bytes(fh.read(2), "little")
         if version != _INDEX_VERSION:
             raise IndexFormatError(f"unsupported index version {version}")
-        return pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except Exception as exc:  # truncated or corrupt pickles raise many types
+            raise IndexFormatError(f"{path}: unreadable payload ({exc!r})") from exc
+    if not isinstance(payload, dict):
+        raise IndexFormatError(f"{path} holds a {type(payload).__name__}, not a payload dict")
+    return payload

@@ -102,7 +102,7 @@ def test_estimate_default_and_flags(two_cycle_file, capsys):
 
 def test_estimate_monte_carlo_and_balanced(two_cycle_file, capsys):
     rc = cli.main(["estimate", "--graph", two_cycle_file, "--source", "a",
-                   "--target", "a", "--monte-carlo", "--walks", "700"])
+                   "--target", "a", "--method", "monte-carlo", "--walks", "700"])
     assert rc == 0
     _, result = _records(capsys)
     assert result["counters"]["walks"] == 700
@@ -110,7 +110,7 @@ def test_estimate_monte_carlo_and_balanced(two_cycle_file, capsys):
     assert result["estimates"]["value"] == pytest.approx(5.0 / 9.0, abs=0.06)
 
     rc = cli.main(["estimate", "--graph", two_cycle_file, "--source", "a",
-                   "--target", "b", "--balanced"])
+                   "--target", "b", "--method", "balanced"])
     assert rc == 0
     _, result = _records(capsys)
     assert result["parameters"]["method"] == "balanced"
@@ -121,15 +121,29 @@ def test_estimate_undirected_variant(tmp_path, capsys):
     path = tmp_path / "path3.txt"
     path.write_text("a b\nb c\n")
     rc = cli.main(["estimate", "--graph", str(path), "--undirected",
-                   "--undirected-variant", "--source", "a", "--target", "b"])
+                   "--method", "undirected", "--source", "a", "--target", "b"])
     assert rc == 0
     _, result = _records(capsys)
     assert result["parameters"]["method"] == "undirected"
     assert result["estimates"]["value"] >= 0.0
     # degree-symmetric estimator demands a symmetric graph
     rc = cli.main(["estimate", "--graph", str(path),
-                   "--undirected-variant", "--source", "a", "--target", "b"])
+                   "--method", "undirected", "--source", "a", "--target", "b"])
     assert rc == 1
+
+
+def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
+    base = ["estimate", "--graph", two_cycle_file, "--source", "a", "--target", "b"]
+    for method, flag in (("bidirectional", "--walks"), ("undirected", "--walks"),
+                         ("balanced", "--walks"),
+                         ("bidirectional", "--walk-time-constant"),
+                         ("monte-carlo", "--walk-time-constant"),
+                         ("balanced", "--rmax"), ("monte-carlo", "--rmax")):
+        assert cli.main(base + ["--method", method, flag, "2"]) == 1
+        assert f"{flag} does not apply to --method {method}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the old method booleans are gone
+        cli.main(base + ["--balanced"])
+    assert exc.value.code == 1
 
 
 def test_estimate_mstp_and_first_passage(two_cycle_file, capsys):
@@ -329,11 +343,70 @@ def test_serve_sim_pushes_once_per_query(tmp_path, two_cycle_file, capsys, monke
     assert pushes == [1, 1]
     monkeypatch.undo()
     g = pw.load_edge_list(two_cycle_file)
-    with open(store, "rb") as fh:
-        bundle = pickle.load(fh)
+    bundle = pw.load_index(store)
     for rec, (s, t) in zip(_records(capsys)[1:], [(0, 1), (1, 1)]):
         want = pw.query_shared_walks(g, bundle["store"], s, t)
         assert rec["estimates"]["in_process_value"] == want
+
+
+def test_serve_sim_rejects_a_store_for_another_graph(tmp_path, two_cycle_file, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("\n".join(cli.generate_synthetic("power-law", 300, seed=4)) + "\n")
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", str(big), "--delta", "0.05",
+                     "--output", str(store)]) == 0
+    capsys.readouterr()
+    five = tmp_path / "five.txt"
+    five.write_text("\n".join(cli.generate_synthetic("cycle", 5)) + "\n")
+    assert cli.main(["serve-sim", "--graph", str(five), "--store", str(store),
+                     "--query", "4,1"]) == 2
+    err = capsys.readouterr().err
+    assert "300-node graph" in err and "has 5 nodes" in err
+
+
+def test_serve_sim_and_search_reject_the_other_artifact(tmp_path, two_cycle_file, capsys):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
+                     "--output", str(store)]) == 0
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\n")
+    idx = tmp_path / "idx.bin"
+    assert cli.main(["precompute-search", "--graph", two_cycle_file, "--keywords",
+                     str(kw), "--rmax", "0.3", "--output", str(idx)]) == 0
+    capsys.readouterr()
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(idx),
+                     "--query", "a,b"]) == 2
+    assert "is not a shared-walk store" in capsys.readouterr().err
+    assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                     "--keyword", "topic", "--index", str(store)]) == 2
+    assert "is not a search index" in capsys.readouterr().err
+
+
+def test_unreadable_store_payloads_exit_two(tmp_path, two_cycle_file, capsys):
+    header = b"PWIX" + (2).to_bytes(2, "little")
+    files = {"raw.bin": pickle.dumps([1, 2]), "list.bin": header + pickle.dumps([1, 2]),
+             "cut.bin": header + pickle.dumps({"store": 1})[:-3]}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store",
+                         str(tmp_path / name), "--query", "a,b"]) == 2
+        assert "bad store/index file: " in capsys.readouterr().err
+    with pytest.raises(pw.IndexFormatError, match="holds a list"):
+        pw.load_index(tmp_path / "list.bin")
+    with pytest.raises(pw.IndexFormatError, match="unreadable payload"):
+        pw.load_index(tmp_path / "cut.bin")
+
+
+def test_serve_sim_at_another_alpha_exits_one(tmp_path, two_cycle_file, capsys):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
+                     "--alpha", "0.5", "--output", str(store)]) == 0
+    capsys.readouterr()
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(store),
+                     "--query", "a,b"]) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(store),
+                     "--alpha", "0.5", "--query", "a,b"]) == 0
 
 
 def test_flag_defaults_come_from_the_library():
@@ -463,9 +536,24 @@ def test_keyword_file_unknown_node_exits_two(tmp_path, two_cycle_file, capsys):
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):
-    path = tmp_path / "islands.txt"
-    path.write_text("a a\nb b\n")
+    # b is reachable from a, but a walk ends there about once in 10^9 tries
+    path = tmp_path / "rare.txt"
+    path.write_text("a a 1000000000\na b 1\nb b\n")
     monkeypatch.setattr(pathsampling, "ACCEPTANCE_CAP", 100)
     rc = cli.main(["sample-path", "--graph", str(path), "--source", "a",
                    "--targets", "b"])
     assert rc == 3
+
+
+def test_unreachable_path_target_exits_two_without_walking(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "islands.txt"
+    path.write_text("a a\nb b\n")
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walked toward an unreachable target")
+
+    monkeypatch.setattr(pathsampling, "random_walk_path", no_walks)
+    rc = cli.main(["sample-path", "--graph", str(path), "--source", "a",
+                   "--targets", "b"])
+    assert rc == 2
+    assert "no path leads from node 0" in capsys.readouterr().err

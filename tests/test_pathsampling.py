@@ -145,9 +145,24 @@ def test_settled_branch_frequency_matches_ledgered_share():
     assert settled / n == pytest.approx(expected, abs=0.01)
 
 
-def test_unreachable_target_exhausts_attempt_cap(monkeypatch):
+def test_unreachable_target_raises_before_walking(monkeypatch):
     g = pw.from_edges([(0, 0, 1.0), (1, 1, 1.0)], n=2)
     state = pw.precompute_path_samplers(g, [1], 1.0, 0.2)
+    assert state.reachable == {1}
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("walked toward an unreachable target")
+
+    monkeypatch.setattr(pathsampling, "random_walk_path", no_walks)
+    with pytest.raises(pw.UnreachableTargetError):
+        pw.sample_path_to_target(g, 0, state, pw.WalkConfig(alpha=0.2, seed=14))
+
+
+def test_rare_target_exhausts_attempt_cap(monkeypatch):
+    # 1 is reachable from 0, but a walk from 0 ends there about once in 10^9
+    g = pw.from_edges([(0, 0, 1e9), (0, 1, 1.0), (1, 1, 1.0)], n=2)
+    state = pw.precompute_path_samplers(g, [1], 1.0, 0.2)
+    assert state.reachable == {0, 1}
     cfg = pw.WalkConfig(alpha=0.2, seed=14)
     monkeypatch.setattr(pathsampling, "ACCEPTANCE_CAP", 200)
     with pytest.raises(RuntimeError, match="200 attempts"):
