@@ -283,8 +283,8 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
 
 # estimate --method -> the optional flags that method reads
 _ESTIMATE_FLAGS = {
-    "bidirectional": {"rmax"},
-    "balanced": {"walk_time_constant"},
+    "bidirectional": {"rmax", "use_theorem_c"},
+    "balanced": {"walk_time_constant", "use_theorem_c"},
     "monte-carlo": {"walks"},
     "undirected": {"rmax"},
 }
@@ -337,7 +337,7 @@ def _build_parser() -> _Parser:
         "baseline; undirected: degree-symmetric (undirected graphs only)",
     )
     p.add_argument("--rmax", type=float, help="push threshold (bidirectional, undirected)")
-    p.add_argument("--use-theorem-c", action="store_true")
+    p.add_argument("--use-theorem-c", action="store_true", help="bidirectional, balanced")
     p.add_argument("--walk-time-constant", type=float, help="balanced only")
     p.add_argument("--walks", type=int, help="walk budget (monte-carlo only)")
 
@@ -499,8 +499,9 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_estimate(args, out) -> int:
-    for flag in ("rmax", "walk_time_constant", "walks"):
-        if getattr(args, flag) is not None and flag not in _ESTIMATE_FLAGS[args.method]:
+    for flag in ("rmax", "walk_time_constant", "walks", "use_theorem_c"):
+        value = getattr(args, flag)  # unset: None, or False for --use-theorem-c
+        if value is not None and value is not False and flag not in _ESTIMATE_FLAGS[args.method]:
             option = "--" + flag.replace("_", "-")
             raise SystemExit2(f"{option} does not apply to --method {args.method}")
     g = _load_graph(args)
@@ -717,6 +718,7 @@ def _cmd_precompute(args, out) -> int:
             "store": store,
             "shards": shards,
             "k": args.shards,
+            "m": g.m,
             "alpha": args.alpha,
             "delta": args.delta,
         },
@@ -755,10 +757,9 @@ def _serve_queries(g: Graph, bundle: dict, raw_queries):
         y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
         key = ("y", t)
         # per-query views: the loaded shards plus this query's y-vector slices
+        owners = shards[0].owners | {key}
         views = [
-            dataclasses.replace(
-                sh, entries=ChainMap(y.entries, sh.entries), owners=sh.owners | y.owners
-            )
+            dataclasses.replace(sh, entries=ChainMap(y.entries, sh.entries), owners=owners)
             for sh, y in zip(shards, shard_vectors({key: y_vec}, k))
         ]
         payload = {("x", int(v)): float(rv) for v, rv in store.fwd_residuals[s].items()}
@@ -781,10 +782,11 @@ def _cmd_serve_sim(args, out) -> int:
     if "store" not in bundle:
         raise IndexFormatError(f"{args.store} is not a shared-walk store")
     store = bundle["store"]
-    if len(store.walk_counts) != g.n:
+    built = (len(store.walk_counts), bundle["m"])
+    if built != (g.n, g.m):
         raise IndexFormatError(
-            f"{args.store} was built for a {len(store.walk_counts)}-node graph, "
-            f"but {args.graph} has {g.n} nodes"
+            f"{args.store} was built for a {built[0]}-node graph with {built[1]} edges, "
+            f"but {args.graph} has {g.n} nodes and {g.m} edges"
         )
     if args.alpha != store.alpha:
         raise ValueError(f"--alpha {args.alpha} differs from the store's alpha {store.alpha}")

@@ -1,15 +1,14 @@
 """Exact sampling of walks conditioned on where they end.
 
-A reverse push from a target set T leaves two artifacts at every touched
-node: settled mass (the walk surely ends in T) and residual mass (still
-undecided). If, while pushing, we also record *where each unit of mass came
-from* — a provenance ledger of weighted references to the samplers of the
-nodes it flowed through — then any unit of mass can later be unwound into
-the exact walk suffix that produced it. Sampling a conditioned path then
-needs only an ordinary forward walk for the prefix plus one descent through
-the ledger for the suffix, and the resulting distribution is exactly the
-geometric walk conditioned on ending in T, no matter how far the push was
-run.
+A reverse push from a target set T leaves settled mass (the walk surely
+ends in T) and residual mass (still undecided) at every touched node.
+``precompute_path_samplers`` runs the FIFO kernel of ``push.reverse_push``
+from all of T with a push log, and replays the log into provenance ledgers:
+per node, weighted references to the frozen ledgers its mass flowed
+through. A conditioned path is then an ordinary forward walk for the prefix
+plus one descent through the ledgers for the suffix, and its distribution
+is exactly the geometric walk conditioned on ending in T, no matter how far
+the push was run.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ import numpy as np
 
 from .graph import Graph
 from .oracle import UnreachableTargetError
-from .push import SparseVec, _check_node
+from .push import SparseVec, _check_node, _fifo_reverse
 from .sampling import WalkConfig, WeightedSampler, random_walk_path
 
 __all__ = [
-    "ConstantSampler",
-    "ProvenanceSampler",
-    "ResidualAccumulator",
+    "Ledger",
     "PathSamplerState",
     "precompute_path_samplers",
     "sample_path_to_target",
@@ -38,55 +35,38 @@ __all__ = [
 ACCEPTANCE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class ConstantSampler:
-    """Terminal marker: the walk ends here, at a target node."""
+class Ledger(WeightedSampler):
+    """One node's weighted references to the frozen ledgers its mass came
+    through; a None item means the walk ends here, at a target.
 
-    target: int
-
-
-class ProvenanceSampler(WeightedSampler):
-    """Weighted choice over child samplers, owned by one node.
-
-    ResidualAccumulator.snapshot freezes a live ledger into one of these at
-    push time; references held by other nodes keep resolving to this exact
-    version even after the owner is pushed again.
+    ``snapshot`` freezes a live ledger at push time, so references held by
+    other nodes keep resolving to that version after the owner is pushed
+    again.
     """
 
     __slots__ = ("owner",)
 
-    def __init__(self, owner, items, cumweights, total):
+    def __init__(self, owner: int, items, cumweights, total: float):
         super().__init__(items, cumweights, total)
         self.owner = owner
 
-
-class ResidualAccumulator(ProvenanceSampler):
-    """Append-only live ledger of (child sampler, weight) for one node."""
-
-    __slots__ = ()
-
-    def __init__(self, owner: int):
-        super().__init__(owner, [], [], 0.0)
-
-    def append(self, child, weight: float) -> None:
+    def append(self, child: Ledger | None, weight: float) -> None:
         self.total += weight
         self.items.append(child)
         self.cumweights.append(self.total)
 
-    def snapshot(self) -> ProvenanceSampler:
-        return ProvenanceSampler(
-            self.owner, tuple(self.items), tuple(self.cumweights), self.total
-        )
+    def snapshot(self) -> Ledger:
+        return Ledger(self.owner, tuple(self.items), tuple(self.cumweights), self.total)
 
 
 @dataclass
 class PathSamplerState:
     """Output of the provenance-recording reverse push from a target set.
 
-    estimates/residuals are the usual push vectors (seeded by one unit at
+    estimates/residuals are the push's own vectors (seeded by one unit at
     every target); live[v] is v's current residual ledger, whose total
     weight tracks residuals[v] exactly; estimate_provenance[v] ledgers the
-    settled mass the same way; snapshots lists the frozen sampler created
+    settled mass the same way; snapshots lists the frozen ledger created
     by each push, in push order. reachable holds every node with a path
     into the target set.
     """
@@ -95,11 +75,11 @@ class PathSamplerState:
     eps_r: float
     alpha: float
     reachable: frozenset[int]
-    estimates: SparseVec = field(default_factory=SparseVec)
-    residuals: SparseVec = field(default_factory=SparseVec)
-    live: dict[int, ResidualAccumulator] = field(default_factory=dict)
-    estimate_provenance: dict[int, ResidualAccumulator] = field(default_factory=dict)
-    snapshots: list[ProvenanceSampler] = field(default_factory=list)
+    estimates: SparseVec
+    residuals: SparseVec
+    live: dict[int, Ledger] = field(default_factory=dict)
+    estimate_provenance: dict[int, Ledger] = field(default_factory=dict)
+    snapshots: list[Ledger] = field(default_factory=list)
 
 
 def precompute_path_samplers(
@@ -107,13 +87,12 @@ def precompute_path_samplers(
 ) -> PathSamplerState:
     """Reverse push from the whole target set, recording provenance.
 
-    Each target starts with one unit of residual backed by its terminal
-    sampler. A push on v freezes v's ledger, banks alpha*r[v] as estimate
-    (ledgered under the same frozen sampler), hands (1-alpha)*w(u,v)*r[v]
-    to each in-neighbor's ledger as a reference to the frozen sampler, and
-    gives v a fresh empty ledger. Runs until every residual is <= eps_r.
-    One breadth-first search over in-edges from the targets fills
-    ``reachable``.
+    Each target starts with one unit of residual, backed by a None entry in
+    its ledger. Replaying a push on v freezes v's ledger, ledgers the
+    settled alpha*r[v] under the frozen copy, hands (1-alpha)*w(u,v)*r[v]
+    to each in-neighbor's ledger as a reference to it, and gives v a fresh
+    ledger. The push runs until every residual is <= eps_r. A breadth-first
+    search over in-edges from the targets fills ``reachable``.
     """
     if eps_r <= 0.0:
         raise ValueError("eps_r must be positive")
@@ -131,55 +110,40 @@ def precompute_path_samplers(
             if u not in reachable:
                 reachable.add(u)
                 frontier.append(u)
-    state = PathSamplerState(tset, eps_r, alpha, frozenset(reachable))
-    queue: deque[int] = deque()
-    queued = set()
-    for t in sorted(tset):
-        acc = ResidualAccumulator(t)
-        acc.append(ConstantSampler(t), 1.0)
-        state.live[t] = acc
-        state.residuals.add(t, 1.0)
-        if 1.0 > eps_r:
-            queue.append(t)
-            queued.add(t)
+    seeds = sorted(tset)
+    log: list[tuple[int, float]] = []
+    push = _fifo_reverse(g, seeds, eps_r, alpha, log)
+    state = PathSamplerState(
+        tset, eps_r, alpha, frozenset(reachable), push.estimates, push.residuals
+    )
+    live = state.live
+    for t in seeds:
+        live[t] = Ledger(t, [None], [1.0], 1.0)
     keep = 1.0 - alpha
-    while queue:
-        v = queue.popleft()
-        queued.discard(v)
-        rv = state.residuals.get(v, 0.0)
-        if not rv > eps_r:
-            continue
-        frozen = state.live[v].snapshot()
+    for v, rv in log:
+        frozen = live[v].snapshot()
         state.snapshots.append(frozen)
-        state.residuals.pop(v, None)
-        state.live[v] = ResidualAccumulator(v)
-        settled = alpha * rv
-        state.estimates.add(v, settled)
-        state.estimate_provenance.setdefault(v, ResidualAccumulator(v)).append(
-            frozen, settled
-        )
+        live[v] = Ledger(v, [], [], 0.0)
+        settled = state.estimate_provenance.setdefault(v, Ledger(v, [], [], 0.0))
+        settled.append(frozen, alpha * rv)
         for u, w in g.in_adj[v]:
-            delta = keep * w * rv
-            acc = state.live.get(u)
+            acc = live.get(u)
             if acc is None:
-                acc = state.live[u] = ResidualAccumulator(u)
-            acc.append(frozen, delta)
-            if state.residuals.add(u, delta) > eps_r and u not in queued:
-                queue.append(u)
-                queued.add(u)
+                acc = live[u] = Ledger(u, [], [], 0.0)
+            acc.append(frozen, keep * w * rv)
     return state
 
 
 def _descend(current, path: list[int], rng: np.random.Generator) -> list[int]:
     """Unwind a ledger into its walk suffix.
 
-    A drawn child either names the next node of the suffix (append and keep
-    descending through its frozen ledger) or is a terminal marker, meaning
-    the walk ends at the node we are already standing on.
+    A drawn child either is the frozen ledger of the suffix's next node
+    (append its owner and keep descending) or is None, meaning the walk
+    ends at the node we are already standing on.
     """
     while True:
         child = current.sample(rng)
-        if isinstance(child, ConstantSampler):
+        if child is None:
             return path
         path.append(child.owner)
         current = child
@@ -207,8 +171,11 @@ def sample_path_to_target(
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
+    Raises ValueError when cfg walks at another alpha than the state's.
     """
     _check_node(g, s)
+    if cfg.alpha != state.alpha:
+        raise ValueError(f"walks at alpha={cfg.alpha}, path samplers at alpha={state.alpha}")
     if s not in state.reachable:
         raise UnreachableTargetError(f"no path leads from node {s} into the target set")
     if rng is None:

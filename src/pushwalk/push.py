@@ -82,13 +82,20 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_node(g, t)
+    return _fifo_reverse(g, (t,), r_max, alpha, None)
+
+
+def _fifo_reverse(g: Graph, seeds, r_max: float, alpha: float, log) -> PushResult:
+    """The FIFO reverse push behind reverse_push, from a unit residual at
+    each seed (in the given order; arguments already validated).
+
+    ``log``, when not None, receives (v, r[v]) for every push in push order,
+    which is enough to replay the run (pathsampling's provenance ledgers).
+    """
     p = SparseVec()
-    r = SparseVec({t: 1.0})
-    queue: deque[int] = deque()
-    queued = set()
-    if 1.0 > r_max:
-        queue.append(t)
-        queued.add(t)
+    r = SparseVec(dict.fromkeys(seeds, 1.0))
+    queue: deque[int] = deque(seeds) if 1.0 > r_max else deque()
+    queued = set(queue)
     in_adj = g.in_adj
     keep = 1.0 - alpha
     pushes = 0
@@ -107,6 +114,8 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
         p.add(v, alpha * rv)
         pushes += 1
         work += len(in_adj[v])
+        if log is not None:
+            log.append((v, rv))
     return PushResult(p, r, pushes, r.max_value(), work)
 
 

@@ -38,16 +38,10 @@ class WalkConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
-    def stream(self, chunk_start: int = 0) -> np.random.Generator:
-        """Independent generator for the walk chunk starting at this index.
-
-        Chunks share no state, so parallel workers can each take a chunk;
-        a single-threaded run uses one chunk (start 0) and is bit-for-bit
-        reproducible for a fixed seed.
-        """
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(chunk_start,))
-        )
+    def stream(self) -> np.random.Generator:
+        """The generator for this seed; bit-for-bit reproducible. The fixed
+        spawn key is part of which stream a seed names."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
 
 
 class WeightedSampler:
@@ -129,6 +123,11 @@ def _step_samplers(g: Graph) -> list:
     return g.step_samplers
 
 
+def _dead_end(u: int) -> ValueError:
+    # pushes and oracles drop the mass at such a node, so walks must not count it
+    return ValueError(f"walk must step from node {u}, which has no out-edges")
+
+
 class Source:
     """Where walks start: one node, or a distribution over nodes.
 
@@ -206,8 +205,8 @@ def random_walk_path(
 
     With ``fixed_len`` the path has exactly fixed_len+1 nodes (fixed-length
     chain mode); otherwise the length is geometric per ``cfg.alpha``. A walk
-    stuck at a dangling node stays there (apply the sink convention to avoid
-    dangling nodes entirely).
+    that must step from a node with no out-edges raises ValueError (apply
+    the sink convention to avoid such nodes entirely).
     """
     if rng is None:
         rng = cfg.stream()
@@ -217,8 +216,9 @@ def random_walk_path(
     u = start
     for _ in range(length):
         sampler = samplers[u]
-        if sampler is not None:
-            u = sampler.pick(rng.random())
+        if sampler is None:
+            raise _dead_end(u)
+        u = sampler.pick(rng.random())
         path.append(u)
     return path
 
@@ -234,6 +234,7 @@ def walk_endpoints(
 
     Lengths are drawn as one vectorized batch; steps then consume the stream
     walk by walk, so results are reproducible for a fixed seed and count.
+    A walk that must step from a node with no out-edges raises ValueError.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -250,7 +251,7 @@ def walk_endpoints(
         for _ in range(length):
             sampler = samplers[u]
             if sampler is None:
-                break
+                raise _dead_end(u)
             u = sampler.pick(rand())
         out.append(u)
     return out

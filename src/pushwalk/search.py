@@ -119,19 +119,18 @@ class GroupedIndex:
 
 @dataclass
 class TargetSamplerIndex:
-    """Aggregate target-side mass plus per-coordinate target samplers.
+    """Per-coordinate target samplers.
 
-    aggregate[v] = sum_t y_t[v]; sampler at v draws t with probability
-    y_t[v] / aggregate[v]. Together with a first stage that draws v with
-    probability proportional to x_s[v]*aggregate[v], the sampled target is
-    distributed exactly as score(t) / sum_j score(j).
+    The sampler at v draws t with probability y_t[v] / total, where its
+    ``total`` is the aggregate sum_t y_t[v]. Together with a first stage
+    that draws v with probability proportional to x_s[v] * total, the
+    sampled target is distributed exactly as score(t) / sum_j score(j).
     """
 
     n: int
     targets: list[int]
     r_max: float
     alpha: float
-    aggregate: SparseVec = field(default_factory=SparseVec)
     samplers: dict[int, WeightedSampler] = field(default_factory=dict)
 
 
@@ -166,11 +165,6 @@ class KeywordIndex:
                     raise KeyError(f"{path}:{lineno}: unknown node {token!r}") from None
                 raw.setdefault(keyword, set()).add(node)
         return cls({kw: sorted(nodes) for kw, nodes in raw.items()})
-
-    def targets(self, keyword: str) -> list[int]:
-        if keyword not in self.mapping:
-            raise KeyError(f"unknown keyword {keyword!r}")
-        return self.mapping[keyword]
 
 
 def build_forward_vector(
@@ -237,8 +231,6 @@ def build_target_sampler(
     """
     idx = TargetSamplerIndex(g.n, sorted(targets), r_max, alpha)
     for coord, pairs in _slots(g, idx.targets, r_max, alpha, vectors).items():
-        for _, val in pairs:
-            idx.aggregate.add(coord, val)
         idx.samplers[coord] = build_sampler(pairs)
     return idx
 
@@ -313,8 +305,8 @@ def sample_targets(
 ) -> list[tuple[int, int]]:
     """Draw targets with probability proportional to their scores.
 
-    Stage one picks a coordinate v with weight x_s[v] * aggregate[v]; stage
-    two picks a target from v's sampler. The product of the two stage
+    Stage one picks a coordinate v with weight x_s[v] times the total of
+    v's sampler; stage two picks a target from that sampler. The product of the two stage
     probabilities telescopes to score(t)/total, so the marginal is exact.
     Returns (target, count) ranked by descending count, ties by node id;
     the ranking is empty when no stage-one coordinate carries weight.
@@ -324,10 +316,11 @@ def sample_targets(
     _check_alpha(x_s, idx.alpha)
     if rng is None:
         rng = np.random.default_rng(seed)
+    samplers = idx.samplers
     stage1 = [
-        (coord, xv * idx.aggregate[coord])
+        (coord, xv * samplers[coord].total)
         for coord, xv in x_s.coord_items()
-        if idx.aggregate.get(coord, 0.0) > 0.0 and xv > 0.0
+        if coord in samplers and xv > 0.0
     ]
     if sum(wt for _, wt in stage1) <= 0.0:
         return []
@@ -409,7 +402,7 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 2  # 2: target samplers are WeightedSampler
+_INDEX_VERSION = 3  # 3: stores record the graph's m; target samplers carry their totals
 
 
 def save_index(path, payload: dict) -> None:

@@ -49,7 +49,7 @@ class Shard:
     shard_id: int
     k: int
     entries: dict = field(default_factory=dict)  # owner key -> {coord: value}
-    owners: set = field(default_factory=set)
+    owners: set = field(default_factory=set)  # every vector key, shared by all shards
 
     def partial_dot(self, query: "BrokerQuery") -> Fraction:
         """Exact partial sum of the query's dot product over local coords."""
@@ -77,15 +77,15 @@ class BrokerQuery:
 def shard_vectors(vectors: dict, k: int, h=None) -> list[Shard]:
     """Partition every vector's coordinates across k shards (default
     h(coord) = coord mod k). Lossless: each coordinate lands on exactly one
-    shard and reassemble() rebuilds the input."""
+    shard and reassemble() rebuilds the input. All shards share one
+    ``owners`` set holding every vector key."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if h is None:
         h = lambda coord: coord % k
-    shards = [Shard(i, k) for i in range(k)]
+    owners = set(vectors)
+    shards = [Shard(i, k, owners=owners) for i in range(k)]
     for owner, vec in vectors.items():
-        for shard in shards:
-            shard.owners.add(owner)
         for coord, val in vec.items():
             i = h(coord)
             if not 0 <= i < k:

@@ -141,6 +141,10 @@ def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
                          ("balanced", "--rmax"), ("monte-carlo", "--rmax")):
         assert cli.main(base + ["--method", method, flag, "2"]) == 1
         assert f"{flag} does not apply to --method {method}" in capsys.readouterr().err
+    for method in ("monte-carlo", "undirected"):
+        assert cli.main(base + ["--method", method, "--use-theorem-c"]) == 1
+        err = capsys.readouterr().err
+        assert f"--use-theorem-c does not apply to --method {method}" in err
     with pytest.raises(SystemExit) as exc:  # the old method booleans are gone
         cli.main(base + ["--balanced"])
     assert exc.value.code == 1
@@ -364,6 +368,21 @@ def test_serve_sim_rejects_a_store_for_another_graph(tmp_path, two_cycle_file, c
     assert "300-node graph" in err and "has 5 nodes" in err
 
 
+def test_serve_sim_rejects_a_store_for_a_graph_with_other_edges(tmp_path, capsys):
+    graphs = {}
+    for kind in ("cycle", "star"):
+        graphs[kind] = tmp_path / f"{kind}.txt"
+        graphs[kind].write_text("\n".join(cli.generate_synthetic(kind, 5)) + "\n")
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", str(graphs["cycle"]), "--delta", "0.05",
+                     "--output", str(store)]) == 0
+    capsys.readouterr()
+    assert cli.main(["serve-sim", "--graph", str(graphs["star"]), "--store", str(store),
+                     "--query", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "5-node graph with 5 edges" in err and "has 5 nodes and 8 edges" in err
+
+
 def test_serve_sim_and_search_reject_the_other_artifact(tmp_path, two_cycle_file, capsys):
     store = tmp_path / "store.bin"
     assert cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
@@ -383,7 +402,7 @@ def test_serve_sim_and_search_reject_the_other_artifact(tmp_path, two_cycle_file
 
 
 def test_unreadable_store_payloads_exit_two(tmp_path, two_cycle_file, capsys):
-    header = b"PWIX" + (2).to_bytes(2, "little")
+    header = b"PWIX" + search._INDEX_VERSION.to_bytes(2, "little")
     files = {"raw.bin": pickle.dumps([1, 2]), "list.bin": header + pickle.dumps([1, 2]),
              "cut.bin": header + pickle.dumps({"store": 1})[:-3]}
     for name, data in files.items():

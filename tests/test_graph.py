@@ -120,6 +120,22 @@ def test_bipartite_split_empty():
     assert all(not h.out_adj[v] for v in range(6))
 
 
+def test_constructors_satisfy_validate():
+    rng = np.random.default_rng(24)
+    for _ in range(24):
+        n = int(rng.integers(2, 30))
+        edges = [(int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0.2, 3.0)))
+                 for _ in range(int(rng.integers(1, 3 * n)))]
+        lines = [f"{u} {v} {w!r}" for u, v, w in edges]
+        weighted = pw.from_edges(edges, n=n)
+        for g in (pw.parse_edge_lines(lines, undirected=False),
+                  pw.parse_edge_lines(lines, undirected=True),
+                  weighted,
+                  pw.apply_sink_convention(weighted),
+                  pw.salsa_transform(weighted)):
+            g.validate()
+
+
 def test_degree_is_strength_undirected():
     g = pw.from_edges([(0, 1, 2.0), (0, 2, 3.0)], n=3, undirected=True)
     assert g.degree(0) == pytest.approx(5.0)

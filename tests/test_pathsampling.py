@@ -32,7 +32,7 @@ def test_single_push_ledger_trace():
     assert len(state.snapshots) == 1
     frozen = state.snapshots[0]
     assert frozen.owner == 1
-    assert frozen.items == (pathsampling.ConstantSampler(1),)
+    assert frozen.items == (None,)
     # node 0's live ledger references the frozen sampler with the handed mass
     assert state.live[0].total == pytest.approx(0.8)
     assert state.live[0].items == [frozen]
@@ -49,11 +49,23 @@ def test_repushed_node_freezes_distinct_snapshots():
     assert owners == [1, 0, 1, 0]
     first, second = state.snapshots[0], state.snapshots[2]
     assert first is not second
-    assert first.items == (pathsampling.ConstantSampler(1),)
+    assert first.items == (None,)
     # the second freeze of node 1 references node 0's first frozen sampler
     assert second.items == (state.snapshots[1],)
     assert dict(state.estimates) == pytest.approx({1: 0.328, 0: 0.2624})
     assert dict(state.residuals) == pytest.approx({1: 0.4096})
+
+
+def test_single_target_state_is_reverse_push_bit_for_bit(rng):
+    for trial in range(12):
+        g = rand_graph(rng, n_max=30)
+        t = int(rng.integers(g.n))
+        for eps_r in (0.3, 0.01, 1e-4):
+            state = pw.precompute_path_samplers(g, [t], eps_r, 0.2)
+            pr = pw.reverse_push(g, t, eps_r, 0.2)
+            assert list(state.estimates.items()) == list(pr.estimates.items())
+            assert list(state.residuals.items()) == list(pr.residuals.items())
+            assert len(state.snapshots) == pr.pushes_performed
 
 
 def test_precompute_rejects_bad_arguments():
@@ -167,6 +179,16 @@ def test_rare_target_exhausts_attempt_cap(monkeypatch):
     monkeypatch.setattr(pathsampling, "ACCEPTANCE_CAP", 200)
     with pytest.raises(RuntimeError, match="200 attempts"):
         pw.sample_path_to_target(g, 0, state, cfg)
+
+
+def test_walks_at_another_alpha_are_rejected():
+    g = two_cycle()
+    state = pw.precompute_path_samplers(g, [1], 0.05, 0.2)
+    cfg = pw.WalkConfig(alpha=0.6, seed=3)
+    with pytest.raises(ValueError, match="alpha"):
+        pw.sample_path_to_target(g, 0, state, cfg)
+    with pytest.raises(ValueError, match="alpha"):
+        pw.sample_target_exact(g, 0, state, cfg)
 
 
 def test_source_out_of_range_rejected():

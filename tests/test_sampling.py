@@ -111,6 +111,20 @@ def test_walked_graph_is_freed_after_del():
     assert ref() is None
 
 
+def test_walks_off_a_dead_end_raise():
+    # node 1 has no out-edges; a walk that stopped or stayed there would
+    # count mass that pushes and oracles drop
+    g = pw.from_edges([(0, 1), (0, 2), (2, 0)], n=3)
+    cfg = pw.WalkConfig(alpha=0.2, seed=1)
+    with pytest.raises(ValueError, match="node 1"):
+        pw.walk_endpoints(g, 0, 200, cfg)
+    with pytest.raises(ValueError, match="node 1"):
+        pw.monte_carlo_ppr(g, 0, 1, pw.PprParams(delta=0.1), walks=200)
+    with pytest.raises(ValueError, match="node 1"):
+        pw.random_walk_path(g, 1, cfg, fixed_len=1)
+    assert pw.random_walk_path(g, 1, cfg, fixed_len=0) == [1]
+
+
 def test_walk_streams_are_reproducible():
     g = two_cycle()
     cfg = pw.WalkConfig(alpha=0.2, seed=13)

@@ -108,8 +108,8 @@ def test_sampler_single_target_always_wins():
 
 def test_sampler_three_to_one_ratio():
     idx = pw.TargetSamplerIndex(n=5, targets=[1, 2], r_max=0.5, alpha=0.2)
-    idx.aggregate.add(8, 0.4)  # residual slot of node 3
-    idx.samplers[8] = pw.build_sampler(zip([1, 2], [0.3, 0.1]))
+    idx.samplers[8] = pw.build_sampler(zip([1, 2], [0.3, 0.1]))  # residual slot of node 3
+    assert idx.samplers[8].total == pytest.approx(0.4)
     x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
@@ -118,18 +118,17 @@ def test_sampler_three_to_one_ratio():
 
 def test_sampler_worked_two_stage_arithmetic():
     # Intermediate nodes (a, b, c) own residual coords (10, 11, 12).
-    # Stage-one weights x*aggregate come out (0, 0.64/3, 0.72/3); node c's
-    # stage-two sampler splits its targets (5/9, 2/9, 2/9).
+    # Stage-one weights x*total come out (0, 0.64/3, 0.72/3), where total is
+    # a coordinate sampler's aggregate target mass; node c's stage-two
+    # sampler splits its targets (5/9, 2/9, 2/9).
     idx = pw.TargetSamplerIndex(n=8, targets=[5, 6, 7], r_max=0.5, alpha=0.2)
-    idx.aggregate.add(11, 0.64)
     idx.samplers[11] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.12, 0.12]))
-    idx.aggregate.add(12, 0.72)
     idx.samplers[12] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.16, 0.16]))
     x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
-    stage1 = {coord: xv * idx.aggregate.get(coord, 0.0)
-              for coord, xv in x.coord_items()}
+    stage1 = {coord: xv * idx.samplers[coord].total
+              for coord, xv in x.coord_items() if coord in idx.samplers}
     assert stage1.get(10, 0.0) == 0.0
     assert stage1[11] == pytest.approx(0.64 / 3)
     assert stage1[12] == pytest.approx(0.72 / 3)
@@ -270,10 +269,7 @@ def test_keyword_sidecar_parsing(tmp_path):
     path = tmp_path / "keywords.tsv"
     path.write_text("# comment\nscience\t3\nscience\t1\nart\t2\n\n")
     kw = pw.KeywordIndex.from_file(path)
-    assert kw.targets("science") == [1, 3]
-    assert kw.targets("art") == [2]
-    with pytest.raises(KeyError):
-        kw.targets("music")
+    assert kw.mapping == {"science": [1, 3], "art": [2]}
 
 
 def test_keyword_sidecar_rejects_malformed_line(tmp_path):

@@ -39,6 +39,16 @@ def test_reassembly_is_lossless(rng):
         assert pw.reassemble(pw.shard_vectors(vectors, k)) == vectors
 
 
+def test_shards_share_one_owner_set(rng):
+    vectors = _rand_vectors(rng)
+    vectors[("y", 99)] = {}  # an owner with no coordinates lives in owners only
+    for k in (1, 3, 7):
+        shards = pw.shard_vectors(vectors, k)
+        assert all(shard.owners is shards[0].owners for shard in shards)
+        assert shards[0].owners == set(vectors)
+        assert pw.reassemble(shards) == vectors
+
+
 def test_shard_vectors_rejects_bad_arguments(rng):
     vectors = _rand_vectors(rng)
     with pytest.raises(ValueError):
