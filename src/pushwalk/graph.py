@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "GraphFormatError",
@@ -77,6 +79,18 @@ class Graph:
 
     def average_degree(self) -> float:
         return self.m / self.n if self.n else 0.0
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge list as (tails, heads, weights) arrays in out-adjacency
+        order, built on first use: the whole-graph oracles and the
+        whole-vector push rounds step with them."""
+        tails = np.repeat(np.arange(self.n), [len(adj) for adj in self.out_adj])
+        heads = np.fromiter((v for adj in self.out_adj for v, _ in adj), np.intp, self.m)
+        weights = np.fromiter((w for adj in self.out_adj for _, w in adj), float, self.m)
+        for arr in (tails, heads, weights):
+            arr.flags.writeable = False  # shared by every caller
+        return tails, heads, weights
 
     @cached_property
     def _ids(self) -> dict[str, int]:

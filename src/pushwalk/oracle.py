@@ -47,14 +47,6 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return W
 
 
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edge list as (tails, heads, weights) arrays, in adjacency order."""
-    tails = np.repeat(np.arange(g.n), [len(adj) for adj in g.out_adj])
-    heads = np.fromiter((v for adj in g.out_adj for v, _ in adj), np.intp)
-    weights = np.fromiter((w for adj in g.out_adj for _, w in adj), float)
-    return tails, heads, weights
-
-
 def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
     """Exact personalized PageRank by power iteration over the edge list.
 
@@ -70,7 +62,7 @@ def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = source_of(g, source).distribution()
-    tails, heads, weights = _edge_arrays(g)
+    tails, heads, weights = g.edge_arrays
     max_iters = math.ceil(math.log(tol) / math.log(1.0 - alpha)) + 64
     p = s.copy()
     for _ in range(max_iters):
@@ -114,7 +106,7 @@ def exact_mstp(g: Graph, source, ell: int) -> np.ndarray:
     if ell > 10_000:
         raise ValueError("ell > 10000 exceeds the desk-scale oracle bound")
     vec = source_of(g, source).distribution()
-    tails, heads, weights = _edge_arrays(g)
+    tails, heads, weights = g.edge_arrays
     for _ in range(ell):
         vec = np.bincount(heads, weights=vec[tails] * weights, minlength=g.n)
     return vec
@@ -131,7 +123,7 @@ def exact_first_passage(g: Graph, source, t: int, ell_max: int) -> np.ndarray:
     if ell_max < 1:
         return np.zeros(0)
     s = source_of(g, source).distribution()
-    tails, heads, weights = _edge_arrays(g)
+    tails, heads, weights = g.edge_arrays
     # h[v] = P[first hit of t happens in exactly `steps` more steps | at v],
     # built backwards: h_1[v] = W[v, t]; h_{k}[v] = sum_{u != t} W[v,u] h_{k-1}[u].
     out = np.zeros(ell_max)

@@ -2,13 +2,13 @@
 
 A reverse push from a target set T leaves settled mass (the walk surely
 ends in T) and residual mass (still undecided) at every touched node.
-``precompute_path_samplers`` runs the FIFO kernel of ``push.reverse_push``
-from all of T with a push log, and replays the log into provenance ledgers:
-per node, weighted references to the frozen ledgers its mass flowed
-through. A conditioned path is then an ordinary forward walk for the prefix
-plus one descent through the ledgers for the suffix, and its distribution
-is exactly the geometric walk conditioned on ending in T, no matter how far
-the push was run.
+``precompute_path_samplers`` runs the scalar FIFO kernel of
+``push.reverse_push`` from all of T with a push log, and replays the log
+into provenance ledgers: per node, weighted references to the frozen
+ledgers its mass flowed through. A conditioned path is then an ordinary
+forward walk for the prefix plus one descent through the ledgers for the
+suffix, and its distribution is exactly the geometric walk conditioned on
+ending in T, no matter how far the push was run.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ class Ledger(WeightedSampler):
     """One node's weighted references to the frozen ledgers its mass came
     through; a None item means the walk ends here, at a target.
 
-    ``snapshot`` freezes a live ledger at push time, so references held by
-    other nodes keep resolving to that version after the owner is pushed
+    ``freeze`` turns a live ledger into a frozen one in place at push time;
+    the owner then gets a fresh live ledger, so references held by other
+    nodes keep resolving to the frozen version after the owner is pushed
     again.
     """
 
@@ -55,8 +56,10 @@ class Ledger(WeightedSampler):
         self.items.append(child)
         self.cumweights.append(self.total)
 
-    def snapshot(self) -> Ledger:
-        return Ledger(self.owner, tuple(self.items), tuple(self.cumweights), self.total)
+    def freeze(self) -> Ledger:
+        self.items = tuple(self.items)
+        self.cumweights = tuple(self.cumweights)
+        return self
 
 
 @dataclass
@@ -120,11 +123,14 @@ def precompute_path_samplers(
     for t in seeds:
         live[t] = Ledger(t, [None], [1.0], 1.0)
     keep = 1.0 - alpha
+    settled_by = state.estimate_provenance
     for v, rv in log:
-        frozen = live[v].snapshot()
+        frozen = live[v].freeze()
         state.snapshots.append(frozen)
         live[v] = Ledger(v, [], [], 0.0)
-        settled = state.estimate_provenance.setdefault(v, Ledger(v, [], [], 0.0))
+        settled = settled_by.get(v)
+        if settled is None:
+            settled = settled_by[v] = Ledger(v, [], [], 0.0)
         settled.append(frozen, alpha * rv)
         for u, w in g.in_adj[v]:
             acc = live.get(u)

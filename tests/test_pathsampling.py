@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
-from pushwalk import pathsampling
+from pushwalk import pathsampling, push
 from conftest import rand_graph, two_cycle
 
 
@@ -56,13 +56,13 @@ def test_repushed_node_freezes_distinct_snapshots():
     assert dict(state.residuals) == pytest.approx({1: 0.4096})
 
 
-def test_single_target_state_is_reverse_push_bit_for_bit(rng):
+def test_single_target_state_is_fifo_reverse_bit_for_bit(rng):
     for trial in range(12):
         g = rand_graph(rng, n_max=30)
         t = int(rng.integers(g.n))
         for eps_r in (0.3, 0.01, 1e-4):
             state = pw.precompute_path_samplers(g, [t], eps_r, 0.2)
-            pr = pw.reverse_push(g, t, eps_r, 0.2)
+            pr = push._fifo_reverse(g, (t,), eps_r, 0.2, None)
             assert list(state.estimates.items()) == list(pr.estimates.items())
             assert list(state.residuals.items()) == list(pr.residuals.items())
             assert len(state.snapshots) == pr.pushes_performed

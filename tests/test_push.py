@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pushwalk as pw
+from pushwalk import push
+from pushwalk.cli import generate_synthetic
 from conftest import (forward_invariant_gap, rand_graph,
                       reverse_invariant_gap, two_cycle)
 
@@ -67,6 +71,60 @@ def test_reverse_invariant_random_graphs(rng):
         pim = pw.exact_ppr_matrix(g, 0.2)
         gap = reverse_invariant_gap(g, t, res, pim, range(g.n))
         assert gap < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r_max=st.floats(1e-4, 0.5),
+    switch_at=st.sampled_from([math.inf, 0.0, 2.0, 6.0]),
+)
+def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, switch_at):
+    # switch_at=inf is the scalar FIFO loop, 0 runs rounds from the start,
+    # and the others hand a partly drained queue to the rounds.
+    g = rand_graph(np.random.default_rng(seed), n_max=30)
+    t = seed % g.n
+    alpha = 0.2
+    res = push._fifo_reverse(g, (t,), r_max, alpha, None, switch_at)
+    pim = pw.exact_ppr_matrix(g, alpha)
+    assert reverse_invariant_gap(g, t, res, pim, range(g.n)) < 1e-10
+    assert res.residuals.max_value() <= r_max
+    assert res.achieved_rmax == res.residuals.max_value()
+    assert res.pushes_performed <= pim[:, t].sum() / (alpha * r_max)
+    assert 0.0 not in res.estimates.values()
+    assert 0.0 not in res.residuals.values()
+    if switch_at == 0.0:  # every round scans all m edges
+        assert res.work_units % g.m == 0
+        assert (res.work_units > 0) == (res.pushes_performed > 0)
+
+
+def _power_law_3000():
+    lines = generate_synthetic("power-law", 3000, 0)
+    return pw.apply_sink_convention(pw.parse_edge_lines(lines, undirected=False))
+
+
+def test_reverse_rounds_stay_off_local_pushes_and_bound_hub_pushes():
+    g = _power_law_3000()
+    alpha, r_max = 0.2, 1e-3
+    order = np.argsort(pw.exact_global_pagerank(g, alpha))
+    # A 90th-percentile target: a real push (about 20 nodes) that stays local,
+    # so the switch never fires and the result is the FIFO loop's.
+    low = int(order[int(0.9 * g.n)])
+    res = pw.reverse_push(g, low, r_max, alpha)
+    fifo = push._fifo_reverse(g, (low,), r_max, alpha, None)
+    assert res.pushes_performed > 5
+    assert list(res.estimates.items()) == list(fifo.estimates.items())
+    assert list(res.residuals.items()) == list(fifo.residuals.items())
+    assert (res.pushes_performed, res.work_units) == (fifo.pushes_performed, fifo.work_units)
+    # The top target's push reaches much of the graph and finishes in rounds.
+    hub = int(order[-1])
+    res = pw.reverse_push(g, hub, r_max, alpha)
+    fifo = push._fifo_reverse(g, (hub,), r_max, alpha, None)
+    assert list(res.estimates.items()) != list(fifo.estimates.items())
+    assert res.residuals.max_value() <= r_max
+    for s in (hub, 1, 17, 500, 2999):
+        truth = pw.exact_ppr(g, s, alpha)[hub]
+        assert -1e-12 <= truth - res.estimates.get(s, 0.0) <= r_max
 
 
 # ---------------------------------------------------------------- forward
