@@ -11,16 +11,16 @@ rest one edge outward, so the identity is preserved while the residual mass
 shrinks. Termination leaves every residual below a threshold, which bounds
 the estimate error without ever touching the whole graph.
 
-The threshold reverse push is one kernel with two gears: a scalar FIFO
-loop while its frontier is small, and whole-vector rounds (every node over
-the threshold pushed at once, one ``bincount`` over the graph's edge
+One scalar FIFO loop serves the fixed-threshold, logged and balanced
+reverse pushes; the balanced push resumes it at halving thresholds. The
+fixed-threshold push has a second gear: whole-vector rounds (every node
+over the threshold pushed at once, one ``bincount`` over the graph's edge
 arrays per round) once its queue outgrows a fixed fraction of m, as on
 popular targets whose push reaches most of the graph.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -44,6 +44,13 @@ __all__ = [
 # the FIFO loop alone and 0.7-1.0 s at any fraction from 1/50 to 1/5000
 # (1.4 s at 1/10; at 1/2 the switch never fires).
 _ROUNDS_FRONTIER = 1 / 700
+
+# Each level of the balanced push lowers its threshold to this fraction of
+# the largest residual. Push plus walk time over the 22 distinct balanced
+# targets of the pair-hot mix (seed 1, one source) was 250 ms at 1/2,
+# 255-262 ms at 2/3 and 1/4, 350 ms at 1/3 and 450 ms at 1/8: a deeper
+# level overshoots the balance point by more before the rule is checked.
+_LEVEL_RATIO = 1 / 2
 
 
 class SparseVec(dict):
@@ -112,21 +119,28 @@ def _fifo_reverse(
     g: Graph, seeds, r_max: float, alpha: float, log, switch_at: float = math.inf
 ) -> PushResult:
     """The FIFO reverse push behind reverse_push, from a unit residual at
-    each seed (in the given order; arguments already validated).
+    each seed (in the given order; arguments already validated)."""
+    r = SparseVec(dict.fromkeys(seeds, 1.0))
+    return _resume_fifo(g, SparseVec(), r, r_max, alpha, 0, 0, log, switch_at)
+
+
+def _resume_fifo(
+    g: Graph, p: SparseVec, r: SparseVec, r_max: float, alpha: float, pushes: int, work: int,
+    log, switch_at: float
+) -> PushResult:
+    """Continue a reverse push from the state (p, r, pushes, work), updating
+    p and r in place, until every residual is <= r_max. The queue starts as
+    the nodes over r_max in r's order.
 
     ``log``, when not None, receives (v, r[v]) for every push in push order,
     which is enough to replay the run (pathsampling's provenance ledgers).
     A queue longer than ``switch_at`` hands p and r to _rounds_reverse,
     which keeps no log, so logged runs leave it at infinity.
     """
-    p = SparseVec()
-    r = SparseVec(dict.fromkeys(seeds, 1.0))
-    queue: deque[int] = deque(seeds) if 1.0 > r_max else deque()
+    queue: deque[int] = deque(v for v, rv in r.items() if rv > r_max)
     queued = set(queue)
     in_adj = g.in_adj
     keep = 1.0 - alpha
-    pushes = 0
-    work = 0
     while queue:
         if len(queue) > switch_at:
             return _rounds_reverse(g, p, r, r_max, alpha, pushes, work)
@@ -243,16 +257,16 @@ def reverse_push_balanced(
 ) -> PushResult:
     """Reverse push run until its cost balances the walks it would save.
 
-    There is no fixed residual threshold: the node with the largest residual
-    is always pushed next (lazy-deletion max-heap), and the run stops once
-    the accumulated deterministic work (in-degree per push, including the
-    push about to happen) would exceed the predicted sampling cost
-    c * eps_r / delta for the current maximum residual eps_r, scaled by
-    ``walk_time_constant`` (cost of one walk relative to one work unit;
-    defaults to alpha, i.e. about 1/alpha work units per walk).
+    There is no fixed residual threshold. The push runs in levels: each
+    takes the largest residual rv (at node v) and, unless the run stops,
+    resumes the FIFO reverse push at threshold rv/2. The run stops before a
+    level once the accumulated deterministic work (in-degree per push, plus
+    v's in-degree) would reach the predicted sampling cost c * rv / delta,
+    scaled by ``walk_time_constant`` (cost of one walk relative to one work
+    unit; defaults to alpha, i.e. about 1/alpha work units per walk).
 
-    achieved_rmax is the largest residual left standing — zero when the
-    queue empties, in which case the estimates are exact.
+    achieved_rmax is the largest residual left standing: zero when the
+    residuals drain, in which case the estimates are exact.
     """
     if delta <= 0.0 or c <= 0.0:
         raise ValueError("delta and c must be positive")
@@ -265,32 +279,17 @@ def reverse_push_balanced(
     _check_node(g, t)
     p = SparseVec()
     r = SparseVec({t: 1.0})
-    # Max-heap with lazy deletion: every residual increase files a new entry
-    # carrying the value at filing time; stale entries are skipped on pop.
-    heap: list[tuple[float, int]] = [(-1.0, t)]
     in_adj = g.in_adj
-    keep = 1.0 - alpha
-    pushes = 0
-    work = 0
-    achieved = 0.0
-    while heap:
-        neg, v = heapq.heappop(heap)
-        rv = -neg
-        if r.get(v, 0.0) != rv:
-            continue  # stale entry
-        # rv is the current maximum residual. Stop when the reverse work
-        # through this push would outweigh the walks it replaces.
+    pushes = work = 0
+    while r:
+        v = max(r, key=r.__getitem__)
+        rv = r[v]
         cost = walk_time_constant * (work + len(in_adj[v]))
         if math.isnan(cost) or cost >= c * rv / delta:
-            achieved = rv
-            break
-        r.pop(v, None)
-        for u, w in in_adj[v]:
-            heapq.heappush(heap, (-r.add(u, keep * w * rv), u))
-        p.add(v, alpha * rv)
-        pushes += 1
-        work += len(in_adj[v])
-    return PushResult(p, r, pushes, achieved, work)
+            return PushResult(p, r, pushes, rv, work)
+        done = _resume_fifo(g, p, r, rv * _LEVEL_RATIO, alpha, pushes, work, None, math.inf)
+        pushes, work = done.pushes_performed, done.work_units
+    return PushResult(p, r, pushes, 0.0, work)
 
 
 def _check_node(g: Graph, v: int) -> None:

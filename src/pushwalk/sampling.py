@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
+from .push import _check_node
 
 __all__ = [
     "WalkConfig",
@@ -206,8 +207,10 @@ def random_walk_path(
     With ``fixed_len`` the path has exactly fixed_len+1 nodes (fixed-length
     chain mode); otherwise the length is geometric per ``cfg.alpha``. A walk
     that must step from a node with no out-edges raises ValueError (apply
-    the sink convention to avoid such nodes entirely).
+    the sink convention to avoid such nodes entirely). A start outside
+    [0, n) raises ValueError.
     """
+    _check_node(g, start)
     if rng is None:
         rng = cfg.stream()
     samplers = _step_samplers(g)
@@ -234,15 +237,16 @@ def walk_endpoints(
 
     Lengths are drawn as one vectorized batch; steps then consume the stream
     walk by walk, so results are reproducible for a fixed seed and count.
-    A walk that must step from a node with no out-edges raises ValueError.
+    A walk that must step from a node with no out-edges raises ValueError,
+    as does a bad ``start`` (see source_of), even when ``count`` is 0.
     """
+    src = source_of(g, start)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
     if rng is None:
         rng = cfg.stream()
-    src = source_of(g, start)
     samplers = _step_samplers(g)
     lengths = rng.geometric(cfg.alpha, size=count) - 1
     out: list[int] = []

@@ -1,8 +1,8 @@
 """In-process simulation of a sharded precomputation/serving deployment.
 
-Score vectors live in 2n coordinates; a sharding function h assigns each
-coordinate to one of k shards. A query's dot product decomposes into
-per-shard partial sums, which the broker combines in shard-id order.
+Score vectors live in 2n coordinates, and coordinate c lives on shard
+c mod k of k shards. A query's dot product decomposes into per-shard
+partial sums, which the broker combines in shard-id order.
 Partials are carried as exact dyadic rationals (every float is one), so the
 combined result is bit-identical to the unsharded dot product no matter how
 the coordinates were split.
@@ -74,23 +74,18 @@ class BrokerQuery:
     payload: dict | None = None
 
 
-def shard_vectors(vectors: dict, k: int, h=None) -> list[Shard]:
-    """Partition every vector's coordinates across k shards (default
-    h(coord) = coord mod k). Lossless: each coordinate lands on exactly one
-    shard and reassemble() rebuilds the input. All shards share one
-    ``owners`` set holding every vector key."""
+def shard_vectors(vectors: dict, k: int) -> list[Shard]:
+    """Partition every vector's coordinates across k shards, coordinate c
+    to shard c mod k. Lossless: each coordinate lands on exactly one shard
+    and reassemble() rebuilds the input. All shards share one ``owners``
+    set holding every vector key."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if h is None:
-        h = lambda coord: coord % k
     owners = set(vectors)
     shards = [Shard(i, k, owners=owners) for i in range(k)]
     for owner, vec in vectors.items():
         for coord, val in vec.items():
-            i = h(coord)
-            if not 0 <= i < k:
-                raise ValueError(f"sharding function sent coordinate {coord} to {i}")
-            shards[i].entries.setdefault(owner, {})[coord] = val
+            shards[coord % k].entries.setdefault(owner, {})[coord] = val
     return shards
 
 

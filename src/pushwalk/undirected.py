@@ -13,7 +13,7 @@ import math
 from .bidir import PprEstimate, PprParams
 from .graph import Graph
 from .oracle import exact_ppr
-from .push import forward_push
+from .push import _check_node, forward_push
 from .sampling import WalkConfig, walk_endpoints
 
 __all__ = [
@@ -45,9 +45,10 @@ def natural_delta(g: Graph, t: int) -> float:
 
     Scores at or above this are the ones worth resolving — it is the
     probability a long walk sits at t, so anything smaller is below the
-    target's own background rate.
+    target's own background rate. A target outside [0, n) raises ValueError.
     """
     _require_undirected(g)
+    _check_node(g, t)
     total = sum(g.degree(v) for v in range(g.n))
     if total <= 0.0:
         raise ValueError("graph has no edges")

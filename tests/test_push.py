@@ -217,3 +217,29 @@ def test_balanced_residuals_bounded_by_achieved(rng):
         t = int(rng.integers(g.n))
         res = pw.reverse_push_balanced(g, t, 0.2, delta=1e-3)
         assert res.residuals.max_value() <= res.achieved_rmax + 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.floats(1e-4, 0.1),
+    walk_time_constant=st.floats(1e-3, 10.0),
+    growth=st.floats(1.0, 100.0),
+)
+def test_balanced_levels_keep_identity_and_stopping_rule(
+        seed, delta, walk_time_constant, growth):
+    g = rand_graph(np.random.default_rng(seed), n_max=30)
+    t = seed % g.n
+    alpha, c = 0.2, 7.0
+    res = pw.reverse_push_balanced(g, t, alpha, delta, c, walk_time_constant)
+    pim = pw.exact_ppr_matrix(g, alpha)
+    assert reverse_invariant_gap(g, t, res, pim, range(g.n)) < 1e-10
+    assert res.achieved_rmax == res.residuals.max_value()
+    assert (res.achieved_rmax == 0.0) == (not res.residuals)
+    if res.residuals:
+        # the run stopped at a largest residual whose push would cost too much
+        cost = {v: walk_time_constant * (res.work_units + len(g.in_adj[v]))
+                for v, rv in res.residuals.items() if rv == res.achieved_rmax}
+        assert max(cost.values()) >= c * res.achieved_rmax / delta
+    dearer = pw.reverse_push_balanced(g, t, alpha, delta, c, walk_time_constant * growth)
+    assert dearer.achieved_rmax >= res.achieved_rmax

@@ -149,6 +149,7 @@ _SOURCE_ENTRY_POINTS = {
     "build_forward_vector": lambda g, s: pw.build_forward_vector(
         g, s, 10, pw.WalkConfig()),
     "walk_endpoints": lambda g, s: pw.walk_endpoints(g, s, 10, pw.WalkConfig()),
+    "walk_endpoints_zero_count": lambda g, s: pw.walk_endpoints(g, s, 0, pw.WalkConfig()),
     "exact_ppr": lambda g, s: pw.exact_ppr(g, s, 0.2),
 }
 
@@ -181,6 +182,8 @@ _TARGET_ENTRY_POINTS = {
         g, 0, t, pw.PprParams(delta=0.1), walks=10),
     "choose_delta_from_target": lambda g, t: pw.choose_delta_from_target(g, t, 0.2),
     "exact_first_passage": lambda g, t: pw.exact_first_passage(g, 0, t, 3),
+    # a path starts at one node, never at a distribution
+    "random_walk_path": lambda g, v: pw.random_walk_path(g, v, pw.WalkConfig(), fixed_len=3),
     # the sharded query's source indexes the stored per-node vectors
     "query_shared_walks": lambda g, s: pw.query_shared_walks(
         g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), s, 0),

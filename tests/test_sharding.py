@@ -53,8 +53,6 @@ def test_shard_vectors_rejects_bad_arguments(rng):
     vectors = _rand_vectors(rng)
     with pytest.raises(ValueError):
         pw.shard_vectors(vectors, 0)
-    with pytest.raises(ValueError, match="sharding function"):
-        pw.shard_vectors(vectors, 2, h=lambda c: 5)
 
 
 def test_broker_matches_exact_dot_for_every_shard_count(rng):

@@ -75,6 +75,13 @@ def test_natural_delta_is_degree_share():
     assert pw.natural_delta(g, 0) == pytest.approx(1 / 4)
 
 
+@pytest.mark.parametrize("t", [-1, 3])
+def test_natural_delta_rejects_out_of_range_target(t):
+    g = pw.from_edges([(0, 1, 1.0), (1, 2, 1.0)], n=3, undirected=True)
+    with pytest.raises(ValueError, match=rf"node {t} out of range"):
+        pw.natural_delta(g, t)
+
+
 def test_forward_work_bound_trivial_at_large_threshold(rng):
     g = rand_graph(rng, n_max=20, directed=False)
     min_deg = min(g.degree(v) for v in range(g.n))
