@@ -93,6 +93,21 @@ class Graph:
         return tails, heads, weights
 
     @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The in-adjacency as read-only CSR arrays (in_ptr, in_tails,
+        in_weights), built on first use: node v's in-edges are entries
+        in_ptr[v]:in_ptr[v+1], in ``in_adj[v]``'s order. The gathered
+        reverse-push rounds read them."""
+        tails, heads, weights = self.edge_arrays
+        order = np.argsort(heads, kind="stable")
+        in_ptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(heads, minlength=self.n), out=in_ptr[1:])
+        csr = in_ptr, tails[order], weights[order]
+        for arr in csr:
+            arr.flags.writeable = False  # shared by every caller
+        return csr
+
+    @cached_property
     def _ids(self) -> dict[str, int]:
         """Label -> node, built on first lookup; a repeated label resolves
         to its first node."""

@@ -9,14 +9,24 @@ and a residual vector ``r`` such that an exact identity holds at every step —
 Each push moves mass from ``r`` into ``p`` (scaled by alpha) and spreads the
 rest one edge outward, so the identity is preserved while the residual mass
 shrinks. Termination leaves every residual below a threshold, which bounds
-the estimate error without ever touching the whole graph.
+the estimate error.
 
-One scalar FIFO loop serves the fixed-threshold, logged and balanced
-reverse pushes; the balanced push resumes it at halving thresholds. The
-fixed-threshold push has a second gear: whole-vector rounds (every node
-over the threshold pushed at once, one ``bincount`` over the graph's edge
-arrays per round) once its queue outgrows a fixed fraction of m, as on
-popular targets whose push reaches most of the graph.
+One scalar FIFO loop serves the fixed-threshold and logged reverse
+pushes. The fixed-threshold push has a second gear: whole-vector rounds
+(every node over the threshold pushed at once, one ``bincount`` over the
+graph's edge arrays per round) once its queue outgrows a fixed fraction of
+m, as on popular targets whose push reaches most of the graph. The balanced
+push runs in levels of frontier-gathered rounds, each level at a quarter of
+the largest residual: a round pushes every node over the level's threshold
+at once and reads only those nodes' in-edges from the graph's in-CSR, so
+its work is their in-degrees, the FIFO loop's own unit.
+
+The FIFO loops, forward and reverse, touch only the nodes they reach.
+Rounds hold dense length-n vectors and scan them every round, so a call
+that enters them costs a few passes over n at least. The balanced push
+always does, which pays on targets whose push reaches a large share of the
+graph; on a target whose push stays small that floor is most of the cost
+(see ``reverse_push_balanced``).
 """
 
 from __future__ import annotations
@@ -46,11 +56,15 @@ __all__ = [
 _ROUNDS_FRONTIER = 1 / 700
 
 # Each level of the balanced push lowers its threshold to this fraction of
-# the largest residual. Push plus walk time over the 22 distinct balanced
-# targets of the pair-hot mix (seed 1, one source) was 250 ms at 1/2,
-# 255-262 ms at 2/3 and 1/4, 350 ms at 1/3 and 450 ms at 1/8: a deeper
-# level overshoots the balance point by more before the rule is checked.
-_LEVEL_RATIO = 1 / 2
+# the largest residual. Over the 22 distinct balanced pair-hot targets
+# (seed 1, one source each; medians of 12 repeats on a shared 2-core
+# machine), push plus walk time was 42 ms at 1/2 and 1/4, 40-44 ms at 2/3
+# and 3/4, and 31-32 ms at 1/3 and 1/8, which stop the hubs lower and halve
+# the walk budget, a different cost/accuracy point. At the same budget, 1/4
+# leaves less residual variance than 1/2: expected relative error of the
+# first 200 queries' balanced estimates 0.0083 against 0.0102 (0.0086 for
+# the FIFO levels at 1/2 these replace).
+_LEVEL_RATIO = 1 / 4
 
 
 class SparseVec(dict):
@@ -119,28 +133,21 @@ def _fifo_reverse(
     g: Graph, seeds, r_max: float, alpha: float, log, switch_at: float = math.inf
 ) -> PushResult:
     """The FIFO reverse push behind reverse_push, from a unit residual at
-    each seed (in the given order; arguments already validated)."""
-    r = SparseVec(dict.fromkeys(seeds, 1.0))
-    return _resume_fifo(g, SparseVec(), r, r_max, alpha, 0, 0, log, switch_at)
-
-
-def _resume_fifo(
-    g: Graph, p: SparseVec, r: SparseVec, r_max: float, alpha: float, pushes: int, work: int,
-    log, switch_at: float
-) -> PushResult:
-    """Continue a reverse push from the state (p, r, pushes, work), updating
-    p and r in place, until every residual is <= r_max. The queue starts as
-    the nodes over r_max in r's order.
+    each seed (in the given order; arguments already validated), until
+    every residual is <= r_max.
 
     ``log``, when not None, receives (v, r[v]) for every push in push order,
     which is enough to replay the run (pathsampling's provenance ledgers).
     A queue longer than ``switch_at`` hands p and r to _rounds_reverse,
     which keeps no log, so logged runs leave it at infinity.
     """
+    p = SparseVec()
+    r = SparseVec(dict.fromkeys(seeds, 1.0))
     queue: deque[int] = deque(v for v, rv in r.items() if rv > r_max)
     queued = set(queue)
     in_adj = g.in_adj
     keep = 1.0 - alpha
+    pushes = work = 0
     while queue:
         if len(queue) > switch_at:
             return _rounds_reverse(g, p, r, r_max, alpha, pushes, work)
@@ -259,14 +266,23 @@ def reverse_push_balanced(
 
     There is no fixed residual threshold. The push runs in levels: each
     takes the largest residual rv (at node v) and, unless the run stops,
-    resumes the FIFO reverse push at threshold rv/2. The run stops before a
-    level once the accumulated deterministic work (in-degree per push, plus
-    v's in-degree) would reach the predicted sampling cost c * rv / delta,
-    scaled by ``walk_time_constant`` (cost of one walk relative to one work
-    unit; defaults to alpha, i.e. about 1/alpha work units per walk).
+    pushes down to threshold rv/4 (``_LEVEL_RATIO``) in gathered rounds. A
+    round pushes every node with r > rv/4 at once, collecting their in-edges
+    from ``g.in_csr``, until no residual exceeds rv/4. The run stops before
+    a level once the accumulated deterministic work (in-degree per push,
+    plus v's in-degree) would reach the predicted sampling cost
+    c * rv / delta, scaled by ``walk_time_constant`` (cost of one walk
+    relative to one work unit; defaults to alpha, i.e. about 1/alpha work
+    units per walk).
 
     achieved_rmax is the largest residual left standing: zero when the
     residuals drain, in which case the estimates are exact.
+
+    The dense vectors give every call a floor of a few passes over n. On
+    the 10k-node ``gen --kind power-law`` graph (delta = 4/n) the hub's push
+    takes 2.2 ms and a target of in-degree 0 takes 52 us, which a scalar
+    FIFO loop pushes in 4 us; at n = 100k, 21 ms and 0.4 ms (medians on a
+    shared 2-core machine).
     """
     if delta <= 0.0 or c <= 0.0:
         raise ValueError("delta and c must be positive")
@@ -277,21 +293,53 @@ def reverse_push_balanced(
     if walk_time_constant <= 0.0:
         raise ValueError("walk_time_constant must be positive")
     _check_node(g, t)
-    p = SparseVec()
-    r = SparseVec({t: 1.0})
-    in_adj = g.in_adj
+    in_ptr = g.in_csr[0]
+    est = np.zeros(g.n)
+    res = np.zeros(g.n)
+    res[t] = 1.0
     pushes = work = 0
-    while r:
-        v = max(r, key=r.__getitem__)
-        rv = r[v]
-        cost = walk_time_constant * (work + len(in_adj[v]))
+    while True:
+        v = int(res.argmax())
+        rv = float(res[v])
+        if rv == 0.0:
+            return PushResult(_sparse(est), SparseVec(), pushes, 0.0, work)
+        cost = walk_time_constant * (work + int(in_ptr[v + 1] - in_ptr[v]))
         if math.isnan(cost) or cost >= c * rv / delta:
-            return PushResult(p, r, pushes, rv, work)
-        done = _resume_fifo(g, p, r, rv * _LEVEL_RATIO, alpha, pushes, work, None, math.inf)
-        pushes, work = done.pushes_performed, done.work_units
-    return PushResult(p, r, pushes, 0.0, work)
+            return PushResult(_sparse(est), _sparse(res), pushes, rv, work)
+        theta = rv * _LEVEL_RATIO
+        while (frontier := np.flatnonzero(res > theta)).size:
+            work += _gathered_round(g, est, res, frontier, alpha)
+            pushes += frontier.size
+
+
+def _gathered_round(
+    g: Graph, est: np.ndarray, res: np.ndarray, frontier: np.ndarray, alpha: float
+) -> int:
+    """Push every node of ``frontier`` at once on the dense (est, res),
+    gathering the frontier's in-edges from the graph's in-CSR. Returns the
+    number of edges gathered: the pushed nodes' in-degrees, the FIFO loop's
+    work unit."""
+    in_ptr, in_tails, in_weights = g.in_csr
+    moved = res[frontier]
+    res[frontier] = 0.0
+    est[frontier] += alpha * moved
+    starts = in_ptr[frontier]
+    counts = in_ptr[frontier + 1] - starts
+    total = int(counts.sum())
+    if total:
+        edges = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        tails = in_tails[edges]
+        handed = (1.0 - alpha) * in_weights[edges] * np.repeat(moved, counts)
+        # One scatter path for every round size: with numpy 2.4, add.at beat
+        # a dense bincount(minlength=n) at 100 to 40k gathered edges, and
+        # the 22 distinct balanced pair-hot targets' pushes took 12.2-12.4
+        # ms with add.at alone against 12.7-12.9 ms with bincount alone.
+        np.add.at(res, tails, handed)
+    return total
 
 
 def _check_node(g: Graph, v: int) -> None:
+    if not isinstance(v, (int, np.integer)):
+        raise ValueError(f"node {v!r} is not an integer node id")
     if not 0 <= v < g.n:
         raise ValueError(f"node {v} out of range for graph with {g.n} nodes")

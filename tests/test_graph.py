@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from conftest import rand_graph
 
 
 def test_parse_two_cycle():
@@ -134,6 +135,23 @@ def test_constructors_satisfy_validate():
                   pw.apply_sink_convention(weighted),
                   pw.salsa_transform(weighted)):
             g.validate()
+
+
+def test_in_csr_is_a_read_only_copy_of_in_adj():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        g = rand_graph(rng, n_max=30, sink=bool(rng.integers(2)))
+        in_ptr, in_tails, in_weights = g.in_csr
+        assert in_ptr.shape == (g.n + 1,) and in_ptr[-1] == g.m
+        assert np.diff(in_ptr).tolist() == [len(adj) for adj in g.in_adj]
+        csr = sorted((int(u), v, float(w)) for v in range(g.n)
+                     for u, w in zip(in_tails[in_ptr[v]:in_ptr[v + 1]],
+                                     in_weights[in_ptr[v]:in_ptr[v + 1]]))
+        assert csr == sorted((u, v, w) for v, adj in enumerate(g.in_adj) for u, w in adj)
+        for arr in g.in_csr:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        assert g.in_csr[0] is in_ptr  # built once
 
 
 def test_degree_is_strength_undirected():

@@ -243,3 +243,36 @@ def test_balanced_levels_keep_identity_and_stopping_rule(
         assert max(cost.values()) >= c * res.achieved_rmax / delta
     dearer = pw.reverse_push_balanced(g, t, alpha, delta, c, walk_time_constant * growth)
     assert dearer.achieved_rmax >= res.achieved_rmax
+
+
+def test_balanced_hub_push_brackets_exact_scores_and_counts_in_degrees(monkeypatch):
+    g = _power_law_3000()
+    alpha, delta = 0.2, 4.0 / g.n
+    hub = int(np.argmax(pw.exact_global_pagerank(g, alpha)))
+    pushed = []
+    gathered = push._gathered_round
+
+    def counting_round(g, est, res, frontier, alpha):
+        pushed.append(frontier.copy())
+        return gathered(g, est, res, frontier, alpha)
+
+    monkeypatch.setattr(push, "_gathered_round", counting_round)
+    res = pw.reverse_push_balanced(g, hub, alpha, delta)
+    assert res.achieved_rmax > 0.0  # the hub's push stops at its balance point
+    nodes = np.concatenate(pushed)
+    assert res.pushes_performed == nodes.size
+    assert res.work_units == sum(len(g.in_adj[v]) for v in nodes.tolist())
+    for s in (hub, 1, 17, 500, 2999):
+        gap = pw.exact_ppr(g, s, alpha)[hub] - res.estimates.get(s, 0.0)
+        assert 0.0 <= gap <= res.achieved_rmax + 1e-12
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g, v: pw.reverse_push(g, v, 0.1, 0.2),
+    lambda g, v: pw.reverse_push_balanced(g, v, 0.2, delta=0.01),
+    lambda g, v: pw.random_walk_path(g, v, pw.WalkConfig(), fixed_len=3),
+], ids=["reverse_push", "reverse_push_balanced", "random_walk_path"])
+@pytest.mark.parametrize("node", [1.5, 1.0, "1", None])
+def test_non_integer_node_ids_are_rejected(entry, node):
+    with pytest.raises(ValueError, match="not an integer node id"):
+        entry(two_cycle(), node)
