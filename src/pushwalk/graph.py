@@ -54,8 +54,9 @@ class Graph:
         undirected estimators.
     names:
         Original node labels, indexed by dense NodeId.
-    step_samplers:
-        Per-node walk-step samplers, built by the first walk on the graph.
+    walk_table:
+        The out-adjacency as the CSR tables that walk steps read, built
+        from ``edge_arrays`` by the first walk on the graph.
     """
 
     n: int
@@ -65,7 +66,7 @@ class Graph:
     undirected_flag: bool
     node_degree: list[float] | None = None
     names: list[str] = field(default_factory=list)
-    step_samplers: list | None = field(default=None, init=False, repr=False, compare=False)
+    walk_table: object | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Accessors

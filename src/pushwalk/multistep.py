@@ -206,41 +206,40 @@ def _forward_phase(
 ) -> np.ndarray:
     """Reverse drain and path pickups of estimate_mstp.
 
-    With first_arrival set, the drain banks residual that reaches t, and
-    the (path, k) pairs that estimate_truncated_hitting voids are dropped
-    before the pickup loop.
+    The paths come from one lockstep batch. The pickups read the residual
+    levels by fancy index into a dense (ell_max+1) x (touched+1) matrix,
+    whose columns are the nodes holding residual at any level plus one zero
+    column, through a length-n column map: O(n + ell_max*touched) time and
+    memory per call, whatever the size of the drain. With first_arrival set,
+    the drain banks residual that reaches t, and the (path, k) pairs that
+    estimate_truncated_hitting voids are masked out.
     """
     src = source_of(g, s)
     _check_node(g, t)
-    state = _drain(g, t, params.ell_max, params.effective_eps_r(), first_arrival)
+    ell_max = params.ell_max
+    state = _drain(g, t, ell_max, params.effective_eps_r(), first_arrival)
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
     rng = cfg.stream()
     n_f = params.num_paths()
-    starts = src.starts(rng, n_f)
-    paths = [random_walk_path(g, u, cfg, fixed_len=params.ell_max, rng=rng) for u in starts]
+    paths = random_walk_path(g, src.starts(rng, n_f), cfg, fixed_len=ell_max, rng=rng)
     if first_arrival:
-        first_hit = []
-        for path in paths:
-            j = next((k for k in range(1, len(path)) if path[k] == t), None)
-            first_hit.append(j if j is not None else params.ell_max + 1)
-    out = np.zeros(params.ell_max)
-    residuals = state.residuals
-    for ell in range(1, params.ell_max + 1):
-        base = src.dot(state.estimates[ell])
-        pairs = zip(paths, rng.integers(0, ell + 1, size=n_f))
+        hits = paths[:, 1:] == t
+        first_hit = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, ell_max + 1)
+    touched = list(set().union(*state.residuals))
+    col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
+    col[touched] = np.arange(len(touched))
+    residuals = np.zeros((ell_max + 1, len(touched) + 1))
+    for i, level in enumerate(state.residuals):
+        residuals[i, col[list(level)]] = list(level.values())
+    cols = col[paths]
+    rows = np.arange(n_f)
+    out = np.zeros(ell_max)
+    for ell in range(1, ell_max + 1):
+        k = rng.integers(0, ell + 1, size=n_f)
+        picked = residuals[ell - k, cols[rows, k]]
         if first_arrival:
-            pairs = [
-                (path, k)
-                for (path, k), j in zip(pairs, first_hit)
-                if k < j or k == j == ell
-            ]
-        mult = float(ell + 1)
-        total = 0.0
-        for path, k in pairs:
-            rv = residuals[ell - k].get(path[k], 0.0)
-            if rv:
-                total += mult * rv
-        out[ell - 1] = base + total / n_f
+            picked = picked[(k < first_hit) | ((k == first_hit) & (first_hit == ell))]
+        out[ell - 1] = src.dot(state.estimates[ell]) + (ell + 1) * picked.sum() / n_f
     return out
 
 

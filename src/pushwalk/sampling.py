@@ -4,6 +4,13 @@ All estimators draw their randomness through this module so that a single
 ``--seed`` makes every run reproducible. Walk lengths follow
 P[L = l] = (1-alpha)^l * alpha with support {0, 1, ...} — a walk may stop
 before taking any step, in which case its endpoint is its start.
+
+Batches of walks step in lockstep: each step moves every live walk at once,
+drawing one variate per live walk in a fixed walk order, over an
+out-adjacency CSR table that the first walk builds from
+``Graph.edge_arrays``. A batch's draws therefore depend only on the seed and
+the walk count. A single path (``random_walk_path`` from one node) steps
+walk by walk on the same table and by the same rule.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ def build_sampler(weighted_items) -> WeightedSampler:
     if not items:
         raise ValueError("all weights are zero")
     if all(abs(w - weights[0]) < 1e-15 * total for w in weights):
-        cum = None  # the direct index keeps unweighted walk steps bisect-free
+        cum = None  # the direct index keeps equal-weight draws bisect-free
     return WeightedSampler(items, cum, total)
 
 
@@ -116,12 +123,62 @@ def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
     return int(rng.geometric(cfg.alpha)) - 1
 
 
-def _step_samplers(g: Graph) -> list:
-    """Per-node samplers over out-neighbors (None for a dangling node),
-    built on the first walk and kept on the graph."""
-    if g.step_samplers is None:
-        g.step_samplers = [build_sampler(adj) if adj else None for adj in g.out_adj]
-    return g.step_samplers
+class _WalkTable:
+    """What a walk step reads: the out-adjacency as CSR arrays, built from
+    ``Graph.edge_arrays`` by the first walk and kept on the graph.
+
+    Node u's out-edges are entries ptr[u]:ptr[u] + deg[u] of ``heads``.
+    ``uneven[u]`` says that u's out-weights are not all equal, which holds
+    on no node of an unweighted graph. On a graph with uneven nodes,
+    ``keys[e]`` is the tail of edge e plus the inclusive running out-weight
+    of its node through e; each node's last key is exactly tail + 1, so the
+    keys never decrease along the array. Otherwise ``keys`` is None: no
+    step reads it.
+    """
+
+    __slots__ = ("ptr", "deg", "heads", "keys", "uneven", "dead_ends", "_lists")
+
+    def __init__(self, g: Graph):
+        tails, heads, weights = g.edge_arrays
+        deg = np.bincount(tails, minlength=g.n)
+        ptr = np.zeros(g.n, dtype=np.intp)
+        np.cumsum(deg[:-1], out=ptr[1:])
+        has = deg > 0
+        firsts = ptr[has]
+        spread = np.maximum.reduceat(weights, firsts) - np.minimum.reduceat(weights, firsts)
+        uneven = np.zeros(g.n, dtype=bool)
+        uneven[has] = spread >= 1e-15 * np.add.reduceat(weights, firsts)  # build_sampler's tolerance
+        self.ptr = ptr
+        self.deg = deg
+        self.heads = heads
+        self.uneven = uneven
+        self.dead_ends = not has.all()
+        self.keys = None
+        if uneven.any():
+            # each node's running out-weight, capped and ended at exactly 1
+            # so that rounding never lets one node's keys pass the next's
+            cum = np.cumsum(weights)
+            within = cum - np.repeat(cum[firsts] - weights[firsts], deg[has])
+            np.minimum(within, 1.0, out=within)
+            within[firsts + deg[has] - 1] = 1.0
+            self.keys = tails + within
+        self._lists = None
+
+    def lists(self) -> tuple[list, list, list, list | None, list]:
+        """(ptr, deg, heads, keys, uneven) as Python lists, built by the
+        first one-walk step, where list indexing beats numpy scalar
+        indexing."""
+        if self._lists is None:
+            keys = None if self.keys is None else self.keys.tolist()
+            self._lists = (self.ptr.tolist(), self.deg.tolist(), self.heads.tolist(), keys,
+                           self.uneven.tolist())
+        return self._lists
+
+
+def _walk_table(g: Graph) -> _WalkTable:
+    if g.walk_table is None:
+        g.walk_table = _WalkTable(g)
+    return g.walk_table
 
 
 def _dead_end(u: int) -> ValueError:
@@ -158,12 +215,13 @@ class Source:
         vec[self.node] = 1.0
         return vec
 
-    def starts(self, rng: np.random.Generator, count: int) -> list[int]:
+    def starts(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Start nodes of ``count`` walks; a node source draws nothing."""
         if self.node is not None:
-            return [self.node] * count
+            return np.full(count, self.node, dtype=np.intp)
         nodes = np.flatnonzero(self.sigma)
-        return build_sampler(zip(nodes.tolist(), self.sigma[nodes])).sample_many(rng, count)
+        picks = build_sampler(zip(nodes.tolist(), self.sigma[nodes])).sample_many(rng, count)
+        return np.array(picks, dtype=np.intp)
 
 
 def source_of(g: Graph, source) -> Source:
@@ -195,35 +253,108 @@ def source_of(g: Graph, source) -> Source:
     return Source(g.n, weights=vec)
 
 
+def _lockstep(
+    g: Graph,
+    u: np.ndarray,
+    live: list[int],
+    rng: np.random.Generator,
+    trail: np.ndarray | None = None,
+) -> None:
+    """Step the walks standing at ``u`` in place, all at once.
+
+    Step k moves the first live[k] walks (the caller orders them longest
+    first, so the live walks are a prefix) and draws one variate x per live
+    walk, in walk order. A walk at node v with d out-edges steps to edge
+    ptr[v] + int(x*d) when v's out-weights are all equal; x*d rounds below d
+    for every x < 1, so that index stays in v's slice. Otherwise it takes
+    the first edge whose key exceeds v + x, clamped to v's last edge, since
+    v + x can round up to v + 1. ``trail[k + 1]``, when given, records the
+    nodes after step k. A walk that must step from a node with no out-edges
+    raises ValueError.
+    """
+    table = _walk_table(g)
+    ptr, deg, heads = table.ptr, table.deg, table.heads
+    for k, count in enumerate(live):
+        at = u[:count]
+        d = deg[at]
+        if table.dead_ends and not d.all():
+            raise _dead_end(int(at[np.argmin(d)]))
+        x = rng.random(count)
+        lo = ptr[at]
+        e = lo + (x * d).astype(np.intp)
+        if table.keys is not None:
+            w = np.flatnonzero(table.uneven[at])
+            if w.size:
+                hit = np.searchsorted(table.keys, at[w] + x[w], side="right")
+                e[w] = np.minimum(hit, lo[w] + d[w] - 1)
+        at[:] = heads[e]
+        if trail is not None:
+            trail[k + 1] = u
+
+
 def random_walk_path(
     g: Graph,
-    start: int,
+    start,
     cfg: WalkConfig,
     fixed_len: int | None = None,
     rng: np.random.Generator | None = None,
-) -> list[int]:
-    """One walk as a node sequence.
+) -> list[int] | np.ndarray:
+    """One walk as a node list, or a batch of fixed-length walks as an array.
 
-    With ``fixed_len`` the path has exactly fixed_len+1 nodes (fixed-length
-    chain mode); otherwise the length is geometric per ``cfg.alpha``. A walk
-    that must step from a node with no out-edges raises ValueError (apply
-    the sink convention to avoid such nodes entirely). A start outside
-    [0, n) raises ValueError.
+    With an integer ``start`` this returns one walk as a list of nodes: with
+    ``fixed_len`` it has exactly fixed_len+1 nodes (fixed-length chain
+    mode); otherwise its length is geometric per ``cfg.alpha``. Each step
+    draws one variate.
+
+    With a 1-D integer array of starts and ``fixed_len``, it returns a
+    (len(starts), fixed_len+1) array whose row i is the walk from
+    starts[i], all walks stepped in lockstep: step k draws one variate per
+    walk, in row order, so the paths are deterministic per seed and count.
+
+    A walk that must step from a node with no out-edges raises ValueError
+    (apply the sink convention to avoid such nodes entirely). A start
+    outside [0, n), a non-integer array, or an array without ``fixed_len``
+    raises ValueError.
     """
+    if isinstance(start, np.ndarray):
+        _check_starts(g, start, fixed_len)
+        if rng is None:
+            rng = cfg.stream()
+        trail = np.empty((fixed_len + 1, len(start)), dtype=np.intp)
+        trail[0] = start
+        _lockstep(g, trail[0].copy(), [len(start)] * fixed_len, rng, trail)
+        return trail.T
     _check_node(g, start)
     if rng is None:
         rng = cfg.stream()
-    samplers = _step_samplers(g)
     length = fixed_len if fixed_len is not None else sample_geometric_length(cfg, rng)
-    path = [start]
-    u = start
+    # _lockstep's rule, one walk at a time on the table's list views
+    ptr, deg, heads, keys, uneven = _walk_table(g).lists()
+    rand = rng.random
+    u = int(start)
+    path = [u]
     for _ in range(length):
-        sampler = samplers[u]
-        if sampler is None:
+        d = deg[u]
+        if not d:
             raise _dead_end(u)
-        u = sampler.pick(rng.random())
+        lo = ptr[u]
+        if uneven[u]:
+            u = heads[min(bisect_right(keys, u + rand(), lo, lo + d), lo + d - 1)]
+        else:
+            u = heads[lo + int(rand() * d)]
         path.append(u)
     return path
+
+
+def _check_starts(g: Graph, starts: np.ndarray, fixed_len: int | None) -> None:
+    if fixed_len is None:
+        raise ValueError("an array of starts needs fixed_len")
+    if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
+        raise ValueError(f"starts must be a 1-D integer array, got {starts.dtype} "
+                         f"with shape {starts.shape}")
+    bad = (starts < 0) | (starts >= g.n)
+    if bad.any():
+        raise ValueError(f"node {starts[bad][0]} out of range for graph with {g.n} nodes")
 
 
 def walk_endpoints(
@@ -235,10 +366,13 @@ def walk_endpoints(
 ) -> list[int]:
     """Endpoints of ``count`` geometric walks (the Monte Carlo workhorse).
 
-    Lengths are drawn as one vectorized batch; steps then consume the stream
-    walk by walk, so results are reproducible for a fixed seed and count.
-    A walk that must step from a node with no out-edges raises ValueError,
-    as does a bad ``start`` (see source_of), even when ``count`` is 0.
+    The lengths are drawn as one batch, then the start nodes (for a
+    distribution source), then every walk steps in lockstep: walks are
+    ordered longest first, and step k draws one variate for each walk still
+    live. Results are deterministic per seed and count, and come back in
+    the order the lengths were drawn. A walk that must step from a node with
+    no out-edges raises ValueError, as does a bad ``start`` (see source_of),
+    even when ``count`` is 0.
     """
     src = source_of(g, start)
     if count < 0:
@@ -247,15 +381,12 @@ def walk_endpoints(
         return []
     if rng is None:
         rng = cfg.stream()
-    samplers = _step_samplers(g)
     lengths = rng.geometric(cfg.alpha, size=count) - 1
-    out: list[int] = []
-    rand = rng.random
-    for u, length in zip(src.starts(rng, count), lengths):
-        for _ in range(length):
-            sampler = samplers[u]
-            if sampler is None:
-                raise _dead_end(u)
-            u = sampler.pick(rand())
-        out.append(u)
-    return out
+    starts = src.starts(rng, count)
+    order = np.argsort(-lengths, kind="stable")
+    u = starts[order]
+    live = count - np.cumsum(np.bincount(lengths)[:-1])
+    _lockstep(g, u, live.tolist(), rng)
+    ends = np.empty_like(u)
+    ends[order] = u
+    return ends.tolist()

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import pushwalk as pw
 from pushwalk.sampling import sample_geometric_length
@@ -123,6 +124,14 @@ def test_walks_off_a_dead_end_raise():
     with pytest.raises(ValueError, match="node 1"):
         pw.random_walk_path(g, 1, cfg, fixed_len=1)
     assert pw.random_walk_path(g, 1, cfg, fixed_len=0) == [1]
+    with pytest.raises(ValueError, match="node 1"):
+        pw.random_walk_path(g, np.array([0, 1, 2]), cfg, fixed_len=1)
+    assert pw.random_walk_path(g, np.array([1]), cfg, fixed_len=0).tolist() == [[1]]
+    # the array form needs integer starts and a fixed length
+    with pytest.raises(ValueError, match="integer array"):
+        pw.random_walk_path(g, np.array([0.0, 2.0]), cfg, fixed_len=1)
+    with pytest.raises(ValueError, match="fixed_len"):
+        pw.random_walk_path(g, np.array([0, 2]), cfg)
 
 
 def test_walk_streams_are_reproducible():
@@ -131,6 +140,57 @@ def test_walk_streams_are_reproducible():
     a = pw.walk_endpoints(g, 0, 64, cfg)
     b = pw.walk_endpoints(g, 0, 64, cfg)
     assert a == b
+
+
+class _FixedVariates:
+    """Stands in for a Generator whose every uniform variate is x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self, size=None):
+        return self.x if size is None else np.full(size, self.x)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0 - 2.0**-53])
+def test_one_walk_and_lockstep_steps_pick_the_same_edge_inside_the_slice(x):
+    # node 0: seven edges of weight 1/7, stepped by index; nodes 1 and 2:
+    # uneven weights, stepped by key. At u >= 1, u + x rounds up to u + 1
+    # for the largest x, past the node's last key, so only the clamp keeps
+    # that step inside the node's slice.
+    sevenths = [(0, v, 1.0) for v in range(1, 8)]
+    uneven = [(1, 0, 0.1), (1, 3, 0.7), (1, 5, 0.2), (2, 4, 1.0), (2, 6, 3.0)]
+    g = pw.from_edges(sevenths + uneven + [(v, 0) for v in range(3, 8)], n=8)
+    cfg = pw.WalkConfig()
+    for u in range(g.n):
+        nbrs = [v for v, _ in g.out_adj[u]]
+        one = pw.random_walk_path(g, u, cfg, fixed_len=1, rng=_FixedVariates(x))[1]
+        many = pw.random_walk_path(g, np.array([u, u]), cfg, fixed_len=1, rng=_FixedVariates(x))
+        assert many[:, 1].tolist() == [one, one]
+        assert one == (nbrs[0] if x == 0.0 else nbrs[-1])
+
+
+def _chi2_pvalue(draws, probs) -> float:
+    obs = np.bincount(draws, minlength=probs.size)
+    reach = probs > 0.0
+    assert obs[~reach].sum() == 0
+    return float(stats.chisquare(obs[reach], f_exp=probs[reach] * draws.size).pvalue)
+
+
+def test_weighted_walk_laws_match_the_exact_distributions():
+    # every node weighted except node 3, so both step rules run
+    g = pw.from_edges([
+        (0, 1, 1.0), (0, 2, 3.0), (0, 3, 0.5), (1, 0, 2.0), (1, 3, 1.0),
+        (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
+        (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
+    ], n=5)
+    cfg = pw.WalkConfig(alpha=0.2, seed=21)
+    ends = np.array(pw.walk_endpoints(g, 0, 100_000, cfg))
+    assert _chi2_pvalue(ends, pw.exact_ppr(g, 0, 0.2)) > 0.001
+    paths = pw.random_walk_path(g, np.zeros(20_000, dtype=np.intp), cfg, fixed_len=6)
+    assert (paths[:, 0] == 0).all()
+    for k in range(1, 7):
+        assert _chi2_pvalue(paths[:, k], pw.exact_mstp(g, 0, k)) > 0.001
 
 
 _PATH_WITH_SINK = pw.apply_sink_convention(pw.from_edges([(0, 1), (1, 2)], n=3))
@@ -184,6 +244,8 @@ _TARGET_ENTRY_POINTS = {
     "exact_first_passage": lambda g, t: pw.exact_first_passage(g, 0, t, 3),
     # a path starts at one node, never at a distribution
     "random_walk_path": lambda g, v: pw.random_walk_path(g, v, pw.WalkConfig(), fixed_len=3),
+    "random_walk_path_array": lambda g, v: pw.random_walk_path(
+        g, np.array([0, v]), pw.WalkConfig(), fixed_len=3),
     # the sharded query's source indexes the stored per-node vectors
     "query_shared_walks": lambda g, s: pw.query_shared_walks(
         g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), s, 0),
