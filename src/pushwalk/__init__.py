@@ -54,6 +54,7 @@ from .pathsampling import (
     sample_target_exact,
 )
 from .push import (
+    DenseVec,
     PushResult,
     SparseVec,
     forward_push,

@@ -14,6 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph
 from .oracle import exact_global_pagerank
 from .push import PushResult, _check_node, reverse_push, reverse_push_balanced
@@ -144,11 +146,9 @@ def _walk_phase(
     if not pr.residuals:
         return PprEstimate(value, 0, pr.pushes_performed, r_max)
     w = num_walks(params, r_max)
-    cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    total = 0.0
-    for v in walk_endpoints(g, s, w, cfg):
-        total += pr.residuals.get(v, 0.0)
-    return PprEstimate(value + total / w, w, pr.pushes_performed, r_max)
+    ends = np.asarray(walk_endpoints(g, s, w, WalkConfig(alpha=params.alpha, seed=seed)))
+    picked = float(pr.residuals.values_at(ends).sum())
+    return PprEstimate(value + picked / w, w, pr.pushes_performed, r_max)
 
 
 def estimate_ppr(

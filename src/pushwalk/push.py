@@ -12,27 +12,29 @@ shrinks. Termination leaves every residual below a threshold, which bounds
 the estimate error.
 
 One scalar FIFO loop serves the fixed-threshold and logged reverse
-pushes. The fixed-threshold push has a second gear: whole-vector rounds
-(every node over the threshold pushed at once, one ``bincount`` over the
-graph's edge arrays per round) once its queue outgrows a fixed fraction of
-m, as on popular targets whose push reaches most of the graph. The balanced
-push runs in levels of frontier-gathered rounds, each level at a quarter of
-the largest residual: a round pushes every node over the level's threshold
-at once and reads only those nodes' in-edges from the graph's in-CSR, so
-its work is their in-degrees, the FIFO loop's own unit.
+pushes. Past that loop there is one dense round kernel: a round pushes
+every node over the threshold at once, and chooses by the number of
+in-edges those nodes have whether to gather just those edges from the
+graph's in-CSR or to scan all m edges with one ``bincount``. Either way
+its work is the pushed nodes' in-degrees, the FIFO loop's own unit. The
+fixed-threshold push switches to rounds once its queue outgrows a fixed
+fraction of m, as on popular targets whose push reaches most of the
+graph. The balanced push runs in levels of rounds, each level at a
+quarter of the largest residual.
 
-The FIFO loops, forward and reverse, touch only the nodes they reach.
-Rounds hold dense length-n vectors and scan them every round, so a call
-that enters them costs a few passes over n at least. The balanced push
-always does, which pays on targets whose push reaches a large share of the
-graph; on a target whose push stays small that floor is most of the cost
-(see ``reverse_push_balanced``).
+The FIFO loops, forward and reverse, touch only the nodes they reach and
+return ``SparseVec`` dicts. Rounds hold dense length-n vectors and return
+them as ``DenseVec`` views, so a call that enters them costs a few passes
+over n at least. The balanced push always does, which pays on targets
+whose push reaches a large share of the graph; on a target whose push
+stays small that floor is most of the cost (see ``reverse_push_balanced``).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,7 @@ from .graph import Graph
 
 __all__ = [
     "SparseVec",
+    "DenseVec",
     "PushResult",
     "reverse_push",
     "forward_push",
@@ -66,6 +69,17 @@ _ROUNDS_FRONTIER = 1 / 700
 # the FIFO levels at 1/2 these replace).
 _LEVEL_RATIO = 1 / 4
 
+# Gathered in-edges, as a fraction of m, past which a round scans all m
+# edges with one bincount instead of gathering the frontier's in-edges for
+# add.at. On the 284 rounds that the 45 distinct pair-hot targets' pushes
+# run (10k-node power-law graph, m = 20k; numpy 2.4, best of 5 on a shared
+# 2-core machine), the gather cost 28 us at under m/20 edges, 161 us at
+# 0.30-0.35 m and 632 us at 0.95-1.0 m, the scan 126, 189 and 309 us; they
+# cross near m/3. The 23 fixed-threshold targets' pushes took 20-24 ms at
+# 1/4 to 1/2 against 30-33 ms when every round gathers; the 22 balanced
+# ones 8-11 ms at any cutoff from 1/8 to 1.
+_GATHER_SHARE = 1 / 3
+
 
 class SparseVec(dict):
     """Sparse real vector over node ids; missing keys read as 0.0.
@@ -88,13 +102,82 @@ class SparseVec(dict):
     def max_value(self) -> float:
         return max(self.values(), default=0.0)
 
+    def values_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The entries at ``nodes``, 0.0 where there is none."""
+        return np.array([self.get(v, 0.0) for v in nodes.tolist()])
+
+
+class DenseVec(Mapping):
+    """Read-only view of a dense length-n push vector as a sparse one.
+
+    Its keys are the nonzero nodes in ascending order, found by one
+    ``flatnonzero`` the first time the view is iterated. Reads of single
+    nodes, ``len``, ``bool``, ``max_value`` and ``values_at`` go to
+    ``array`` directly. Missing keys read as 0.0, as in ``SparseVec``.
+    ``max_value`` assumes nonnegative entries, as push vectors are.
+    """
+
+    __slots__ = ("array", "_entries")
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+        self._entries: dict[int, float] | None = None
+
+    def _nonzeros(self) -> dict[int, float]:
+        if self._entries is None:
+            nz = np.flatnonzero(self.array)
+            self._entries = dict(zip(nz.tolist(), self.array[nz].tolist()))
+        return self._entries
+
+    def get(self, node, default=0.0):
+        if 0 <= node < self.array.size:
+            value = self.array[node]
+            if value:
+                return float(value)
+        return default
+
+    def __getitem__(self, node) -> float:
+        return self.get(node, 0.0)
+
+    def __contains__(self, node) -> bool:
+        return self.get(node, 0.0) != 0.0
+
+    def __iter__(self):
+        return iter(self._nonzeros())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array))
+
+    def __bool__(self) -> bool:
+        return bool(self.array.any())
+
+    def keys(self):
+        return self._nonzeros().keys()
+
+    def items(self):
+        return self._nonzeros().items()
+
+    def values(self):
+        return self._nonzeros().values()
+
+    def max_value(self) -> float:
+        return float(self.array.max())
+
+    def values_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The entries at ``nodes``."""
+        return self.array[nodes]
+
 
 @dataclass
 class PushResult:
-    """Outcome of one push run: estimates, residuals, and work accounting."""
+    """Outcome of one push run: estimates, residuals, and work accounting.
 
-    estimates: SparseVec
-    residuals: SparseVec
+    The vectors are ``SparseVec`` dicts after a FIFO loop and ``DenseVec``
+    views of the round kernel's arrays after rounds; both read alike.
+    """
+
+    estimates: SparseVec | DenseVec
+    residuals: SparseVec | DenseVec
     pushes_performed: int
     achieved_rmax: float
     work_units: int = 0
@@ -114,10 +197,10 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
 
     The push starts as a FIFO loop and, once its queue holds more than
     m/700 nodes, finishes in whole-vector rounds that push every node with
-    r > r_max at once. ``pushes_performed`` counts pushed nodes and
-    ``work_units`` scanned edges: in-degrees in the loop, m per round.
-    Either way each push settles more than alpha*r_max into p, so
-    pushes < sum(p)/(alpha*r_max).
+    r > r_max at once; its vectors are then ``DenseVec`` views.
+    ``pushes_performed`` counts pushed nodes and ``work_units`` their
+    in-degrees, on either path. Each push settles more than alpha*r_max
+    into p, so pushes < sum(p)/(alpha*r_max).
 
     r_max >= 1 returns immediately with p empty and r the unit vector at t.
     """
@@ -175,31 +258,15 @@ def _rounds_reverse(
     """Finish a reverse push in whole-vector rounds (PowerPush, Wu et al.,
     SIGMOD 2021): each round pushes every node with r > r_max at once, the
     FIFO loop's own eligibility rule, so pushes < sum(p)/(alpha*r_max)
-    still holds. A round scans all m edges; the counts continue the FIFO's."""
-    n = g.n
-    tails, heads, weights = g.edge_arrays
-    handed = (1.0 - alpha) * weights
-    est = np.zeros(n)
+    still holds. The counts continue the FIFO's."""
+    est = np.zeros(g.n)
     est[list(p)] = list(p.values())
-    res = np.zeros(n)
+    res = np.zeros(g.n)
     res[list(r)] = list(r.values())
-    while True:
-        pushed = res > r_max
-        count = int(np.count_nonzero(pushed))
-        if not count:
-            break
-        moved = np.where(pushed, res, 0.0)
-        est += alpha * moved
-        res[pushed] = 0.0
-        res += np.bincount(tails, weights=handed * moved[heads], minlength=n)
-        pushes += count
-        work += g.m
-    return PushResult(_sparse(est), _sparse(res), pushes, float(res.max()), work)
-
-
-def _sparse(dense: np.ndarray) -> SparseVec:
-    nz = np.flatnonzero(dense)
-    return SparseVec(zip(nz.tolist(), dense[nz].tolist()))
+    more, more_work = _rounds(g, est, res, r_max, alpha)
+    return PushResult(
+        DenseVec(est), DenseVec(res), pushes + more, float(res.max()), work + more_work
+    )
 
 
 def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
@@ -279,10 +346,11 @@ def reverse_push_balanced(
     residuals drain, in which case the estimates are exact.
 
     The dense vectors give every call a floor of a few passes over n. On
-    the 10k-node ``gen --kind power-law`` graph (delta = 4/n) the hub's push
-    takes 2.2 ms and a target of in-degree 0 takes 52 us, which a scalar
-    FIFO loop pushes in 4 us; at n = 100k, 21 ms and 0.4 ms (medians on a
-    shared 2-core machine).
+    the 10k-node ``gen --kind power-law`` graph (delta = 4/n) the push to
+    the top-PageRank node takes 1.2-1.8 ms and a target of in-degree 0
+    takes 26-41 us, which the FIFO loop pushes in 4-6 us; at n = 100k,
+    9-13 ms and 0.13-0.21 ms (medians of 15 and 201 calls over two runs on
+    a shared 2-core machine, numpy 2.4).
     """
     if delta <= 0.0 or c <= 0.0:
         raise ValueError("delta and c must be positive")
@@ -301,24 +369,35 @@ def reverse_push_balanced(
     while True:
         v = int(res.argmax())
         rv = float(res[v])
-        if rv == 0.0:
-            return PushResult(_sparse(est), SparseVec(), pushes, 0.0, work)
         cost = walk_time_constant * (work + int(in_ptr[v + 1] - in_ptr[v]))
-        if math.isnan(cost) or cost >= c * rv / delta:
-            return PushResult(_sparse(est), _sparse(res), pushes, rv, work)
-        theta = rv * _LEVEL_RATIO
-        while (frontier := np.flatnonzero(res > theta)).size:
-            work += _gathered_round(g, est, res, frontier, alpha)
-            pushes += frontier.size
+        if rv == 0.0 or math.isnan(cost) or cost >= c * rv / delta:
+            return PushResult(DenseVec(est), DenseVec(res), pushes, rv, work)
+        more, more_work = _rounds(g, est, res, rv * _LEVEL_RATIO, alpha)
+        pushes += more
+        work += more_work
+
+
+def _rounds(
+    g: Graph, est: np.ndarray, res: np.ndarray, theta: float, alpha: float
+) -> tuple[int, int]:
+    """Push the dense (est, res) in rounds until no residual exceeds theta.
+    Returns the pushes and the work, in in-degrees, that it took."""
+    pushes = work = 0
+    while (frontier := np.flatnonzero(res > theta)).size:
+        work += _gathered_round(g, est, res, frontier, alpha)
+        pushes += frontier.size
+    return pushes, work
 
 
 def _gathered_round(
     g: Graph, est: np.ndarray, res: np.ndarray, frontier: np.ndarray, alpha: float
 ) -> int:
-    """Push every node of ``frontier`` at once on the dense (est, res),
-    gathering the frontier's in-edges from the graph's in-CSR. Returns the
-    number of edges gathered: the pushed nodes' in-degrees, the FIFO loop's
-    work unit."""
+    """Push every node of ``frontier`` at once on the dense (est, res).
+
+    A frontier with at most m * ``_GATHER_SHARE`` in-edges has them gathered
+    from the graph's in-CSR and scattered with ``add.at``; a larger one
+    scans all m edges with one ``bincount``. Returns the pushed nodes'
+    in-degrees, the FIFO loop's work unit, on both paths."""
     in_ptr, in_tails, in_weights = g.in_csr
     moved = res[frontier]
     res[frontier] = 0.0
@@ -326,15 +405,15 @@ def _gathered_round(
     starts = in_ptr[frontier]
     counts = in_ptr[frontier + 1] - starts
     total = int(counts.sum())
-    if total:
+    if total > g.m * _GATHER_SHARE:
+        tails, heads, weights = g.edge_arrays
+        handed = np.zeros(g.n)
+        handed[frontier] = (1.0 - alpha) * moved
+        res += np.bincount(tails, weights=weights * handed[heads], minlength=g.n)
+    elif total:
         edges = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        tails = in_tails[edges]
         handed = (1.0 - alpha) * in_weights[edges] * np.repeat(moved, counts)
-        # One scatter path for every round size: with numpy 2.4, add.at beat
-        # a dense bincount(minlength=n) at 100 to 40k gathered edges, and
-        # the 22 distinct balanced pair-hot targets' pushes took 12.2-12.4
-        # ms with add.at alone against 12.7-12.9 ms with bincount alone.
-        np.add.at(res, tails, handed)
+        np.add.at(res, in_tails[edges], handed)
     return total
 
 

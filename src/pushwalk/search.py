@@ -189,8 +189,12 @@ def build_forward_vector(
 
 
 def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> ReverseVector:
+    """The push's vectors as ``SparseVec`` blocks, so that a stored index
+    holds only their nonzeros whichever push path ran."""
     pr = reverse_push(g, t, r_max, alpha)
-    return ReverseVector(g.n, t, pr.estimates, pr.residuals, r_max, alpha)
+    return ReverseVector(
+        g.n, t, SparseVec(pr.estimates.items()), SparseVec(pr.residuals.items()), r_max, alpha
+    )
 
 
 def _slots(

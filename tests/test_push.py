@@ -85,7 +85,16 @@ def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, sw
     g = rand_graph(np.random.default_rng(seed), n_max=30)
     t = seed % g.n
     alpha = 0.2
-    res = push._fifo_reverse(g, (t,), r_max, alpha, None, switch_at)
+    pushed = []
+    gathered = push._gathered_round
+
+    def counting_round(g, est, res, frontier, alpha):
+        pushed.append(frontier.copy())
+        return gathered(g, est, res, frontier, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(push, "_gathered_round", counting_round)
+        res = push._fifo_reverse(g, (t,), r_max, alpha, None, switch_at)
     pim = pw.exact_ppr_matrix(g, alpha)
     assert reverse_invariant_gap(g, t, res, pim, range(g.n)) < 1e-10
     assert res.residuals.max_value() <= r_max
@@ -93,9 +102,10 @@ def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, sw
     assert res.pushes_performed <= pim[:, t].sum() / (alpha * r_max)
     assert 0.0 not in res.estimates.values()
     assert 0.0 not in res.residuals.values()
-    if switch_at == 0.0:  # every round scans all m edges
-        assert res.work_units % g.m == 0
-        assert (res.work_units > 0) == (res.pushes_performed > 0)
+    if switch_at == 0.0:  # every push is a round's, counted in in-degrees
+        nodes = np.concatenate(pushed) if pushed else np.empty(0, dtype=int)
+        assert res.pushes_performed == nodes.size
+        assert res.work_units == sum(len(g.in_adj[v]) for v in nodes.tolist())
 
 
 def _power_law_3000():
@@ -125,6 +135,53 @@ def test_reverse_rounds_stay_off_local_pushes_and_bound_hub_pushes():
     for s in (hub, 1, 17, 500, 2999):
         truth = pw.exact_ppr(g, s, alpha)[hub]
         assert -1e-12 <= truth - res.estimates.get(s, 0.0) <= r_max
+
+
+def test_rounds_results_are_dense_views_that_read_like_sparse_vectors():
+    g = _power_law_3000()
+    alpha, r_max = 0.2, 1e-3
+    hub = int(np.argmax(pw.exact_global_pagerank(g, alpha)))
+    res = pw.reverse_push(g, hub, r_max, alpha)
+    assert isinstance(res.estimates, pw.DenseVec)
+    assert isinstance(res.residuals, pw.DenseVec)
+    for vec in (res.estimates, res.residuals):
+        arr = vec.array
+        nz = np.flatnonzero(arr).tolist()
+        assert dict(vec) == {v: float(arr[v]) for v in nz}
+        assert list(vec) == nz == sorted(nz)  # ascending iteration
+        assert list(vec.keys()) == nz
+        assert list(vec.values()) == arr[nz].tolist()
+        assert len(vec) == len(nz) > 0
+        assert bool(vec)
+        assert vec.max_value() == arr.max()
+        assert nz[0] in vec
+        nodes = np.arange(g.n)
+        assert vec.values_at(nodes).tolist() == pw.SparseVec(vec.items()).values_at(nodes).tolist()
+    zero = int(np.flatnonzero(res.residuals.array == 0.0)[0])
+    assert res.residuals.get(zero, 0.0) == 0.0 and res.residuals[zero] == 0.0
+    assert zero not in res.residuals
+    assert res.residual_mass() == pytest.approx(res.residuals.array.sum(), rel=1e-12)
+    union = res.estimates.keys() | res.residuals.keys()
+    assert union == set(np.flatnonzero(res.estimates.array + res.residuals.array).tolist())
+    empty = pw.DenseVec(np.zeros(4))
+    assert (len(empty), bool(empty), empty.max_value(), dict(empty)) == (0, False, 0.0, {})
+
+
+def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
+    # The estimate is p[s] plus the mean residual at the same walks' endpoints.
+    g = _power_law_3000()
+    params = pw.PprParams(delta=1e-5, r_max=1e-3)
+    hub = int(np.argmax(pw.exact_global_pagerank(g, params.alpha)))
+    pr = pw.reverse_push(g, hub, params.r_max, params.alpha)
+    assert isinstance(pr.residuals, pw.DenseVec)
+    for s, seed in ((hub, 3), (17, 5), (2999, 8)):
+        w = pw.num_walks(params, params.r_max)
+        total = 0.0
+        for v in pw.walk_endpoints(g, s, w, pw.WalkConfig(params.alpha, seed)):
+            total += pr.residuals.get(v, 0.0)
+        est = pw.estimate_ppr(g, s, hub, params, seed=seed)
+        assert est.walks_used == w
+        assert est.value == pytest.approx(pr.estimates.get(s, 0.0) + total / w, abs=1e-12)
 
 
 # ---------------------------------------------------------------- forward

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk.cli import generate_synthetic
 from pushwalk.push import SparseVec
 from conftest import rand_graph, two_cycle
 
@@ -284,6 +285,28 @@ def test_index_sidecar_roundtrip(tmp_path):
     path = tmp_path / "idx.bin"
     pw.save_index(path, payload)
     assert pw.load_index(path) == payload
+
+
+def test_stored_reverse_vectors_stay_sparse_through_save_and_load(tmp_path):
+    lines = generate_synthetic("power-law", 3000, 0)
+    g = pw.apply_sink_convention(pw.parse_edge_lines(lines, undirected=False))
+    alpha, r_max = 0.2, 1e-3
+    hub = int(np.argmax(pw.exact_global_pagerank(g, alpha)))
+    pr = pw.reverse_push(g, hub, r_max, alpha)
+    assert isinstance(pr.residuals, pw.DenseVec)  # the push ran in rounds
+    rv = pw.build_reverse_vector(g, hub, r_max, alpha)
+    assert type(rv.estimates) is SparseVec and type(rv.residuals) is SparseVec
+    assert rv.estimates == dict(pr.estimates) and rv.residuals == dict(pr.residuals)
+    grouped = pw.build_grouped_index(g, [hub, 5], r_max, alpha)
+    path = tmp_path / "idx.bin"
+    pw.save_index(path, {"vectors": {hub: rv}, "grouped": grouped})
+    assert b"numpy" not in path.read_bytes()  # plain ints and floats only
+    back = pw.load_index(path)
+    got = back["vectors"][hub]
+    assert type(got.estimates) is SparseVec and type(got.residuals) is SparseVec
+    assert list(got.estimates.items()) == list(rv.estimates.items())
+    assert list(got.residuals.items()) == list(rv.residuals.items())
+    assert back["grouped"].slots == grouped.slots
 
 
 def test_index_sidecar_rejects_garbage(tmp_path):
