@@ -208,7 +208,7 @@ def monte_carlo_ppr(
         raise ValueError("walk count must be positive")
     _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    endpoints = walk_endpoints(g, s, walks, cfg)
+    endpoints = walk_endpoints(g, source_of(g, s), walks, cfg)
     hits = sum(1 for v in endpoints if v == t)
     return PprEstimate(hits / walks, walks, 0, math.inf)
 

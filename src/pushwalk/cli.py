@@ -283,8 +283,8 @@ def run_benchmark(g: Graph, spec: BenchSpec) -> list[dict]:
 
 # estimate --method -> the optional flags that method reads
 _ESTIMATE_FLAGS = {
-    "bidirectional": {"rmax", "use_theorem_c"},
-    "balanced": {"walk_time_constant", "use_theorem_c"},
+    "bidirectional": {"rmax", "c", "use_theorem_c"},
+    "balanced": {"walk_time_constant", "c", "use_theorem_c"},
     "monte-carlo": {"walks"},
     "undirected": {"rmax"},
 }
@@ -312,7 +312,8 @@ def _build_parser() -> _Parser:
     accuracy.add_argument("--delta", type=float, help="smallest score to resolve (default per command)")
     accuracy.add_argument("--eps", type=float, default=PprParams.epsilon)
     accuracy.add_argument("--pfail", type=float, default=PprParams.p_fail)
-    accuracy.add_argument("--c", type=float, default=PprParams.c)
+    # unset until _walk_constant, so that estimate can tell a given --c apart
+    accuracy.add_argument("--c", type=float, help=f"walk-count constant (default {PprParams.c:g})")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="write a synthetic graph")
@@ -447,13 +448,21 @@ def _default_delta(args, g: Graph) -> float:
     return args.delta if args.delta is not None else 1.0 / g.n
 
 
+def _walk_constant(args) -> float:
+    """--c, else the default that PprParams and MstpParams share. Stores it
+    in ``args``, so that the config record shows the value used."""
+    if args.c is None:
+        args.c = PprParams.c
+    return args.c
+
+
 def _mstp_params(args, g: Graph, ell_max: int, **knobs) -> MstpParams:
     return MstpParams(
         ell_max=ell_max,
         delta=_default_delta(args, g),
         epsilon=args.eps,
         p_fail=args.pfail,
-        c=args.c,
+        c=_walk_constant(args),
         **knobs,
     )
 
@@ -499,7 +508,7 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_estimate(args, out) -> int:
-    for flag in ("rmax", "walk_time_constant", "walks", "use_theorem_c"):
+    for flag in ("rmax", "c", "walk_time_constant", "walks", "use_theorem_c"):
         value = getattr(args, flag)  # unset: None, or False for --use-theorem-c
         if value is not None and value is not False and flag not in _ESTIMATE_FLAGS[args.method]:
             option = "--" + flag.replace("_", "-")
@@ -513,7 +522,7 @@ def _cmd_estimate(args, out) -> int:
         alpha=args.alpha,
         epsilon=args.eps,
         p_fail=args.pfail,
-        c=args.c,
+        c=_walk_constant(args),
         r_max=args.rmax,
         use_theorem_c=args.use_theorem_c,
     )
@@ -817,7 +826,7 @@ def _cmd_bench(args, out) -> int:
         delta=args.delta,
         epsilon=args.eps,
         p_fail=args.pfail,
-        c=args.c,
+        c=_walk_constant(args),
         mc_walks=args.mc_walks,
         seed=args.seed,
     )

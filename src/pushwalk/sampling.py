@@ -317,7 +317,9 @@ def random_walk_path(
     raises ValueError.
     """
     if isinstance(start, np.ndarray):
-        _check_starts(g, start, fixed_len)
+        if fixed_len is None:
+            raise ValueError("an array of starts needs fixed_len")
+        _check_starts(g, start)
         if rng is None:
             rng = cfg.stream()
         trail = np.empty((fixed_len + 1, len(start)), dtype=np.intp)
@@ -346,9 +348,7 @@ def random_walk_path(
     return path
 
 
-def _check_starts(g: Graph, starts: np.ndarray, fixed_len: int | None) -> None:
-    if fixed_len is None:
-        raise ValueError("an array of starts needs fixed_len")
+def _check_starts(g: Graph, starts: np.ndarray) -> None:
     if starts.ndim != 1 or not np.issubdtype(starts.dtype, np.integer):
         raise ValueError(f"starts must be a 1-D integer array, got {starts.dtype} "
                          f"with shape {starts.shape}")
@@ -363,30 +363,43 @@ def walk_endpoints(
     count: int,
     cfg: WalkConfig,
     rng: np.random.Generator | None = None,
-) -> list[int]:
+) -> list[int] | np.ndarray:
     """Endpoints of ``count`` geometric walks (the Monte Carlo workhorse).
+
+    ``start`` is a node, a distribution (a {node: weight} dict or a dense
+    float array; see source_of), or a 1-D integer array of start nodes, one
+    walk per entry. A node or a distribution returns a list of endpoints;
+    an array of starts needs ``count == len(start)`` and returns an intp
+    array of endpoints aligned with it.
 
     The lengths are drawn as one batch, then the start nodes (for a
     distribution source), then every walk steps in lockstep: walks are
     ordered longest first, and step k draws one variate for each walk still
     live. Results are deterministic per seed and count, and come back in
     the order the lengths were drawn. A walk that must step from a node with
-    no out-edges raises ValueError, as does a bad ``start`` (see source_of),
-    even when ``count`` is 0.
+    no out-edges raises ValueError, as does a bad ``start`` (see source_of;
+    an array entry outside [0, n) or an array that is not 1-D), even when
+    ``count`` is 0.
     """
-    src = source_of(g, start)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
+    src = None
+    if isinstance(start, np.ndarray) and np.issubdtype(start.dtype, np.integer):
+        _check_starts(g, start)
+        if count != len(start):
+            raise ValueError(f"count {count} does not match the {len(start)} starts")
+    else:
+        src = source_of(g, start)
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if count == 0:
+            return []
     if rng is None:
         rng = cfg.stream()
     lengths = rng.geometric(cfg.alpha, size=count) - 1
-    starts = src.starts(rng, count)
+    starts = np.asarray(start, dtype=np.intp) if src is None else src.starts(rng, count)
     order = np.argsort(-lengths, kind="stable")
     u = starts[order]
-    live = count - np.cumsum(np.bincount(lengths)[:-1])
+    live = count - np.cumsum(np.bincount(lengths, minlength=1)[:-1])
     _lockstep(g, u, live.tolist(), rng)
     ends = np.empty_like(u)
     ends[order] = u
-    return ends.tolist()
+    return ends if src is None else ends.tolist()

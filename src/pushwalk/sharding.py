@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .graph import Graph
 from .push import PushResult, SparseVec, _check_node, forward_push, reverse_push
 from .sampling import WalkConfig, walk_endpoints
@@ -195,25 +197,32 @@ def build_shared_walk_vectors(
     forward from a hub floods the graph for no savings). Everyone else
     stores the reduced budget n_w plus a forward push at r_max_f, whose
     residuals let queries borrow the neighborhood's walks.
+
+    Every node's walks step together as one lockstep batch (node v's walks
+    are entries of one ``walk_endpoints`` call over the repeated starts), and
+    node v's ``endpoint_freqs[v][u]`` is the number of its walks that ended
+    at u divided by its walk count.
     """
     if params is None:
         params = SharedWalkParams()
     r_max_f = params.r_max_f(delta)
     r_max_r = params.r_max_r(delta)
     store = SharedWalkStore(alpha, delta, d_max, params, r_max_f, r_max_r)
-    n_w = params.shared_walks(delta)
-    n_full = params.full_walks(delta)
-    cfg = WalkConfig(alpha=alpha, seed=seed)
-    rng = cfg.stream()
-    for v in range(g.n):
-        full = g.degree(v) > d_max
-        count = n_full if full else n_w
-        freqs = SparseVec()
-        for u in walk_endpoints(g, v, count, cfg, rng=rng):
-            freqs.add(u, 1.0 / count)
-        store.walk_counts.append(count)
-        store.endpoint_freqs.append(freqs)
-        store.full_walk.append(full)
+    n = g.n
+    store.full_walk = [g.degree(v) > d_max for v in range(n)]
+    counts = np.where(store.full_walk, params.full_walks(delta), params.shared_walks(delta))
+    store.walk_counts = counts.tolist()
+    starts = np.repeat(np.arange(n), counts)
+    ends = walk_endpoints(g, starts, len(starts), WalkConfig(alpha=alpha, seed=seed))
+    codes, hits = np.unique(starts * n + ends, return_counts=True)
+    owner = codes // n
+    cut = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    nodes = (codes % n).tolist()
+    freqs = (hits / counts[owner]).tolist()
+    store.endpoint_freqs = [
+        SparseVec(zip(nodes[a:b], freqs[a:b])) for a, b in zip(cut, cut[1:])
+    ]
+    for v, full in enumerate(store.full_walk):
         if full:
             store.fwd_estimates.append(SparseVec())
             store.fwd_residuals.append(SparseVec({v: 1.0}))
@@ -241,6 +250,7 @@ def query_shared_walks(
     store.alpha) passes it as ``rev`` instead of pushing twice.
     """
     _check_node(g, s)
+    _check_node(g, t)
     if rev is None:
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
     value = store.fwd_estimates[s].get(t, 0.0)

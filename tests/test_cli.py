@@ -138,7 +138,8 @@ def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
                          ("balanced", "--walks"),
                          ("bidirectional", "--walk-time-constant"),
                          ("monte-carlo", "--walk-time-constant"),
-                         ("balanced", "--rmax"), ("monte-carlo", "--rmax")):
+                         ("balanced", "--rmax"), ("monte-carlo", "--rmax"),
+                         ("monte-carlo", "--c"), ("undirected", "--c")):
         assert cli.main(base + ["--method", method, flag, "2"]) == 1
         assert f"{flag} does not apply to --method {method}" in capsys.readouterr().err
     for method in ("monte-carlo", "undirected"):
@@ -148,6 +149,20 @@ def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
     with pytest.raises(SystemExit) as exc:  # the old method booleans are gone
         cli.main(base + ["--balanced"])
     assert exc.value.code == 1
+
+
+def test_estimate_walk_constant_sizes_the_walks(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen", "--kind", "power-law", "--n", "300", "--output", str(path)]) == 0
+    capsys.readouterr()
+    base = ["estimate", "--graph", str(path), "--source", "9", "--target", "0",
+            "--delta", "0.001"]
+    walks = {}
+    for extra in ([], ["--c", "7"], ["--c", "50"]):
+        assert cli.main(base + ["--method", "bidirectional", "--rmax", "0.01"] + extra) == 0
+        walks[tuple(extra)] = _records(capsys)[1]["counters"]["walks"]
+    # the default is PprParams.c; a larger constant buys more walks
+    assert walks[()] == walks[("--c", "7")] < walks[("--c", "50")]
 
 
 def test_estimate_mstp_and_first_passage(two_cycle_file, capsys):
@@ -438,8 +453,9 @@ def test_flag_defaults_come_from_the_library():
                     ["bench"]):
         args = parser.parse_args(command)
         assert args.alpha == ppr.alpha and args.delta is None
-        assert (args.eps, args.pfail, args.c) == (ppr.epsilon, ppr.p_fail, ppr.c)
-        assert (args.eps, args.pfail, args.c) == (mstp.epsilon, mstp.p_fail, mstp.c)
+        c = cli._walk_constant(args)  # --c stays unset until the command reads it
+        assert (args.eps, args.pfail, c) == (ppr.epsilon, ppr.p_fail, ppr.c)
+        assert (args.eps, args.pfail, c) == (mstp.epsilon, mstp.p_fail, mstp.c)
     args = parser.parse_args(["precompute", "--delta", "0.1"])
     walk = pw.SharedWalkParams()
     assert (args.c1, args.c2, args.c3) == (walk.c1, walk.c2, walk.c3)

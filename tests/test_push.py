@@ -328,7 +328,10 @@ def test_balanced_hub_push_brackets_exact_scores_and_counts_in_degrees(monkeypat
     lambda g, v: pw.reverse_push(g, v, 0.1, 0.2),
     lambda g, v: pw.reverse_push_balanced(g, v, 0.2, delta=0.01),
     lambda g, v: pw.random_walk_path(g, v, pw.WalkConfig(), fixed_len=3),
-], ids=["reverse_push", "reverse_push_balanced", "random_walk_path"])
+    lambda g, v: pw.query_shared_walks(
+        g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), 0, v,
+        rev=pw.reverse_push(g, 0, 0.1, 0.2)),
+], ids=["reverse_push", "reverse_push_balanced", "random_walk_path", "query_shared_walks_rev"])
 @pytest.mark.parametrize("node", [1.5, 1.0, "1", None])
 def test_non_integer_node_ids_are_rejected(entry, node):
     with pytest.raises(ValueError, match="not an integer node id"):

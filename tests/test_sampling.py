@@ -177,13 +177,16 @@ def _chi2_pvalue(draws, probs) -> float:
     return float(stats.chisquare(obs[reach], f_exp=probs[reach] * draws.size).pvalue)
 
 
+# every node weighted except node 3, so both step rules run
+_WEIGHTED = pw.from_edges([
+    (0, 1, 1.0), (0, 2, 3.0), (0, 3, 0.5), (1, 0, 2.0), (1, 3, 1.0),
+    (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
+    (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
+], n=5)
+
+
 def test_weighted_walk_laws_match_the_exact_distributions():
-    # every node weighted except node 3, so both step rules run
-    g = pw.from_edges([
-        (0, 1, 1.0), (0, 2, 3.0), (0, 3, 0.5), (1, 0, 2.0), (1, 3, 1.0),
-        (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
-        (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
-    ], n=5)
+    g = _WEIGHTED
     cfg = pw.WalkConfig(alpha=0.2, seed=21)
     ends = np.array(pw.walk_endpoints(g, 0, 100_000, cfg))
     assert _chi2_pvalue(ends, pw.exact_ppr(g, 0, 0.2)) > 0.001
@@ -191,6 +194,51 @@ def test_weighted_walk_laws_match_the_exact_distributions():
     assert (paths[:, 0] == 0).all()
     for k in range(1, 7):
         assert _chi2_pvalue(paths[:, k], pw.exact_mstp(g, 0, k)) > 0.001
+
+
+def test_endpoints_from_mixed_starts_match_the_exact_rows():
+    g = _WEIGHTED
+    starts = np.repeat(np.arange(g.n), [30_000, 10_000, 20_000, 15_000, 25_000])
+    ends = pw.walk_endpoints(g, starts, starts.size, pw.WalkConfig(alpha=0.2, seed=22))
+    assert ends.dtype == np.intp and ends.shape == starts.shape
+    for v in range(g.n):
+        assert _chi2_pvalue(ends[starts == v], pw.exact_ppr(g, v, 0.2)) > 0.001
+
+
+def test_array_of_starts_steps_like_a_node_source():
+    # one batch of lengths, longest first, then the same lockstep steps
+    cfg = pw.WalkConfig(alpha=0.2, seed=23)
+    one = pw.walk_endpoints(_WEIGHTED, 2, 500, cfg)
+    many = pw.walk_endpoints(_WEIGHTED, np.full(500, 2, dtype=np.int32), 500, cfg)
+    assert isinstance(one, list)
+    assert many.tolist() == one
+    assert pw.walk_endpoints(_WEIGHTED, np.array([], dtype=np.intp), 0, cfg).size == 0
+
+
+def test_array_of_starts_is_checked():
+    g = pw.from_edges([(0, 1), (0, 2), (2, 0)], n=3)  # node 1 is a dead end
+    cfg = pw.WalkConfig(alpha=0.2, seed=24)
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            pw.walk_endpoints(g, np.array([0, bad]), 2, cfg)
+    with pytest.raises(ValueError, match="1-D"):
+        pw.walk_endpoints(g, np.array([[0, 2], [2, 0]]), 4, cfg)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"count {count} does not match the 2 starts"):
+            pw.walk_endpoints(g, np.array([0, 2]), count, cfg)
+    with pytest.raises(ValueError, match="node 1"):
+        pw.walk_endpoints(g, np.array([0, 2] * 100), 200, cfg)
+
+
+def test_a_float_array_is_still_a_distribution():
+    g = two_cycle()
+    cfg = pw.WalkConfig(alpha=0.2, seed=25)
+    ends = pw.walk_endpoints(g, np.array([0.25, 0.75]), 1000, cfg)
+    assert ends == pw.walk_endpoints(g, {0: 0.25, 1: 0.75}, 1000, cfg)
+    # the estimators read every length-n array, integer ones too, as weights
+    params = pw.PprParams(delta=0.1)
+    assert (pw.monte_carlo_ppr(g, np.array([1, 3]), 0, params, walks=500, seed=2).value
+            == pw.monte_carlo_ppr(g, {0: 1.0, 1: 3.0}, 0, params, walks=500, seed=2).value)
 
 
 _PATH_WITH_SINK = pw.apply_sink_convention(pw.from_edges([(0, 1), (1, 2)], n=3))
@@ -249,6 +297,10 @@ _TARGET_ENTRY_POINTS = {
     # the sharded query's source indexes the stored per-node vectors
     "query_shared_walks": lambda g, s: pw.query_shared_walks(
         g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), s, 0),
+    # a caller's reverse push does not excuse the target from the check
+    "query_shared_walks_rev": lambda g, t: pw.query_shared_walks(
+        g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), 0, t,
+        rev=pw.reverse_push(g, 0, 0.1, 0.2)),
 }
 
 

@@ -145,6 +145,23 @@ def test_store_flags_hubs_as_full_walk():
         assert sum(store.endpoint_freqs[v].values()) == pytest.approx(1.0)
 
 
+def test_store_frequencies_count_each_nodes_own_walks(rng):
+    g = rand_graph(rng, n_max=40, n_min=20, directed=True)
+    d_max = float(np.median([g.degree(v) for v in range(g.n)]))
+    store = pw.build_shared_walk_vectors(g, 0.2, 0.01, d_max=d_max, seed=7)
+    assert set(store.walk_counts) == {store.params.shared_walks(0.01),
+                                      store.params.full_walks(0.01)}
+    pim = pw.exact_ppr_matrix(g, 0.2)
+    for v in range(g.n):
+        count = store.walk_counts[v]
+        assert all(pim[v][u] > 0.0 for u in store.endpoint_freqs[v])  # v's own walks
+        freqs = np.array(list(store.endpoint_freqs[v].values()))
+        hits = freqs * count
+        assert np.all(hits >= 1.0 - 1e-9)
+        assert np.abs(hits - np.round(hits)).max() < 1e-9
+        assert abs(freqs.sum() - 1.0) <= 1e-12
+
+
 def test_store_coordinate_form_is_shardable():
     g = two_cycle()
     store = pw.build_shared_walk_vectors(g, 0.2, 0.05, d_max=6.0, seed=5)
