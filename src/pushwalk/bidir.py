@@ -103,7 +103,7 @@ def default_r_max(g: Graph, params: PprParams) -> float:
     epsilon * sqrt(davg * delta / ln(2/p_fail)) with davg = m/n; derived by
     equating the two phases' costs under the worst-case walk count.
     """
-    davg = g.average_degree()
+    davg = g.m / g.n
     return params.epsilon * math.sqrt(
         davg * params.delta / math.log(2.0 / params.p_fail)
     )

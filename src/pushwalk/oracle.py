@@ -29,6 +29,9 @@ __all__ = [
     "exact_conditional_path_dist",
 ]
 
+_TOL = 1e-12  # power-iteration error bound (see exact_ppr)
+_PATH_CAP = 2_000_000  # most walks exact_conditional_path_dist enumerates
+
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to converge (signals a normalization bug)."""
@@ -40,37 +43,34 @@ class UnreachableTargetError(ValueError):
 
 def transition_matrix(g: Graph) -> np.ndarray:
     """Dense row-stochastic transition matrix W (dangling rows are zero)."""
+    tails, heads, weights = g.edge_arrays
     W = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v, w in g.out_adj[u]:
-            W[u, v] += w
+    W[tails, heads] = weights
     return W
 
 
-def exact_ppr(g: Graph, source, alpha: float, tol: float = 1e-12) -> np.ndarray:
+def exact_ppr(g: Graph, source, alpha: float) -> np.ndarray:
     """Exact personalized PageRank by power iteration over the edge list.
 
     Iterates p <- alpha*s + (1-alpha)*p@W from p0 = s, one O(m) bincount
     per step (no n x n matrix is built), until the successive
-    infinity-norm change drops below tol*alpha, which bounds the final
-    infinity-norm error by ~tol. Raises ConvergenceError after
-    ceil(log(tol)/log(1-alpha)) + 64 iterations — on a properly normalized
+    infinity-norm change drops below _TOL*alpha, which bounds the final
+    infinity-norm error by ~_TOL = 1e-12. Raises ConvergenceError after
+    ceil(log(_TOL)/log(1-alpha)) + 64 iterations — on a properly normalized
     graph with the sink convention applied that never happens.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = source_of(g, source).distribution()
     tails, heads, weights = g.edge_arrays
-    max_iters = math.ceil(math.log(tol) / math.log(1.0 - alpha)) + 64
+    max_iters = math.ceil(math.log(_TOL) / math.log(1.0 - alpha)) + 64
     p = s.copy()
     for _ in range(max_iters):
         step = np.bincount(heads, weights=p[tails] * weights, minlength=g.n)
         nxt = alpha * s + (1.0 - alpha) * step
         delta = float(np.max(np.abs(nxt - p)))
         p = nxt
-        if delta < tol * alpha:
+        if delta < _TOL * alpha:
             return p
     raise ConvergenceError(
         f"power iteration did not converge in {max_iters} iterations; "
@@ -94,9 +94,9 @@ def exact_ppr_matrix(g: Graph, alpha: float) -> np.ndarray:
     return alpha * np.linalg.inv(A)
 
 
-def exact_global_pagerank(g: Graph, alpha: float, tol: float = 1e-12) -> np.ndarray:
+def exact_global_pagerank(g: Graph, alpha: float) -> np.ndarray:
     """Global PageRank: PPR from the uniform source distribution."""
-    return exact_ppr(g, np.full(g.n, 1.0 / g.n), alpha, tol)
+    return exact_ppr(g, np.full(g.n, 1.0 / g.n), alpha)
 
 
 def exact_mstp(g: Graph, source, ell: int) -> np.ndarray:
@@ -143,7 +143,6 @@ def exact_conditional_path_dist(
     targets,
     alpha: float,
     max_len: int,
-    path_cap: int = 2_000_000,
 ) -> tuple[dict[tuple[int, ...], float], float]:
     """Exhaustive conditional path distribution for tiny graphs.
 
@@ -155,7 +154,7 @@ def exact_conditional_path_dist(
     conditional mass of target-terminated walks longer than max_len.
 
     Raises UnreachableTargetError when pi_s(targets) is zero, and
-    RuntimeError when the enumeration would exceed ``path_cap`` paths.
+    RuntimeError when the enumeration would exceed 2,000,000 paths.
     """
     target_set = set(targets)
     if not target_set:
@@ -176,8 +175,8 @@ def exact_conditional_path_dist(
         nxt: list[tuple[tuple[int, ...], float]] = []
         for path, prob in frontier:
             count += 1
-            if count > path_cap:
-                raise RuntimeError(f"path enumeration exceeded cap {path_cap}")
+            if count > _PATH_CAP:
+                raise RuntimeError(f"path enumeration exceeded cap {_PATH_CAP}")
             if path[-1] in target_set:
                 dist[path] = dist.get(path, 0.0) + alpha * prob / total
                 enumerated += alpha * prob

@@ -6,11 +6,11 @@ P[L = l] = (1-alpha)^l * alpha with support {0, 1, ...} — a walk may stop
 before taking any step, in which case its endpoint is its start.
 
 Batches of walks step in lockstep: each step moves every live walk at once,
-drawing one variate per live walk in a fixed walk order, over an
-out-adjacency CSR table that the first walk builds from
-``Graph.edge_arrays``. A batch's draws therefore depend only on the seed and
+drawing one variate per live walk in a fixed walk order, over the graph's
+out-adjacency CSR arrays and a table of per-node step keys that the first
+walk builds from them. A batch's draws therefore depend only on the seed and
 the walk count. A single path (``random_walk_path`` from one node) steps
-walk by walk on the same table and by the same rule.
+walk by walk on list copies of the same arrays and by the same rule.
 """
 
 from __future__ import annotations
@@ -124,33 +124,29 @@ def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
 
 
 class _WalkTable:
-    """What a walk step reads: the out-adjacency as CSR arrays, built from
-    ``Graph.edge_arrays`` by the first walk and kept on the graph.
+    """What a walk step reads besides the graph's CSR arrays, built by the
+    first walk and kept on the graph.
 
-    Node u's out-edges are entries ptr[u]:ptr[u] + deg[u] of ``heads``.
-    ``uneven[u]`` says that u's out-weights are not all equal, which holds
-    on no node of an unweighted graph. On a graph with uneven nodes,
-    ``keys[e]`` is the tail of edge e plus the inclusive running out-weight
-    of its node through e; each node's last key is exactly tail + 1, so the
-    keys never decrease along the array. Otherwise ``keys`` is None: no
-    step reads it.
+    Node u's out-edges are entries out_ptr[u]:out_ptr[u] + deg[u] of
+    ``Graph.heads``. ``uneven[u]`` says that u's out-weights are not all
+    equal, which holds on no node of an unweighted graph. On a graph with
+    uneven nodes, ``keys[e]`` is the tail of edge e plus the inclusive
+    running out-weight of its node through e; each node's last key is
+    exactly tail + 1, so the keys never decrease along the array. Otherwise
+    ``keys`` is None: no step reads it.
     """
 
-    __slots__ = ("ptr", "deg", "heads", "keys", "uneven", "dead_ends", "_lists")
+    __slots__ = ("deg", "keys", "uneven", "dead_ends", "_lists")
 
     def __init__(self, g: Graph):
-        tails, heads, weights = g.edge_arrays
-        deg = np.bincount(tails, minlength=g.n)
-        ptr = np.zeros(g.n, dtype=np.intp)
-        np.cumsum(deg[:-1], out=ptr[1:])
+        tails, _, weights = g.edge_arrays
+        deg = np.diff(g.out_ptr)
         has = deg > 0
-        firsts = ptr[has]
+        firsts = g.out_ptr[:-1][has]
         spread = np.maximum.reduceat(weights, firsts) - np.minimum.reduceat(weights, firsts)
         uneven = np.zeros(g.n, dtype=bool)
         uneven[has] = spread >= 1e-15 * np.add.reduceat(weights, firsts)  # build_sampler's tolerance
-        self.ptr = ptr
         self.deg = deg
-        self.heads = heads
         self.uneven = uneven
         self.dead_ends = not has.all()
         self.keys = None
@@ -164,13 +160,13 @@ class _WalkTable:
             self.keys = tails + within
         self._lists = None
 
-    def lists(self) -> tuple[list, list, list, list | None, list]:
-        """(ptr, deg, heads, keys, uneven) as Python lists, built by the
+    def lists(self, g: Graph) -> tuple[list, list, list, list | None, list]:
+        """(out_ptr, deg, heads, keys, uneven) as Python lists, built by the
         first one-walk step, where list indexing beats numpy scalar
         indexing."""
         if self._lists is None:
             keys = None if self.keys is None else self.keys.tolist()
-            self._lists = (self.ptr.tolist(), self.deg.tolist(), self.heads.tolist(), keys,
+            self._lists = (g.out_ptr.tolist(), self.deg.tolist(), g.heads.tolist(), keys,
                            self.uneven.tolist())
         return self._lists
 
@@ -273,7 +269,7 @@ def _lockstep(
     raises ValueError.
     """
     table = _walk_table(g)
-    ptr, deg, heads = table.ptr, table.deg, table.heads
+    ptr, deg, heads = g.out_ptr, table.deg, g.heads
     for k, count in enumerate(live):
         at = u[:count]
         d = deg[at]
@@ -331,7 +327,7 @@ def random_walk_path(
         rng = cfg.stream()
     length = fixed_len if fixed_len is not None else sample_geometric_length(cfg, rng)
     # _lockstep's rule, one walk at a time on the table's list views
-    ptr, deg, heads, keys, uneven = _walk_table(g).lists()
+    ptr, deg, heads, keys, uneven = _walk_table(g).lists(g)
     rand = rng.random
     u = int(start)
     path = [u]

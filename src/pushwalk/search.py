@@ -22,7 +22,7 @@ import numpy as np
 from .bidir import PprParams, num_walks
 from .graph import Graph
 from .push import SparseVec, reverse_push
-from .sampling import WalkConfig, WeightedSampler, build_sampler, source_of, walk_endpoints
+from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
 
 __all__ = [
     "ForwardVector",
@@ -119,19 +119,21 @@ class GroupedIndex:
 
 @dataclass
 class TargetSamplerIndex:
-    """Per-coordinate target samplers.
+    """Per-coordinate stage-two draws, stored as the grouped index's slots.
 
-    The sampler at v draws t with probability y_t[v] / total, where its
-    ``total`` is the aggregate sum_t y_t[v]. Together with a first stage
-    that draws v with probability proportional to x_s[v] * total, the
-    sampled target is distributed exactly as score(t) / sum_j score(j).
+    ``samplers[v]`` lists coordinate v's (target, value) pairs; the draw at
+    v picks t with probability y_t[v] / total, where total is the slot's
+    aggregate sum_t y_t[v]. Together with a first stage that draws v with
+    probability proportional to x_s[v] * total, the sampled target is
+    distributed exactly as score(t) / sum_j score(j). ``sample_targets``
+    builds a coordinate's sampler only when stage one draws it.
     """
 
     n: int
     targets: list[int]
     r_max: float
     alpha: float
-    samplers: dict[int, WeightedSampler] = field(default_factory=dict)
+    samplers: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -228,15 +230,13 @@ def build_target_sampler(
     alpha: float,
     vectors: dict[int, ReverseVector] | None = None,
 ) -> TargetSamplerIndex:
-    """Aggregate the targets' reverse vectors and build stage-two samplers.
+    """Aggregate the targets' reverse vectors into per-coordinate slots.
 
     Pass explicit vectors to index precomputed (or synthetic) target sides;
     otherwise each target gets a fresh reverse push at (r_max, alpha).
     """
-    idx = TargetSamplerIndex(g.n, sorted(targets), r_max, alpha)
-    for coord, pairs in _slots(g, idx.targets, r_max, alpha, vectors).items():
-        idx.samplers[coord] = build_sampler(pairs)
-    return idx
+    ts = sorted(targets)
+    return TargetSamplerIndex(g.n, ts, r_max, alpha, _slots(g, ts, r_max, alpha, vectors))
 
 
 def _check_alpha(x_s: ForwardVector, alpha: float) -> None:
@@ -310,7 +310,8 @@ def sample_targets(
     """Draw targets with probability proportional to their scores.
 
     Stage one picks a coordinate v with weight x_s[v] times the total of
-    v's sampler; stage two picks a target from that sampler. The product of the two stage
+    v's slot; stage two picks a target from a sampler over that slot, built
+    only for the coordinates stage one drew. The product of the two stage
     probabilities telescopes to score(t)/total, so the marginal is exact.
     Returns (target, count) ranked by descending count, ties by node id;
     the ranking is empty when no stage-one coordinate carries weight.
@@ -320,11 +321,11 @@ def sample_targets(
     _check_alpha(x_s, idx.alpha)
     if rng is None:
         rng = np.random.default_rng(seed)
-    samplers = idx.samplers
+    slots = idx.samplers
     stage1 = [
-        (coord, xv * samplers[coord].total)
+        (coord, xv * sum(yv for _, yv in slots[coord]))
         for coord, xv in x_s.coord_items()
-        if coord in samplers and xv > 0.0
+        if coord in slots and xv > 0.0
     ]
     if sum(wt for _, wt in stage1) <= 0.0:
         return []
@@ -334,7 +335,7 @@ def sample_targets(
     for coord in coords:
         coord_counts[coord] = coord_counts.get(coord, 0) + 1
     for coord in sorted(coord_counts):
-        picks = idx.samplers[coord].sample_many(rng, coord_counts[coord])
+        picks = build_sampler(slots[coord]).sample_many(rng, coord_counts[coord])
         for t in picks:
             counts[t] = counts.get(t, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -406,7 +407,7 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 3  # 3: stores record the graph's m; target samplers carry their totals
+_INDEX_VERSION = 4  # 4: target-sampler indexes store slots, not samplers
 
 
 def save_index(path, payload: dict) -> None:

@@ -209,8 +209,9 @@ def build_shared_walk_vectors(
     r_max_r = params.r_max_r(delta)
     store = SharedWalkStore(alpha, delta, d_max, params, r_max_f, r_max_r)
     n = g.n
-    store.full_walk = [g.degree(v) > d_max for v in range(n)]
-    counts = np.where(store.full_walk, params.full_walks(delta), params.shared_walks(delta))
+    full_walk = g.degrees > d_max
+    store.full_walk = full_walk.tolist()
+    counts = np.where(full_walk, params.full_walks(delta), params.shared_walks(delta))
     store.walk_counts = counts.tolist()
     starts = np.repeat(np.arange(n), counts)
     ends = walk_endpoints(g, starts, len(starts), WalkConfig(alpha=alpha, seed=seed))

@@ -30,14 +30,18 @@ def _require_undirected(g: Graph) -> None:
         raise ValueError("this estimator requires an undirected graph")
 
 
-def check_symmetry(
-    g: Graph, s: int, t: int, alpha: float, oracle_tol: float = 1e-9
-) -> bool:
+# Largest |pi_s[t]*d_s - pi_t[s]*d_t| that check_symmetry accepts.
+_SYMMETRY_TOL = 1e-9
+
+
+def check_symmetry(g: Graph, s: int, t: int, alpha: float) -> bool:
     """Exact-value check of pi_s[t]*d_s == pi_t[s]*d_t (test utility)."""
     _require_undirected(g)
+    _check_node(g, s)
+    _check_node(g, t)
     forward = exact_ppr(g, s, alpha)[t] * g.degree(s)
     backward = exact_ppr(g, t, alpha)[s] * g.degree(t)
-    return abs(forward - backward) <= oracle_tol
+    return abs(forward - backward) <= _SYMMETRY_TOL
 
 
 def natural_delta(g: Graph, t: int) -> float:
@@ -49,7 +53,7 @@ def natural_delta(g: Graph, t: int) -> float:
     """
     _require_undirected(g)
     _check_node(g, t)
-    total = sum(g.degree(v) for v in range(g.n))
+    total = float(g.degrees.cumsum()[-1])  # summed in node order
     if total <= 0.0:
         raise ValueError("graph has no edges")
     return g.degree(t) / total
@@ -78,9 +82,12 @@ def estimate_ppr_undirected(
     sum_v r_s[v] * pi_v[t]; by reversibility pi_v[t] = pi_t[v] * d_t / d_v,
     so walks started at t estimate it with per-sample values
     X = r_s[V] * d_t / d_V, each bounded by d_t * r_max. The walk budget is
-    ceil(3 ln(2/p_fail) * d_t * r_max / (epsilon^2 * delta)).
+    ceil(3 ln(2/p_fail) * d_t * r_max / (epsilon^2 * delta)). A source or
+    target outside [0, n) raises ValueError.
     """
     _require_undirected(g)
+    _check_node(g, s)
+    _check_node(g, t)
     if g.degree(s) <= 0:
         raise ValueError(f"source node {s} is isolated")
     d_t = g.degree(t)

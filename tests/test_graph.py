@@ -1,5 +1,7 @@
 """Edge-list parsing, normalization, sink convention, bipartite transform."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,59 @@ def test_degree_is_strength_undirected():
 def test_degree_is_out_count_directed():
     g = pw.from_edges([(0, 1, 2.0), (0, 2, 3.0)], n=3)
     assert g.degree(0) == 2.0
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (1, True), (2.7, 0), ("1", 0), (0, None),
+                                  (np.float64(1.0), 0), (0, np.bool_(True))])
+def test_from_edges_rejects_non_integer_node_ids(edge):
+    with pytest.raises(pw.GraphFormatError, match="not an integer"):
+        pw.from_edges([(0, 1), edge], n=3)
+
+
+def test_from_edges_accepts_numpy_integer_ids():
+    g = pw.from_edges([(np.int64(0), np.int32(1)), (1, 2), (2, 0)])
+    assert g.n == 3 and g.out_adj[0] == [(1, 1.0)]
+
+
+def _tampered(g, **arrays):
+    """A copy of g with some core arrays replaced."""
+    return dataclasses.replace(g, **{k: np.array(v) for k, v in arrays.items()})
+
+
+def test_validate_catches_each_tampered_array():
+    g = pw.from_edges([(0, 1, 1.0), (0, 2, 3.0), (1, 2), (2, 0)], n=3)
+    h = pw.from_edges([(0, 1), (1, 2)], n=3, undirected=True)
+    g.validate()
+    h.validate()
+    w = g.weights.copy()
+    w[0] *= 2.0
+    unnormalized = _tampered(g, weights=w)
+    heads = g.heads.copy()
+    heads[1] = heads[0]
+    repeated = _tampered(g, heads=heads)
+    w = g.weights.copy()
+    w[:2] = [1.0, 0.0]
+    non_positive = _tampered(g, weights=w)
+    broken_transpose = _tampered(g)
+    in_ptr, in_tails, in_weights = g.in_csr
+    broken_transpose.in_csr = (in_ptr, in_tails[::-1].copy(), in_weights)
+    heads = h.heads.copy()
+    heads[-1] = 0  # node 2's only edge, 2 -> 1, turns into 2 -> 0
+    asymmetric = _tampered(h, heads=heads)
+    for bad, message in [(unnormalized, "sum to"), (repeated, "duplicate"),
+                         (non_positive, "non-positive"), (broken_transpose, "transpose"),
+                         (asymmetric, "not symmetric")]:
+        with pytest.raises(AssertionError, match=message):
+            bad.validate()
+
+
+def test_core_arrays_are_read_only_and_m_is_derived():
+    g = pw.from_edges([(0, 1, 1.0), (0, 2, 3.0), (2, 0)], n=3, undirected=True)
+    assert g.m == len(g.heads) == 4
+    assert g.out_ptr.tolist() == [0, 2, 3, 4]
+    assert g.heads.tolist() == [1, 2, 0, 0]
+    assert g.weights.tolist() == [0.2, 0.8, 1.0, 1.0]
+    assert g.degrees.tolist() == [5.0, 1.0, 4.0]
+    for arr in (g.out_ptr, g.heads, g.weights, g.degrees, *g.edge_arrays):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]

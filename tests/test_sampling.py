@@ -301,7 +301,18 @@ _TARGET_ENTRY_POINTS = {
     "query_shared_walks_rev": lambda g, t: pw.query_shared_walks(
         g, pw.build_shared_walk_vectors(g, 0.2, 0.1, d_max=8.0), 0, t,
         rev=pw.reverse_push(g, 0, 0.1, 0.2)),
+    # the undirected entry points read a ring with as many nodes as g
+    "estimate_ppr_undirected": lambda g, t: pw.estimate_ppr_undirected(
+        _ring(g.n), 0, t, pw.PprParams(delta=0.1)),
+    "estimate_ppr_undirected_source": lambda g, s: pw.estimate_ppr_undirected(
+        _ring(g.n), s, 0, pw.PprParams(delta=0.1)),
+    "check_symmetry": lambda g, t: pw.check_symmetry(_ring(g.n), 0, t, 0.2),
+    "check_symmetry_source": lambda g, s: pw.check_symmetry(_ring(g.n), s, 0, 0.2),
 }
+
+
+def _ring(n):
+    return pw.from_edges([(v, (v + 1) % n) for v in range(n)], undirected=True)
 
 
 @pytest.mark.parametrize("bad", ["-1", "n"])

@@ -109,8 +109,8 @@ def test_sampler_single_target_always_wins():
 
 def test_sampler_three_to_one_ratio():
     idx = pw.TargetSamplerIndex(n=5, targets=[1, 2], r_max=0.5, alpha=0.2)
-    idx.samplers[8] = pw.build_sampler(zip([1, 2], [0.3, 0.1]))  # residual slot of node 3
-    assert idx.samplers[8].total == pytest.approx(0.4)
+    idx.samplers[8] = [(1, 0.3), (2, 0.1)]  # residual slot of node 3
+    assert pw.build_sampler(idx.samplers[8]).total == pytest.approx(0.4)
     x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
@@ -123,12 +123,12 @@ def test_sampler_worked_two_stage_arithmetic():
     # a coordinate sampler's aggregate target mass; node c's stage-two
     # sampler splits its targets (5/9, 2/9, 2/9).
     idx = pw.TargetSamplerIndex(n=8, targets=[5, 6, 7], r_max=0.5, alpha=0.2)
-    idx.samplers[11] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.12, 0.12]))
-    idx.samplers[12] = pw.build_sampler(zip([5, 6, 7], [0.4, 0.16, 0.16]))
+    idx.samplers[11] = [(5, 0.4), (6, 0.12), (7, 0.12)]
+    idx.samplers[12] = [(5, 0.4), (6, 0.16), (7, 0.16)]
     x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
-    stage1 = {coord: xv * idx.samplers[coord].total
+    stage1 = {coord: xv * sum(yv for _, yv in idx.samplers[coord])
               for coord, xv in x.coord_items() if coord in idx.samplers}
     assert stage1.get(10, 0.0) == 0.0
     assert stage1[11] == pytest.approx(0.64 / 3)

@@ -122,3 +122,12 @@ def test_estimator_accuracy_random_graphs(rng):
             hits += abs(est.value - truth) <= max(0.5 * truth, 2 * delta)
     assert total > 5
     assert hits / total >= 0.9
+
+
+@pytest.mark.parametrize("s, t", [(1.5, 0), (0, 1.5)])
+def test_undirected_entry_points_reject_non_integer_nodes(s, t):
+    g = pw.from_edges([(0, 1), (1, 2), (2, 0)], undirected=True)
+    with pytest.raises(ValueError, match="not an integer node id"):
+        pw.estimate_ppr_undirected(g, s, t, pw.PprParams(delta=0.1))
+    with pytest.raises(ValueError, match="not an integer node id"):
+        pw.check_symmetry(g, s, t, 0.2)
