@@ -28,13 +28,11 @@ from .graph import (
 )
 from .multistep import (
     HeatKernelParams,
-    LayeredReverseState,
     MstpParams,
     estimate_heat_kernel,
     estimate_mstp,
     estimate_truncated_hitting,
     poisson_weights,
-    reverse_push_mstp,
 )
 from .oracle import (
     ConvergenceError,

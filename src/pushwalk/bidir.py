@@ -53,16 +53,19 @@ class PprParams:
     use_theorem_c: bool = False
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        # `not 0 < x < inf` also rejects NaN
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0.0 < self.p_fail < 1.0:
             raise ValueError("p_fail must lie strictly between 0 and 1")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if self.r_max is not None and not 0.0 < self.r_max < math.inf:
+            raise ValueError("r_max must be positive and finite")
 
     def effective_c(self) -> float:
         if self.use_theorem_c:

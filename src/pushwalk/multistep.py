@@ -6,10 +6,12 @@ estimates p^i and residuals r^i seeded by r^0 = e_t,
 
     P[X_ell = t | X_0 ~ s] = <s, p^ell> + sum_{k=0..ell} <s W^k, r^{ell-k}>
 
-holds after any sequence of pushes. A push at (v, i) banks r^i[v] into
-p^i[v] and forwards it one level up through in-edges; the forward phase
-replaces the unknowable <s W^k, .> terms by sampling positions of
-fixed-length paths. One reverse sweep plus one path set serves every
+for every horizon ell <= ell_max. It holds at p = 0 and after each push of
+the ladder, which banks r^i[v] into p^i[v] and forwards it one level up
+through in-edges, or only banks on the top level. First-passage mode also
+banks at t, trading the identity for its first-arrival analogue. The
+forward phase replaces the unknowable <s W^k, .> terms by sampling positions
+of fixed-length paths. One reverse sweep plus one path set serves every
 horizon up to ell_max at once, which is what makes diffusion sums cheap.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +30,6 @@ from .sampling import WalkConfig, random_walk_path, source_of
 __all__ = [
     "MstpParams",
     "HeatKernelParams",
-    "LayeredReverseState",
-    "reverse_push_mstp",
     "estimate_mstp",
     "estimate_heat_kernel",
     "estimate_truncated_hitting",
@@ -57,14 +57,17 @@ class MstpParams:
     def __post_init__(self) -> None:
         if self.ell_max < 1:
             raise ValueError("ell_max must be at least 1")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        # `not 0 < x < inf` also rejects NaN
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if not 0.0 < self.p_fail < 1.0:
             raise ValueError("p_fail must lie strictly between 0 and 1")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if self.eps_r is not None and not 0.0 < self.eps_r < math.inf:
+            raise ValueError("eps_r must be positive and finite")
 
     def effective_c(self) -> float:
         if self.use_theorem_c:
@@ -75,8 +78,6 @@ class MstpParams:
 
     def effective_eps_r(self) -> float:
         if self.eps_r is not None:
-            if self.eps_r <= 0.0:
-                raise ValueError("eps_r must be positive")
             return self.eps_r
         return math.sqrt(self.delta / self.effective_c())
 
@@ -89,8 +90,8 @@ class MstpParams:
 
 def poisson_weights(t_param: float, ell_max: int) -> tuple[np.ndarray, float]:
     """Weights e^{-t} t^l / l! for l = 0..ell_max, plus the truncated tail."""
-    if t_param <= 0.0:
-        raise ValueError("t_param must be positive")
+    if not 0.0 < t_param < math.inf:
+        raise ValueError("t_param must be positive and finite")
     weights = np.empty(ell_max + 1)
     weights[0] = math.exp(-t_param)
     for ell in range(1, ell_max + 1):
@@ -111,8 +112,8 @@ class HeatKernelParams:
     ell_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.t_param <= 0.0:
-            raise ValueError("t_param must be positive")
+        if not 0.0 < self.t_param < math.inf:
+            raise ValueError("t_param must be positive and finite")
         if self.ell_max is None:
             self.ell_max = int(round(self.t_param + 10.0 * math.sqrt(self.t_param)))
         _, tail = poisson_weights(self.t_param, self.ell_max)
@@ -123,77 +124,35 @@ class HeatKernelParams:
             )
 
 
-@dataclass
-class LayeredReverseState:
-    """Per-level estimate/residual pairs indexed 0..ell_max."""
-
-    ell_max: int
-    estimates: list[SparseVec] = field(default_factory=list)
-    residuals: list[SparseVec] = field(default_factory=list)
-
-    @classmethod
-    def initial(cls, ell_max: int, t: int) -> "LayeredReverseState":
-        state = cls(
-            ell_max,
-            [SparseVec() for _ in range(ell_max + 1)],
-            [SparseVec() for _ in range(ell_max + 1)],
-        )
-        state.residuals[0][t] = 1.0
-        return state
-
-
-def reverse_push_mstp(
-    state: LayeredReverseState, g: Graph, v: int, i: int
-) -> LayeredReverseState:
-    """One push at node v, level i: bank the residual, forward it one level.
-
-    p^i[v] += r^i[v]; r^{i+1}[u] += w(u,v) * r^i[v] for every in-neighbor u;
-    r^i[v] = 0. Pushing a zero residual is a no-op. Levels are capped at
-    ell_max, where residual has nowhere left to go (see _absorb).
-    """
-    if not 0 <= i < state.ell_max:
-        raise ValueError("push level must satisfy 0 <= i < ell_max")
-    rv = state.residuals[i].get(v, 0.0)
-    if rv == 0.0:
-        return state
-    state.residuals[i].pop(v)
-    state.estimates[i].add(v, rv)
-    nxt = state.residuals[i + 1]
-    for u, w in g.in_adj[v]:
-        nxt.add(u, w * rv)
-    return state
-
-def _absorb(state: LayeredReverseState, v: int, i: int) -> None:
-    """Bank r^i[v] into p^i[v] without forwarding (top level, or the
-    first-passage target)."""
-    rv = state.residuals[i].pop(v, 0.0)
-    if rv:
-        state.estimates[i].add(v, rv)
-
-
-def _drain(
+def _ladder(
     g: Graph,
     t: int,
     ell_max: int,
     eps_r: float,
     absorb_at_target: bool,
-) -> LayeredReverseState:
-    """Push every (v, i) with r^i[v] > eps_r, level by level.
+) -> tuple[list[SparseVec], list[SparseVec]]:
+    """Per-level estimates p^i and residuals r^i, i = 0..ell_max, from r^0 = e_t.
 
-    Level-i pushes only feed level i+1, so one ordered sweep settles the
-    whole ladder. With absorb_at_target set, residual arriving at t on
-    levels >= 1 is banked without forwarding — the walk is considered
-    finished the moment it first reaches t.
+    Level by level, in ascending node order, every r^i[v] > eps_r moves to
+    p^i[v] and forwards w(u, v) * r^i[v] to r^{i+1}[u] for each in-neighbor
+    u. Level i only feeds level i+1, so each (v, i) is pushed at most once.
+    The top level banks without forwarding; with absorb_at_target, so does t
+    on levels >= 1, the walk being finished once it first reaches t.
     """
-    state = LayeredReverseState.initial(ell_max, t)
-    for i in range(ell_max + 1):
-        level = state.residuals[i]
+    estimates = [SparseVec() for _ in range(ell_max + 1)]
+    residuals = [SparseVec() for _ in range(ell_max + 1)]
+    residuals[0][t] = 1.0
+    in_adj = g.in_adj
+    for i, level in enumerate(residuals):
         for v in sorted(k for k, rv in level.items() if rv > eps_r):
+            rv = level.pop(v)
+            estimates[i][v] = rv
             if i == ell_max or (absorb_at_target and v == t and i >= 1):
-                _absorb(state, v, i)
-            else:
-                reverse_push_mstp(state, g, v, i)
-    return state
+                continue
+            nxt = residuals[i + 1]
+            for u, w in in_adj[v]:
+                nxt.add(u, w * rv)
+    return estimates, residuals
 
 
 def _forward_phase(
@@ -204,20 +163,20 @@ def _forward_phase(
     seed: int,
     first_arrival: bool,
 ) -> np.ndarray:
-    """Reverse drain and path pickups of estimate_mstp.
+    """Reverse ladder and path pickups of estimate_mstp.
 
     The paths come from one lockstep batch. The pickups read the residual
     levels by fancy index into a dense (ell_max+1) x (touched+1) matrix,
     whose columns are the nodes holding residual at any level plus one zero
     column, through a length-n column map: O(n + ell_max*touched) time and
-    memory per call, whatever the size of the drain. With first_arrival set,
-    the drain banks residual that reaches t, and the (path, k) pairs that
-    estimate_truncated_hitting voids are masked out.
+    memory per call, whatever the size of the ladder. With first_arrival
+    set, the ladder banks residual that reaches t, and the (path, k) pairs
+    that estimate_truncated_hitting voids are masked out.
     """
     src = source_of(g, s)
     _check_node(g, t)
     ell_max = params.ell_max
-    state = _drain(g, t, ell_max, params.effective_eps_r(), first_arrival)
+    estimates, levels = _ladder(g, t, ell_max, params.effective_eps_r(), first_arrival)
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
     rng = cfg.stream()
     n_f = params.num_paths()
@@ -225,11 +184,11 @@ def _forward_phase(
     if first_arrival:
         hits = paths[:, 1:] == t
         first_hit = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, ell_max + 1)
-    touched = list(set().union(*state.residuals))
+    touched = list(set().union(*levels))
     col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
     col[touched] = np.arange(len(touched))
     residuals = np.zeros((ell_max + 1, len(touched) + 1))
-    for i, level in enumerate(state.residuals):
+    for i, level in enumerate(levels):
         residuals[i, col[list(level)]] = list(level.values())
     cols = col[paths]
     rows = np.arange(n_f)
@@ -239,7 +198,7 @@ def _forward_phase(
         picked = residuals[ell - k, cols[rows, k]]
         if first_arrival:
             picked = picked[(k < first_hit) | ((k == first_hit) & (first_hit == ell))]
-        out[ell - 1] = src.dot(state.estimates[ell]) + (ell + 1) * picked.sum() / n_f
+        out[ell - 1] = src.dot(estimates[ell]) + (ell + 1) * picked.sum() / n_f
     return out
 
 

@@ -222,14 +222,17 @@ class Source:
 
 def source_of(g: Graph, source) -> Source:
     """Validate a source given as a node id, a {node: weight} dict or a dense
-    length-n array. A node id must lie in [0, n); weights must be
-    nonnegative and finite with positive total mass. Raises ValueError.
+    length-n array. A node id must be an int or numpy integer, not a bool,
+    in [0, n); weights must be nonnegative and finite with positive total
+    mass. Raises ValueError.
     """
     if isinstance(source, Source):
         return source
 
     def check(node) -> int:
-        if not isinstance(node, (int, np.integer)) or not 0 <= node < g.n:
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
+            raise ValueError(f"source node {node!r} is not an integer node id")
+        if not 0 <= node < g.n:
             raise ValueError(f"source node {node} out of range for graph with {g.n} nodes")
         return int(node)
 

@@ -103,6 +103,13 @@ def test_r_max_override_or_default():
     assert pw.PprParams(delta=0.01, r_max=0.3).resolved_r_max(g) == 0.3
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["delta", "c", "r_max"])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        pw.PprParams(**{"delta": 0.01, field: value})
+
+
 def test_balanced_estimator_zero_walks_when_drained():
     g = pw.apply_sink_convention(pw.from_edges([(0, 1, 1.0)], n=2))
     est = pw.estimate_ppr_balanced(g, 0, 1, pw.PprParams(delta=1e-4))

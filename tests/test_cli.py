@@ -151,6 +151,22 @@ def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--delta", "inf", "--method", "balanced"],
+    ["estimate", "--delta", "inf", "--method", "monte-carlo"],
+    ["estimate", "--c", "inf"],
+    ["heat-kernel", "--t", "inf"],
+    ["estimate-mstp", "--eps-r", "inf", "--ell-max", "3"],
+], ids=["delta-balanced", "delta-monte-carlo", "c", "t", "eps-r"])
+def test_infinite_parameters_exit_one(tmp_path, capsys, args):
+    # an infinite delta once gave 0.0 with exit 0; the others raised
+    # OverflowError while sizing the walk budget
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n2 0\n1 0\n")
+    assert cli.main(args + ["--graph", str(path), "--source", "0", "--target", "1"]) == 1
+    assert f"pushwalk {args[0]}: invalid parameters" in capsys.readouterr().err
+
+
 def test_estimate_walk_constant_sizes_the_walks(tmp_path, capsys):
     path = tmp_path / "g.txt"
     assert cli.main(["gen", "--kind", "power-law", "--n", "300", "--output", str(path)]) == 0

@@ -6,46 +6,26 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
-from pushwalk.multistep import LayeredReverseState
+from pushwalk.multistep import _ladder
 from conftest import rand_graph, two_cycle
 
 
-def test_single_push_trace_on_two_cycle():
+def test_ladder_trace_on_two_cycle():
     g = two_cycle()
-    state = LayeredReverseState.initial(3, 1)
-    pw.reverse_push_mstp(state, g, 1, 0)
-    assert dict(state.estimates[0]) == {1: 1.0}
-    assert dict(state.residuals[1]) == {0: 1.0}
+    estimates, residuals = _ladder(g, 1, 3, 0.5, False)
+    # each level pushes the lone unit residual; the top level banks it
+    assert [dict(p) for p in estimates] == [{1: 1.0}, {0: 1.0}, {1: 1.0}, {0: 1.0}]
+    assert not any(residuals)
 
 
-def test_zero_residual_push_is_noop():
-    g = two_cycle()
-    state = LayeredReverseState.initial(3, 1)
-    before = [dict(sv) for sv in state.residuals]
-    pw.reverse_push_mstp(state, g, 0, 2)
-    assert [dict(sv) for sv in state.residuals] == before
-
-
-def test_push_level_bounds_checked():
-    g = two_cycle()
-    state = LayeredReverseState.initial(3, 1)
-    with pytest.raises(ValueError):
-        pw.reverse_push_mstp(state, g, 1, 3)
-
-
-def test_layered_invariant_random_push_sequences(rng):
+def test_ladder_invariant_random_thresholds(rng):
     for _ in range(6):
         g = rand_graph(rng, n_max=20)
         t = int(rng.integers(g.n))
         ell_max = int(rng.integers(2, 5))
-        state = LayeredReverseState.initial(ell_max, t)
-        for _ in range(int(rng.integers(1, 30))):
-            lvl = int(rng.integers(ell_max))
-            nodes = list(state.residuals[lvl])
-            if not nodes:
-                continue
-            v = nodes[int(rng.integers(len(nodes)))]
-            pw.reverse_push_mstp(state, g, v, lvl)
+        # from 10^0.2 > 1, where nothing pushes, down to deep ladders
+        eps_r = 10.0 ** rng.uniform(-4.0, 0.2)
+        estimates, residuals = _ladder(g, t, ell_max, eps_r, False)
         W = pw.transition_matrix(g)
         for s in range(g.n):
             s_vec = np.zeros(g.n)
@@ -55,20 +35,21 @@ def test_layered_invariant_random_push_sequences(rng):
                 powers.append(powers[-1] @ W)
             for ell in range(ell_max + 1):
                 truth = powers[ell][t]
-                recon = sum(s_vec[v] * pv
-                            for v, pv in state.estimates[ell].items())
+                recon = sum(s_vec[v] * pv for v, pv in estimates[ell].items())
                 for k in range(ell + 1):
-                    for v, rv in state.residuals[ell - k].items():
+                    for v, rv in residuals[ell - k].items():
                         recon += powers[k][v] * rv
                 assert abs(truth - recon) < 1e-10
 
 
 def test_initial_state_invariant_is_indicator():
     g = two_cycle()
-    state = LayeredReverseState.initial(2, 1)
+    estimates, residuals = _ladder(g, 1, 2, 1.0, False)
+    assert not any(estimates)
+    assert [dict(r) for r in residuals] == [{1: 1.0}, {}, {}]
     # <s, p^0> + <s W^0, r^0> = s[t]
     for s in (0, 1):
-        recon = state.estimates[0].get(s, 0.0) + state.residuals[0].get(s, 0.0)
+        recon = estimates[0].get(s, 0.0) + residuals[0].get(s, 0.0)
         assert recon == (1.0 if s == 1 else 0.0)
 
 
@@ -121,6 +102,16 @@ def test_heat_kernel_self_loop_is_one():
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["delta", "c", "eps_r", "t_param"])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        if field == "t_param":
+            pw.HeatKernelParams(t_param=value)
+        else:
+            pw.MstpParams(**{"ell_max": 3, "delta": 0.01, field: value})
+
+
 def test_heat_kernel_rejects_small_truncation():
     with pytest.raises(ValueError, match="tail"):
         pw.HeatKernelParams(t_param=5.0, ell_max=6)
@@ -160,3 +151,63 @@ def test_first_passage_ensemble_unbiased(rng):
     for ell in range(4):
         se = runs[:, ell].std(ddof=1) / math.sqrt(len(runs))
         assert abs(runs[:, ell].mean() - oracle[ell]) <= 3 * se + 1e-12
+
+
+def _pinned_graphs():
+    # a 12-node ring with weighted chords, and a 9-node directed graph whose
+    # node 8 has no out-edges, so the sink convention adds node 9
+    ring = pw.from_edges(
+        [(v, (v + 1) % 12, 1.0) for v in range(12)]
+        + [(v, (v + 5) % 12, 1.0 + v % 3) for v in range(0, 12, 2)],
+        n=12, undirected=True)
+    directed = pw.apply_sink_convention(pw.from_edges(
+        [(v, (v + 1) % 8, 1.0) for v in range(8)]
+        + [(v, (3 * v + 2) % 9, 2.0) for v in range(1, 8, 2)],
+        n=9))
+    return {"undirected": ring, "directed": directed}
+
+
+# float.hex of each estimator's output at fixed seeds; ell_max 6 and
+# delta 0.05 give eps_r 0.085, which leaves residual on several levels, so
+# both the ladder and the path pickups shape these numbers.
+_PINNED = {
+    "undirected": {
+        "mstp_node": ['0x0.0p+0', '0x1.431095fe8ec87p-4', '0x0.0p+0',
+                      '0x1.493fb4b884ca2p-3', '0x0.0p+0', '0x1.8721756f4438ap-3'],
+        "mstp_dist": ['0x1.8000000000000p-3', '0x1.713786d9c7c09p-7',
+                      '0x1.226f0db38f810p-3', '0x1.1028dec95851fp-5',
+                      '0x1.0945bdda3c6cbp-3', '0x1.acfd670318f42p-5'],
+        "hitting": ['0x0.0p+0', '0x1.e498e0fdd62cap-5', '0x0.0p+0',
+                    '0x1.ba945c1ca71bcp-4', '0x0.0p+0', '0x1.0ae29a5ffe17ap-3'],
+        "hitting_return": ['0x0.0p+0', '0x1.ddddddddddddep-2', '0x0.0p+0',
+                           '0x1.bdd4541cbaccfp-5', '0x0.0p+0', '0x1.d4c65403c1641p-5'],
+        "heat": ['0x1.2213a5b8a4e65p-5'],
+    },
+    "directed": {
+        "mstp_node": ['0x0.0p+0', '0x1.5555555555555p-2', '0x0.0p+0',
+                      '0x1.c71c71c71c71cp-3', '0x0.0p+0', '0x1.2f684bda12f68p-3'],
+        "mstp_dist": ['0x1.0000000000000p-1', '0x1.5555555555555p-4',
+                      '0x1.5555555555555p-2', '0x1.c71c71c71c71cp-5',
+                      '0x1.c71c71c71c71cp-3', '0x1.2f684bda12f68p-5'],
+        "hitting": ['0x0.0p+0', '0x1.5555555555555p-2', '0x0.0p+0',
+                    '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+        "hitting_return": ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+                           '0x0.0p+0', '0x1.33ae45b57bcb2p-4', '0x0.0p+0'],
+        "heat": ['0x1.64274bb5f2a83p-8'],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED))
+def test_multistep_outputs_are_pinned(kind):
+    g = _pinned_graphs()[kind]
+    params = pw.MstpParams(ell_max=6, delta=0.05)
+    hk = pw.HeatKernelParams(t_param=1.5)
+    got = {
+        "mstp_node": pw.estimate_mstp(g, 0, 2, params, seed=11),
+        "mstp_dist": pw.estimate_mstp(g, {0: 0.25, 3: 0.75}, 2, params, seed=12),
+        "hitting": pw.estimate_truncated_hitting(g, 0, 2, params, seed=13),
+        "hitting_return": pw.estimate_truncated_hitting(g, 1, 1, params, seed=14),
+        "heat": [pw.estimate_heat_kernel(g, 0, 4, hk, params, seed=15)],
+    }
+    assert {name: [float(x).hex() for x in xs] for name, xs in got.items()} == _PINNED[kind]

@@ -262,13 +262,16 @@ _SOURCE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["-1", "n", "{-1: 1.0}"])
+@pytest.mark.parametrize("bad", ["-1", "n", "{-1: 1.0}", "True", "{True: 1.0}"])
 @pytest.mark.parametrize("entry", sorted(_SOURCE_ENTRY_POINTS))
 def test_out_of_range_source_is_rejected(entry, bad):
     g = _PATH_WITH_SINK  # node -1 would wrap to the sink
-    source = {"-1": -1, "n": g.n, "{-1: 1.0}": {-1: 1.0}}[bad]
-    node = -1 if bad != "n" else g.n
-    with pytest.raises(ValueError, match=rf"source node {node} out of range"):
+    source = {"-1": -1, "n": g.n, "{-1: 1.0}": {-1: 1.0},
+              "True": True, "{True: 1.0}": {True: 1.0}}[bad]
+    node = {"n": g.n, "True": True, "{True: 1.0}": True}.get(bad, -1)
+    # numpy would read True as a mask, not as node 1
+    why = "is not an integer node id" if node is True else "out of range"
+    with pytest.raises(ValueError, match=rf"source node {node} {why}"):
         _SOURCE_ENTRY_POINTS[entry](g, source)
 
 
@@ -315,10 +318,14 @@ def _ring(n):
     return pw.from_edges([(v, (v + 1) % n) for v in range(n)], undirected=True)
 
 
-@pytest.mark.parametrize("bad", ["-1", "n"])
-@pytest.mark.parametrize("entry", sorted(_TARGET_ENTRY_POINTS))
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in sorted(_TARGET_ENTRY_POINTS) for bad in ("-1", "n", "True")
+    # np.array([0, True]) is the integer array [0, 1]: no bool is left to reject
+    if (entry, bad) != ("random_walk_path_array", "True")
+])
 def test_out_of_range_target_is_rejected(entry, bad):
     g = _PATH_WITH_SINK
-    node = -1 if bad == "-1" else g.n
-    with pytest.raises(ValueError, match=rf"node {node} out of range"):
+    node, why = {"-1": (-1, "out of range"), "n": (g.n, "out of range"),
+                 "True": (True, "is not an integer node id")}[bad]
+    with pytest.raises(ValueError, match=rf"node {node} {why}"):
         _TARGET_ENTRY_POINTS[entry](g, node)
