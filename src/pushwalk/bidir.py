@@ -91,7 +91,9 @@ class PprEstimate:
     """What every single-pair estimator returns: the score and its cost.
 
     pushes counts reverse pushes (forward ones for the undirected variant);
-    r_max_used is 0 after a drained balanced push and inf for walk-only.
+    when the reverse push was answered from the graph's kept pushes, it
+    counts those of the push that built the kept result, not pushes made by
+    this call. r_max_used is 0 after a drained balanced push and inf for walk-only.
     """
 
     value: float

@@ -13,6 +13,7 @@ than array slices.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,7 +49,8 @@ class Graph:
     sum ("strength", the neighbor count on unweighted graphs) when
     ``undirected_flag`` is set, else the out-degree count. ``names`` holds
     the original node labels; ``walk_table`` is what walk steps read besides
-    the CSR, built by the first walk on the graph.
+    the CSR, built by the first walk on the graph, and ``kept_pushes`` the
+    costly reverse-push results that ``push`` keeps for targets that repeat.
     """
 
     n: int
@@ -59,6 +61,7 @@ class Graph:
     degrees: np.ndarray
     names: list[str] = field(default_factory=list)
     walk_table: object | None = field(default=None, init=False, repr=False)
+    kept_pushes: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -34,6 +34,22 @@ their place took 48 us per forward push of the index-serve store against
 7 us (about +0.4 s on a 1.2 s set-up) and 65 us per sharded reverse push
 against 7 us (median), and an array version of the layered fixed-horizon
 push ran 1.5-2x slower per sweep.
+
+Both reverse pushes keep their costly results on the graph
+(``Graph.kept_pushes``) and return the kept result, the same object, when
+the same push is asked for again. ``reverse_push`` keys on (t, r_max,
+alpha) and ``reverse_push_balanced`` on (t, alpha, delta, c,
+walk_time_constant). A result is kept only when it came from the rounds
+and its work exceeds m: it has cost more than one pass over the graph,
+and keeping it costs its two dense arrays, 16*n bytes (160 KB at n =
+10k). FIFO results are cheap and never kept. The kept bytes per graph are
+bounded by ``_KEEP_BYTES``, least recently used out first. Results are
+frozen and a kept result's arrays read-only, so sharing one is safe, and
+pushes are deterministic, so every estimate is what a fresh push would
+give. A kept result's counts are those of the push that made it. On the
+pair-hot benchmark the kept pushes are 90% of the push time (see
+``_KEEP_BYTES``); HubPPR (Wang et al., VLDB 2016) and FORA (Wang et al.,
+KDD 2017) precompute the reverse pushes of hub targets for the same reason.
 """
 
 from __future__ import annotations
@@ -86,6 +102,18 @@ _LEVEL_RATIO = 1 / 4
 # ones 8-11 ms at any cutoff from 1/8 to 1.
 _GATHER_SHARE = 1 / 3
 
+# Bytes of kept push results per graph past which the least recently used
+# is dropped. A kept result holds two float64 arrays of n, 16*n bytes. On
+# the pair-hot benchmark (10k nodes) six (estimator, target) pairs do more
+# than m work; they are 24 of every 63 queries and took 99 of the 110 ms of
+# push time in one block (best of 3 per push, shared 2-core machine), and
+# kept they take 0.96 MB; index-serve keeps 4 to 7 (0.64-1.1 MB). 4 MiB
+# is about four times that working set (26 results at n = 10k) and under a
+# tenth of the ~53 MB the pair-hot process peaks at, so a mix of many
+# costly keys cannot grow a process by more than that. At n = 100k it
+# holds 2 results, so there only the two most recent costly pushes stay.
+_KEEP_BYTES = 4 << 20
+
 
 class SparseVec(dict):
     """Sparse real vector over node ids; missing keys read as 0.0.
@@ -117,23 +145,22 @@ class DenseVec(Mapping):
     """Read-only view of a dense length-n push vector as a sparse one.
 
     Its keys are the nonzero nodes in ascending order, found by one
-    ``flatnonzero`` the first time the view is iterated. Reads of single
-    nodes, ``len``, ``bool``, ``max_value`` and ``values_at`` go to
-    ``array`` directly. Missing keys read as 0.0, as in ``SparseVec``.
-    ``max_value`` assumes nonnegative entries, as push vectors are.
+    ``flatnonzero`` each time the view is iterated. The view holds nothing
+    but ``array``, so a kept push result costs its arrays and no more
+    however often it is iterated. Reads of single nodes,
+    ``len``, ``bool``, ``max_value`` and ``values_at`` go to ``array``
+    directly. Missing keys read as 0.0, as in ``SparseVec``. ``max_value``
+    assumes nonnegative entries, as push vectors are.
     """
 
-    __slots__ = ("array", "_entries")
+    __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
         self.array = array
-        self._entries: dict[int, float] | None = None
 
     def _nonzeros(self) -> dict[int, float]:
-        if self._entries is None:
-            nz = np.flatnonzero(self.array)
-            self._entries = dict(zip(nz.tolist(), self.array[nz].tolist()))
-        return self._entries
+        nz = np.flatnonzero(self.array)
+        return dict(zip(nz.tolist(), self.array[nz].tolist()))
 
     def get(self, node, default=0.0):
         if 0 <= node < self.array.size:
@@ -174,12 +201,16 @@ class DenseVec(Mapping):
         return self.array[nodes]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PushResult:
     """Outcome of one push run: estimates, residuals, and work accounting.
 
     The vectors are ``SparseVec`` dicts after a FIFO loop and ``DenseVec``
-    views of the round kernel's arrays after rounds; both read alike.
+    views of the round kernel's arrays after rounds; both read alike. A
+    result may be kept on the graph and shared by later calls, so its fields
+    cannot be reassigned, and a kept result's arrays are read-only. The
+    counts are those of the push that built the result: a call answered
+    from the keep returns them unchanged, though it pushed nothing.
     """
 
     estimates: SparseVec | DenseVec
@@ -209,13 +240,42 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
     into p, so pushes < sum(p)/(alpha*r_max).
 
     r_max >= 1 returns immediately with p empty and r the unit vector at t.
+
+    A result that finished in rounds after more than m units of work is
+    kept on the graph under (t, r_max, alpha), at 16*n bytes, and a later
+    call with the same arguments returns it, the same read-only object,
+    without pushing (see the module docstring).
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_node(g, t)
-    return _fifo_reverse(g, (t,), r_max, alpha, None, g.m * _ROUNDS_FRONTIER)
+    return _keeping(
+        g,
+        ("fixed", t, r_max, alpha),
+        lambda: _fifo_reverse(g, (t,), r_max, alpha, None, g.m * _ROUNDS_FRONTIER),
+    )
+
+
+def _keeping(g: Graph, key: tuple, push) -> PushResult:
+    """The result kept on ``g`` under ``key``, else ``push()``'s, which is
+    kept if it came from the rounds and did more than m work (see the
+    module docstring). A kept result's arrays are set read-only before it
+    is returned, and it reports the counts of the push that made it."""
+    kept = g.kept_pushes
+    res = kept.get(key)
+    if res is not None:
+        kept.move_to_end(key)
+        return res
+    res = push()
+    if isinstance(res.estimates, DenseVec) and res.work_units > g.m:
+        res.estimates.array.flags.writeable = False
+        res.residuals.array.flags.writeable = False
+        kept[key] = res
+        while len(kept) * 16 * g.n > _KEEP_BYTES:
+            kept.popitem(last=False)
+    return res
 
 
 def _fifo_reverse(
@@ -357,6 +417,12 @@ def reverse_push_balanced(
     takes 26-41 us, which the FIFO loop pushes in 4-6 us; at n = 100k,
     9-13 ms and 0.13-0.21 ms (medians of 15 and 201 calls over two runs on
     a shared 2-core machine, numpy 2.4).
+
+    A result whose work exceeds m is kept on the graph under (t, alpha,
+    delta, c, walk_time_constant), with ``None`` resolved to alpha first,
+    at 16*n bytes, and a later call with the same arguments returns it, the
+    same read-only object, without pushing (see the module docstring). Every
+    call that pushes pays the floor above.
     """
     if delta <= 0.0 or c <= 0.0:
         raise ValueError("delta and c must be positive")
@@ -367,6 +433,17 @@ def reverse_push_balanced(
     if walk_time_constant <= 0.0:
         raise ValueError("walk_time_constant must be positive")
     _check_node(g, t)
+    return _keeping(
+        g,
+        ("balanced", t, alpha, delta, c, walk_time_constant),
+        lambda: _balanced(g, t, alpha, delta, c, walk_time_constant),
+    )
+
+
+def _balanced(
+    g: Graph, t: int, alpha: float, delta: float, c: float, walk_time_constant: float
+) -> PushResult:
+    """The levels of reverse_push_balanced (arguments already validated)."""
     in_ptr = g.in_csr[0]
     est = np.zeros(g.n)
     res = np.zeros(g.n)

@@ -1,5 +1,7 @@
 """Local push routines: traced examples, termination bounds, invariants."""
 
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import pushwalk as pw
 from pushwalk import push
 from pushwalk.cli import generate_synthetic
+from pushwalk.sampling import source_of
 from conftest import (forward_invariant_gap, rand_graph,
                       reverse_invariant_gap, two_cycle)
 
@@ -182,6 +185,112 @@ def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
         est = pw.estimate_ppr(g, s, hub, params, seed=seed)
         assert est.walks_used == w
         assert est.value == pytest.approx(pr.estimates.get(s, 0.0) + total / w, abs=1e-12)
+
+
+# ---------------------------------------------------------------- kept pushes
+
+_KEPT_KINDS = {
+    "reverse_push": lambda g, t: pw.reverse_push(g, t, 1e-3, 0.2),
+    "reverse_push_balanced": lambda g, t: pw.reverse_push_balanced(g, t, 0.2, 4.0 / g.n),
+}
+
+
+def _same_push(a, b):
+    return (np.array_equal(a.estimates.array, b.estimates.array)
+            and np.array_equal(a.residuals.array, b.residuals.array)
+            and (a.pushes_performed, a.achieved_rmax, a.work_units)
+            == (b.pushes_performed, b.achieved_rmax, b.work_units))
+
+
+@pytest.mark.parametrize("kind", sorted(_KEPT_KINDS))
+def test_costly_pushes_are_kept_and_equal_a_fresh_push(kind):
+    run = _KEPT_KINDS[kind]
+    g = _power_law_3000()
+    hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+    first = run(g, hub)
+    assert isinstance(first.estimates, pw.DenseVec) and first.work_units > g.m
+    assert run(g, hub) is first
+    assert len(g.kept_pushes) == 1
+    fresh = run(_power_law_3000(), hub)
+    assert fresh is not first and _same_push(fresh, first)
+    # kept results are shared, so neither the result nor its arrays change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.work_units = 0
+    with pytest.raises(ValueError, match="read-only"):
+        first.estimates.array[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.residuals.array[0] = 1.0
+
+
+def test_cheap_pushes_are_not_kept():
+    g = _power_law_3000()
+    order = np.argsort(pw.exact_global_pagerank(g, 0.2))
+    fifo_target, small_target = int(order[int(0.9 * g.n)]), int(order[int(0.95 * g.n)])
+    fifo = pw.reverse_push(g, fifo_target, 1e-3, 0.2)
+    assert isinstance(fifo.estimates, pw.SparseVec)  # FIFO-only
+    small = pw.reverse_push(g, small_target, 1e-3, 0.2)
+    assert isinstance(small.estimates, pw.DenseVec) and small.work_units <= g.m
+    assert small.estimates.array.flags.writeable  # only kept arrays are frozen
+    balanced = pw.reverse_push_balanced(g, small_target, 0.2, 4.0 / g.n)
+    assert balanced.work_units <= g.m
+    assert pw.reverse_push(g, fifo_target, 1e-3, 0.2) is not fifo
+    assert pw.reverse_push(g, small_target, 1e-3, 0.2) is not small
+    assert pw.reverse_push_balanced(g, small_target, 0.2, 4.0 / g.n) is not balanced
+    assert not g.kept_pushes
+
+
+def test_kept_pushes_are_keyed_by_every_argument():
+    g = _power_law_3000()
+    hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+    fixed = pw.reverse_push(g, hub, 1e-3, 0.2)
+    balanced = pw.reverse_push_balanced(g, hub, 0.2, 4.0 / g.n)
+    variants = [
+        lambda: pw.reverse_push(g, hub, 5e-4, 0.2),
+        lambda: pw.reverse_push(g, hub, 1e-3, 0.15),
+        lambda: pw.reverse_push_balanced(g, hub, 0.15, 4.0 / g.n),
+        lambda: pw.reverse_push_balanced(g, hub, 0.2, 2.0 / g.n),
+        lambda: pw.reverse_push_balanced(g, hub, 0.2, 4.0 / g.n, c=14.0),
+        lambda: pw.reverse_push_balanced(g, hub, 0.2, 4.0 / g.n, walk_time_constant=0.1),
+    ]
+    seen = [fixed, balanced]
+    for variant in variants:
+        res = variant()
+        assert all(res is not other for other in seen)
+        assert variant() is res
+        seen.append(res)
+    assert len(g.kept_pushes) == len(seen)
+    assert pw.reverse_push(g, hub, 1e-3, 0.2) is fixed
+    # walk_time_constant=None means alpha, so both spellings share one entry
+    assert pw.reverse_push_balanced(g, hub, 0.2, 4.0 / g.n, walk_time_constant=0.2) is balanced
+    assert len(g.kept_pushes) == len(seen)
+
+
+def test_kept_pushes_evict_the_least_recently_used(monkeypatch):
+    g = _power_law_3000()
+    monkeypatch.setattr(push, "_KEEP_BYTES", 2 * 16 * g.n)  # room for two
+    hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+    a = pw.reverse_push(g, hub, 1e-3, 0.2)
+    b = pw.reverse_push(g, hub, 5e-4, 0.2)
+    assert pw.reverse_push(g, hub, 1e-3, 0.2) is a  # a is now the more recent
+    c = pw.reverse_push_balanced(g, hub, 0.2, 4.0 / g.n)
+    assert list(map(id, g.kept_pushes.values())) == [id(a), id(c)]
+    again = pw.reverse_push(g, hub, 5e-4, 0.2)
+    assert again is not b and _same_push(again, b)
+    assert list(map(id, g.kept_pushes.values())) == [id(c), id(again)]
+
+
+def test_a_kept_push_holds_only_its_arrays_once_read():
+    g = _power_law_3000()
+    hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+    kept = pw.reverse_push(g, hub, 1e-3, 0.2)
+    rv = pw.build_reverse_vector(g, hub, 1e-3, 0.2)
+    source_of(g, np.ones(g.n)).dot(kept.estimates)
+    assert list(rv.estimates.items()) == list(kept.estimates.items())
+    assert list(rv.residuals.items()) == list(kept.residuals.items())
+    assert sum(kept.residuals.values()) == kept.residual_mass()
+    assert pw.reverse_push(g, hub, 1e-3, 0.2) is kept
+    for vec in (kept.estimates, kept.residuals):
+        assert [x for x in gc.get_referents(vec) if x is not type(vec)] == [vec.array]
 
 
 # ---------------------------------------------------------------- forward
