@@ -67,6 +67,7 @@ from .search import (
     adaptive_r_max,
     build_forward_vector,
     build_grouped_index,
+    build_reverse_vector,
     build_target_sampler,
     coord_vector,
     load_index,
@@ -654,11 +655,12 @@ def _cmd_precompute_search(args, out) -> int:
             )
         else:
             r_max = args.rmax
+        vectors = {t: build_reverse_vector(g, t, r_max, args.alpha) for t in targets}
         per_keyword[keyword] = {
             "targets": targets,
             "r_max": r_max,
-            "grouped": build_grouped_index(g, targets, r_max, args.alpha),
-            "sampler": build_target_sampler(g, targets, r_max, args.alpha),
+            "grouped": build_grouped_index(g, targets, r_max, args.alpha, vectors=vectors),
+            "sampler": build_target_sampler(g, targets, r_max, args.alpha, vectors=vectors),
         }
     wall = time.perf_counter() - t0
     save_index(

@@ -395,7 +395,10 @@ def walk_endpoints(
         rng = cfg.stream()
     lengths = rng.geometric(cfg.alpha, size=count) - 1
     starts = np.asarray(start, dtype=np.intp) if src is None else src.starts(rng, count)
-    order = np.argsort(-lengths, kind="stable")
+    # Longest first, ties in draw order: a stable sort on the narrowest
+    # unsigned key, which numpy radix-sorts.
+    top = lengths.max(initial=0)
+    order = np.argsort((top - lengths).astype(np.min_scalar_type(top)), kind="stable")
     u = starts[order]
     live = count - np.cumsum(np.bincount(lengths, minlength=1)[:-1])
     _lockstep(g, u, live.tolist(), rng)

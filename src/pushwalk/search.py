@@ -10,18 +10,28 @@ product per target, a coordinate-transposed index shared by all targets, or
 a two-stage sampler that draws targets with probability proportional to
 their scores without ever computing them all. Both sides must be built at
 the same teleport rate alpha; scoring raises ValueError when they differ.
+
+The grouped index and the target sampler hold the same transpose: one
+coordinate-major CSR over the sorted targets' vectors, built by
+concatenating every target's (coordinate, value) arrays and sorting them
+once, stably, by coordinate, so each coordinate lists its targets in
+ascending order. A query finds its source coordinates in it with one
+``searchsorted``. Their ``slots`` and ``samplers`` are read-only mapping
+views of it, and saved indexes store its arrays as plain buffers.
 """
 
 from __future__ import annotations
 
 import pickle
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bidir import PprParams, num_walks
 from .graph import Graph
-from .push import SparseVec, reverse_push
+from .push import DenseVec, SparseVec, reverse_push
 from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
 
 __all__ = [
@@ -101,25 +111,138 @@ class ReverseVector:
         return len(self.estimates) + len(self.residuals)
 
 
-@dataclass
-class GroupedIndex:
-    """Transpose of a set of reverse vectors: coordinate -> [(target, value)].
+class _Slot:
+    """One coordinate's (target, value) pairs, ascending target, read from
+    the index's arrays only when iterated."""
 
-    Querying walks the source vector's coordinates in ascending order and
-    credits each listed target, which reproduces the per-target dot products
-    addition for addition — identical floating-point results, one pass.
+    __slots__ = ("_index", "_lo", "_hi")
+
+    def __init__(self, index: _CoordIndex, lo: int, hi: int):
+        self._index = index
+        self._lo = lo
+        self._hi = hi
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self):
+        return iter(self._index._pairs(self._lo, self._hi))
+
+    def __eq__(self, other) -> bool:
+        try:
+            return list(self) == list(other)
+        except TypeError:
+            return NotImplemented
+
+
+class _Slots(Mapping):
+    """Read-only coordinate -> slot view of an index; ``len`` and
+    ``values()`` cost one small object per coordinate, none per entry."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: _CoordIndex):
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._index.coords)
+
+    def __iter__(self):
+        return iter(self._index.coords.tolist())
+
+    def __getitem__(self, coord) -> _Slot:
+        z = self._index
+        i = int(np.searchsorted(z.coords, coord))
+        if i == len(z.coords) or z.coords[i] != coord:
+            raise KeyError(coord)
+        return _Slot(z, int(z.offsets[i]), int(z.offsets[i + 1]))
+
+    def values(self):
+        bounds = self._index.offsets.tolist()
+        return [_Slot(self._index, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# Pickled array fields and their array.array type codes: stored files hold
+# plain buffers and no numpy reference.
+_ARRAY_CODES = {"coords": "q", "offsets": "q", "positions": "q", "values": "d"}
+
+
+@dataclass
+class _CoordIndex:
+    """The sorted targets' reverse vectors transposed by coordinate, as CSR.
+
+    ``coords`` lists the coordinates that some target's vector holds, in
+    ascending order; coordinate ``coords[i]`` owns entries
+    ``offsets[i]:offsets[i+1]`` of ``positions`` (each entry's target, as
+    its index in ``targets``, ascending within a coordinate) and ``values``.
     """
 
     n: int
     targets: list[int]
     r_max: float
     alpha: float
-    slots: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
+    coords: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def _pairs(self, lo: int, hi: int) -> list[tuple[int, float]]:
+        ts = self.targets
+        return [
+            (ts[p], v)
+            for p, v in zip(self.positions[lo:hi].tolist(), self.values[lo:hi].tolist())
+        ]
+
+    def _shared(self, x_s: ForwardVector):
+        """The source vector's coordinates that the index holds.
+
+        Returns their rows in ``coords``, the source values there, and the
+        index's entries for those rows (ascending coordinate, then target)
+        with the row number of each entry.
+        """
+        x = coord_vector(x_s.n, x_s.indicator, x_s.empirical)
+        xc = np.fromiter(x.keys(), np.int64, len(x))
+        xv = np.fromiter(x.values(), np.float64, len(x))
+        rows = np.searchsorted(self.coords, xc)
+        found = rows < len(self.coords)
+        found[found] = self.coords[rows[found]] == xc[found]
+        rows, xv = rows[found], xv[found]
+        lo = self.offsets[rows]
+        counts = self.offsets[rows + 1] - lo
+        seg = np.arange(len(rows)).repeat(counts)
+        entries = np.arange(len(seg)) + (lo - counts.cumsum() + counts).repeat(counts)
+        return rows, xv, entries, seg
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for name, code in _ARRAY_CODES.items():
+            state[name] = array(code, state[name].tobytes())
+        return state
+
+    def __setstate__(self, state):
+        for name, code in _ARRAY_CODES.items():
+            state[name] = np.frombuffer(state[name], dtype=code)
+        self.__dict__.update(state)
 
 
 @dataclass
-class TargetSamplerIndex:
-    """Per-coordinate stage-two draws, stored as the grouped index's slots.
+class GroupedIndex(_CoordIndex):
+    """Transpose of a set of reverse vectors; ``slots`` reads it as
+    coordinate -> [(target, value)].
+
+    Querying walks the source vector's coordinates in ascending order and
+    credits each listed target, which reproduces the per-target dot products
+    addition for addition — identical floating-point results, one pass.
+    """
+
+    @property
+    def slots(self) -> _Slots:
+        return _Slots(self)
+
+
+@dataclass
+class TargetSamplerIndex(_CoordIndex):
+    """Per-coordinate stage-two draws over the grouped index's slots.
 
     ``samplers[v]`` lists coordinate v's (target, value) pairs; the draw at
     v picks t with probability y_t[v] / total, where total is the slot's
@@ -129,11 +252,9 @@ class TargetSamplerIndex:
     builds a coordinate's sampler only when stage one draws it.
     """
 
-    n: int
-    targets: list[int]
-    r_max: float
-    alpha: float
-    samplers: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
+    @property
+    def samplers(self) -> _Slots:
+        return _Slots(self)
 
 
 @dataclass
@@ -199,28 +320,64 @@ def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> Revers
     )
 
 
-def _slots(
+def _block_arrays(block) -> tuple[np.ndarray, np.ndarray]:
+    """A push vector's (nodes, values): a ``DenseVec``'s nonzeros, or every
+    entry of a sparse mapping, as arrays."""
+    if isinstance(block, DenseVec):
+        nodes = np.flatnonzero(block.array)
+        return nodes, block.array[nodes]
+    k = len(block)
+    return np.fromiter(block.keys(), np.int64, k), np.fromiter(block.values(), np.float64, k)
+
+
+def _transpose(
+    g: Graph,
+    targets: list[int],
+    r_max: float,
+    alpha: float,
+    vectors: dict[int, ReverseVector] | None,
+    cls: type[_CoordIndex],
+) -> _CoordIndex:
+    """``cls`` over the sorted targets' reverse vectors (given, or pushed at
+    (r_max, alpha)), transposed by coordinate with one stable sort."""
+    ts = sorted(targets)
+    coords, positions, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for i, t in enumerate(ts):
+        rv = vectors[t] if vectors is not None else reverse_push(g, t, r_max, alpha)
+        for block, shift in ((rv.estimates, 0), (rv.residuals, g.n)):
+            nodes, vals = _block_arrays(block)
+            coords.append(nodes + shift)
+            positions.append(np.full(len(nodes), i, dtype=np.int64))
+            values.append(vals)
+    coord = np.concatenate(coords)
+    order = np.argsort(coord, kind="stable")  # ties keep ascending target order
+    coord = coord[order]
+    starts = np.flatnonzero(np.diff(coord, prepend=-1))
+    return cls(
+        g.n,
+        ts,
+        r_max,
+        alpha,
+        coord[starts],
+        np.append(starts, len(coord)),
+        np.concatenate(positions)[order],
+        np.concatenate(values)[order],
+    )
+
+
+def build_grouped_index(
     g: Graph,
     targets: list[int],
     r_max: float,
     alpha: float,
     vectors: dict[int, ReverseVector] | None = None,
-) -> dict[int, list[tuple[int, float]]]:
-    """coordinate -> [(target, value)] over the sorted targets' reverse
-    vectors (given, or pushed at (r_max, alpha)), in target-major order."""
-    slots: dict[int, list[tuple[int, float]]] = {}
-    for t in targets:
-        rv = vectors[t] if vectors is not None else build_reverse_vector(g, t, r_max, alpha)
-        for coord, val in rv.coord_items():
-            slots.setdefault(coord, []).append((t, val))
-    return slots
-
-
-def build_grouped_index(
-    g: Graph, targets: list[int], r_max: float, alpha: float
 ) -> GroupedIndex:
-    ts = sorted(targets)
-    return GroupedIndex(g.n, ts, r_max, alpha, _slots(g, ts, r_max, alpha))
+    """Transpose the targets' reverse vectors by coordinate.
+
+    Pass explicit vectors to index precomputed (or synthetic) target sides;
+    otherwise each target gets a fresh reverse push at (r_max, alpha).
+    """
+    return _transpose(g, targets, r_max, alpha, vectors, GroupedIndex)
 
 
 def build_target_sampler(
@@ -235,8 +392,7 @@ def build_target_sampler(
     Pass explicit vectors to index precomputed (or synthetic) target sides;
     otherwise each target gets a fresh reverse push at (r_max, alpha).
     """
-    ts = sorted(targets)
-    return TargetSamplerIndex(g.n, ts, r_max, alpha, _slots(g, ts, r_max, alpha, vectors))
+    return _transpose(g, targets, r_max, alpha, vectors, TargetSamplerIndex)
 
 
 def _check_alpha(x_s: ForwardVector, alpha: float) -> None:
@@ -293,11 +449,11 @@ def score_targets_grouped(
     order as score_targets_direct, so the two agree bit for bit.
     """
     _check_alpha(x_s, z.alpha)
-    scores: dict[int, float] = {t: 0.0 for t in z.targets}
-    for coord, xv in x_s.coord_items():
-        for t, yv in z.slots.get(coord, ()):
-            scores[t] += xv * yv
-    return _rank(scores)
+    _, xv, entries, seg = z._shared(x_s)
+    scores = np.zeros(len(z.targets))
+    # add.at applies the products in entry order: per target, ascending coordinate.
+    np.add.at(scores, z.positions[entries], xv[seg] * z.values[entries])
+    return _rank(dict(zip(z.targets, scores.tolist())))
 
 
 def sample_targets(
@@ -321,22 +477,22 @@ def sample_targets(
     _check_alpha(x_s, idx.alpha)
     if rng is None:
         rng = np.random.default_rng(seed)
-    slots = idx.samplers
-    stage1 = [
-        (coord, xv * sum(yv for _, yv in slots[coord]))
-        for coord, xv in x_s.coord_items()
-        if coord in slots and xv > 0.0
-    ]
+    rows, xv, entries, seg = idx._shared(x_s)
+    totals = np.zeros(len(rows))
+    np.add.at(totals, seg, idx.values[entries])  # in target order, as sum() would
+    live = xv > 0.0
+    stage1 = list(zip(rows[live].tolist(), (xv * totals)[live].tolist()))
     if sum(wt for _, wt in stage1) <= 0.0:
         return []
-    coords = build_sampler(stage1).sample_many(rng, n_samples)
+    picked = build_sampler(stage1).sample_many(rng, n_samples)
     counts: dict[int, int] = {}
-    coord_counts: dict[int, int] = {}
-    for coord in coords:
-        coord_counts[coord] = coord_counts.get(coord, 0) + 1
-    for coord in sorted(coord_counts):
-        picks = build_sampler(slots[coord]).sample_many(rng, coord_counts[coord])
-        for t in picks:
+    row_counts: dict[int, int] = {}
+    for row in picked:
+        row_counts[row] = row_counts.get(row, 0) + 1
+    offsets = idx.offsets
+    for row in sorted(row_counts):
+        slot = idx._pairs(int(offsets[row]), int(offsets[row + 1]))
+        for t in build_sampler(slot).sample_many(rng, row_counts[row]):
             counts[t] = counts.get(t, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked
@@ -407,7 +563,7 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 4  # 4: target-sampler indexes store slots, not samplers
+_INDEX_VERSION = 5  # 5: search indexes store coordinate-major CSR buffers
 
 
 def save_index(path, payload: dict) -> None:

@@ -292,6 +292,32 @@ def test_precompute_search_adaptive_threshold(tmp_path, two_cycle_file, capsys):
     assert got == pytest.approx(want)
 
 
+def test_precompute_search_pushes_each_target_once(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("\n".join(cli.generate_synthetic("power-law", 300, seed=4)) + "\n")
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("red\t1\nred\t5\nred\t9\nred\t40\nblue\t5\nblue\t77\n")
+    pushed = []
+    push = search.reverse_push
+    monkeypatch.setattr(search, "reverse_push",
+                        lambda g, t, *rest: pushed.append(t) or push(g, t, *rest))
+    idx = tmp_path / "idx.bin"
+    assert cli.main(["precompute-search", "--graph", str(graph), "--keywords", str(kw),
+                     "--rmax", "0.01", "--output", str(idx)]) == 0
+    capsys.readouterr()
+    payload = pw.load_index(idx)
+    assert len(pushed) == 6  # one push per (keyword, target)
+    g = pw.apply_sink_convention(pw.load_edge_list(str(graph)))
+    for word, targets in payload["keywords"].items():
+        stored = payload["per_keyword"][word]
+        for key, build in (("grouped", pw.build_grouped_index),
+                           ("sampler", pw.build_target_sampler)):
+            fresh = build(g, targets, 0.01, 0.2)
+            assert stored[key].targets == fresh.targets == sorted(targets)
+            for name in ("coords", "offsets", "positions", "values"):
+                assert np.array_equal(getattr(stored[key], name), getattr(fresh, name))
+
+
 def test_sample_path_output_format(two_cycle_file, capsys):
     rc = cli.main(["sample-path", "--graph", two_cycle_file, "--source", "a",
                    "--targets", "b", "--epsr", "0.5", "--count", "3"])
@@ -564,9 +590,12 @@ def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):
     kw.write_text("topic\tb\n")
     old = tmp_path / "v1.bin"
     old.write_bytes(b"PWIX" + (1).to_bytes(2, "little") + pickle.dumps({}))
+    v4 = tmp_path / "v4.bin"
+    v4.write_bytes(b"PWIX" + (4).to_bytes(2, "little") + pickle.dumps({}))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"this is not an index")
     for path, why in ((old, "unsupported index version 1"),
+                      (v4, "unsupported index version 4"),
                       (garbage, "is not a search index")):
         assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
                          "--keyword", "topic", "--index", str(path)]) == 2

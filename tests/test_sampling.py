@@ -215,6 +215,26 @@ def test_array_of_starts_steps_like_a_node_source():
     assert pw.walk_endpoints(_WEIGHTED, np.array([], dtype=np.intp), 0, cfg).size == 0
 
 
+def test_walk_order_keeps_pinned_endpoints():
+    # Endpoints pinned at fixed seeds. At alpha 0.005 some length exceeds
+    # 255, so the longest-first order sorts a 16-bit key, at 0.2 an 8-bit one.
+    g = pw.from_edges([(0, 1), (0, 2), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0),
+                       (4, 1), (4, 3)], n=5)
+    pinned = {
+        (0.2, 11): [3, 0, 4, 1, 2, 1, 0, 3, 0, 1, 2, 2, 4, 3, 0, 2, 2, 0, 0, 2,
+                    2, 1, 0, 3, 0, 1, 4, 3, 0, 0, 2, 0, 1, 1, 0, 1, 0, 2, 4, 3],
+        (0.005, 12): [4, 2, 2, 3, 2, 2, 0, 3, 2, 2, 1, 3, 2, 0, 0, 0, 1, 2, 2, 1,
+                      3, 0, 0, 0, 1, 4, 0, 0, 0, 4, 0, 0, 1, 0, 2, 2, 3, 4, 3, 0],
+    }
+    for (alpha, seed), want in pinned.items():
+        cfg = pw.WalkConfig(alpha, seed)
+        longest = (cfg.stream().geometric(alpha, size=40) - 1).max()
+        assert (longest > 255) == (alpha < 0.2)
+        assert pw.walk_endpoints(g, 0, 40, cfg) == want
+        starts = np.zeros(40, dtype=np.intp)
+        assert pw.walk_endpoints(g, starts, 40, cfg).tolist() == want
+
+
 def test_array_of_starts_is_checked():
     g = pw.from_edges([(0, 1), (0, 2), (2, 0)], n=3)  # node 1 is a dead end
     cfg = pw.WalkConfig(alpha=0.2, seed=24)

@@ -62,9 +62,69 @@ def test_grouped_equals_direct_bit_for_bit(rng):
         assert grouped == direct  # identical floats, identical order
 
 
+def _dict_slots(vectors):
+    """The coordinate -> [(target, value)] dict an index once stored,
+    built entry by entry from each target's coord_items()."""
+    slots = {}
+    for t in sorted(vectors):
+        for coord, val in vectors[t].coord_items():
+            slots.setdefault(coord, []).append((t, val))
+    return slots
+
+
+def _dict_draw(x, slots, n_samples, seed):
+    """Reference two-stage draw over the dict form of the slots."""
+    rng = np.random.default_rng(seed)
+    stage1 = [(coord, xv * sum(yv for _, yv in slots[coord]))
+              for coord, xv in x.coord_items() if coord in slots and xv > 0.0]
+    if sum(wt for _, wt in stage1) <= 0.0:
+        return []
+    coords = pw.build_sampler(stage1).sample_many(rng, n_samples)
+    counts = {}
+    for coord in sorted(set(coords)):
+        for t in pw.build_sampler(slots[coord]).sample_many(rng, coords.count(coord)):
+            counts[t] = counts.get(t, 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def test_csr_index_lists_the_dict_slots_and_draws_alike(rng):
+    dense_pushes = 0
+    for trial in range(8):
+        g = rand_graph(rng, n_max=30, directed=bool(trial % 2))
+        targets = sorted({int(rng.integers(g.n)) for _ in range(7)})
+        r_max = float(rng.uniform(0.005, 0.2))
+        vectors = {t: pw.build_reverse_vector(g, t, r_max, 0.2) for t in targets}
+        dense_pushes += sum(isinstance(pw.reverse_push(g, t, r_max, 0.2).residuals,
+                                       pw.DenseVec) for t in targets)
+        want = _dict_slots(vectors)
+        # Pushed afresh (DenseVec or SparseVec blocks) and from given vectors.
+        for idx in (pw.build_target_sampler(g, targets, r_max, 0.2),
+                    pw.build_target_sampler(g, targets, r_max, 0.2, vectors=vectors),
+                    pw.build_grouped_index(g, targets, r_max, 0.2)):
+            slots = idx.samplers if isinstance(idx, pw.TargetSamplerIndex) else idx.slots
+            assert list(slots) == sorted(want)
+            assert {coord: list(slot) for coord, slot in slots.items()} == want
+            assert sum(len(slot) for slot in slots.values()) == len(idx.values)
+        idx = pw.build_target_sampler(g, targets, r_max, 0.2)
+        for seed in range(3):
+            s = int(rng.integers(g.n))
+            x = pw.build_forward_vector(g, s, 200, pw.WalkConfig(0.2, 70 + seed))
+            assert pw.sample_targets(x, idx, 500, seed=seed) == _dict_draw(x, want, 500, seed)
+    assert dense_pushes > 0
+
+
+def _hand_index(build, n, blocks):
+    """``build``'s index over hand-made target vectors, given as
+    {target: (estimates, residuals)} at r_max 0.5 and alpha 0.2."""
+    g = pw.from_edges([(v, (v + 1) % n, 1.0) for v in range(n)], n=n)
+    vectors = {t: pw.ReverseVector(n, t, SparseVec(est), SparseVec(res), 0.5, 0.2)
+               for t, (est, res) in blocks.items()}
+    return build(g, list(vectors), 0.5, 0.2, vectors=vectors)
+
+
 def test_grouped_empty_support_overlap_scores_zero():
-    z = pw.GroupedIndex(n=4, targets=[2, 3], r_max=0.5, alpha=0.2)
-    z.slots[6] = [(2, 0.4), (3, 0.1)]  # residual slot of node 2
+    # residual slot of node 2: coordinate 6 = [(2, 0.4), (3, 0.1)]
+    z = _hand_index(pw.build_grouped_index, 4, {2: ({}, {2: 0.4}), 3: ({}, {2: 0.1})})
     x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({1: 1.0}), walks=1, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
@@ -72,8 +132,8 @@ def test_grouped_empty_support_overlap_scores_zero():
 
 
 def test_grouped_single_shared_coordinate():
-    z = pw.GroupedIndex(n=4, targets=[2, 3], r_max=0.5, alpha=0.2)
-    z.slots[5] = [(2, 0.4), (3, 0.1)]  # residual slot of node 1
+    # residual slot of node 1: coordinate 5 = [(2, 0.4), (3, 0.1)]
+    z = _hand_index(pw.build_grouped_index, 4, {2: ({}, {1: 0.4}), 3: ({}, {1: 0.1})})
     x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({1: 0.5}), walks=2, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
@@ -81,7 +141,7 @@ def test_grouped_single_shared_coordinate():
 
 
 def test_all_zero_scores_rank_by_node_id():
-    z = pw.GroupedIndex(n=4, targets=[3, 1, 2], r_max=0.5, alpha=0.2)
+    z = _hand_index(pw.build_grouped_index, 4, {3: ({}, {}), 1: ({}, {}), 2: ({}, {})})
     x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({0: 1.0}), walks=1, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
@@ -108,8 +168,8 @@ def test_sampler_single_target_always_wins():
 
 
 def test_sampler_three_to_one_ratio():
-    idx = pw.TargetSamplerIndex(n=5, targets=[1, 2], r_max=0.5, alpha=0.2)
-    idx.samplers[8] = [(1, 0.3), (2, 0.1)]  # residual slot of node 3
+    # residual slot of node 3: coordinate 8 = [(1, 0.3), (2, 0.1)]
+    idx = _hand_index(pw.build_target_sampler, 5, {1: ({}, {3: 0.3}), 2: ({}, {3: 0.1})})
     assert pw.build_sampler(idx.samplers[8]).total == pytest.approx(0.4)
     x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
@@ -122,9 +182,11 @@ def test_sampler_worked_two_stage_arithmetic():
     # Stage-one weights x*total come out (0, 0.64/3, 0.72/3), where total is
     # a coordinate sampler's aggregate target mass; node c's stage-two
     # sampler splits its targets (5/9, 2/9, 2/9).
-    idx = pw.TargetSamplerIndex(n=8, targets=[5, 6, 7], r_max=0.5, alpha=0.2)
-    idx.samplers[11] = [(5, 0.4), (6, 0.12), (7, 0.12)]
-    idx.samplers[12] = [(5, 0.4), (6, 0.16), (7, 0.16)]
+    # coordinate 11 = [(5, 0.4), (6, 0.12), (7, 0.12)],
+    # coordinate 12 = [(5, 0.4), (6, 0.16), (7, 0.16)]
+    idx = _hand_index(pw.build_target_sampler, 8, {5: ({}, {3: 0.4, 4: 0.4}),
+                                                   6: ({}, {3: 0.12, 4: 0.16}),
+                                                   7: ({}, {3: 0.12, 4: 0.16})})
     x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
@@ -147,7 +209,7 @@ def test_sampler_worked_two_stage_arithmetic():
 
 
 def test_sampler_with_nothing_reachable_returns_empty_ranking():
-    idx = pw.TargetSamplerIndex(n=4, targets=[2], r_max=0.5, alpha=0.2)
+    idx = _hand_index(pw.build_target_sampler, 4, {2: ({}, {})})
     x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({1: 1.0}), walks=1, alpha=0.2)
     assert pw.sample_targets(x, idx, 10, seed=1) == []
@@ -306,7 +368,9 @@ def test_stored_reverse_vectors_stay_sparse_through_save_and_load(tmp_path):
     assert type(got.estimates) is SparseVec and type(got.residuals) is SparseVec
     assert list(got.estimates.items()) == list(rv.estimates.items())
     assert list(got.residuals.items()) == list(rv.residuals.items())
-    assert back["grouped"].slots == grouped.slots
+    assert back["grouped"].targets == grouped.targets
+    for name in ("coords", "offsets", "positions", "values"):
+        assert np.array_equal(getattr(back["grouped"], name), getattr(grouped, name))
 
 
 def test_index_sidecar_rejects_garbage(tmp_path):
