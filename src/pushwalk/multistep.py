@@ -10,9 +10,10 @@ for every horizon ell <= ell_max. It holds at p = 0 and after each push of
 the ladder, which banks r^i[v] into p^i[v] and forwards it one level up
 through in-edges, or only banks on the top level. First-passage mode also
 banks at t, trading the identity for its first-arrival analogue. The
-forward phase replaces the unknowable <s W^k, .> terms by sampling positions
-of fixed-length paths. One reverse sweep plus one path set serves every
-horizon up to ell_max at once, which is what makes diffusion sums cheap.
+forward phase replaces the unknowable <s W^k, .> terms by reading the
+residuals at every position of fixed-length paths from s. One reverse sweep
+plus one path set serves every horizon up to ell_max at once, which is what
+makes diffusion sums cheap.
 """
 
 from __future__ import annotations
@@ -89,14 +90,21 @@ class MstpParams:
 
 
 def poisson_weights(t_param: float, ell_max: int) -> tuple[np.ndarray, float]:
-    """Weights e^{-t} t^l / l! for l = 0..ell_max, plus the truncated tail."""
+    """Weights e^{-t} t^l / l! for l = 0..ell_max, plus the truncated tail.
+
+    Each weight is exp(-t + l ln t - ln l!) in log space: the recurrence
+    from e^{-t} starts subnormal for t > 708 and loses the mass.
+    """
     if not 0.0 < t_param < math.inf:
         raise ValueError("t_param must be positive and finite")
-    weights = np.empty(ell_max + 1)
-    weights[0] = math.exp(-t_param)
-    for ell in range(1, ell_max + 1):
-        weights[ell] = weights[ell - 1] * t_param / ell
+    ell = np.arange(ell_max + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(ell_max + 1)])
+    weights = np.exp(ell * math.log(t_param) - t_param - log_fact)
     return weights, max(0.0, 1.0 - float(weights.sum()))
+
+
+# Largest Poisson weight mass a heat-kernel truncation may drop.
+_TAIL_MAX = 1e-9
 
 
 @dataclass
@@ -104,8 +112,8 @@ class HeatKernelParams:
     """Poisson jump-length weighting with a tail-safe truncation.
 
     ell_max defaults to round(t + 10*sqrt(t)) — ten standard deviations
-    above the mean jump count — and any explicit choice must leave a tail
-    below 1e-9.
+    above the mean jump count — raised while the tail exceeds 1e-9 (t = 0.5
+    needs 9, not 8). An explicit choice must leave a tail below 1e-9.
     """
 
     t_param: float
@@ -116,8 +124,10 @@ class HeatKernelParams:
             raise ValueError("t_param must be positive and finite")
         if self.ell_max is None:
             self.ell_max = int(round(self.t_param + 10.0 * math.sqrt(self.t_param)))
+            while poisson_weights(self.t_param, self.ell_max)[1] > _TAIL_MAX:
+                self.ell_max += 1
         _, tail = poisson_weights(self.t_param, self.ell_max)
-        if tail > 1e-9:
+        if tail > _TAIL_MAX:
             raise ValueError(
                 f"truncation at ell_max={self.ell_max} leaves a weight tail of "
                 f"{tail:.3g} > 1e-9; raise ell_max"
@@ -165,13 +175,19 @@ def _forward_phase(
 ) -> np.ndarray:
     """Reverse ladder and path pickups of estimate_mstp.
 
-    The paths come from one lockstep batch. The pickups read the residual
-    levels by fancy index into a dense (ell_max+1) x (touched+1) matrix,
+    The paths come from one lockstep batch, and nothing is drawn after
+    them. The residual levels go into a dense (ell_max+1) x cells matrix,
     whose columns are the nodes holding residual at any level plus one zero
-    column, through a length-n column map: O(n + ell_max*touched) time and
-    memory per call, whatever the size of the ladder. With first_arrival
-    set, the ladder banks residual that reaches t, and the (path, k) pairs
-    that estimate_truncated_hitting voids are masked out.
+    column, reached through a length-n column map. Position k of a path
+    standing at node v is counted in cell k*cells + col[v], so one bincount
+    gives the visit histogram, and visits @ residuals.T holds every
+    sum over paths of r^i[V_k] at once; horizon ell adds up its anti-diagonal
+    k + i = ell. Cost: O(n + n_f*ell_max + ell_max^2*touched) time and
+    O(n + ell_max*touched) memory beyond the paths, whatever the size of
+    the ladder. With first_arrival set, the ladder banks residual that
+    reaches t, positions at or after a path's first visit to t read the
+    zero column, and a path whose first visit is at ell adds r^0[t] at
+    horizon ell.
     """
     src = source_of(g, s)
     _check_node(g, t)
@@ -181,24 +197,28 @@ def _forward_phase(
     rng = cfg.stream()
     n_f = params.num_paths()
     paths = random_walk_path(g, src.starts(rng, n_f), cfg, fixed_len=ell_max, rng=rng)
+    touched = list(set().union(*levels))
+    cells = len(touched) + 1
+    col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
+    col[touched] = np.arange(len(touched))
+    residuals = np.zeros((ell_max + 1, cells))
+    for i, level in enumerate(levels):
+        residuals[i, col[list(level)]] = list(level.values())
+    codes = col[paths]
     if first_arrival:
         hits = paths[:, 1:] == t
         first_hit = np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, ell_max + 1)
-    touched = list(set().union(*levels))
-    col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
-    col[touched] = np.arange(len(touched))
-    residuals = np.zeros((ell_max + 1, len(touched) + 1))
-    for i, level in enumerate(levels):
-        residuals[i, col[list(level)]] = list(level.values())
-    cols = col[paths]
-    rows = np.arange(n_f)
-    out = np.zeros(ell_max)
-    for ell in range(1, ell_max + 1):
-        k = rng.integers(0, ell + 1, size=n_f)
-        picked = residuals[ell - k, cols[rows, k]]
-        if first_arrival:
-            picked = picked[(k < first_hit) | ((k == first_hit) & (first_hit == ell))]
-        out[ell - 1] = src.dot(estimates[ell]) + (ell + 1) * picked.sum() / n_f
+        codes[np.arange(ell_max + 1) >= first_hit[:, None]] = len(touched)
+    codes += np.arange(0, (ell_max + 1) * cells, cells)  # position k's block of cells
+    visits = np.bincount(codes.ravel(), minlength=(ell_max + 1) * cells)
+    by_pos = visits.reshape(ell_max + 1, cells) @ residuals.T
+    k = np.arange(ell_max + 1)
+    # horizon ell sums the cells (k, i) of by_pos with k + i = ell
+    out = np.bincount((k[:, None] + k).ravel(), weights=by_pos.ravel())[1 : ell_max + 1]
+    if first_arrival:  # r^0[t] is nonzero only when eps_r >= 1 left it unpushed
+        out += np.bincount(first_hit, minlength=ell_max + 2)[1:-1] * residuals[0, col[t]]
+    out /= n_f
+    out += [src.dot(estimates[ell]) for ell in range(1, ell_max + 1)]
     return out
 
 
@@ -212,9 +232,15 @@ def estimate_mstp(
     """Estimates of P[X_ell = t] for every horizon ell = 1..ell_max.
 
     Reverse phase: drain all residuals above eps_r. Forward phase: sample
-    fixed-length paths from s; for each horizon, each path contributes
-    (ell+1) * r^{ell-k}[V_k] with k drawn uniformly from {0..ell} — an
-    unbiased single-position probe of the (ell+1)-term residual sum.
+    fixed-length paths V from s; for horizon ell, each path contributes
+    sum_{k=0..ell} r^{ell-k}[V_k], whose mean over paths is the residual
+    term of the layered identity, so the estimate is unbiased. It is the
+    conditional expectation, given the path, of the single-position probe
+    (ell+1) * r^{ell-k}[V_k] with k uniform on {0..ell}, so its variance is
+    no larger. Every residual left by the ladder is at most eps_r, so each
+    path's sum lies in [0, (ell+1) * eps_r], the probe's own range: the
+    num_paths() budget, and with use_theorem_c its (epsilon, delta, p_fail)
+    guarantee, carry over unchanged.
 
     Returns a length-ell_max array (index 0 holds horizon 1).
     """

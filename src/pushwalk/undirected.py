@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .bidir import PprEstimate, PprParams
 from .graph import Graph
 from .oracle import exact_ppr
@@ -106,14 +108,13 @@ def estimate_ppr_undirected(
         math.ceil(c_u * d_t * r_max / (params.epsilon**2 * params.delta)),
     )
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    endpoints = walk_endpoints(g, t, w, cfg)
-    residuals = pr.residuals
-    total = 0.0
-    for v in endpoints:
-        rv = residuals.get(v, 0.0)
-        if rv:
-            total += rv * d_t / g.degree(v)
-    return PprEstimate(value + total / w, w, pr.pushes_performed, r_max)
+    # w copies of t make the node form's draws, and return an array
+    ends = walk_endpoints(g, np.full(w, t, dtype=np.intp), w, cfg)
+    res = np.zeros(g.n)
+    res[list(pr.residuals)] = list(pr.residuals.values())
+    picked = res[ends] * d_t / g.degrees[ends]
+    total = np.add.accumulate(picked)[-1]  # summed in walk order
+    return PprEstimate(value + float(total) / w, w, pr.pushes_performed, r_max)
 
 
 def forward_work_bound_check(g: Graph, s: int, r_max: float, alpha: float) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 import pushwalk as pw
 from pushwalk.multistep import _ladder
+from pushwalk.sampling import WalkConfig, random_walk_path, source_of
 from conftest import rand_graph, two_cycle
 
 
@@ -95,6 +96,25 @@ def test_poisson_weights_cover_mass():
     assert tail <= 1e-12
 
 
+@pytest.mark.parametrize("t_param", [0.5, 3, 50, 700, 745, 800, 2000])
+def test_poisson_weights_sum_to_one(t_param):
+    # e^{-t} is subnormal beyond t = 708, where a recurrence from it loses mass
+    hk = pw.HeatKernelParams(t_param)
+    wts, tail = pw.poisson_weights(t_param, hk.ell_max)
+    assert abs(wts.sum() - 1.0) <= 1e-9
+    assert tail <= 1e-9
+
+
+@pytest.mark.parametrize("t_param", [0.5, 3, 50])
+def test_poisson_weights_match_recurrence(t_param):
+    ell_max = int(t_param + 10 * math.sqrt(t_param)) + 10
+    wts, _ = pw.poisson_weights(t_param, ell_max)
+    rec = [math.exp(-t_param)]
+    for ell in range(1, ell_max + 1):
+        rec.append(rec[-1] * t_param / ell)
+    np.testing.assert_allclose(wts, rec, rtol=1e-12, atol=0.0)
+
+
 def test_heat_kernel_self_loop_is_one():
     g = pw.from_edges([(0, 0, 1.0)], n=1)
     hk = pw.HeatKernelParams(t_param=5.0)
@@ -153,6 +173,51 @@ def test_first_passage_ensemble_unbiased(rng):
         assert abs(runs[:, ell].mean() - oracle[ell]) <= 3 * se + 1e-12
 
 
+def _pickups_by_loop(g, s, t, params, seed, first_arrival):
+    """The estimators' output recomputed by plain loops over the same paths:
+    for horizon ell, each path adds sum_{k=0..ell} r^{ell-k}[V_k], stopping
+    in first-arrival mode at its first visit to t after time zero, which
+    only counts (as r^0[t]) when it is at ell itself."""
+    src = source_of(g, s)
+    estimates, residuals = _ladder(g, t, params.ell_max, params.effective_eps_r(),
+                                   first_arrival)
+    cfg = WalkConfig(alpha=0.5, seed=seed)
+    rng = cfg.stream()
+    n_f = params.num_paths()
+    paths = random_walk_path(g, src.starts(rng, n_f), cfg,
+                             fixed_len=params.ell_max, rng=rng).tolist()
+    out = []
+    for ell in range(1, params.ell_max + 1):
+        total = 0.0
+        for path in paths:
+            for k in range(ell + 1):
+                if first_arrival and k >= 1 and path[k] == t:
+                    if k == ell:
+                        total += residuals[0].get(t, 0.0)
+                    break
+                total += residuals[ell - k].get(path[k], 0.0)
+        out.append(src.dot(estimates[ell]) + total / n_f)
+    return out
+
+
+@pytest.mark.parametrize("first_arrival", [False, True])
+@pytest.mark.parametrize("s, t, eps_r", [
+    (0, 2, None),                   # node source, eps_r 0.085
+    ({0: 0.25, 3: 0.75}, 2, None),  # distribution source
+    (1, 1, None),                   # s == t
+    (0, 2, 1.0),                    # eps_r >= 1: nothing pushes, r^0[t] = 1
+    (1, 1, 2.0),
+])
+@pytest.mark.parametrize("kind", ["undirected", "directed"])
+def test_pickups_sum_every_position(kind, s, t, eps_r, first_arrival):
+    g = _pinned_graphs()[kind]
+    params = pw.MstpParams(ell_max=6, delta=0.05, eps_r=eps_r)
+    estimator = pw.estimate_truncated_hitting if first_arrival else pw.estimate_mstp
+    got = estimator(g, s, t, params, seed=7)
+    want = _pickups_by_loop(g, s, t, params, 7, first_arrival)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def _pinned_graphs():
     # a 12-node ring with weighted chords, and a 9-node directed graph whose
     # node 8 has no out-edges, so the sink convention adds node 9
@@ -172,16 +237,16 @@ def _pinned_graphs():
 # both the ladder and the path pickups shape these numbers.
 _PINNED = {
     "undirected": {
-        "mstp_node": ['0x0.0p+0', '0x1.431095fe8ec87p-4', '0x0.0p+0',
-                      '0x1.493fb4b884ca2p-3', '0x0.0p+0', '0x1.8721756f4438ap-3'],
-        "mstp_dist": ['0x1.8000000000000p-3', '0x1.713786d9c7c09p-7',
-                      '0x1.226f0db38f810p-3', '0x1.1028dec95851fp-5',
-                      '0x1.0945bdda3c6cbp-3', '0x1.acfd670318f42p-5'],
-        "hitting": ['0x0.0p+0', '0x1.e498e0fdd62cap-5', '0x0.0p+0',
-                    '0x1.ba945c1ca71bcp-4', '0x0.0p+0', '0x1.0ae29a5ffe17ap-3'],
+        "mstp_node": ['0x0.0p+0', '0x1.1111111111111p-4', '0x0.0p+0',
+                      '0x1.399fdb2e4d80dp-3', '0x0.0p+0', '0x1.84f7a224fd8d0p-3'],
+        "mstp_dist": ['0x1.8000000000000p-3', '0x1.cd85689039b0bp-7',
+                      '0x1.20a1884aff475p-3', '0x1.175ef46b9938bp-5',
+                      '0x1.17b1e91ebe3a4p-3', '0x1.90a022fc5df10p-5'],
+        "hitting": ['0x0.0p+0', '0x1.1111111111111p-4', '0x0.0p+0',
+                    '0x1.154dbe6e94451p-3', '0x0.0p+0', '0x1.000f03cb495e5p-3'],
         "hitting_return": ['0x0.0p+0', '0x1.ddddddddddddep-2', '0x0.0p+0',
-                           '0x1.bdd4541cbaccfp-5', '0x0.0p+0', '0x1.d4c65403c1641p-5'],
-        "heat": ['0x1.2213a5b8a4e65p-5'],
+                           '0x1.80c8a99cc864cp-4', '0x0.0p+0', '0x1.ad2820b0ef95dp-5'],
+        "heat": ['0x1.216f063707252p-5'],
     },
     "directed": {
         "mstp_node": ['0x0.0p+0', '0x1.5555555555555p-2', '0x0.0p+0',
@@ -192,8 +257,8 @@ _PINNED = {
         "hitting": ['0x0.0p+0', '0x1.5555555555555p-2', '0x0.0p+0',
                     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         "hitting_return": ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
-                           '0x0.0p+0', '0x1.33ae45b57bcb2p-4', '0x0.0p+0'],
-        "heat": ['0x1.64274bb5f2a83p-8'],
+                           '0x0.0p+0', '0x1.2f684bda12f68p-4', '0x0.0p+0'],
+        "heat": ['0x1.685813a2e3751p-8'],
     },
 }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk.cli import generate_synthetic
 from conftest import rand_graph
 
 
@@ -131,3 +132,38 @@ def test_undirected_entry_points_reject_non_integer_nodes(s, t):
         pw.estimate_ppr_undirected(g, s, t, pw.PprParams(delta=0.1))
     with pytest.raises(ValueError, match="not an integer node id"):
         pw.check_symmetry(g, s, t, 0.2)
+
+
+def _pinned_undirected_queries():
+    # a 12-node ring with weighted chords, and a 150-node power-law graph;
+    # every query leaves forward residual, so the walks shape each value
+    ring = pw.from_edges(
+        [(v, (v + 1) % 12, 1.0) for v in range(12)]
+        + [(v, (v + 5) % 12, 1.0 + v % 3) for v in range(0, 12, 2)],
+        n=12, undirected=True)
+    plaw = pw.parse_edge_lines(generate_synthetic("power-law", 150, seed=3),
+                               undirected=True)
+    return [
+        (ring, 0, 6, pw.PprParams(delta=0.05), 21),
+        (ring, 3, 4, pw.PprParams(delta=0.02, r_max=0.05), 22),
+        (plaw, 9, 1, pw.PprParams(delta=0.01), 23),
+        (plaw, 40, 0, pw.PprParams(delta=0.005), 24),
+        (plaw, 0, 77, pw.PprParams(delta=0.01, alpha=0.5), 25),
+    ]
+
+
+# float.hex of value, walks and pushes, recorded when the pickups were a
+# Python loop over the endpoints; the array pickups must match bit for bit.
+_PINNED_UNDIRECTED = [
+    ("0x1.07201df344cd8p-4", 92, 6),
+    ("0x1.9999999999984p-4", 360, 2),
+    ("0x1.ed42e66da51a8p-7", 556, 11),
+    ("0x1.229354d927334p-7", 474, 17),
+    ("0x1.73bf06be8d27ep-10", 168, 2),
+]
+
+
+def test_undirected_estimates_are_pinned():
+    got = [pw.estimate_ppr_undirected(g, s, t, p, seed=seed)
+           for g, s, t, p, seed in _pinned_undirected_queries()]
+    assert [(e.value.hex(), e.walks_used, e.pushes) for e in got] == _PINNED_UNDIRECTED
