@@ -746,7 +746,7 @@ def _cmd_precompute(args, out) -> int:
         {"delta": args.delta, "dmax": args.dmax, "shards": args.shards},
         {"store": args.output},
         {
-            "walk_entries": sum(len(f) for f in store.endpoint_freqs),
+            "walk_entries": store.endpoint_freqs.nodes.size,
             "full_walk_nodes": sum(store.full_walk),
         },
         wall,

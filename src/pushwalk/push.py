@@ -28,12 +28,16 @@ them as ``DenseVec`` views, so a call that enters them costs a few passes
 over n at least. The balanced push always does, which pays on targets
 whose push reaches a large share of the graph; on a target whose push
 stays small that floor is most of the cost (see ``reverse_push_balanced``).
-That floor is also why the scalar FIFO and forward loops stay: on the
-10k-node benchmark graphs (shared 2-core machine), numpy frontier rounds in
-their place took 48 us per forward push of the index-serve store against
-7 us (about +0.4 s on a 1.2 s set-up) and 65 us per sharded reverse push
-against 7 us (median), and an array version of the layered fixed-horizon
-push ran 1.5-2x slower per sweep.
+That floor is also why the scalar FIFO and forward loops stay for single
+pushes: on the 10k-node benchmark graphs (shared 2-core machine), numpy
+frontier rounds in their place took 48 us per forward push against 7 us
+and 65 us per sharded reverse push against 7 us (median), and an array
+version of the layered fixed-horizon push ran 1.5-2x slower per sweep.
+The shared-walk store, which pushes forward from every node, batches
+across sources instead of within one push: ``_forward_all`` steps every
+source's FIFO queue together, one queue position per numpy step, and gives
+each source ``forward_push``'s dicts bit for bit. Only single-source calls
+(``forward_push``, as ``estimate_ppr_undirected`` makes) stay scalar.
 
 Both reverse pushes keep their costly results on the graph
 (``Graph.kept_pushes``) and return the kept result, the same object, when
@@ -385,6 +389,119 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
         default=0.0,
     )
     return PushResult(p, r, pushes, achieved, work, degree_sum)
+
+
+# One slot per touched (source row, node) in ``_forward_all``: its code
+# row*n + node, its estimate and residual, the clock readings at which the
+# node last entered the source's estimate and residual keys, and whether it
+# is in the source's queue.
+_ENTRY = np.dtype([("code", np.int64), ("est", float), ("res", float),
+                   ("p_at", np.int64), ("r_at", np.int64), ("queued", bool)])
+
+
+def _forward_all(g: Graph, sources: np.ndarray, r_max: float, alpha: float):
+    """``forward_push`` from every node of ``sources`` at once, bit for bit
+    (arguments already validated).
+
+    Step j pops queue position j of every source whose FIFO queue is that
+    long. The sources are independent and each pops one node per step, so
+    this is each source's own FIFO: the same ``d > 0 and r/d > r_max`` test
+    on every node a push hands mass to, the same rule of queueing a node
+    only while it is not queued, and the same (1-alpha)*w*r arithmetic. A
+    queued node's residual only grows until it is popped, so the scalar
+    loop's test at the pop always passes and is not repeated.
+
+    Touched entries get slots in order of first touch and are found by
+    code, row*n + node, in one sorted index; a step costs its pushes' edges
+    and the index's insertions. On the 10k-node index-serve benchmark graph
+    all 10k pushes took 10 ms against 64 ms one call at a time at that
+    workload's r_max 0.225, and 0.27 s against 0.65 s at r_max 0.01
+    (medians of 5, shared 2-core machine).
+
+    Returns (rows, nodes, values) for the estimates and for the residuals:
+    source ``sources[i]``'s non-zeros are the entries of row i, in the key
+    order of ``forward_push``'s dicts. That order is kept by stamping each
+    entry when its node enters the dict's keys: a residual popped by a push
+    and handed mass again, as on a self-loop, moves to the end.
+    """
+    n = g.n
+    sources = np.asarray(sources, dtype=np.int64)
+    k = sources.size
+    out_ptr, heads, weights = g.out_ptr, g.heads, g.weights
+    # r/inf = 0 is never over r_max, which is the "d > 0" half of the test
+    degrees = np.where(g.degrees > 0, g.degrees, np.inf)
+    keep = 1.0 - alpha
+    ent = np.zeros(2 * k + 16, _ENTRY)
+    index = np.arange(k) * n + sources  # every code, sorted
+    ent["code"][:k] = index
+    ent["res"][:k] = 1.0
+    ent["queued"][:k] = 1.0 / degrees[sources] > r_max
+    used = k
+    slots = np.arange(k)  # the slot of each code in the index
+    queue = np.flatnonzero(ent["queued"])  # pending slots, any order
+    queue_pos = np.zeros(queue.size, np.int64)  # their queue positions
+    tail = ent["queued"][:k].astype(np.int64)  # each row's queue length
+    clock = 1
+    j = 0
+    while queue.size:
+        due = queue_pos == j  # one slot of each row whose queue is that long
+        at = queue[due]
+        queue, queue_pos = queue[~due], queue_pos[~due]
+        moved = ent["res"][at]
+        ent["res"][at] = 0.0
+        ent["queued"][at] = False
+        was = ent["est"][at]
+        ent["est"][at] = was + alpha * moved
+        ent["p_at"][at] = np.where(was == 0.0, j, ent["p_at"][at])
+        rows, u = np.divmod(ent["code"][at], n)
+        starts = out_ptr[u]
+        counts = out_ptr[u + 1] - starts
+        total = int(counts.sum())
+        edges = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        v = heads[edges]
+        handed = keep * weights[edges] * np.repeat(moved, counts)
+        erows = np.repeat(rows, counts)
+        codes = erows * n + v
+        pos = np.searchsorted(index, codes)
+        hit = pos < index.size
+        hit[hit] = index[pos[hit]] == codes[hit]
+        at = np.empty(total, np.int64)
+        at[hit] = slots[pos[hit]]
+        if not hit.all():
+            order = np.argsort(codes[~hit])
+            fresh = codes[~hit][order]
+            added = np.arange(used, used + fresh.size)
+            at[np.flatnonzero(~hit)[order]] = added
+            index = np.insert(index, pos[~hit][order], fresh)
+            slots = np.insert(slots, pos[~hit][order], added)
+            used += fresh.size
+            if used > ent.size:
+                ent = np.concatenate([ent, np.zeros(used + ent.size, _ENTRY)])
+            ent["code"][added] = fresh
+        was = ent["res"][at]
+        ent["res"][at] = now = was + handed
+        ent["r_at"][at] = np.where(was == 0.0, clock + np.arange(total), ent["r_at"][at])
+        clock += total
+        go = (now / degrees[v] > r_max) & ~ent["queued"][at]
+        if go.any():
+            ent["queued"][at[go]] = True
+            grows = erows[go]  # grouped by row, in edge order within a row
+            first = np.flatnonzero(np.r_[True, grows[1:] != grows[:-1]])
+            runs = np.diff(np.r_[first, grows.size])
+            rank = np.arange(grows.size) - np.repeat(first, runs)
+            queue = np.concatenate([queue, at[go]])
+            queue_pos = np.concatenate([queue_pos, tail[grows] + rank])
+            tail[grows[first]] += runs
+        j += 1
+    ent = ent[:used]
+    rows, nodes = np.divmod(ent["code"], n)
+
+    def ordered(values, stamps):
+        nz = values != 0.0
+        order = np.lexsort((stamps[nz], rows[nz]))
+        return rows[nz][order], nodes[nz][order], values[nz][order]
+
+    return ordered(ent["est"], ent["p_at"]), ordered(ent["res"], ent["r_at"])
 
 
 def reverse_push_balanced(

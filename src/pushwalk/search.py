@@ -563,7 +563,7 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 5  # 5: search indexes store coordinate-major CSR buffers
+_INDEX_VERSION = 6  # 6: shared-walk stores hold their per-node tables as CSR buffers
 
 
 def save_index(path, payload: dict) -> None:

@@ -16,15 +16,23 @@ distribution from its residual-weighted neighborhood at query time.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
+from . import push
 from .graph import Graph
-from .push import PushResult, SparseVec, _check_node, forward_push, reverse_push
+from .push import PushResult, _check_node, _forward_all, reverse_push
 from .sampling import WalkConfig, walk_endpoints
-from .search import coord_vector
+
+# The store pushes through _forward_all and calls forward_push no more, but
+# perfbench/spans.py wraps ``pushwalk.sharding.forward_push`` by name to
+# trace pushes, so the name stays bound here.
+forward_push = push.forward_push
 
 __all__ = [
     "Shard",
@@ -145,6 +153,11 @@ class SharedWalkParams:
     c2: float = 0.5
     c3: float = 10.0
 
+    def __post_init__(self) -> None:
+        for name in ("c1", "c2", "c3"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
     def r_max_r(self, delta: float) -> float:
         return (self.c2**2 * delta / (self.c1 * self.c3)) ** (1.0 / 3.0)
 
@@ -158,9 +171,104 @@ class SharedWalkParams:
         return max(1, math.ceil(self.c1 * self.r_max_r(delta) / delta))
 
 
+class _Row(Mapping):
+    """Read-only view of one store row as a sparse vector: entries lo:hi of
+    its table, whose ``nodes`` and ``data`` are in stored order, which is
+    also the order of iteration, ``keys``, ``values`` and ``items``. Missing
+    nodes read as 0.0, as in ``SparseVec``. ``len`` reads no array."""
+
+    __slots__ = ("_table", "_lo", "_hi")
+
+    def __init__(self, table: _Rows, lo: int, hi: int):
+        self._table = table
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._table.nodes[self._lo:self._hi]
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._table.data[self._lo:self._hi]
+
+    def _pairs(self) -> dict[int, float]:
+        return dict(zip(self.nodes.tolist(), self.data.tolist()))
+
+    def get(self, node, default=0.0):
+        try:
+            i = self.nodes.tolist().index(node)
+        except ValueError:
+            return default
+        return float(self.data[i])
+
+    def __getitem__(self, node) -> float:
+        return self.get(node, 0.0)
+
+    def __contains__(self, node) -> bool:
+        return node in self.nodes.tolist()
+
+    def __iter__(self):
+        return iter(self.nodes.tolist())
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def keys(self):
+        return self._pairs().keys()
+
+    def items(self):
+        return self._pairs().items()
+
+    def values(self):
+        return self._pairs().values()
+
+
+class _Rows:
+    """One per-node table of the store as CSR: node v's row is entries
+    ptr[v]:ptr[v+1] of ``nodes`` and ``data``. Indexing and iteration give
+    ``_Row`` views. Pickles hold plain buffers and no numpy reference."""
+
+    __slots__ = ("ptr", "nodes", "data")
+
+    def __init__(self, ptr, nodes, data):
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.nodes = np.asarray(nodes, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+
+    @classmethod
+    def of(cls, n: int, owners: np.ndarray, nodes: np.ndarray, data: np.ndarray) -> _Rows:
+        """Rows of n nodes from entries in any owner order; entries of one
+        owner keep their order."""
+        order = np.argsort(owners, kind="stable")
+        ptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=ptr[1:])
+        return cls(ptr, nodes[order], data[order])
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __getitem__(self, v) -> _Row:
+        v = range(len(self))[v]
+        return _Row(self, int(self.ptr[v]), int(self.ptr[v + 1]))
+
+    def __iter__(self):
+        bounds = self.ptr.tolist()
+        return map(_Row, repeat(self), bounds, bounds[1:])
+
+    def __reduce__(self):
+        return _Rows, (array("q", self.ptr.tobytes()), array("q", self.nodes.tobytes()),
+                       array("d", self.data.tobytes()))
+
+
 @dataclass
 class SharedWalkStore:
-    """Per-node stored walks plus per-node forward push results."""
+    """Per-node stored walks plus per-node forward push results.
+
+    ``endpoint_freqs``, ``fwd_estimates`` and ``fwd_residuals`` are CSR
+    tables (``_Rows``); ``store.fwd_residuals[v]`` reads node v's row as a
+    read-only mapping, in the key order that ``forward_push``'s dicts have.
+    """
 
     alpha: float
     delta: float
@@ -168,18 +276,31 @@ class SharedWalkStore:
     params: SharedWalkParams
     r_max_f: float
     r_max_r: float
-    walk_counts: list[int] = field(default_factory=list)
-    endpoint_freqs: list[SparseVec] = field(default_factory=list)
-    full_walk: list[bool] = field(default_factory=list)
-    fwd_estimates: list[SparseVec] = field(default_factory=list)
-    fwd_residuals: list[SparseVec] = field(default_factory=list)
+    walk_counts: list[int]
+    endpoint_freqs: _Rows
+    full_walk: list[bool]
+    fwd_estimates: _Rows
+    fwd_residuals: _Rows
 
     def as_coord_vectors(self, n: int) -> dict:
-        """Walk vectors in 2n-coordinate form for sharding: key ("x", v)."""
-        return {
-            ("x", v): coord_vector(n, {v: 1.0}, freqs)
-            for v, freqs in enumerate(self.endpoint_freqs)
-        }
+        """Walk vectors in 2n-coordinate form for sharding: key ("x", v),
+        node v's indicator at coordinate v and its endpoint frequencies at
+        n + u, in ascending coordinate order."""
+        freqs = self.endpoint_freqs
+        bounds = freqs.ptr.tolist()
+        coords = (freqs.nodes + n).tolist()
+        values = freqs.data.tolist()
+        out = {}
+        for v, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            vec = {v: 1.0}
+            vec.update(zip(coords[lo:hi], values[lo:hi]))
+            out[("x", v)] = vec
+        return out
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
 
 
 def build_shared_walk_vectors(
@@ -201,37 +322,44 @@ def build_shared_walk_vectors(
     Every node's walks step together as one lockstep batch (node v's walks
     are entries of one ``walk_endpoints`` call over the repeated starts), and
     node v's ``endpoint_freqs[v][u]`` is the number of its walks that ended
-    at u divided by its walk count.
+    at u divided by its walk count, in ascending u. The forward pushes run
+    as one batch too (``push._forward_all``), bit-identical to one
+    ``forward_push`` per node.
+
+    delta and the params' c1, c2, c3 must be positive and finite, and
+    d_max must not be NaN; ValueError otherwise.
     """
+    _check_delta(delta)
+    if math.isnan(d_max):
+        raise ValueError("d_max must not be NaN")
     if params is None:
         params = SharedWalkParams()
     r_max_f = params.r_max_f(delta)
-    r_max_r = params.r_max_r(delta)
-    store = SharedWalkStore(alpha, delta, d_max, params, r_max_f, r_max_r)
     n = g.n
     full_walk = g.degrees > d_max
-    store.full_walk = full_walk.tolist()
     counts = np.where(full_walk, params.full_walks(delta), params.shared_walks(delta))
-    store.walk_counts = counts.tolist()
     starts = np.repeat(np.arange(n), counts)
     ends = walk_endpoints(g, starts, len(starts), WalkConfig(alpha=alpha, seed=seed))
     codes, hits = np.unique(starts * n + ends, return_counts=True)
-    owner = codes // n
-    cut = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    nodes = (codes % n).tolist()
-    freqs = (hits / counts[owner]).tolist()
-    store.endpoint_freqs = [
-        SparseVec(zip(nodes[a:b], freqs[a:b])) for a, b in zip(cut, cut[1:])
-    ]
-    for v, full in enumerate(store.full_walk):
-        if full:
-            store.fwd_estimates.append(SparseVec())
-            store.fwd_residuals.append(SparseVec({v: 1.0}))
-        else:
-            pr = forward_push(g, v, r_max_f, alpha)
-            store.fwd_estimates.append(pr.estimates)
-            store.fwd_residuals.append(pr.residuals)
-    return store
+    owners, nodes = np.divmod(codes, n)
+    pushed = np.flatnonzero(~full_walk)
+    (p_rows, p_nodes, p_vals), (r_rows, r_nodes, r_vals) = _forward_all(
+        g, pushed, r_max_f, alpha
+    )
+    held = np.flatnonzero(full_walk)  # a unit residual at the node itself
+    return SharedWalkStore(
+        alpha, delta, d_max, params, r_max_f, params.r_max_r(delta),
+        walk_counts=counts.tolist(),
+        endpoint_freqs=_Rows.of(n, owners, nodes, hits / counts[owners]),
+        full_walk=full_walk.tolist(),
+        fwd_estimates=_Rows.of(n, pushed[p_rows], p_nodes, p_vals),
+        fwd_residuals=_Rows.of(
+            n,
+            np.concatenate([pushed[r_rows], held]),
+            np.concatenate([r_nodes, held]),
+            np.concatenate([r_vals, np.ones(held.size)]),
+        ),
+    )
 
 
 def query_shared_walks(
@@ -257,9 +385,13 @@ def query_shared_walks(
     value = store.fwd_estimates[s].get(t, 0.0)
     rev_p = rev.estimates
     rev_r = rev.residuals
-    for v, rs in store.fwd_residuals[s].items():
+    support = store.fwd_residuals[s]
+    walks = store.endpoint_freqs
+    rows = zip(support.nodes.tolist(), support.data.tolist(),
+               walks.ptr[support.nodes].tolist(), walks.ptr[support.nodes + 1].tolist())
+    for v, rs, lo, hi in rows:
         inner = rev_p.get(v, 0.0)
-        for u, freq in store.endpoint_freqs[v].items():
+        for u, freq in zip(walks.nodes[lo:hi].tolist(), walks.data[lo:hi].tolist()):
             ru = rev_r.get(u, 0.0)
             if ru:
                 inner += freq * ru
@@ -277,7 +409,9 @@ def storage_model(
     r_max_f: float | None = None,
 ) -> dict:
     """Predicted total stored entries under the two-term and three-term
-    models, plus their optimized closed forms."""
+    models, plus their optimized closed forms. delta must be positive and
+    finite, and so must c1, c2, c3; ValueError otherwise."""
+    _check_delta(delta)
     params = SharedWalkParams(c1, c2, c3)
     rr = r_max_r if r_max_r is not None else params.r_max_r(delta)
     rf = r_max_f if r_max_f is not None else params.r_max_f(delta)
@@ -312,22 +446,18 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
     comparison.
     """
     targets = range(min(g.n, 20))
-    walk_entries = sum(len(f) for f in store.endpoint_freqs)
-    fwd_entries = sum(len(r) for r in store.fwd_residuals) + sum(
-        len(p) for p in store.fwd_estimates
-    )
+    walk_entries = store.endpoint_freqs.nodes.size
+    fwd_entries = store.fwd_residuals.nodes.size + store.fwd_estimates.nodes.size
     rev_entries = 0
     for t in targets:
         pr = reverse_push(g, t, store.r_max_r, store.alpha)
         rev_entries += len(pr.estimates) + len(pr.residuals)
     mean_rev = rev_entries / max(1, len(targets))
     fitted_c2 = mean_rev * store.r_max_r
-    shared_nodes = [v for v in range(g.n) if not store.full_walk[v]]
-    if shared_nodes:
-        mean_fwd = sum(
-            len(store.fwd_residuals[v]) + len(store.fwd_estimates[v])
-            for v in shared_nodes
-        ) / len(shared_nodes)
+    shared = ~np.asarray(store.full_walk, dtype=bool)
+    if shared.any():
+        sizes = np.diff(store.fwd_residuals.ptr) + np.diff(store.fwd_estimates.ptr)
+        mean_fwd = int(sizes[shared].sum()) / int(shared.sum())
     else:
         mean_fwd = 0.0
     fitted_c3 = mean_fwd * store.r_max_f

@@ -369,6 +369,54 @@ def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
     assert len(set(values.values())) == 1
 
 
+# (source, target) -> (sharded value, in-process value) of the serve-sim
+# round trip below, as answered by stores built with one forward_push per
+# node; the batched store build must answer them bit for bit.
+_ROUND_TRIP = {
+    ("0", "1"): (0.07599312815779528, 0.07599312815779528),
+    ("5", "0"): (0.024338902764599588, 0.02433890276459958),
+    ("17", "3"): (0.029271774954164848, 0.02927177495416485),
+    ("3", "0"): (0.005702490666472142, 0.005702490666472143),
+    ("40", "1"): (0.025685784300271845, 0.025685784300271842),
+    ("99", "0"): (0.005018807811466436, 0.005018807811466437),
+    ("2", "2"): (0.28662678336892156, 0.2866267833689215),
+    ("7", "1"): (0.02389228869712582, 0.02389228869712582),
+    ("60", "0"): (0.005161371593561962, 0.005161371593561961),
+}
+
+
+def test_precompute_serve_round_trip_answers_are_pinned(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("\n".join(cli.generate_synthetic("power-law", 120, seed=3)) + "\n")
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", str(graph), "--undirected", "--delta", "0.002",
+                     "--dmax", "10", "--c3", "2", "--shards", "3", "--seed", "5",
+                     "--output", str(store)]) == 0
+    assert _records(capsys)[1]["counters"] == {"full_walk_nodes": 8, "walk_entries": 1563}
+    assert b"numpy" not in store.read_bytes()  # the tables are plain buffers
+    args = ["serve-sim", "--graph", str(graph), "--undirected", "--store", str(store)]
+    for s, t in _ROUND_TRIP:
+        args += ["--query", f"{s},{t}"]
+    assert cli.main(args) == 0
+    got = {(r["estimates"]["source"], r["estimates"]["target"]):
+           (r["estimates"]["value"], r["estimates"]["in_process_value"])
+           for r in _records(capsys)[1:]}
+    assert got == _ROUND_TRIP
+
+
+@pytest.mark.parametrize("flags", [
+    ["--delta", "0"], ["--delta", "-0.01"], ["--delta", "nan"],
+    ["--delta", "0.05", "--c1", "-1"], ["--delta", "0.05", "--c3", "inf"],
+    ["--delta", "0.05", "--dmax", "nan"],
+])
+def test_precompute_rejects_bad_store_parameters(tmp_path, two_cycle_file, capsys, flags):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, *flags,
+                     "--output", str(store)]) == 1
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_serve_sim_queries_file(tmp_path, two_cycle_file, capsys):
     store = tmp_path / "store.bin"
     assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
@@ -583,6 +631,15 @@ def test_data_errors_exit_two(tmp_path, two_cycle_file):
     kw.write_text("topic\tb\n")
     assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
                      "--keyword", "absent", "--keywords", str(kw)]) == 2
+
+
+def test_store_of_format_five_exits_two(tmp_path, two_cycle_file, capsys):
+    # format 5 pickled the store's tables as per-node dicts
+    v5 = tmp_path / "v5.bin"
+    v5.write_bytes(b"PWIX" + (5).to_bytes(2, "little") + pickle.dumps({"store": None}))
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(v5),
+                     "--query", "a,b"]) == 2
+    assert "bad store/index file: unsupported index version 5" in capsys.readouterr().err
 
 
 def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):

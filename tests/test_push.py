@@ -348,6 +348,60 @@ def test_forward_degree_sum_is_recorded(rng):
     assert res.degree_sum > 0
 
 
+def _looped_graph(rng, directed):
+    """Random weighted graph with self-loops on a third of the nodes. A
+    directed one keeps its nodes without out-edges (degree 0); an undirected
+    one has strength degrees and may have isolated nodes."""
+    n = int(rng.integers(3, 30))
+    edges = {}
+    for _ in range(int(rng.integers(n, 3 * n))):
+        u, v = rng.integers(n, size=2).tolist()
+        edges[(u, v)] = float(rng.uniform(0.2, 3.0))
+    for u in rng.choice(n, size=n // 3, replace=False).tolist():
+        edges[(u, u)] = float(rng.uniform(0.2, 3.0))
+    return pw.from_edges([(u, v, w) for (u, v), w in edges.items()], n=n,
+                         undirected=not directed)
+
+
+def _batch_rows(batch, k):
+    rows, nodes, values = batch
+    cut = np.searchsorted(rows, np.arange(k + 1))
+    return [list(zip(nodes[a:b].tolist(), values[a:b].tolist()))
+            for a, b in zip(cut, cut[1:])]
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_batched_forward_pushes_equal_forward_push_in_values_and_key_order(directed):
+    # The batch must give every source forward_push's dicts exactly, key
+    # order included: a node pushed, handed mass by its own self-loop and
+    # pushed again moves to the end of the residual keys. (A queued node's
+    # residual only grows until it is popped, so forward_push never skips a
+    # stale queue entry; there is no such case to cover.)
+    rng = np.random.default_rng(20 if directed else 21)
+    pushed_twice = dangling = 0
+    for _ in range(25):
+        g = _looped_graph(rng, directed)
+        dangling += int((g.degrees == 0).sum())
+        alpha = float(rng.uniform(0.05, 0.9))
+        sources = rng.permutation(g.n)[: int(rng.integers(1, g.n + 1))]
+        for r_max in (1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.0):
+            est, res = push._forward_all(g, sources, r_max, alpha)
+            rows = zip(sources.tolist(), _batch_rows(est, sources.size),
+                       _batch_rows(res, sources.size))
+            for s, est_row, res_row in rows:
+                ref = pw.forward_push(g, s, r_max, alpha)
+                assert est_row == list(ref.estimates.items())
+                assert res_row == list(ref.residuals.items())
+                pushed_twice += ref.pushes_performed > len(ref.estimates)
+    assert pushed_twice > 100
+    assert dangling > 0
+
+
+def test_batched_forward_pushes_of_no_sources_are_empty():
+    est, res = push._forward_all(two_cycle(), np.array([], dtype=int), 0.1, 0.2)
+    assert all(a.size == 0 for a in est + res)
+
+
 # ---------------------------------------------------------------- balanced
 
 def test_balanced_queue_empties_to_exact_answer():

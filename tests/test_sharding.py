@@ -242,3 +242,111 @@ def test_variable_threshold_scales_with_popularity():
     assert pw.variable_delta_r_max(7, 0.02, 0.0) == pytest.approx(0.02)
     with pytest.raises(ValueError):
         pw.variable_delta_r_max(0, 0.01, 0.1)
+
+
+def _reference_store(g, alpha, delta, d_max, params, seed):
+    """The store as built node by node: the same walks and endpoint counts,
+    then one forward_push per node that is not full-walk. Rows are dicts."""
+    n = g.n
+    full = g.degrees > d_max
+    counts = np.where(full, params.full_walks(delta), params.shared_walks(delta))
+    starts = np.repeat(np.arange(n), counts)
+    ends = pw.walk_endpoints(g, starts, len(starts), pw.WalkConfig(alpha=alpha, seed=seed))
+    codes, hits = np.unique(starts * n + ends, return_counts=True)
+    freqs = [{} for _ in range(n)]
+    for code, hit in zip(codes.tolist(), hits.tolist()):
+        v, u = divmod(code, n)
+        freqs[v][u] = hit / int(counts[v])
+    est, res = [], []
+    for v in range(n):
+        if full[v]:
+            est.append({})
+            res.append({v: 1.0})
+        else:
+            pr = pw.forward_push(g, v, params.r_max_f(delta), alpha)
+            est.append(dict(pr.estimates))
+            res.append(dict(pr.residuals))
+    return freqs, est, res
+
+
+def _reference_query(g, ref, r_max_r, alpha, s, t):
+    freqs, est, res = ref
+    rev = pw.reverse_push(g, t, r_max_r, alpha)
+    value = est[s].get(t, 0.0)
+    for v, rs in res[s].items():
+        inner = rev.estimates.get(v, 0.0)
+        for u, freq in freqs[v].items():
+            ru = rev.residuals.get(u, 0.0)
+            if ru:
+                inner += freq * ru
+        value += rs * inner
+    return value
+
+
+def _hub_graph(rng, n=40):
+    """Random directed graph plus a hub with an edge to every other node."""
+    edges = [(0, v, 1.0) for v in range(1, n)]
+    edges += [(int(u), int(v), float(w)) for u, v, w in zip(
+        rng.integers(1, n, 3 * n), rng.integers(n, size=3 * n), rng.uniform(0.2, 3.0, 3 * n))]
+    edges += [(v, v, 1.0) for v in range(1, n, 5)]
+    return pw.apply_sink_convention(pw.from_edges(edges, n=n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_store_equals_the_node_by_node_build(seed):
+    rng = np.random.default_rng(seed)
+    g = _hub_graph(rng)
+    params = pw.SharedWalkParams(c3=2.0)  # r_max_f ~0.105: most nodes push
+    alpha, delta, d_max = 0.2, 1e-3, 10.0
+    store = pw.build_shared_walk_vectors(g, alpha, delta, d_max, params=params, seed=seed)
+    ref = _reference_store(g, alpha, delta, d_max, params, seed)
+    assert store.full_walk[0] and sum(store.full_walk) == 1
+    for table, rows in zip((store.endpoint_freqs, store.fwd_estimates, store.fwd_residuals), ref):
+        assert len(table) == g.n
+        for v in range(g.n):
+            assert list(table[v].items()) == list(rows[v].items())
+            assert len(table[v]) == len(rows[v]) and list(table[v]) == list(rows[v])
+    vectors = store.as_coord_vectors(g.n)
+    want = {("x", v): pw.search.coord_vector(g.n, {v: 1.0}, ref[0][v]) for v in range(g.n)}
+    assert list(vectors) == list(want)
+    assert all(list(vectors[key].items()) == list(want[key].items()) for key in want)
+    for s in range(g.n):
+        for t in range(g.n):
+            assert pw.query_shared_walks(g, store, s, t) == _reference_query(
+                g, ref, store.r_max_r, alpha, s, t)
+
+
+def test_store_rows_read_like_the_dicts_they_replace():
+    g = _hub_graph(np.random.default_rng(2))
+    store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 10.0, seed=2)
+    row = store.fwd_residuals[0]  # the full-walk hub's unit residual
+    assert dict(row) == {0: 1.0} and row == {0: 1.0}
+    assert row[0] == row.get(0) == 1.0 and 0 in row
+    assert row[5] == 0.0 and row.get(5) == 0.0 and row.get(5, None) is None and 5 not in row
+    assert store.fwd_residuals[-1] == store.fwd_residuals[g.n - 1]
+    with pytest.raises(IndexError):
+        store.fwd_residuals[g.n]
+    assert [len(r) for r in store.fwd_estimates] == np.diff(store.fwd_estimates.ptr).tolist()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delta": 0.0}, "delta must be positive"),
+    ({"delta": -0.01}, "delta must be positive"),
+    ({"delta": float("nan")}, "delta must be positive"),
+    ({"delta": float("inf")}, "delta must be positive"),
+    ({"d_max": float("nan")}, "d_max must not be NaN"),
+])
+def test_store_rejects_bad_delta_and_d_max(kwargs, message):
+    args = {"alpha": 0.2, "delta": 0.05, "d_max": 6.0, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        pw.build_shared_walk_vectors(two_cycle(), **args)
+    if "delta" in kwargs:
+        with pytest.raises(ValueError, match=message):
+            pw.storage_model(1000, kwargs["delta"])
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_shared_walk_params_reject_non_positive_or_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        pw.SharedWalkParams(**{name: value})
