@@ -32,6 +32,7 @@ from .multistep import (
     estimate_heat_kernel,
     estimate_mstp,
     estimate_truncated_hitting,
+    heat_kernel_paths,
     poisson_weights,
 )
 from .oracle import (

@@ -48,6 +48,7 @@ from .multistep import (
     estimate_heat_kernel,
     estimate_mstp,
     estimate_truncated_hitting,
+    heat_kernel_paths,
 )
 from .oracle import (
     ConvergenceError,
@@ -585,7 +586,7 @@ def _cmd_heat_kernel(args, out) -> int:
     result = (
         {"t": args.t_param, "ell_max": params.ell_max, "delta": params.delta},
         {"value": float(value), "source": _name(g, s), "target": _name(g, t)},
-        {"paths": params.num_paths()},
+        {"paths": heat_kernel_paths(hk, params)},
         wall,
     )
     _emit_run(out, args, config, [result])

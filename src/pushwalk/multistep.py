@@ -13,13 +13,16 @@ banks at t, trading the identity for its first-arrival analogue. The
 forward phase replaces the unknowable <s W^k, .> terms by reading the
 residuals at every position of fixed-length paths from s. One reverse sweep
 plus one path set serves every horizon up to ell_max at once, which is what
-makes diffusion sums cheap.
+makes diffusion sums cheap. The heat kernel is one Poisson-weighted score,
+so it draws only the paths that one score needs (heat_kernel_paths), not
+the per-horizon budget of MstpParams.num_paths().
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +37,23 @@ __all__ = [
     "estimate_mstp",
     "estimate_heat_kernel",
     "estimate_truncated_hitting",
+    "heat_kernel_paths",
     "poisson_weights",
 ]
+
+
+def _check_ell_max(ell_max) -> None:
+    # bool is an Integral too, and True would run as horizon 1
+    if isinstance(ell_max, bool) or not isinstance(ell_max, numbers.Integral):
+        raise ValueError(f"ell_max must be an integer, got {ell_max!r}")
+    if ell_max < 1:
+        raise ValueError("ell_max must be at least 1")
+
+
+def _theorem_c(epsilon: float, p_fail: float, events: int) -> float:
+    """Worst-case path constant when `events` estimates must all hold at
+    once: max(6e/eps^2, 1/ln 2) * ln(2*events/p_fail), a union bound."""
+    return max(6.0 * math.e / epsilon**2, 1.0 / math.log(2.0)) * math.log(2.0 * events / p_fail)
 
 
 @dataclass
@@ -56,8 +74,7 @@ class MstpParams:
     use_theorem_c: bool = False
 
     def __post_init__(self) -> None:
-        if self.ell_max < 1:
-            raise ValueError("ell_max must be at least 1")
+        _check_ell_max(self.ell_max)
         # `not 0 < x < inf` also rejects NaN
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
@@ -72,9 +89,7 @@ class MstpParams:
 
     def effective_c(self) -> float:
         if self.use_theorem_c:
-            return max(6.0 * math.e / self.epsilon**2, 1.0 / math.log(2.0)) * math.log(
-                2.0 * self.ell_max / self.p_fail
-            )
+            return _theorem_c(self.epsilon, self.p_fail, self.ell_max)
         return self.c
 
     def effective_eps_r(self) -> float:
@@ -112,8 +127,9 @@ class HeatKernelParams:
     """Poisson jump-length weighting with a tail-safe truncation.
 
     ell_max defaults to round(t + 10*sqrt(t)) — ten standard deviations
-    above the mean jump count — raised while the tail exceeds 1e-9 (t = 0.5
-    needs 9, not 8). An explicit choice must leave a tail below 1e-9.
+    above the mean jump count — but at least 1, raised while the tail
+    exceeds 1e-9 (t = 0.5 needs 9, not 8). An explicit choice must be an
+    integer >= 1 that leaves a tail below 1e-9.
     """
 
     t_param: float
@@ -123,9 +139,11 @@ class HeatKernelParams:
         if not 0.0 < self.t_param < math.inf:
             raise ValueError("t_param must be positive and finite")
         if self.ell_max is None:
-            self.ell_max = int(round(self.t_param + 10.0 * math.sqrt(self.t_param)))
+            self.ell_max = max(1, round(self.t_param + 10.0 * math.sqrt(self.t_param)))
             while poisson_weights(self.t_param, self.ell_max)[1] > _TAIL_MAX:
                 self.ell_max += 1
+        else:
+            _check_ell_max(self.ell_max)
         _, tail = poisson_weights(self.t_param, self.ell_max)
         if tail > _TAIL_MAX:
             raise ValueError(
@@ -172,8 +190,9 @@ def _forward_phase(
     params: MstpParams,
     seed: int,
     first_arrival: bool,
+    n_f: int,
 ) -> np.ndarray:
-    """Reverse ladder and path pickups of estimate_mstp.
+    """Reverse ladder and the pickups of n_f paths, for every horizon.
 
     The paths come from one lockstep batch, and nothing is drawn after
     them. The residual levels go into a dense (ell_max+1) x cells matrix,
@@ -195,7 +214,6 @@ def _forward_phase(
     estimates, levels = _ladder(g, t, ell_max, params.effective_eps_r(), first_arrival)
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
     rng = cfg.stream()
-    n_f = params.num_paths()
     paths = random_walk_path(g, src.starts(rng, n_f), cfg, fixed_len=ell_max, rng=rng)
     touched = list(set().union(*levels))
     cells = len(touched) + 1
@@ -244,7 +262,31 @@ def estimate_mstp(
 
     Returns a length-ell_max array (index 0 holds horizon 1).
     """
-    return _forward_phase(g, s, t, params, seed, first_arrival=False)
+    return _forward_phase(g, s, t, params, seed, False, params.num_paths())
+
+
+def _heat_params(hk: HeatKernelParams, params: MstpParams | None) -> MstpParams:
+    """params at hk's horizon; delta 1e-3 and the defaults when None."""
+    if params is None:
+        return MstpParams(ell_max=hk.ell_max, delta=1e-3)
+    if params.ell_max != hk.ell_max:
+        return dataclasses.replace(params, ell_max=hk.ell_max)
+    return params
+
+
+def heat_kernel_paths(hk: HeatKernelParams, params: MstpParams | None = None) -> int:
+    """Paths estimate_heat_kernel draws: ceil(c_h * R * eps_r / delta), at least 1.
+
+    R = sum_{l>=1} w_l (l+1) is about t+1. c_h is params.c, or under
+    use_theorem_c max(6e/eps^2, 1/ln 2) * ln(2/p_fail); eps_r is
+    params.effective_eps_r() at hk's ell_max. The argument is in
+    estimate_heat_kernel's docstring.
+    """
+    params = _heat_params(hk, params)
+    weights, _ = poisson_weights(hk.t_param, hk.ell_max)
+    reach = float(weights[1:] @ np.arange(2, hk.ell_max + 2))
+    c_h = _theorem_c(params.epsilon, params.p_fail, 1) if params.use_theorem_c else params.c
+    return max(1, math.ceil(c_h * reach * params.effective_eps_r() / params.delta))
 
 
 def estimate_heat_kernel(
@@ -255,18 +297,37 @@ def estimate_heat_kernel(
     params: MstpParams | None = None,
     seed: int = 0,
 ) -> float:
-    """Poisson-weighted diffusion score sum_l alpha_l P[X_l = t].
+    """Poisson-weighted diffusion score sum_{l=0..ell_max} w_l P[X_l = t].
 
-    The horizon comes from hk; remaining accuracy knobs from params (its
-    ell_max is overridden). The l=0 term is the source's own mass at t.
+    w_l = e^{-t} t^l / l!. The horizon comes from hk; remaining accuracy
+    knobs from params (its ell_max is overridden). The l=0 term is the
+    source's own mass at t, exact. The other terms share one ladder and one
+    path set, as in estimate_mstp, but the paths are counted for the one
+    score, not for every horizon:
+
+    - Each path's weighted pickup X = sum_{l>=1} w_l sum_{k=0..l}
+      r^{l-k}[V_k] lies in [0, R * eps_r], R = sum_{l>=1} w_l (l+1),
+      because the ladder leaves no residual above eps_r on any level.
+    - E[X] is the residual part of the score, so at most the score.
+    - The multiplicative Chernoff bound on the mean of n_f draws scaled to
+      [0, 1] then keeps the error within epsilon * max(score, delta),
+      except with probability p_fail, once n_f >= c_h * R * eps_r / delta,
+      with c_h = max(6e/eps^2, 1/ln 2) * ln(2/p_fail) (use_theorem_c).
+      One score needs no union bound over the ell_max horizons, so c_h has
+      ln(2/p_fail) where MstpParams.effective_c() has ln(2*ell_max/p_fail).
+      Otherwise c_h is params.c.
+    - eps_r stays params.effective_eps_r(), so the ladder is estimate_mstp's.
+    - Truncating at ell_max drops a weight tail of at most 1e-9
+      (HeatKernelParams). Each dropped P[X_l = t] is at most 1, so the
+      truncated score lies at most 1e-9 below the full series.
+
+    heat_kernel_paths gives n_f: 523 paths at t = 3, delta = 4e-4 and
+    c = 7, where MstpParams.num_paths() would give 2,646.
     """
-    if params is None:
-        params = MstpParams(ell_max=hk.ell_max, delta=1e-3)
-    elif params.ell_max != hk.ell_max:
-        params = dataclasses.replace(params, ell_max=hk.ell_max)
+    params = _heat_params(hk, params)
     src = source_of(g, s)
     weights, _ = poisson_weights(hk.t_param, hk.ell_max)
-    per_ell = estimate_mstp(g, src, t, params, seed=seed)
+    per_ell = _forward_phase(g, src, t, params, seed, False, heat_kernel_paths(hk, params))
     value = weights[0] * src.dot({t: 1.0})  # the source's own mass at t
     for ell in range(1, hk.ell_max + 1):
         value += weights[ell] * per_ell[ell - 1]
@@ -291,4 +352,4 @@ def estimate_truncated_hitting(
     time zero. Validated against a dynamic-programming oracle; no
     concentration guarantee is claimed for this variant.
     """
-    return _forward_phase(g, s, t, params, seed, first_arrival=True)
+    return _forward_phase(g, s, t, params, seed, True, params.num_paths())

@@ -214,6 +214,30 @@ def test_heat_kernel_pair(two_cycle_file, capsys):
         np.exp(-1.0) * np.sinh(1.0), abs=0.2)
 
 
+def test_heat_kernel_counts_the_paths_it_draws(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen", "--kind", "power-law", "--n", "300", "--output", str(path)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["heat-kernel", "--graph", str(path), "--undirected", "--source", "9",
+                   "--target", "1", "--t", "3", "--delta", "0.002"])
+    assert rc == 0
+    _, result = _records(capsys)
+    hk = pw.HeatKernelParams(3.0)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=0.002)
+    assert result["counters"]["paths"] == pw.heat_kernel_paths(hk, params)
+    assert result["counters"]["paths"] < params.num_paths()
+
+
+def test_heat_kernel_tiny_t_needs_no_ell_max(two_cycle_file, capsys):
+    # the default horizon once rounded to 0 and exited 1
+    rc = cli.main(["heat-kernel", "--graph", two_cycle_file, "--source", "a",
+                   "--target", "b", "--t", "1e-12"])
+    assert rc == 0
+    config, result = _records(capsys)
+    assert config["parameters"]["ell_max"] == 1
+    assert result["estimates"]["value"] == pytest.approx(1e-12, abs=1e-15)
+
+
 def test_search_methods_agree_on_lone_target(tmp_path, two_cycle_file, capsys):
     kw = tmp_path / "kw.tsv"
     kw.write_text("topic\tb\n")

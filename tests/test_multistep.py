@@ -1,11 +1,14 @@
 """Layered fixed-length estimator, diffusion weighting, first-passage mode."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk import multistep
+from pushwalk.cli import generate_synthetic
 from pushwalk.multistep import _ladder
 from pushwalk.sampling import WalkConfig, random_walk_path, source_of
 from conftest import rand_graph, two_cycle
@@ -83,6 +86,107 @@ def test_ensemble_unbiased_per_level(rng):
         truth = s_vec[t]
         se = runs[:, ell - 1].std(ddof=1) / math.sqrt(len(runs))
         assert abs(runs[:, ell - 1].mean() - truth) <= 3 * se + 1e-12
+
+
+def _heat_truth(g, s, t, hk):
+    """Dense truncated heat score sum_{l<=ell_max} w_l P[X_l = t | X_0 = s]."""
+    W = pw.transition_matrix(g)
+    weights, _ = pw.poisson_weights(hk.t_param, hk.ell_max)
+    vec = np.zeros(g.n)
+    vec[s] = 1.0
+    truth = weights[0] * vec[t]
+    for ell in range(1, hk.ell_max + 1):
+        vec = vec @ W
+        truth += weights[ell] * vec[t]
+    return float(truth)
+
+
+def test_heat_kernel_ensemble_unbiased(rng):
+    g = rand_graph(rng, n_max=8, directed=True)
+    s, t = 0, int(rng.integers(g.n))
+    hk = pw.HeatKernelParams(1.5)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=0.05)
+    runs = np.array([pw.estimate_heat_kernel(g, s, t, hk, params, seed=k)
+                     for k in range(300)])
+    se = runs.std(ddof=1) / math.sqrt(len(runs))
+    assert se > 0.0  # the paths, not the ladder alone, shape the score
+    assert abs(runs.mean() - _heat_truth(g, s, t, hk)) <= 3 * se + 1e-12
+
+
+def test_heat_kernel_envelope_at_theorem_budget():
+    # undirected, so paths meet the residual the ladder leaves; eps_r 0.05
+    # leaves more of it than the default 0.01 would
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 100, seed=7), undirected=True)
+    hk = pw.HeatKernelParams(3.0)
+    weights, _ = pw.poisson_weights(hk.t_param, hk.ell_max)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=4.0 / g.n, eps_r=0.05,
+                           use_theorem_c=True)
+    rng = np.random.default_rng(31)
+    n_runs = 40
+    violations = 0
+    for j in range(n_runs):
+        s, t = (int(v) for v in rng.integers(g.n, size=2))
+        est = pw.estimate_heat_kernel(g, s, t, hk, params, seed=900 + j)
+        estimates, _ = _ladder(g, t, hk.ell_max, params.eps_r, False)
+        pushed = weights[0] * (s == t) + sum(
+            weights[ell] * estimates[ell].get(s, 0.0) for ell in range(1, hk.ell_max + 1))
+        assert abs(est - pushed) > 1e-9  # the sampled term is nonzero
+        truth = _heat_truth(g, s, t, hk)
+        violations += abs(est - truth) > params.epsilon * max(truth, params.delta)
+    assert violations / n_runs <= params.p_fail
+
+
+@pytest.mark.parametrize("use_theorem_c, heat, per_horizon", [
+    (False, 523, 2646),
+    (True, 1953, 19771),
+])
+def test_heat_kernel_path_budget_is_one_score(use_theorem_c, heat, per_horizon):
+    # c * R * eps_r / delta with R = sum_{l>=1} w_l (l+1) = 3.95 at t = 3,
+    # against c * ell_max * eps_r / delta with ell_max = 20
+    hk = pw.HeatKernelParams(3.0)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=4e-4, use_theorem_c=use_theorem_c)
+    assert pw.heat_kernel_paths(hk, params) == heat
+    assert params.num_paths() == per_horizon
+
+
+def test_heat_kernel_draws_its_own_budget(monkeypatch):
+    drawn = []
+    real = multistep.random_walk_path
+
+    def counting(g, starts, *args, **kwargs):
+        drawn.append(len(starts))
+        return real(g, starts, *args, **kwargs)
+
+    monkeypatch.setattr(multistep, "random_walk_path", counting)
+    g = _pinned_graphs()["undirected"]
+    hk = pw.HeatKernelParams(3.0)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=0.01)
+    pw.estimate_heat_kernel(g, 0, 4, hk, params, seed=1)
+    pw.estimate_heat_kernel(g, 0, 4, hk, dataclasses.replace(params, ell_max=3), seed=1)
+    assert drawn == [pw.heat_kernel_paths(hk, params)] * 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pw.MstpParams(ell_max=2.5, delta=0.01),
+    lambda: pw.MstpParams(ell_max=True, delta=0.01),
+    lambda: pw.MstpParams(ell_max=0, delta=0.01),
+    lambda: pw.HeatKernelParams(3.0, 25.5),
+    lambda: pw.HeatKernelParams(3.0, True),
+    lambda: pw.HeatKernelParams(1e-12, 0),
+], ids=["mstp-float", "mstp-bool", "mstp-zero", "heat-float", "heat-bool", "heat-zero"])
+def test_params_reject_bad_ell_max(make):
+    with pytest.raises(ValueError, match="ell_max must be"):
+        make()
+
+
+def test_params_take_numpy_integer_ell_max():
+    assert pw.MstpParams(ell_max=np.int64(3), delta=0.01).num_paths() == \
+        pw.MstpParams(ell_max=3, delta=0.01).num_paths()
+
+
+def test_heat_kernel_default_horizon_is_at_least_one():
+    # round(t + 10 sqrt(t)) is 0 here; its weight tail is already ~1e-24
+    assert pw.HeatKernelParams(1e-12).ell_max == 1
 
 
 def test_poisson_truncation_point():
@@ -246,7 +350,7 @@ _PINNED = {
                     '0x1.154dbe6e94451p-3', '0x0.0p+0', '0x1.000f03cb495e5p-3'],
         "hitting_return": ['0x0.0p+0', '0x1.ddddddddddddep-2', '0x0.0p+0',
                            '0x1.80c8a99cc864cp-4', '0x0.0p+0', '0x1.ad2820b0ef95dp-5'],
-        "heat": ['0x1.216f063707252p-5'],
+        "heat": ['0x1.23644d158a140p-5'],
     },
     "directed": {
         "mstp_node": ['0x0.0p+0', '0x1.5555555555555p-2', '0x0.0p+0',
@@ -258,7 +362,7 @@ _PINNED = {
                     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
         "hitting_return": ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
                            '0x0.0p+0', '0x1.2f684bda12f68p-4', '0x0.0p+0'],
-        "heat": ['0x1.685813a2e3751p-8'],
+        "heat": ['0x1.6856f76cc35e8p-8'],
     },
 }
 
