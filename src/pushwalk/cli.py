@@ -9,9 +9,9 @@ and ``precompute-search`` indexes share one file format (``save_index`` /
 ``load_index``). Exit codes: 0 success, 1 usage error (including a flag the
 chosen ``--method`` ignores, or an ``--alpha`` other than the stored one's),
 2 data error (unreadable/malformed graph, unknown node or keyword, broken
-store or search index, a store built for another graph, path targets the
-source cannot reach), 3 numerical failure (non-convergence, exhausted
-sampling budget).
+store or search index, a store or index built for another graph, path
+targets the source cannot reach), 3 numerical failure (non-convergence,
+exhausted sampling budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -69,7 +69,6 @@ from .search import (
     build_forward_vector,
     build_grouped_index,
     build_reverse_vector,
-    build_target_sampler,
     coord_vector,
     load_index,
     sample_targets,
@@ -600,6 +599,7 @@ def _cmd_search(args, out) -> int:
         payload = load_index(args.index)
         if "keywords" not in payload:
             raise IndexFormatError(f"{args.index} is not a search index")
+        _check_built_for(args.index, payload["n"], payload["m"], args.graph, g)
         kw_map = payload["keywords"]
     elif args.keywords:
         kw_map = KeywordIndex.from_file(args.keywords, g=g).mapping
@@ -619,12 +619,12 @@ def _cmd_search(args, out) -> int:
         ranked = score_targets_direct(
             g, s, targets, params, seed=args.seed, forward=forward
         )
-    elif args.method == "grouped":
-        gi = stored["grouped"] if stored else build_grouped_index(g, targets, r_max, args.alpha)
-        ranked = score_targets_grouped(forward, gi)
     else:
-        si = stored["sampler"] if stored else build_target_sampler(g, targets, r_max, args.alpha)
-        ranked = sample_targets(forward, si, args.nsamples, seed=args.seed)
+        index = stored["index"] if stored else build_grouped_index(g, targets, r_max, args.alpha)
+        if args.method == "grouped":
+            ranked = score_targets_grouped(forward, index)
+        else:
+            ranked = sample_targets(forward, index, args.nsamples, seed=args.seed)
     wall = time.perf_counter() - t0
     top = [[_name(g, v), float(score)] for v, score in ranked[: args.topk]]
     result = (
@@ -660,13 +660,11 @@ def _cmd_precompute_search(args, out) -> int:
         per_keyword[keyword] = {
             "targets": targets,
             "r_max": r_max,
-            "grouped": build_grouped_index(g, targets, r_max, args.alpha, vectors=vectors),
-            "sampler": build_target_sampler(g, targets, r_max, args.alpha, vectors=vectors),
+            "index": build_grouped_index(g, targets, r_max, args.alpha, vectors=vectors),
         }
     wall = time.perf_counter() - t0
-    save_index(
-        args.output, {"alpha": args.alpha, "keywords": kw.mapping, "per_keyword": per_keyword}
-    )
+    save_index(args.output, {"alpha": args.alpha, "n": g.n, "m": g.m,
+                             "keywords": kw.mapping, "per_keyword": per_keyword})
     result = (
         {"keywords": len(per_keyword), "adaptive": args.adaptive},
         {"index": args.output},
@@ -788,18 +786,23 @@ def _serve_queries(g: Graph, bundle: dict, raw_queries):
         yield {"k": k}, estimates, {"shards": k}, wall
 
 
+def _check_built_for(path, n: int, m: int, graph_path, g: Graph) -> None:
+    """IndexFormatError unless the artifact at ``path`` was built for a graph
+    with g's node and edge counts."""
+    if (n, m) != (g.n, g.m):
+        raise IndexFormatError(
+            f"{path} was built for a {n}-node graph with {m} edges, "
+            f"but {graph_path} has {g.n} nodes and {g.m} edges"
+        )
+
+
 def _cmd_serve_sim(args, out) -> int:
     g = _load_graph(args)
     bundle = load_index(args.store)
     if "store" not in bundle:
         raise IndexFormatError(f"{args.store} is not a shared-walk store")
     store = bundle["store"]
-    built = (len(store.walk_counts), bundle["m"])
-    if built != (g.n, g.m):
-        raise IndexFormatError(
-            f"{args.store} was built for a {built[0]}-node graph with {built[1]} edges, "
-            f"but {args.graph} has {g.n} nodes and {g.m} edges"
-        )
+    _check_built_for(args.store, len(store.walk_counts), bundle["m"], args.graph, g)
     if args.alpha != store.alpha:
         raise ValueError(f"--alpha {args.alpha} differs from the store's alpha {store.alpha}")
     raw_queries: list[tuple[str, str]] = []

@@ -25,7 +25,11 @@ quarter of the largest residual.
 The FIFO loops, forward and reverse, touch only the nodes they reach and
 return ``SparseVec`` dicts. Rounds hold dense length-n vectors and return
 them as ``DenseVec`` views, so a call that enters them costs a few passes
-over n at least. The balanced push always does, which pays on targets
+over n at least. ``DenseVec`` is one kind of ``Row``, the read-only view
+through which every stored sparse vector reads like a ``SparseVec``: a
+``Row`` is a (nodes, data) pair of arrays, and a ``Table`` holds many rows
+as one CSR, built by one stable sort by owner. The shared-walk store's
+per-node tables and each search index are ``Table``s. The balanced push always does, which pays on targets
 whose push reaches a large share of the graph; on a target whose push
 stays small that floor is most of the cost (see ``reverse_push_balanced``).
 That floor is also why the scalar FIFO and forward loops stay for single
@@ -59,9 +63,11 @@ KDD 2017) precompute the reverse pushes of hub targets for the same reason.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -70,6 +76,8 @@ from .graph import Graph
 __all__ = [
     "SparseVec",
     "DenseVec",
+    "Row",
+    "Table",
     "PushResult",
     "reverse_push",
     "forward_push",
@@ -144,17 +152,128 @@ class SparseVec(dict):
         """The entries at ``nodes``, 0.0 where there is none."""
         return np.array([self.get(v, 0.0) for v in nodes.tolist()])
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (nodes, values) arrays of the entries, in key order."""
+        k = len(self)
+        return np.fromiter(self.keys(), np.int64, k), np.fromiter(self.values(), np.float64, k)
 
-class DenseVec(Mapping):
+
+class Row(Mapping):
+    """Read-only view of a sparse vector held as a (nodes, data) pair of
+    arrays: entries lo:hi of a ``Table``'s ``nodes`` and ``data``.
+
+    Stored order is the order of iteration, ``keys``, ``values`` and
+    ``items``. Missing nodes read as 0.0, as in ``SparseVec``. The view
+    holds its table and two ints; ``len`` reads no array, and every other
+    read goes through ``arrays()``.
+    """
+
+    __slots__ = ("_table", "_lo", "_hi")
+
+    def __init__(self, table: Table, lo: int, hi: int):
+        self._table = table
+        self._lo = lo
+        self._hi = hi
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (nodes, data) arrays of the entries, in stored order."""
+        t = self._table
+        return t.nodes[self._lo:self._hi], t.data[self._lo:self._hi]
+
+    def _pairs(self) -> dict[int, float]:
+        nodes, data = self.arrays()
+        return dict(zip(nodes.tolist(), data.tolist()))
+
+    def get(self, node, default=0.0):
+        nodes, data = self.arrays()
+        try:
+            i = nodes.tolist().index(node)
+        except ValueError:
+            return default
+        return float(data[i])
+
+    def __getitem__(self, node) -> float:
+        return self.get(node, 0.0)
+
+    def __contains__(self, node) -> bool:
+        return self.get(node, None) is not None
+
+    def __iter__(self):
+        return iter(self.arrays()[0].tolist())
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def keys(self):
+        return self._pairs().keys()
+
+    def items(self):
+        return self._pairs().items()
+
+    def values(self):
+        return self._pairs().values()
+
+
+class Table:
+    """Many sparse vectors as one read-only CSR: row i is entries
+    ptr[i]:ptr[i+1] of ``nodes`` and ``data``. ``keys`` is None when row i
+    belongs to owner i, or else lists the owners of the rows, ascending.
+    Indexing and iteration give ``Row`` views, by row number. Pickles hold
+    plain buffers and no numpy reference."""
+
+    __slots__ = ("ptr", "nodes", "data", "keys")
+
+    def __init__(self, ptr, nodes, data, keys=None):
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.nodes = np.asarray(nodes, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.keys = None if keys is None else np.asarray(keys, dtype=np.int64)
+        for a in (self.ptr, self.nodes, self.data, self.keys):
+            if a is not None:
+                a.flags.writeable = False
+
+    @classmethod
+    def of(cls, owners: np.ndarray, nodes: np.ndarray, data: np.ndarray,
+           n: int | None = None) -> Table:
+        """The entries, given in any owner order, sorted by owner with one
+        stable sort, so entries of one owner keep their order. With ``n``
+        there is a row for every owner in range(n); without, one for each
+        owner that holds entries, and ``keys`` lists them."""
+        order = np.argsort(owners, kind="stable")
+        counts = np.bincount(owners, minlength=n or 0)
+        keys = None
+        if n is None:
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+        return cls(np.append(0, np.cumsum(counts)), nodes[order], data[order], keys)
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __getitem__(self, i) -> Row:
+        i = range(len(self))[i]
+        return Row(self, int(self.ptr[i]), int(self.ptr[i + 1]))
+
+    def __iter__(self):
+        bounds = self.ptr.tolist()
+        return map(Row, repeat(self), bounds, bounds[1:])
+
+    def __reduce__(self):
+        keys = None if self.keys is None else array("q", self.keys.tobytes())
+        return Table, (array("q", self.ptr.tobytes()), array("q", self.nodes.tobytes()),
+                       array("d", self.data.tobytes()), keys)
+
+
+class DenseVec(Row):
     """Read-only view of a dense length-n push vector as a sparse one.
 
-    Its keys are the nonzero nodes in ascending order, found by one
-    ``flatnonzero`` each time the view is iterated. The view holds nothing
-    but ``array``, so a kept push result costs its arrays and no more
-    however often it is iterated. Reads of single nodes,
-    ``len``, ``bool``, ``max_value`` and ``values_at`` go to ``array``
-    directly. Missing keys read as 0.0, as in ``SparseVec``. ``max_value``
-    assumes nonnegative entries, as push vectors are.
+    Its entries are the nonzero nodes in ascending order, found by one
+    ``flatnonzero`` each time ``arrays()`` is called; ``Row`` builds the
+    iteration, ``keys``, ``values`` and ``items`` on it. The view leaves
+    ``Row``'s table slots empty and holds only ``array``, so a kept push
+    result costs its arrays and no more however often it is iterated. Reads of single nodes, ``len``,
+    ``bool``, ``max_value`` and ``values_at`` go to ``array`` directly.
+    ``max_value`` assumes nonnegative entries, as push vectors are.
     """
 
     __slots__ = ("array",)
@@ -162,9 +281,9 @@ class DenseVec(Mapping):
     def __init__(self, array: np.ndarray):
         self.array = array
 
-    def _nonzeros(self) -> dict[int, float]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         nz = np.flatnonzero(self.array)
-        return dict(zip(nz.tolist(), self.array[nz].tolist()))
+        return nz, self.array[nz]
 
     def get(self, node, default=0.0):
         if 0 <= node < self.array.size:
@@ -173,29 +292,11 @@ class DenseVec(Mapping):
                 return float(value)
         return default
 
-    def __getitem__(self, node) -> float:
-        return self.get(node, 0.0)
-
-    def __contains__(self, node) -> bool:
-        return self.get(node, 0.0) != 0.0
-
-    def __iter__(self):
-        return iter(self._nonzeros())
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self.array))
 
     def __bool__(self) -> bool:
         return bool(self.array.any())
-
-    def keys(self):
-        return self._nonzeros().keys()
-
-    def items(self):
-        return self._nonzeros().items()
-
-    def values(self):
-        return self._nonzeros().values()
 
     def max_value(self) -> float:
         return float(self.array.max())

@@ -9,21 +9,23 @@ Three query strategies differ only in how the y side is organized: one dot
 product per target, a coordinate-transposed index shared by all targets, or
 a two-stage sampler that draws targets with probability proportional to
 their scores without ever computing them all. Both sides must be built at
-the same teleport rate alpha; scoring raises ValueError when they differ.
+the same teleport rate alpha on graphs of the same node count; scoring
+raises ValueError when they differ.
 
 The grouped index and the target sampler hold the same transpose: one
-coordinate-major CSR over the sorted targets' vectors, built by
-concatenating every target's (coordinate, value) arrays and sorting them
-once, stably, by coordinate, so each coordinate lists its targets in
-ascending order. A query finds its source coordinates in it with one
-``searchsorted``. Their ``slots`` and ``samplers`` are read-only mapping
-views of it, and saved indexes store its arrays as plain buffers.
+coordinate-major ``push.Table`` over the sorted targets' vectors, built by
+concatenating every target's (coordinate, target id, value) arrays and
+sorting them once, stably, by coordinate, so each coordinate's row lists
+its targets in ascending order. The table's ``keys`` are the coordinates
+that some target holds; a query finds its source coordinates among them
+with one ``searchsorted``. ``slots`` and ``samplers`` read the table as
+coordinate -> ``Row``, each a read-only mapping from target id to value,
+and saved indexes store the table's arrays as plain buffers.
 """
 
 from __future__ import annotations
 
 import pickle
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .bidir import PprParams, num_walks
 from .graph import Graph
-from .push import DenseVec, SparseVec, reverse_push
+from .push import Row, SparseVec, Table, reverse_push
 from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
 
 __all__ = [
@@ -111,124 +113,83 @@ class ReverseVector:
         return len(self.estimates) + len(self.residuals)
 
 
-class _Slot:
-    """One coordinate's (target, value) pairs, ascending target, read from
-    the index's arrays only when iterated."""
-
-    __slots__ = ("_index", "_lo", "_hi")
-
-    def __init__(self, index: _CoordIndex, lo: int, hi: int):
-        self._index = index
-        self._lo = lo
-        self._hi = hi
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __iter__(self):
-        return iter(self._index._pairs(self._lo, self._hi))
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
+def _coord_arrays(n: int, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-node blocks (``SparseVec`` or ``Row``) in the 2n-coordinate
+    layout, as (coords, values) arrays: node v's entry in ``first`` at
+    coordinate v and its entry in ``second`` at n+v, each block in its own
+    key order."""
+    (a, x), (b, y) = first.arrays(), second.arrays()
+    return np.concatenate([a, b + n]), np.concatenate([x, y])
 
 
 class _Slots(Mapping):
-    """Read-only coordinate -> slot view of an index; ``len`` and
-    ``values()`` cost one small object per coordinate, none per entry."""
+    """Read-only coordinate -> ``Row`` view of an index's table, over the
+    coordinates it holds; ``len`` and ``values()`` cost one small object
+    per coordinate, none per entry."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("_table",)
 
-    def __init__(self, index: _CoordIndex):
-        self._index = index
+    def __init__(self, table: Table):
+        self._table = table
 
     def __len__(self) -> int:
-        return len(self._index.coords)
+        return len(self._table)
 
     def __iter__(self):
-        return iter(self._index.coords.tolist())
+        return iter(self._table.keys.tolist())
 
-    def __getitem__(self, coord) -> _Slot:
-        z = self._index
-        i = int(np.searchsorted(z.coords, coord))
-        if i == len(z.coords) or z.coords[i] != coord:
+    def __getitem__(self, coord) -> Row:
+        keys = self._table.keys
+        i = int(np.searchsorted(keys, coord))
+        if i == keys.size or keys[i] != coord:
             raise KeyError(coord)
-        return _Slot(z, int(z.offsets[i]), int(z.offsets[i + 1]))
+        return self._table[i]
 
     def values(self):
-        bounds = self._index.offsets.tolist()
-        return [_Slot(self._index, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-# Pickled array fields and their array.array type codes: stored files hold
-# plain buffers and no numpy reference.
-_ARRAY_CODES = {"coords": "q", "offsets": "q", "positions": "q", "values": "d"}
+        return list(self._table)
 
 
 @dataclass
 class _CoordIndex:
-    """The sorted targets' reverse vectors transposed by coordinate, as CSR.
+    """The sorted targets' reverse vectors transposed by coordinate.
 
-    ``coords`` lists the coordinates that some target's vector holds, in
-    ascending order; coordinate ``coords[i]`` owns entries
-    ``offsets[i]:offsets[i+1]`` of ``positions`` (each entry's target, as
-    its index in ``targets``, ascending within a coordinate) and ``values``.
+    ``table`` has one row per coordinate that some target's vector holds,
+    ascending (its ``keys``); the row lists that coordinate's target ids,
+    ascending, and their values.
     """
 
     n: int
     targets: list[int]
     r_max: float
     alpha: float
-    coords: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-    positions: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def _pairs(self, lo: int, hi: int) -> list[tuple[int, float]]:
-        ts = self.targets
-        return [
-            (ts[p], v)
-            for p, v in zip(self.positions[lo:hi].tolist(), self.values[lo:hi].tolist())
-        ]
+    table: Table = field(repr=False)
 
     def _shared(self, x_s: ForwardVector):
         """The source vector's coordinates that the index holds.
 
-        Returns their rows in ``coords``, the source values there, and the
-        index's entries for those rows (ascending coordinate, then target)
+        Returns their rows in ``table``, the source values there, and the
+        table's entries for those rows (ascending coordinate, then target)
         with the row number of each entry.
         """
-        x = coord_vector(x_s.n, x_s.indicator, x_s.empirical)
-        xc = np.fromiter(x.keys(), np.int64, len(x))
-        xv = np.fromiter(x.values(), np.float64, len(x))
-        rows = np.searchsorted(self.coords, xc)
-        found = rows < len(self.coords)
-        found[found] = self.coords[rows[found]] == xc[found]
+        xc, xv = _coord_arrays(x_s.n, x_s.indicator, x_s.empirical)
+        order = np.argsort(xc)
+        xc, xv = xc[order], xv[order]
+        keys, ptr = self.table.keys, self.table.ptr
+        rows = np.searchsorted(keys, xc)
+        found = rows < keys.size
+        found[found] = keys[rows[found]] == xc[found]
         rows, xv = rows[found], xv[found]
-        lo = self.offsets[rows]
-        counts = self.offsets[rows + 1] - lo
+        lo = ptr[rows]
+        counts = ptr[rows + 1] - lo
         seg = np.arange(len(rows)).repeat(counts)
         entries = np.arange(len(seg)) + (lo - counts.cumsum() + counts).repeat(counts)
         return rows, xv, entries, seg
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for name, code in _ARRAY_CODES.items():
-            state[name] = array(code, state[name].tobytes())
-        return state
-
-    def __setstate__(self, state):
-        for name, code in _ARRAY_CODES.items():
-            state[name] = np.frombuffer(state[name], dtype=code)
-        self.__dict__.update(state)
 
 
 @dataclass
 class GroupedIndex(_CoordIndex):
     """Transpose of a set of reverse vectors; ``slots`` reads it as
-    coordinate -> [(target, value)].
+    coordinate -> {target: value}.
 
     Querying walks the source vector's coordinates in ascending order and
     credits each listed target, which reproduces the per-target dot products
@@ -237,14 +198,14 @@ class GroupedIndex(_CoordIndex):
 
     @property
     def slots(self) -> _Slots:
-        return _Slots(self)
+        return _Slots(self.table)
 
 
 @dataclass
 class TargetSamplerIndex(_CoordIndex):
     """Per-coordinate stage-two draws over the grouped index's slots.
 
-    ``samplers[v]`` lists coordinate v's (target, value) pairs; the draw at
+    ``samplers[v]`` maps coordinate v's targets to their values; the draw at
     v picks t with probability y_t[v] / total, where total is the slot's
     aggregate sum_t y_t[v]. Together with a first stage that draws v with
     probability proportional to x_s[v] * total, the sampled target is
@@ -254,7 +215,7 @@ class TargetSamplerIndex(_CoordIndex):
 
     @property
     def samplers(self) -> _Slots:
-        return _Slots(self)
+        return _Slots(self.table)
 
 
 @dataclass
@@ -320,16 +281,6 @@ def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> Revers
     )
 
 
-def _block_arrays(block) -> tuple[np.ndarray, np.ndarray]:
-    """A push vector's (nodes, values): a ``DenseVec``'s nonzeros, or every
-    entry of a sparse mapping, as arrays."""
-    if isinstance(block, DenseVec):
-        nodes = np.flatnonzero(block.array)
-        return nodes, block.array[nodes]
-    k = len(block)
-    return np.fromiter(block.keys(), np.int64, k), np.fromiter(block.values(), np.float64, k)
-
-
 def _transpose(
     g: Graph,
     targets: list[int],
@@ -340,29 +291,17 @@ def _transpose(
 ) -> _CoordIndex:
     """``cls`` over the sorted targets' reverse vectors (given, or pushed at
     (r_max, alpha)), transposed by coordinate with one stable sort."""
-    ts = sorted(targets)
-    coords, positions, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    for i, t in enumerate(ts):
+    ts = sorted(set(targets))
+    coords, owners, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for t in ts:
         rv = vectors[t] if vectors is not None else reverse_push(g, t, r_max, alpha)
-        for block, shift in ((rv.estimates, 0), (rv.residuals, g.n)):
-            nodes, vals = _block_arrays(block)
-            coords.append(nodes + shift)
-            positions.append(np.full(len(nodes), i, dtype=np.int64))
-            values.append(vals)
-    coord = np.concatenate(coords)
-    order = np.argsort(coord, kind="stable")  # ties keep ascending target order
-    coord = coord[order]
-    starts = np.flatnonzero(np.diff(coord, prepend=-1))
-    return cls(
-        g.n,
-        ts,
-        r_max,
-        alpha,
-        coord[starts],
-        np.append(starts, len(coord)),
-        np.concatenate(positions)[order],
-        np.concatenate(values)[order],
-    )
+        c, v = _coord_arrays(g.n, rv.estimates, rv.residuals)
+        coords.append(c)
+        owners.append(np.full(c.size, t, dtype=np.int64))
+        values.append(v)
+    # ties keep ascending target order
+    table = Table.of(np.concatenate(coords), np.concatenate(owners), np.concatenate(values))
+    return cls(g.n, ts, r_max, alpha, table)
 
 
 def build_grouped_index(
@@ -395,11 +334,18 @@ def build_target_sampler(
     return _transpose(g, targets, r_max, alpha, vectors, TargetSamplerIndex)
 
 
-def _check_alpha(x_s: ForwardVector, alpha: float) -> None:
-    if x_s.alpha != alpha:
+def _check_sides(x_s: ForwardVector, y: ReverseVector | _CoordIndex) -> None:
+    """ValueError unless the target side ``y`` was pushed at the forward
+    vector's alpha, on a graph of its node count."""
+    if x_s.alpha != y.alpha:
         raise ValueError(
             f"forward vector walks at alpha={x_s.alpha} but the target side "
-            f"was pushed at alpha={alpha}"
+            f"was pushed at alpha={y.alpha}"
+        )
+    if x_s.n != y.n:
+        raise ValueError(
+            f"forward vector is over {x_s.n} nodes but the target side was "
+            f"built for a {y.n}-node graph"
         )
 
 
@@ -430,7 +376,7 @@ def score_targets_direct(
     scores: dict[int, float] = {}
     for t in sorted(targets):
         rv = vectors[t]
-        _check_alpha(forward, rv.alpha)
+        _check_sides(forward, rv)
         acc = 0.0
         for coord, xv in x_items:
             yv = rv.coord_value(coord)
@@ -448,17 +394,18 @@ def score_targets_grouped(
     Per-target sums receive exactly the same additions in exactly the same
     order as score_targets_direct, so the two agree bit for bit.
     """
-    _check_alpha(x_s, z.alpha)
+    _check_sides(x_s, z)
     _, xv, entries, seg = z._shared(x_s)
     scores = np.zeros(len(z.targets))
+    positions = np.searchsorted(z.targets, z.table.nodes[entries])
     # add.at applies the products in entry order: per target, ascending coordinate.
-    np.add.at(scores, z.positions[entries], xv[seg] * z.values[entries])
+    np.add.at(scores, positions, xv[seg] * z.table.data[entries])
     return _rank(dict(zip(z.targets, scores.tolist())))
 
 
 def sample_targets(
     x_s: ForwardVector,
-    idx: TargetSamplerIndex,
+    idx: TargetSamplerIndex | GroupedIndex,
     n_samples: int,
     seed: int = 0,
     rng: np.random.Generator | None = None,
@@ -470,16 +417,18 @@ def sample_targets(
     only for the coordinates stage one drew. The product of the two stage
     probabilities telescopes to score(t)/total, so the marginal is exact.
     Returns (target, count) ranked by descending count, ties by node id;
-    the ranking is empty when no stage-one coordinate carries weight.
+    the ranking is empty when no stage-one coordinate carries weight. A
+    grouped index over the same targets holds the same table and draws
+    alike.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    _check_alpha(x_s, idx.alpha)
+    _check_sides(x_s, idx)
     if rng is None:
         rng = np.random.default_rng(seed)
     rows, xv, entries, seg = idx._shared(x_s)
     totals = np.zeros(len(rows))
-    np.add.at(totals, seg, idx.values[entries])  # in target order, as sum() would
+    np.add.at(totals, seg, idx.table.data[entries])  # in target order, as sum() would
     live = xv > 0.0
     stage1 = list(zip(rows[live].tolist(), (xv * totals)[live].tolist()))
     if sum(wt for _, wt in stage1) <= 0.0:
@@ -489,10 +438,8 @@ def sample_targets(
     row_counts: dict[int, int] = {}
     for row in picked:
         row_counts[row] = row_counts.get(row, 0) + 1
-    offsets = idx.offsets
     for row in sorted(row_counts):
-        slot = idx._pairs(int(offsets[row]), int(offsets[row + 1]))
-        for t in build_sampler(slot).sample_many(rng, row_counts[row]):
+        for t in build_sampler(idx.table[row].items()).sample_many(rng, row_counts[row]):
             counts[t] = counts.get(t, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked
@@ -563,7 +510,9 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-_INDEX_VERSION = 6  # 6: shared-walk stores hold their per-node tables as CSR buffers
+# 7: one push.Table per index, its rows mapping target ids to values; search
+# indexes record their graph's n and m and hold one index per keyword
+_INDEX_VERSION = 7
 
 
 def save_index(path, payload: dict) -> None:

@@ -10,23 +10,23 @@ the coordinates were split.
 The walk-sharing store answers the "how many walks must we precompute"
 problem: instead of w walks from every node, store a few walks per node
 plus each node's forward-push residuals, and synthesize a source's walk
-distribution from its residual-weighted neighborhood at query time.
+distribution from its residual-weighted neighborhood at query time. The
+store holds its three per-node tables as ``push.Table`` CSRs, with a row
+for every node, and ``store.fwd_residuals[v]`` reads node v's row as a
+read-only ``push.Row`` mapping.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
 from . import push
 from .graph import Graph
-from .push import PushResult, _check_node, _forward_all, reverse_push
+from .push import PushResult, Table, _check_node, _forward_all, reverse_push
 from .sampling import WalkConfig, walk_endpoints
 
 # The store pushes through _forward_all and calls forward_push no more, but
@@ -171,103 +171,14 @@ class SharedWalkParams:
         return max(1, math.ceil(self.c1 * self.r_max_r(delta) / delta))
 
 
-class _Row(Mapping):
-    """Read-only view of one store row as a sparse vector: entries lo:hi of
-    its table, whose ``nodes`` and ``data`` are in stored order, which is
-    also the order of iteration, ``keys``, ``values`` and ``items``. Missing
-    nodes read as 0.0, as in ``SparseVec``. ``len`` reads no array."""
-
-    __slots__ = ("_table", "_lo", "_hi")
-
-    def __init__(self, table: _Rows, lo: int, hi: int):
-        self._table = table
-        self._lo = lo
-        self._hi = hi
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._table.nodes[self._lo:self._hi]
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._table.data[self._lo:self._hi]
-
-    def _pairs(self) -> dict[int, float]:
-        return dict(zip(self.nodes.tolist(), self.data.tolist()))
-
-    def get(self, node, default=0.0):
-        try:
-            i = self.nodes.tolist().index(node)
-        except ValueError:
-            return default
-        return float(self.data[i])
-
-    def __getitem__(self, node) -> float:
-        return self.get(node, 0.0)
-
-    def __contains__(self, node) -> bool:
-        return node in self.nodes.tolist()
-
-    def __iter__(self):
-        return iter(self.nodes.tolist())
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def keys(self):
-        return self._pairs().keys()
-
-    def items(self):
-        return self._pairs().items()
-
-    def values(self):
-        return self._pairs().values()
-
-
-class _Rows:
-    """One per-node table of the store as CSR: node v's row is entries
-    ptr[v]:ptr[v+1] of ``nodes`` and ``data``. Indexing and iteration give
-    ``_Row`` views. Pickles hold plain buffers and no numpy reference."""
-
-    __slots__ = ("ptr", "nodes", "data")
-
-    def __init__(self, ptr, nodes, data):
-        self.ptr = np.asarray(ptr, dtype=np.int64)
-        self.nodes = np.asarray(nodes, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-
-    @classmethod
-    def of(cls, n: int, owners: np.ndarray, nodes: np.ndarray, data: np.ndarray) -> _Rows:
-        """Rows of n nodes from entries in any owner order; entries of one
-        owner keep their order."""
-        order = np.argsort(owners, kind="stable")
-        ptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(owners, minlength=n), out=ptr[1:])
-        return cls(ptr, nodes[order], data[order])
-
-    def __len__(self) -> int:
-        return self.ptr.size - 1
-
-    def __getitem__(self, v) -> _Row:
-        v = range(len(self))[v]
-        return _Row(self, int(self.ptr[v]), int(self.ptr[v + 1]))
-
-    def __iter__(self):
-        bounds = self.ptr.tolist()
-        return map(_Row, repeat(self), bounds, bounds[1:])
-
-    def __reduce__(self):
-        return _Rows, (array("q", self.ptr.tobytes()), array("q", self.nodes.tobytes()),
-                       array("d", self.data.tobytes()))
-
-
 @dataclass
 class SharedWalkStore:
     """Per-node stored walks plus per-node forward push results.
 
     ``endpoint_freqs``, ``fwd_estimates`` and ``fwd_residuals`` are CSR
-    tables (``_Rows``); ``store.fwd_residuals[v]`` reads node v's row as a
-    read-only mapping, in the key order that ``forward_push``'s dicts have.
+    tables (``push.Table``) with a row for every node;
+    ``store.fwd_residuals[v]`` reads node v's row as a read-only ``Row``
+    mapping, in the key order that ``forward_push``'s dicts have.
     """
 
     alpha: float
@@ -277,15 +188,20 @@ class SharedWalkStore:
     r_max_f: float
     r_max_r: float
     walk_counts: list[int]
-    endpoint_freqs: _Rows
+    endpoint_freqs: Table
     full_walk: list[bool]
-    fwd_estimates: _Rows
-    fwd_residuals: _Rows
+    fwd_estimates: Table
+    fwd_residuals: Table
 
     def as_coord_vectors(self, n: int) -> dict:
         """Walk vectors in 2n-coordinate form for sharding: key ("x", v),
         node v's indicator at coordinate v and its endpoint frequencies at
-        n + u, in ascending coordinate order."""
+        n + u, in ascending coordinate order. ``n`` must be the node count
+        of the graph the store was built for; ValueError otherwise."""
+        if n != len(self.walk_counts):
+            raise ValueError(
+                f"the store was built for a {len(self.walk_counts)}-node graph, not {n} nodes"
+            )
         freqs = self.endpoint_freqs
         bounds = freqs.ptr.tolist()
         coords = (freqs.nodes + n).tolist()
@@ -350,14 +266,14 @@ def build_shared_walk_vectors(
     return SharedWalkStore(
         alpha, delta, d_max, params, r_max_f, params.r_max_r(delta),
         walk_counts=counts.tolist(),
-        endpoint_freqs=_Rows.of(n, owners, nodes, hits / counts[owners]),
+        endpoint_freqs=Table.of(owners, nodes, hits / counts[owners], n),
         full_walk=full_walk.tolist(),
-        fwd_estimates=_Rows.of(n, pushed[p_rows], p_nodes, p_vals),
-        fwd_residuals=_Rows.of(
-            n,
+        fwd_estimates=Table.of(pushed[p_rows], p_nodes, p_vals, n),
+        fwd_residuals=Table.of(
             np.concatenate([pushed[r_rows], held]),
             np.concatenate([r_nodes, held]),
             np.concatenate([r_vals, np.ones(held.size)]),
+            n,
         ),
     )
 
@@ -385,10 +301,10 @@ def query_shared_walks(
     value = store.fwd_estimates[s].get(t, 0.0)
     rev_p = rev.estimates
     rev_r = rev.residuals
-    support = store.fwd_residuals[s]
+    support, weights = store.fwd_residuals[s].arrays()
     walks = store.endpoint_freqs
-    rows = zip(support.nodes.tolist(), support.data.tolist(),
-               walks.ptr[support.nodes].tolist(), walks.ptr[support.nodes + 1].tolist())
+    rows = zip(support.tolist(), weights.tolist(),
+               walks.ptr[support].tolist(), walks.ptr[support + 1].tolist())
     for v, rs, lo, hi in rows:
         inner = rev_p.get(v, 0.0)
         for u, freq in zip(walks.nodes[lo:hi].tolist(), walks.data[lo:hi].tolist()):

@@ -334,12 +334,13 @@ def test_precompute_search_pushes_each_target_once(tmp_path, monkeypatch, capsys
     g = pw.apply_sink_convention(pw.load_edge_list(str(graph)))
     for word, targets in payload["keywords"].items():
         stored = payload["per_keyword"][word]
-        for key, build in (("grouped", pw.build_grouped_index),
-                           ("sampler", pw.build_target_sampler)):
+        assert set(stored) == {"targets", "r_max", "index"}  # one index per keyword
+        for build in (pw.build_grouped_index, pw.build_target_sampler):
             fresh = build(g, targets, 0.01, 0.2)
-            assert stored[key].targets == fresh.targets == sorted(targets)
-            for name in ("coords", "offsets", "positions", "values"):
-                assert np.array_equal(getattr(stored[key], name), getattr(fresh, name))
+            assert stored["index"].targets == fresh.targets == sorted(targets)
+            for name in ("keys", "ptr", "nodes", "data"):
+                assert np.array_equal(getattr(stored["index"].table, name),
+                                      getattr(fresh.table, name))
 
 
 def test_sample_path_output_format(two_cycle_file, capsys):
@@ -495,6 +496,27 @@ def test_serve_sim_rejects_a_store_for_another_graph(tmp_path, two_cycle_file, c
                      "--query", "4,1"]) == 2
     err = capsys.readouterr().err
     assert "300-node graph" in err and "has 5 nodes" in err
+
+
+def test_search_rejects_an_index_for_another_graph(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("\n".join(cli.generate_synthetic("power-law", 300, seed=4)) + "\n")
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("red\t1\nred\t9\nred\t250\n")
+    idx = tmp_path / "idx.bin"
+    assert cli.main(["precompute-search", "--graph", str(big), "--keywords", str(kw),
+                     "--rmax", "0.05", "--output", str(idx)]) == 0
+    capsys.readouterr()
+    small = tmp_path / "small.txt"
+    small.write_text("\n".join(cli.generate_synthetic("power-law", 60, seed=4)) + "\n")
+    for method in ("direct", "grouped", "sampling"):
+        assert cli.main(["search", "--graph", str(small), "--source", "9", "--keyword",
+                         "red", "--index", str(idx), "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert "300-node graph with" in err and "has 60 nodes" in err
+        assert cli.main(["search", "--graph", str(big), "--source", "9", "--keyword",
+                         "red", "--index", str(idx), "--method", method]) == 0
+        capsys.readouterr()
 
 
 def test_serve_sim_rejects_a_store_for_a_graph_with_other_edges(tmp_path, capsys):
@@ -673,10 +695,14 @@ def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):
     old.write_bytes(b"PWIX" + (1).to_bytes(2, "little") + pickle.dumps({}))
     v4 = tmp_path / "v4.bin"
     v4.write_bytes(b"PWIX" + (4).to_bytes(2, "little") + pickle.dumps({}))
+    # format 6 held two copies of each keyword's index, and no graph size
+    v6 = tmp_path / "v6.bin"
+    v6.write_bytes(b"PWIX" + (6).to_bytes(2, "little") + pickle.dumps({"keywords": {}}))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"this is not an index")
     for path, why in ((old, "unsupported index version 1"),
                       (v4, "unsupported index version 4"),
+                      (v6, "unsupported index version 6"),
                       (garbage, "is not a search index")):
         assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
                          "--keyword", "topic", "--index", str(path)]) == 2

@@ -170,6 +170,56 @@ def test_rounds_results_are_dense_views_that_read_like_sparse_vectors():
     assert (len(empty), bool(empty), empty.max_value(), dict(empty)) == (0, False, 0.0, {})
 
 
+def _row_view(kind):
+    """One row view of ``kind``, the dict it replaces, a node it lacks, and
+    the arrays that hold its entries."""
+    if kind == "dense":  # a kept rounds push, whose arrays are set read-only
+        g = _power_law_3000()
+        hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+        vec = pw.reverse_push(g, hub, 1e-3, 0.2).residuals
+        nz = np.flatnonzero(vec.array).tolist()
+        missing = int(np.flatnonzero(vec.array == 0.0)[0])
+        return vec, {v: float(vec.array[v]) for v in nz}, missing, (vec.array,)
+    g = pw.apply_sink_convention(
+        pw.parse_edge_lines(generate_synthetic("power-law", 200, 3), undirected=False))
+    if kind == "store-row":  # the longest forward-residual row, in forward_push's order
+        params = pw.SharedWalkParams(c3=0.5)  # r_max_f 0.04: rows of several entries
+        store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 1e9, params=params, seed=2)
+        table = store.fwd_residuals
+        v = int(np.argmax(np.diff(table.ptr)))
+        row = table[v]
+        want = dict(pw.forward_push(g, v, store.r_max_f, 0.2).residuals)
+    else:  # the longest slot of an index, ascending target ids
+        targets = [0, 1, 2, 3, 40]
+        coords = {t: dict(pw.build_reverse_vector(g, t, 0.01, 0.2).coord_items())
+                  for t in targets}
+        index = pw.build_grouped_index(g, targets, 0.01, 0.2)
+        table = index.table
+        v = int(table.keys[np.argmax(np.diff(table.ptr))])
+        row = index.slots[v]
+        want = {t: coords[t][v] for t in targets if v in coords[t]}
+    missing = next(v for v in range(g.n) if v not in want)
+    return row, want, missing, (table.nodes, table.data, table.ptr)
+
+
+@pytest.mark.parametrize("kind", ["dense", "store-row", "index-slot"])
+def test_rows_read_like_the_dicts_they_replace(kind):
+    view, want, missing, held = _row_view(kind)
+    assert len(want) > 2
+    assert dict(view) == want and view == want
+    assert list(view) == list(view.keys()) == list(want)  # the dict's order
+    assert list(view.items()) == list(want.items())
+    assert list(view.values()) == list(want.values())
+    assert len(view) == len(want) and bool(view)
+    for key, value in want.items():
+        assert view[key] == view.get(key) == view.get(key, None) == value and key in view
+    assert view[missing] == 0.0 and view.get(missing) == 0.0
+    assert view.get(missing, None) is None and missing not in view
+    with pytest.raises(TypeError):
+        view[missing] = 1.0
+    assert not any(a.flags.writeable for a in held)
+
+
 def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
     # The estimate is p[s] plus the mean residual at the same walks' endpoints.
     g = _power_law_3000()

@@ -103,8 +103,8 @@ def test_csr_index_lists_the_dict_slots_and_draws_alike(rng):
                     pw.build_grouped_index(g, targets, r_max, 0.2)):
             slots = idx.samplers if isinstance(idx, pw.TargetSamplerIndex) else idx.slots
             assert list(slots) == sorted(want)
-            assert {coord: list(slot) for coord, slot in slots.items()} == want
-            assert sum(len(slot) for slot in slots.values()) == len(idx.values)
+            assert {coord: list(slot.items()) for coord, slot in slots.items()} == want
+            assert sum(len(slot) for slot in slots.values()) == idx.table.nodes.size
         idx = pw.build_target_sampler(g, targets, r_max, 0.2)
         for seed in range(3):
             s = int(rng.integers(g.n))
@@ -170,7 +170,7 @@ def test_sampler_single_target_always_wins():
 def test_sampler_three_to_one_ratio():
     # residual slot of node 3: coordinate 8 = [(1, 0.3), (2, 0.1)]
     idx = _hand_index(pw.build_target_sampler, 5, {1: ({}, {3: 0.3}), 2: ({}, {3: 0.1})})
-    assert pw.build_sampler(idx.samplers[8]).total == pytest.approx(0.4)
+    assert pw.build_sampler(idx.samplers[8].items()).total == pytest.approx(0.4)
     x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
@@ -190,7 +190,7 @@ def test_sampler_worked_two_stage_arithmetic():
     x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
                          empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
-    stage1 = {coord: xv * sum(yv for _, yv in idx.samplers[coord])
+    stage1 = {coord: xv * sum(idx.samplers[coord].values())
               for coord, xv in x.coord_items() if coord in idx.samplers}
     assert stage1.get(10, 0.0) == 0.0
     assert stage1[11] == pytest.approx(0.64 / 3)
@@ -231,6 +231,15 @@ def test_search_rejects_mixed_teleport_rates():
         pw.sample_targets(x, pw.build_target_sampler(g, [1], 0.1, 0.5), 10)
     with pytest.raises(ValueError, match="alpha"):
         pw.score_targets_direct(g, 0, [1], params, forward=x, vectors=vectors)
+    # a target side built for another graph: same alpha, other node count
+    other = pw.from_edges([(v, (v + 1) % 3, 1.0) for v in range(3)], n=3)
+    with pytest.raises(ValueError, match="3-node graph"):
+        pw.score_targets_grouped(x, pw.build_grouped_index(other, [1], 0.1, 0.2))
+    with pytest.raises(ValueError, match="3-node graph"):
+        pw.sample_targets(x, pw.build_target_sampler(other, [1], 0.1, 0.2), 10)
+    with pytest.raises(ValueError, match="3-node graph"):
+        pw.score_targets_direct(g, 0, [1], params, forward=x,
+                                vectors={1: pw.build_reverse_vector(other, 1, 0.1, 0.2)})
 
 
 def test_top_ranked_target_is_nearly_best(rng):
@@ -369,8 +378,8 @@ def test_stored_reverse_vectors_stay_sparse_through_save_and_load(tmp_path):
     assert list(got.estimates.items()) == list(rv.estimates.items())
     assert list(got.residuals.items()) == list(rv.residuals.items())
     assert back["grouped"].targets == grouped.targets
-    for name in ("coords", "offsets", "positions", "values"):
-        assert np.array_equal(getattr(back["grouped"], name), getattr(grouped, name))
+    for name in ("keys", "ptr", "nodes", "data"):
+        assert np.array_equal(getattr(back["grouped"].table, name), getattr(grouped.table, name))
 
 
 def test_index_sidecar_rejects_garbage(tmp_path):

@@ -171,6 +171,8 @@ def test_store_coordinate_form_is_shardable():
         vec = vectors[("x", v)]
         assert vec[v] == 1.0
         assert sum(val for c, val in vec.items() if c >= g.n) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="2-node graph, not 3 nodes"):
+        store.as_coord_vectors(3)
 
 
 def test_shared_walk_params_cube_root_thresholds():
@@ -306,6 +308,11 @@ def test_store_equals_the_node_by_node_build(seed):
         for v in range(g.n):
             assert list(table[v].items()) == list(rows[v].items())
             assert len(table[v]) == len(rows[v]) and list(table[v]) == list(rows[v])
+        assert [len(r) for r in table] == np.diff(table.ptr).tolist()
+        assert table[-1] == table[g.n - 1]
+        with pytest.raises(IndexError):
+            table[g.n]
+    assert store.fwd_residuals[0] == {0: 1.0}  # the full-walk hub's unit residual
     vectors = store.as_coord_vectors(g.n)
     want = {("x", v): pw.search.coord_vector(g.n, {v: 1.0}, ref[0][v]) for v in range(g.n)}
     assert list(vectors) == list(want)
@@ -314,19 +321,6 @@ def test_store_equals_the_node_by_node_build(seed):
         for t in range(g.n):
             assert pw.query_shared_walks(g, store, s, t) == _reference_query(
                 g, ref, store.r_max_r, alpha, s, t)
-
-
-def test_store_rows_read_like_the_dicts_they_replace():
-    g = _hub_graph(np.random.default_rng(2))
-    store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 10.0, seed=2)
-    row = store.fwd_residuals[0]  # the full-walk hub's unit residual
-    assert dict(row) == {0: 1.0} and row == {0: 1.0}
-    assert row[0] == row.get(0) == 1.0 and 0 in row
-    assert row[5] == 0.0 and row.get(5) == 0.0 and row.get(5, None) is None and 5 not in row
-    assert store.fwd_residuals[-1] == store.fwd_residuals[g.n - 1]
-    with pytest.raises(IndexError):
-        store.fwd_residuals[g.n]
-    assert [len(r) for r in store.fwd_estimates] == np.diff(store.fwd_estimates.ptr).tolist()
 
 
 @pytest.mark.parametrize("kwargs, message", [
