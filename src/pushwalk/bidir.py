@@ -93,7 +93,9 @@ class PprEstimate:
     pushes counts reverse pushes (forward ones for the undirected variant);
     when the reverse push was answered from the graph's kept pushes, it
     counts those of the push that built the kept result, not pushes made by
-    this call. r_max_used is 0 after a drained balanced push and inf for walk-only.
+    this call; for a kept balanced push they include the levels it pushed
+    past one call's balance point (see ``push._KEPT_CALLS``). r_max_used is
+    0 after a drained balanced push and inf for walk-only.
     """
 
     value: float

@@ -616,8 +616,9 @@ def _cmd_search(args, out) -> int:
     t0 = time.perf_counter()
     forward = build_forward_vector(g, s, w, WalkConfig(args.alpha, args.seed))
     if args.method == "direct":
+        vectors = stored["index"].reverse_vectors() if stored else None
         ranked = score_targets_direct(
-            g, s, targets, params, seed=args.seed, forward=forward
+            g, s, targets, params, seed=args.seed, forward=forward, vectors=vectors
         )
     else:
         index = stored["index"] if stored else build_grouped_index(g, targets, r_max, args.alpha)

@@ -25,18 +25,19 @@ quarter of the largest residual.
 The FIFO loops, forward and reverse, touch only the nodes they reach and
 return ``SparseVec`` dicts. Rounds hold dense length-n vectors and return
 them as ``DenseVec`` views, so a call that enters them costs a few passes
-over n at least. ``DenseVec`` is one kind of ``Row``, the read-only view
-through which every stored sparse vector reads like a ``SparseVec``: a
-``Row`` is a (nodes, data) pair of arrays, and a ``Table`` holds many rows
-as one CSR, built by one stable sort by owner. The shared-walk store's
-per-node tables and each search index are ``Table``s. The balanced push always does, which pays on targets
+over n at least. The balanced push always does, which pays on targets
 whose push reaches a large share of the graph; on a target whose push
 stays small that floor is most of the cost (see ``reverse_push_balanced``).
-That floor is also why the scalar FIFO and forward loops stay for single
-pushes: on the 10k-node benchmark graphs (shared 2-core machine), numpy
-frontier rounds in their place took 48 us per forward push against 7 us
-and 65 us per sharded reverse push against 7 us (median), and an array
-version of the layered fixed-horizon push ran 1.5-2x slower per sweep.
+``DenseVec`` is one kind of ``Row``, the read-only view through which
+every stored sparse vector reads like a ``SparseVec``: a ``Row`` is a
+(nodes, data) pair of arrays, and a ``Table`` holds many rows as one CSR,
+built by one stable sort by owner. The shared-walk store's per-node tables
+and each search index are ``Table``s. The dense floor is also why the
+scalar FIFO and forward loops stay for single pushes: on the 10k-node
+benchmark graphs (shared 2-core machine), numpy frontier rounds in their
+place took 48 us per forward push against 7 us and 65 us per sharded
+reverse push against 7 us (median), and an array version of the layered
+fixed-horizon push ran 1.5-2x slower per sweep.
 The shared-walk store, which pushes forward from every node, batches
 across sources instead of within one push: ``_forward_all`` steps every
 source's FIFO queue together, one queue position per numpy step, and gives
@@ -58,6 +59,13 @@ give. A kept result's counts are those of the push that made it. On the
 pair-hot benchmark the kept pushes are 90% of the push time (see
 ``_KEEP_BYTES``); HubPPR (Wang et al., VLDB 2016) and FORA (Wang et al.,
 KDD 2017) precompute the reverse pushes of hub targets for the same reason.
+
+A kept balanced push is paid once, but the walks it leaves are paid on
+every call that it answers. So once a balanced push's work exceeds m, and
+stopping would keep it, its stop test divides the push cost by
+``_KEPT_CALLS``, the calls the kept result is balanced against, and the
+push goes on to lower levels. Where it stops still depends only on its
+arguments, so every hit returns the same object and the same estimates.
 """
 
 from __future__ import annotations
@@ -125,6 +133,25 @@ _GATHER_SHARE = 1 / 3
 # costly keys cannot grow a process by more than that. At n = 100k it
 # holds 2 results, so there only the two most recent costly pushes stay.
 _KEEP_BYTES = 4 << 20
+
+# Calls a kept balanced push is balanced against. Once a balanced push's
+# work exceeds m, stopping would keep its result (see ``_keeping``): the
+# push is paid once and its walks on every call, so the stop test divides
+# the push cost by this. 16, 64, 256 and 1024 stop the two pair-hot hubs
+# 1, 2, 3 and 4 levels deeper than 1 does (achieved_rmax 0.25 / 4^k). On
+# the pair-hot benchmark (10k-node power-law graph, delta = 4/n, shared
+# 2-core machine) the two hubs' first call took 1.5-1.9 ms at 1 (one call),
+# 4.3, 6.6, 9.5 and 12 ms at 16, 64, 256 and 1024, with 4,375, 1,094, 274,
+# 69 and 18 walks per call after it; at n = 100k, 12-13, 30-40, 63-66,
+# 88-91 and 115-120 ms (43,750 down to 171 walks). A call answered from
+# the keep took 1.3 ms at 1 and 0.28 ms at 256 (8.2 and 0.49 ms at 100k).
+# A hub key serves about 1,600-1,900 calls per 10 s run. pair-hot seed-1
+# queries_per_s, medians of three 10 s runs: 1635 at 1, 2057, 2193, 2373
+# and 2306; mean_rel_err 0.0040 at 1, 0.0035, 0.0033, 0.0032 and 0.0031.
+# 1024 gains nothing measurable over 256 and costs 30% more when the keep
+# never hits, where a hub call at 256 costs about 4x one at 1 (push and
+# walks: 90 against 21 ms at 100k).
+_KEPT_CALLS = 256
 
 
 class SparseVec(dict):
@@ -344,14 +371,15 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
     in-degrees, on either path. Each push settles more than alpha*r_max
     into p, so pushes < sum(p)/(alpha*r_max).
 
-    r_max >= 1 returns immediately with p empty and r the unit vector at t.
+    r_max >= 1 returns immediately with p empty and r the unit vector at t;
+    a NaN r_max raises ``ValueError``.
 
     A result that finished in rounds after more than m units of work is
     kept on the graph under (t, r_max, alpha), at 16*n bytes, and a later
     call with the same arguments returns it, the same read-only object,
     without pushing (see the module docstring).
     """
-    if r_max <= 0.0:
+    if not r_max > 0.0:  # also NaN
         raise ValueError("r_max must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -448,7 +476,7 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
     On return p[t] approximates pi_s[t] with the residual term
     sum_v r[v]*pi_v[t] as the exact correction.
     """
-    if r_max <= 0.0:
+    if not r_max > 0.0:  # also NaN
         raise ValueError("r_max must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -624,31 +652,41 @@ def reverse_push_balanced(
     plus v's in-degree) would reach the predicted sampling cost
     c * rv / delta, scaled by ``walk_time_constant`` (cost of one walk
     relative to one work unit; defaults to alpha, i.e. about 1/alpha work
-    units per walk).
+    units per walk; inf stops before the first level). Once the
+    accumulated work exceeds m, the result would be kept and serve many
+    calls, so the work is divided by ``_KEPT_CALLS`` (256) before the
+    comparison. The two hubs of the benchmark graph below then stop three
+    levels deeper, at achieved_rmax 0.0039 against 0.25, and a call draws
+    69 walks instead of 4,375.
 
     achieved_rmax is the largest residual left standing: zero when the
     residuals drain, in which case the estimates are exact.
 
     The dense vectors give every call a floor of a few passes over n. On
     the 10k-node ``gen --kind power-law`` graph (delta = 4/n) the push to
-    the top-PageRank node takes 1.2-1.8 ms and a target of in-degree 0
-    takes 26-41 us, which the FIFO loop pushes in 4-6 us; at n = 100k,
-    9-13 ms and 0.13-0.21 ms (medians of 15 and 201 calls over two runs on
-    a shared 2-core machine, numpy 2.4).
+    the top-PageRank node takes 9-10 ms (1.2-1.8 ms when balanced against
+    one call) and a target of in-degree 0 takes 26-41 us, which the FIFO
+    loop pushes in 4-6 us; at n = 100k, 88-91 ms (9-13 ms) and 0.13-0.21
+    ms (medians over repeated calls on a shared 2-core machine, numpy 2.4).
 
     A result whose work exceeds m is kept on the graph under (t, alpha,
     delta, c, walk_time_constant), with ``None`` resolved to alpha first,
     at 16*n bytes, and a later call with the same arguments returns it, the
     same read-only object, without pushing (see the module docstring). Every
-    call that pushes pays the floor above.
+    call that pushes pays the floor above; its counts include the levels
+    pushed past the one-call balance point.
+
+    delta and c must be positive and finite, and walk_time_constant
+    positive; NaN raises ``ValueError``.
     """
-    if delta <= 0.0 or c <= 0.0:
-        raise ValueError("delta and c must be positive")
+    # `not 0 < x < inf` also rejects NaN
+    if not (0.0 < delta < math.inf and 0.0 < c < math.inf):
+        raise ValueError("delta and c must be positive and finite")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if walk_time_constant is None:
         walk_time_constant = alpha
-    if walk_time_constant <= 0.0:
+    if not walk_time_constant > 0.0:  # inf is allowed: never push
         raise ValueError("walk_time_constant must be positive")
     _check_node(g, t)
     return _keeping(
@@ -671,6 +709,8 @@ def _balanced(
         v = int(res.argmax())
         rv = float(res[v])
         cost = walk_time_constant * (work + int(in_ptr[v + 1] - in_ptr[v]))
+        if work > g.m:  # stopping here would be kept: paid once, served many times
+            cost /= _KEPT_CALLS
         if rv == 0.0 or math.isnan(cost) or cost >= c * rv / delta:
             return PushResult(DenseVec(est), DenseVec(res), pushes, rv, work)
         more, more_work = _rounds(g, est, res, rv * _LEVEL_RATIO, alpha)

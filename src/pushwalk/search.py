@@ -185,6 +185,22 @@ class _CoordIndex:
         entries = np.arange(len(seg)) + (lo - counts.cumsum() + counts).repeat(counts)
         return rows, xv, entries, seg
 
+    def reverse_vectors(self) -> dict[int, ReverseVector]:
+        """The targets' reverse vectors read back from ``table``: one stable
+        sort by target id, then each target's coordinates split at n."""
+        coords = np.repeat(self.table.keys, np.diff(self.table.ptr))
+        by_target = Table.of(self.table.nodes, coords, self.table.data)
+        vectors = {}
+        for t, row in zip(by_target.keys.tolist(), by_target):
+            c, v = row.arrays()
+            est = c < self.n
+            vectors[t] = ReverseVector(
+                self.n, t, SparseVec(zip(c[est].tolist(), v[est].tolist())),
+                SparseVec(zip((c[~est] - self.n).tolist(), v[~est].tolist())),
+                self.r_max, self.alpha,
+            )
+        return vectors
+
 
 @dataclass
 class GroupedIndex(_CoordIndex):

@@ -157,10 +157,12 @@ def test_estimate_rejects_flags_the_method_ignores(two_cycle_file, capsys):
     ["estimate", "--c", "inf"],
     ["heat-kernel", "--t", "inf"],
     ["estimate-mstp", "--eps-r", "inf", "--ell-max", "3"],
-], ids=["delta-balanced", "delta-monte-carlo", "c", "t", "eps-r"])
+    ["estimate", "--walk-time-constant", "nan", "--method", "balanced"],
+], ids=["delta-balanced", "delta-monte-carlo", "c", "t", "eps-r", "walk-time-constant-nan"])
 def test_infinite_parameters_exit_one(tmp_path, capsys, args):
     # an infinite delta once gave 0.0 with exit 0; the others raised
-    # OverflowError while sizing the walk budget
+    # OverflowError while sizing the walk budget, and a NaN walk time
+    # constant ran no push and printed NaN with exit 0
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n2 0\n1 0\n")
     assert cli.main(args + ["--graph", str(path), "--source", "0", "--target", "1"]) == 1
@@ -341,6 +343,25 @@ def test_precompute_search_pushes_each_target_once(tmp_path, monkeypatch, capsys
             for name in ("keys", "ptr", "nodes", "data"):
                 assert np.array_equal(getattr(stored["index"].table, name),
                                       getattr(fresh.table, name))
+        # the index gives back every target's reverse vector
+        back = stored["index"].reverse_vectors()
+        assert sorted(back) == sorted(targets)
+        for t in targets:
+            fresh = pw.build_reverse_vector(g, t, 0.01, 0.2)
+            assert dict(back[t].estimates) == dict(fresh.estimates)
+            assert dict(back[t].residuals) == dict(fresh.residuals)
+    # so direct scoring from the index pushes nothing, and ranks as a fresh push does
+    query = ["search", "--graph", str(graph), "--source", "9", "--keyword", "red",
+             "--method", "direct"]
+    pushed.clear()
+    assert cli.main(query + ["--index", str(idx)]) == 0
+    assert pushed == []
+    _, from_index = _records(capsys)
+    assert cli.main(query + ["--keywords", str(kw), "--rmax", "0.01"]) == 0
+    assert sorted(pushed) == [1, 5, 9, 40]
+    _, fresh = _records(capsys)
+    assert from_index["estimates"]["ranking"] == fresh["estimates"]["ranking"]
+    assert any(score > 0.0 for _, score in fresh["estimates"]["ranking"])
 
 
 def test_sample_path_output_format(two_cycle_file, capsys):

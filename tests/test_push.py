@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pushwalk as pw
-from pushwalk import push
+from pushwalk import bidir, push
 from pushwalk.cli import generate_synthetic
 from pushwalk.sampling import source_of
 from conftest import (forward_invariant_gap, rand_graph,
@@ -20,10 +20,11 @@ from conftest import (forward_invariant_gap, rand_graph,
 
 def test_reverse_threshold_one_returns_indicator():
     g = two_cycle()
-    res = pw.reverse_push(g, 1, 1.0, 0.2)
-    assert dict(res.estimates) == {}
-    assert dict(res.residuals) == {1: 1.0}
-    assert res.pushes_performed == 0
+    for r_max in (1.0, math.inf):
+        res = pw.reverse_push(g, 1, r_max, 0.2)
+        assert dict(res.estimates) == {}
+        assert dict(res.residuals) == {1: 1.0}
+        assert res.pushes_performed == 0
 
 
 def test_reverse_single_push_trace():
@@ -343,6 +344,56 @@ def test_a_kept_push_holds_only_its_arrays_once_read():
         assert [x for x in gc.get_referents(vec) if x is not type(vec)] == [vec.array]
 
 
+def test_kept_balanced_hub_is_pushed_deeper_and_stays_accurate():
+    g = _power_law_3000()
+    alpha, c = 0.2, 7.0
+    delta = 4.0 / g.n
+    pr = pw.exact_global_pagerank(g, alpha)
+    hub, small = int(np.argmax(pr)), int(np.argsort(pr)[int(0.998 * g.n)])
+    res = pw.reverse_push_balanced(g, hub, alpha, delta, c)
+    assert res.work_units > g.m and pw.reverse_push_balanced(g, hub, alpha, delta, c) is res
+    # at least one level below where a push paid by one call stops; a push
+    # that is not kept still stops there
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(push, "_KEPT_CALLS", 1)
+        one_call = pw.reverse_push_balanced(_power_law_3000(), hub, alpha, delta, c)
+        unkept = pw.reverse_push_balanced(g, small, alpha, delta, c)
+    assert 0.0 < res.achieved_rmax <= one_call.achieved_rmax * push._LEVEL_RATIO
+    again = pw.reverse_push_balanced(g, small, alpha, delta, c)
+    assert again.work_units <= g.m and again.achieved_rmax > 0.0
+    assert again is not unkept and _same_push(again, unkept)
+    # it stopped at a largest residual whose push would cost too much, per call kept for
+    cost = [alpha * (res.work_units + len(g.in_adj[v])) / push._KEPT_CALLS
+            for v in np.flatnonzero(res.residuals.array == res.achieved_rmax).tolist()]
+    assert max(cost) >= c * res.achieved_rmax / delta
+    for s in (0, 2, 17, 500, 2999):
+        gap = pw.exact_ppr(g, s, alpha)[hub] - res.estimates.get(s, 0.0)
+        assert 0.0 <= gap <= res.achieved_rmax + 1e-12
+    # the estimates built on it are unbiased
+    params = pw.PprParams(delta=delta, alpha=alpha, c=c)
+    for s in (2, 17, 500):
+        values = [pw.estimate_ppr_balanced(g, s, hub, params, seed=k).value for k in range(40)]
+        stderr = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert 0.0 < stderr and abs(np.mean(values) - pw.exact_ppr(g, s, alpha)[hub]) <= 4 * stderr
+
+
+def test_balanced_estimates_replay_identically_on_a_kept_hub(monkeypatch):
+    # a kept push deepened on a hit would answer the same query differently
+    g = _power_law_3000()
+    hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
+    pushes = []
+    balanced = bidir.reverse_push_balanced
+    monkeypatch.setattr(bidir, "reverse_push_balanced",
+                        lambda *args: pushes.append(balanced(*args)) or pushes[-1])
+    params = pw.PprParams(delta=4.0 / g.n)
+    first = pw.estimate_ppr_balanced(g, 17, hub, params, seed=5)
+    again = pw.estimate_ppr_balanced(g, 17, hub, params, seed=5)
+    assert pushes[0].work_units > g.m and pushes[1] is pushes[0]
+    assert first.walks_used > 0
+    assert ((again.value, again.walks_used, again.r_max_used)
+            == (first.value, first.walks_used, first.r_max_used))
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_not_eligible_at_threshold():
@@ -469,6 +520,24 @@ def test_balanced_infinite_work_cost_stops_immediately():
     assert dict(res.estimates) == {}
     assert dict(res.residuals) == {1: 1.0}
     assert res.achieved_rmax == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: pw.reverse_push_balanced(g, 0, 0.2, delta=math.nan),
+    lambda g: pw.reverse_push_balanced(g, 0, 0.2, delta=math.inf),
+    lambda g: pw.reverse_push_balanced(g, 0, 0.2, delta=1e-3, c=math.nan),
+    lambda g: pw.reverse_push_balanced(g, 0, 0.2, delta=1e-3, c=math.inf),
+    lambda g: pw.reverse_push_balanced(g, 0, 0.2, delta=1e-3, walk_time_constant=math.nan),
+    lambda g: pw.reverse_push(g, 0, math.nan, 0.2),
+    lambda g: pw.forward_push(g, 0, math.nan, 0.2),
+], ids=["balanced-delta-nan", "balanced-delta-inf", "balanced-c-nan", "balanced-c-inf",
+        "balanced-walk-time-constant-nan", "reverse-r_max-nan", "forward-r_max-nan"])
+def test_non_finite_push_parameters_are_rejected(call):
+    # a NaN delta or c, or an infinite c, once ran the balanced push without
+    # end; an infinite delta, a NaN walk time constant or a NaN threshold
+    # returned the unit residual as if it were a push
+    with pytest.raises(ValueError, match="must be positive"):
+        call(two_cycle())
 
 
 def test_balanced_work_constant_monotonicity(rng):
