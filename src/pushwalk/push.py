@@ -30,19 +30,20 @@ whose push reaches a large share of the graph; on a target whose push
 stays small that floor is most of the cost (see ``reverse_push_balanced``).
 ``DenseVec`` is one kind of ``Row``, the read-only view through which
 every stored sparse vector reads like a ``SparseVec``: a ``Row`` is a
-(nodes, data) pair of arrays, and a ``Table`` holds many rows as one CSR,
-built by one stable sort by owner. The shared-walk store's per-node tables
-and each search index are ``Table``s. The dense floor is also why the
-scalar FIFO and forward loops stay for single pushes: on the 10k-node
-benchmark graphs (shared 2-core machine), numpy frontier rounds in their
-place took 48 us per forward push against 7 us and 65 us per sharded
-reverse push against 7 us (median), and an array version of the layered
-fixed-horizon push ran 1.5-2x slower per sweep.
+(nodes, data) pair of arrays, ascending by node, and a ``Table`` holds many
+rows as one CSR, built by one stable sort by owner. The shared-walk store's
+per-node tables and each search index are ``Table``s. The dense floor is
+also why the scalar FIFO and forward loops stay for single pushes: on the
+10k-node benchmark graphs (shared 2-core machine), numpy frontier rounds
+in their place took 48 us per forward push against 7 us and 65 us per
+sharded reverse push against 7 us (median), and an array version of the
+layered fixed-horizon push ran 1.5-2x slower per sweep.
 The shared-walk store, which pushes forward from every node, batches
-across sources instead of within one push: ``_forward_all`` steps every
-source's FIFO queue together, one queue position per numpy step, and gives
-each source ``forward_push``'s dicts bit for bit. Only single-source calls
-(``forward_push``, as ``estimate_ppr_undirected`` makes) stay scalar.
+across sources instead of within one push: ``_forward_all`` runs rounds
+over every source's touched entries at once, held as one sorted array of
+(source, node) codes, so its rows come out ascending by node. Only
+single-source calls (``forward_push``, as ``estimate_ppr_undirected``
+makes) stay scalar.
 
 Both reverse pushes keep their costly results on the graph
 (``Graph.kept_pushes``) and return the kept result, the same object, when
@@ -187,10 +188,12 @@ class SparseVec(dict):
 
 class Row(Mapping):
     """Read-only view of a sparse vector held as a (nodes, data) pair of
-    arrays: entries lo:hi of a ``Table``'s ``nodes`` and ``data``.
+    arrays: entries lo:hi of a ``Table``'s ``nodes`` and ``data``, ascending
+    by node.
 
-    Stored order is the order of iteration, ``keys``, ``values`` and
-    ``items``. Missing nodes read as 0.0, as in ``SparseVec``. The view
+    That order is the order of iteration, ``keys``, ``values`` and
+    ``items``, and ``get`` finds a node by binary search. Missing nodes, and
+    keys that are not integers, read as 0.0, as in ``SparseVec``. The view
     holds its table and two ints; ``len`` reads no array, and every other
     read goes through ``arrays()``.
     """
@@ -203,7 +206,7 @@ class Row(Mapping):
         self._hi = hi
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (nodes, data) arrays of the entries, in stored order."""
+        """The (nodes, data) arrays of the entries, ascending by node."""
         t = self._table
         return t.nodes[self._lo:self._hi], t.data[self._lo:self._hi]
 
@@ -212,12 +215,13 @@ class Row(Mapping):
         return dict(zip(nodes.tolist(), data.tolist()))
 
     def get(self, node, default=0.0):
-        nodes, data = self.arrays()
-        try:
-            i = nodes.tolist().index(node)
-        except ValueError:
+        if not isinstance(node, (int, np.integer)):
             return default
-        return float(data[i])
+        nodes, data = self.arrays()
+        i = int(np.searchsorted(nodes, node))
+        if i < nodes.size and nodes[i] == node:
+            return float(data[i])
+        return default
 
     def __getitem__(self, node) -> float:
         return self.get(node, 0.0)
@@ -243,10 +247,11 @@ class Row(Mapping):
 
 class Table:
     """Many sparse vectors as one read-only CSR: row i is entries
-    ptr[i]:ptr[i+1] of ``nodes`` and ``data``. ``keys`` is None when row i
-    belongs to owner i, or else lists the owners of the rows, ascending.
-    Indexing and iteration give ``Row`` views, by row number. Pickles hold
-    plain buffers and no numpy reference."""
+    ptr[i]:ptr[i+1] of ``nodes`` and ``data``, ascending by node, the one
+    row order of the package. ``keys`` is None when row i belongs to owner
+    i, or else lists the owners of the rows, ascending. Indexing and
+    iteration give ``Row`` views, by row number. Pickles hold plain buffers
+    and no numpy reference."""
 
     __slots__ = ("ptr", "nodes", "data", "keys")
 
@@ -263,9 +268,11 @@ class Table:
     def of(cls, owners: np.ndarray, nodes: np.ndarray, data: np.ndarray,
            n: int | None = None) -> Table:
         """The entries, given in any owner order, sorted by owner with one
-        stable sort, so entries of one owner keep their order. With ``n``
-        there is a row for every owner in range(n); without, one for each
-        owner that holds entries, and ``keys`` lists them."""
+        stable sort, so entries of one owner keep their order: every caller
+        gives each owner's entries ascending by node, and every row comes
+        out ascending, as ``Row`` reads it. With ``n`` there is a row for
+        every owner in range(n); without, one for each owner that holds
+        entries, and ``keys`` lists them."""
         order = np.argsort(owners, kind="stable")
         counts = np.bincount(owners, minlength=n or 0)
         keys = None
@@ -353,7 +360,7 @@ class PushResult:
     degree_sum: float = 0.0
 
     def residual_mass(self) -> float:
-        return sum(self.residuals.values())
+        return sum(self.residuals.arrays()[1].tolist())
 
 
 def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
@@ -520,117 +527,59 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
     return PushResult(p, r, pushes, achieved, work, degree_sum)
 
 
-# One slot per touched (source row, node) in ``_forward_all``: its code
-# row*n + node, its estimate and residual, the clock readings at which the
-# node last entered the source's estimate and residual keys, and whether it
-# is in the source's queue.
-_ENTRY = np.dtype([("code", np.int64), ("est", float), ("res", float),
-                   ("p_at", np.int64), ("r_at", np.int64), ("queued", bool)])
-
-
 def _forward_all(g: Graph, sources: np.ndarray, r_max: float, alpha: float):
-    """``forward_push`` from every node of ``sources`` at once, bit for bit
+    """A forward push from every node of ``sources`` at once, in rounds
     (arguments already validated).
 
-    Step j pops queue position j of every source whose FIFO queue is that
-    long. The sources are independent and each pops one node per step, so
-    this is each source's own FIFO: the same ``d > 0 and r/d > r_max`` test
-    on every node a push hands mass to, the same rule of queueing a node
-    only while it is not queued, and the same (1-alpha)*w*r arithmetic. A
-    queued node's residual only grows until it is popped, so the scalar
-    loop's test at the pop always passes and is not repeated.
-
-    Touched entries get slots in order of first touch and are found by
-    code, row*n + node, in one sorted index; a step costs its pushes' edges
-    and the index's insertions. On the 10k-node index-serve benchmark graph
-    all 10k pushes took 10 ms against 64 ms one call at a time at that
-    workload's r_max 0.225, and 0.27 s against 0.65 s at r_max 0.01
-    (medians of 5, shared 2-core machine).
+    Every touched (source row, node) entry is one code row*n + node in one
+    sorted array. A round pushes every entry with r/d > r_max (d > 0, as in
+    ``forward_push``) at once, sums what lands on each code with
+    ``np.unique`` and ``np.bincount``, and inserts the new codes. Each row
+    keeps the forward identity, and on return every r[v] <= r_max*d_v.
+    Rows never mix and a round pushes a row's entries in node order, so
+    each row is bit for bit the push of its source alone. On the 10k-node
+    index-serve benchmark graph at its r_max 0.225, all 10k pushes took
+    9 ms, against 14 ms for a batch that replays each source's FIFO queue
+    and 119 ms for one ``forward_push`` per node; at r_max 0.01, 0.25 s
+    against 0.47 and 1.27 s (medians, shared 2-core machine, numpy 2.4).
 
     Returns (rows, nodes, values) for the estimates and for the residuals:
-    source ``sources[i]``'s non-zeros are the entries of row i, in the key
-    order of ``forward_push``'s dicts. That order is kept by stamping each
-    entry when its node enters the dict's keys: a residual popped by a push
-    and handed mass again, as on a self-loop, moves to the end.
+    source ``sources[i]``'s non-zeros are row i's entries, ascending by node.
     """
     n = g.n
     sources = np.asarray(sources, dtype=np.int64)
-    k = sources.size
     out_ptr, heads, weights = g.out_ptr, g.heads, g.weights
     # r/inf = 0 is never over r_max, which is the "d > 0" half of the test
     degrees = np.where(g.degrees > 0, g.degrees, np.inf)
-    keep = 1.0 - alpha
-    ent = np.zeros(2 * k + 16, _ENTRY)
-    index = np.arange(k) * n + sources  # every code, sorted
-    ent["code"][:k] = index
-    ent["res"][:k] = 1.0
-    ent["queued"][:k] = 1.0 / degrees[sources] > r_max
-    used = k
-    slots = np.arange(k)  # the slot of each code in the index
-    queue = np.flatnonzero(ent["queued"])  # pending slots, any order
-    queue_pos = np.zeros(queue.size, np.int64)  # their queue positions
-    tail = ent["queued"][:k].astype(np.int64)  # each row's queue length
-    clock = 1
-    j = 0
-    while queue.size:
-        due = queue_pos == j  # one slot of each row whose queue is that long
-        at = queue[due]
-        queue, queue_pos = queue[~due], queue_pos[~due]
-        moved = ent["res"][at]
-        ent["res"][at] = 0.0
-        ent["queued"][at] = False
-        was = ent["est"][at]
-        ent["est"][at] = was + alpha * moved
-        ent["p_at"][at] = np.where(was == 0.0, j, ent["p_at"][at])
-        rows, u = np.divmod(ent["code"][at], n)
+    codes = np.arange(sources.size) * n + sources  # sorted
+    est = np.zeros(sources.size)
+    res = np.ones(sources.size)
+    while (go := np.flatnonzero(res / degrees[codes % n] > r_max)).size:
+        moved = res[go]
+        res[go] = 0.0
+        est[go] += alpha * moved
+        rows, u = np.divmod(codes[go], n)
         starts = out_ptr[u]
         counts = out_ptr[u + 1] - starts
-        total = int(counts.sum())
-        edges = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        v = heads[edges]
-        handed = keep * weights[edges] * np.repeat(moved, counts)
-        erows = np.repeat(rows, counts)
-        codes = erows * n + v
-        pos = np.searchsorted(index, codes)
-        hit = pos < index.size
-        hit[hit] = index[pos[hit]] == codes[hit]
-        at = np.empty(total, np.int64)
-        at[hit] = slots[pos[hit]]
-        if not hit.all():
-            order = np.argsort(codes[~hit])
-            fresh = codes[~hit][order]
-            added = np.arange(used, used + fresh.size)
-            at[np.flatnonzero(~hit)[order]] = added
-            index = np.insert(index, pos[~hit][order], fresh)
-            slots = np.insert(slots, pos[~hit][order], added)
-            used += fresh.size
-            if used > ent.size:
-                ent = np.concatenate([ent, np.zeros(used + ent.size, _ENTRY)])
-            ent["code"][added] = fresh
-        was = ent["res"][at]
-        ent["res"][at] = now = was + handed
-        ent["r_at"][at] = np.where(was == 0.0, clock + np.arange(total), ent["r_at"][at])
-        clock += total
-        go = (now / degrees[v] > r_max) & ~ent["queued"][at]
-        if go.any():
-            ent["queued"][at[go]] = True
-            grows = erows[go]  # grouped by row, in edge order within a row
-            first = np.flatnonzero(np.r_[True, grows[1:] != grows[:-1]])
-            runs = np.diff(np.r_[first, grows.size])
-            rank = np.arange(grows.size) - np.repeat(first, runs)
-            queue = np.concatenate([queue, at[go]])
-            queue_pos = np.concatenate([queue_pos, tail[grows] + rank])
-            tail[grows[first]] += runs
-        j += 1
-    ent = ent[:used]
-    rows, nodes = np.divmod(ent["code"], n)
+        edges = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        handed = (1.0 - alpha) * weights[edges] * np.repeat(moved, counts)
+        landed, inverse = np.unique(np.repeat(rows, counts) * n + heads[edges],
+                                    return_inverse=True)
+        sums = np.bincount(inverse, weights=handed)
+        pos = np.searchsorted(codes, landed)
+        held = codes[np.minimum(pos, codes.size - 1)] == landed
+        res[pos[held]] += sums[held]
+        new = ~held
+        codes = np.insert(codes, pos[new], landed[new])
+        res = np.insert(res, pos[new], sums[new])
+        est = np.insert(est, pos[new], 0.0)
+    rows, nodes = np.divmod(codes, n)
 
-    def ordered(values, stamps):
+    def nonzero(values):
         nz = values != 0.0
-        order = np.lexsort((stamps[nz], rows[nz]))
-        return rows[nz][order], nodes[nz][order], values[nz][order]
+        return rows[nz], nodes[nz], values[nz]
 
-    return ordered(ent["est"], ent["p_at"]), ordered(ent["res"], ent["r_at"])
+    return nonzero(est), nonzero(res)
 
 
 def reverse_push_balanced(

@@ -12,7 +12,7 @@ their scores without ever computing them all. Both sides must be built at
 the same teleport rate alpha on graphs of the same node count; scoring
 raises ValueError when they differ.
 
-The grouped index and the target sampler hold the same transpose: one
+The grouped index, which also serves as the target sampler, is one
 coordinate-major ``push.Table`` over the sorted targets' vectors, built by
 concatenating every target's (coordinate, target id, value) arrays and
 sorting them once, stably, by coordinate, so each coordinate's row lists
@@ -20,7 +20,9 @@ its targets in ascending order. The table's ``keys`` are the coordinates
 that some target holds; a query finds its source coordinates among them
 with one ``searchsorted``. ``slots`` and ``samplers`` read the table as
 coordinate -> ``Row``, each a read-only mapping from target id to value,
-and saved indexes store the table's arrays as plain buffers.
+and saved indexes store the table's arrays as plain buffers. Loading a
+saved file rebuilds only the package's own stored classes and plain arrays,
+so a crafted file cannot run code.
 """
 
 from __future__ import annotations
@@ -150,12 +152,24 @@ class _Slots(Mapping):
 
 
 @dataclass
-class _CoordIndex:
+class GroupedIndex:
     """The sorted targets' reverse vectors transposed by coordinate.
 
     ``table`` has one row per coordinate that some target's vector holds,
     ascending (its ``keys``); the row lists that coordinate's target ids,
-    ascending, and their values.
+    ascending, and their values. ``slots`` reads it as coordinate ->
+    {target: value}.
+
+    Querying walks the source vector's coordinates in ascending order and
+    credits each listed target, which reproduces the per-target dot products
+    addition for addition — identical floating-point results, one pass.
+
+    The same index serves stage two of ``sample_targets``, under the names
+    ``TargetSamplerIndex`` and ``samplers``: the draw at coordinate v picks
+    t with probability y_t[v] / total, where total is the slot's aggregate
+    sum_t y_t[v]. Together with a first stage that draws v with probability
+    proportional to x_s[v] * total, the sampled target is distributed
+    exactly as score(t) / sum_j score(j).
     """
 
     n: int
@@ -163,6 +177,12 @@ class _CoordIndex:
     r_max: float
     alpha: float
     table: Table = field(repr=False)
+
+    @property
+    def slots(self) -> _Slots:
+        return _Slots(self.table)
+
+    samplers = slots
 
     def _shared(self, x_s: ForwardVector):
         """The source vector's coordinates that the index holds.
@@ -202,36 +222,8 @@ class _CoordIndex:
         return vectors
 
 
-@dataclass
-class GroupedIndex(_CoordIndex):
-    """Transpose of a set of reverse vectors; ``slots`` reads it as
-    coordinate -> {target: value}.
-
-    Querying walks the source vector's coordinates in ascending order and
-    credits each listed target, which reproduces the per-target dot products
-    addition for addition — identical floating-point results, one pass.
-    """
-
-    @property
-    def slots(self) -> _Slots:
-        return _Slots(self.table)
-
-
-@dataclass
-class TargetSamplerIndex(_CoordIndex):
-    """Per-coordinate stage-two draws over the grouped index's slots.
-
-    ``samplers[v]`` maps coordinate v's targets to their values; the draw at
-    v picks t with probability y_t[v] / total, where total is the slot's
-    aggregate sum_t y_t[v]. Together with a first stage that draws v with
-    probability proportional to x_s[v] * total, the sampled target is
-    distributed exactly as score(t) / sum_j score(j). ``sample_targets``
-    builds a coordinate's sampler only when stage one draws it.
-    """
-
-    @property
-    def samplers(self) -> _Slots:
-        return _Slots(self.table)
+# the target sampler is the grouped index under the name its callers use
+TargetSamplerIndex = GroupedIndex
 
 
 @dataclass
@@ -297,16 +289,19 @@ def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> Revers
     )
 
 
-def _transpose(
+def build_grouped_index(
     g: Graph,
     targets: list[int],
     r_max: float,
     alpha: float,
-    vectors: dict[int, ReverseVector] | None,
-    cls: type[_CoordIndex],
-) -> _CoordIndex:
-    """``cls`` over the sorted targets' reverse vectors (given, or pushed at
-    (r_max, alpha)), transposed by coordinate with one stable sort."""
+    vectors: dict[int, ReverseVector] | None = None,
+) -> GroupedIndex:
+    """Transpose the sorted targets' reverse vectors by coordinate, with one
+    stable sort.
+
+    Pass explicit vectors to index precomputed (or synthetic) target sides;
+    otherwise each target gets a fresh reverse push at (r_max, alpha).
+    """
     ts = sorted(set(targets))
     coords, owners, values = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for t in ts:
@@ -317,40 +312,13 @@ def _transpose(
         values.append(v)
     # ties keep ascending target order
     table = Table.of(np.concatenate(coords), np.concatenate(owners), np.concatenate(values))
-    return cls(g.n, ts, r_max, alpha, table)
+    return GroupedIndex(g.n, ts, r_max, alpha, table)
 
 
-def build_grouped_index(
-    g: Graph,
-    targets: list[int],
-    r_max: float,
-    alpha: float,
-    vectors: dict[int, ReverseVector] | None = None,
-) -> GroupedIndex:
-    """Transpose the targets' reverse vectors by coordinate.
-
-    Pass explicit vectors to index precomputed (or synthetic) target sides;
-    otherwise each target gets a fresh reverse push at (r_max, alpha).
-    """
-    return _transpose(g, targets, r_max, alpha, vectors, GroupedIndex)
+build_target_sampler = build_grouped_index
 
 
-def build_target_sampler(
-    g: Graph,
-    targets: list[int],
-    r_max: float,
-    alpha: float,
-    vectors: dict[int, ReverseVector] | None = None,
-) -> TargetSamplerIndex:
-    """Aggregate the targets' reverse vectors into per-coordinate slots.
-
-    Pass explicit vectors to index precomputed (or synthetic) target sides;
-    otherwise each target gets a fresh reverse push at (r_max, alpha).
-    """
-    return _transpose(g, targets, r_max, alpha, vectors, TargetSamplerIndex)
-
-
-def _check_sides(x_s: ForwardVector, y: ReverseVector | _CoordIndex) -> None:
+def _check_sides(x_s: ForwardVector, y: ReverseVector | GroupedIndex) -> None:
     """ValueError unless the target side ``y`` was pushed at the forward
     vector's alpha, on a graph of its node count."""
     if x_s.alpha != y.alpha:
@@ -421,7 +389,7 @@ def score_targets_grouped(
 
 def sample_targets(
     x_s: ForwardVector,
-    idx: TargetSamplerIndex | GroupedIndex,
+    idx: GroupedIndex,
     n_samples: int,
     seed: int = 0,
     rng: np.random.Generator | None = None,
@@ -433,9 +401,7 @@ def sample_targets(
     only for the coordinates stage one drew. The product of the two stage
     probabilities telescopes to score(t)/total, so the marginal is exact.
     Returns (target, count) ranked by descending count, ties by node id;
-    the ranking is empty when no stage-one coordinate carries weight. A
-    grouped index over the same targets holds the same table and draws
-    alike.
+    the ranking is empty when no stage-one coordinate carries weight.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -526,9 +492,30 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-# 7: one push.Table per index, its rows mapping target ids to values; search
-# indexes record their graph's n and m and hold one index per keyword
-_INDEX_VERSION = 7
+# 8: every push.Table row is ascending by node (7 held store rows in push
+# order); search indexes record their graph's n and m and hold one index
+# per keyword
+_INDEX_VERSION = 8
+
+# The globals a saved payload may name: the stored classes, the plain
+# buffers their tables pickle to, and the sparse reverse vectors that a
+# payload built with save_index may also hold.
+_SAVED_GLOBALS = {
+    "array": {"_array_reconstructor", "array"},
+    "pushwalk.push": {"SparseVec", "Table"},
+    "pushwalk.search": {"GroupedIndex", "ReverseVector"},
+    "pushwalk.sharding": {"SharedWalkStore", "SharedWalkParams", "Shard"},
+}
+
+
+class _SavedUnpickler(pickle.Unpickler):
+    """Unpickles only what save_index writes: any other global, which could
+    run code, raises IndexFormatError."""
+
+    def find_class(self, module, name):
+        if name not in _SAVED_GLOBALS.get(module, ()):
+            raise IndexFormatError(f"refusing to load {module}.{name}")
+        return super().find_class(module, name)
 
 
 def save_index(path, payload: dict) -> None:
@@ -541,7 +528,8 @@ def save_index(path, payload: dict) -> None:
 
 
 def load_index(path) -> dict:
-    """The payload dict save_index wrote; IndexFormatError for anything else."""
+    """The payload dict save_index wrote; IndexFormatError for anything else,
+    including a payload that names any global but the stored classes."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _INDEX_MAGIC:
@@ -550,7 +538,7 @@ def load_index(path) -> dict:
         if version != _INDEX_VERSION:
             raise IndexFormatError(f"unsupported index version {version}")
         try:
-            payload = pickle.load(fh)
+            payload = _SavedUnpickler(fh).load()
         except Exception as exc:  # truncated or corrupt pickles raise many types
             raise IndexFormatError(f"{path}: unreadable payload ({exc!r})") from exc
     if not isinstance(payload, dict):

@@ -12,8 +12,8 @@ problem: instead of w walks from every node, store a few walks per node
 plus each node's forward-push residuals, and synthesize a source's walk
 distribution from its residual-weighted neighborhood at query time. The
 store holds its three per-node tables as ``push.Table`` CSRs, with a row
-for every node, and ``store.fwd_residuals[v]`` reads node v's row as a
-read-only ``push.Row`` mapping.
+for every node, ascending by node, and ``store.fwd_residuals[v]`` reads
+node v's row as a read-only ``push.Row`` mapping.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ class SharedWalkStore:
     """Per-node stored walks plus per-node forward push results.
 
     ``endpoint_freqs``, ``fwd_estimates`` and ``fwd_residuals`` are CSR
-    tables (``push.Table``) with a row for every node;
+    tables (``push.Table``) with a row for every node, ascending by node;
     ``store.fwd_residuals[v]`` reads node v's row as a read-only ``Row``
-    mapping, in the key order that ``forward_push``'s dicts have.
+    mapping.
     """
 
     alpha: float
@@ -239,8 +239,8 @@ def build_shared_walk_vectors(
     are entries of one ``walk_endpoints`` call over the repeated starts), and
     node v's ``endpoint_freqs[v][u]`` is the number of its walks that ended
     at u divided by its walk count, in ascending u. The forward pushes run
-    as one batch too (``push._forward_all``), bit-identical to one
-    ``forward_push`` per node.
+    as one batch too (``push._forward_all``): rounds over every node's
+    push at once, each row the same as that node's push alone.
 
     delta and the params' c1, c2, c3 must be positive and finite, and
     d_max must not be NaN; ValueError otherwise.

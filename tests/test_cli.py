@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
 import json
+import os
 import pickle
 
 import numpy as np
@@ -416,15 +417,15 @@ def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
 
 
 # (source, target) -> (sharded value, in-process value) of the serve-sim
-# round trip below, as answered by stores built with one forward_push per
-# node; the batched store build must answer them bit for bit.
+# round trip below, as answered by the store's batched forward push, whose
+# rows are ascending by node.
 _ROUND_TRIP = {
     ("0", "1"): (0.07599312815779528, 0.07599312815779528),
     ("5", "0"): (0.024338902764599588, 0.02433890276459958),
     ("17", "3"): (0.029271774954164848, 0.02927177495416485),
     ("3", "0"): (0.005702490666472142, 0.005702490666472143),
     ("40", "1"): (0.025685784300271845, 0.025685784300271842),
-    ("99", "0"): (0.005018807811466436, 0.005018807811466437),
+    ("99", "0"): (0.005018807811466436, 0.005018807811466436),
     ("2", "2"): (0.28662678336892156, 0.2866267833689215),
     ("7", "1"): (0.02389228869712582, 0.02389228869712582),
     ("60", "0"): (0.005161371593561962, 0.005161371593561961),
@@ -707,6 +708,48 @@ def test_store_of_format_five_exits_two(tmp_path, two_cycle_file, capsys):
     assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(v5),
                      "--query", "a,b"]) == 2
     assert "bad store/index file: unsupported index version 5" in capsys.readouterr().err
+
+
+def test_store_of_format_seven_exits_two(tmp_path, two_cycle_file, capsys):
+    # format 7 held the store's rows in push order, not ascending by node
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
+                     "--output", str(store)]) == 0
+    v7 = tmp_path / "v7.bin"
+    v7.write_bytes(b"PWIX" + (7).to_bytes(2, "little") + store.read_bytes()[6:])
+    capsys.readouterr()
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(v7),
+                     "--query", "a,b"]) == 2
+    assert "bad store/index file: unsupported index version 7" in capsys.readouterr().err
+
+
+class _Crafted:
+    """Pickles as a call of ``func`` on ``args``."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+@pytest.mark.parametrize("call", ["system", "open"])
+def test_index_that_names_another_global_exits_two_and_runs_nothing(
+        tmp_path, two_cycle_file, capsys, call):
+    marker = tmp_path / "marker"
+    crafted = {"system": _Crafted(os.system, f"touch '{marker}'"),
+               "open": _Crafted(open, str(marker), "w")}[call]
+    path = tmp_path / "idx.bin"
+    path.write_bytes(b"PWIX" + search._INDEX_VERSION.to_bytes(2, "little")
+                     + pickle.dumps({"keywords": crafted}))
+    assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                     "--keyword", "topic", "--index", str(path)]) == 2
+    assert "bad store/index file: " in capsys.readouterr().err
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(path),
+                     "--query", "a,b"]) == 2
+    with pytest.raises(pw.IndexFormatError, match="refusing to load"):
+        pw.load_index(path)
+    assert not marker.exists()
 
 
 def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):

@@ -136,6 +136,36 @@ def test_heat_kernel_envelope_at_theorem_budget():
     assert violations / n_runs <= params.p_fail
 
 
+def test_mstp_envelope_at_theorem_budget_on_the_undirected_load():
+    # Criterion 5's per-length envelope, drawn as it draws, on the undirected
+    # load of its graph: there the ladder leaves residual that the paths
+    # meet, so every run's sampled term is nonzero and the check sees the
+    # num_paths() budget (on the directed load no run's is).
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 100, seed=7), undirected=True)
+    rng = np.random.default_rng(23)
+    delta = 4.0 / g.n
+    W = pw.transition_matrix(g)
+    params = pw.MstpParams(ell_max=20, delta=delta, epsilon=0.5, p_fail=0.1,
+                           use_theorem_c=True)
+    n_runs = 40
+    violations = 0
+    for j in range(n_runs):
+        s = int(rng.integers(g.n))
+        t = int(rng.integers(g.n))
+        est = pw.estimate_mstp(g, s, t, params, seed=40 + j)
+        estimates, _ = _ladder(g, t, params.ell_max, params.effective_eps_r(), False)
+        pushed = [estimates[ell].get(s, 0.0) for ell in range(1, params.ell_max + 1)]
+        assert np.abs(est - pushed).max() > 1e-9  # the sampled term is nonzero
+        vec = np.zeros(g.n)
+        vec[s] = 1.0
+        truth = np.empty(params.ell_max)
+        for ell in range(params.ell_max):
+            vec = vec @ W
+            truth[ell] = vec[t]
+        violations += bool((np.abs(est - truth) > np.maximum(params.epsilon * truth, delta)).any())
+    assert violations / n_runs <= params.p_fail
+
+
 @pytest.mark.parametrize("use_theorem_c, heat, per_horizon", [
     (False, 523, 2646),
     (True, 1953, 19771),

@@ -183,13 +183,14 @@ def _row_view(kind):
         return vec, {v: float(vec.array[v]) for v in nz}, missing, (vec.array,)
     g = pw.apply_sink_convention(
         pw.parse_edge_lines(generate_synthetic("power-law", 200, 3), undirected=False))
-    if kind == "store-row":  # the longest forward-residual row, in forward_push's order
+    if kind == "store-row":  # the longest forward-residual row, ascending by node
         params = pw.SharedWalkParams(c3=0.5)  # r_max_f 0.04: rows of several entries
         store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 1e9, params=params, seed=2)
         table = store.fwd_residuals
         v = int(np.argmax(np.diff(table.ptr)))
         row = table[v]
-        want = dict(pw.forward_push(g, v, store.r_max_f, 0.2).residuals)
+        _, nodes, values = push._forward_all(g, np.array([v]), store.r_max_f, 0.2)[1]
+        want = dict(zip(nodes.tolist(), values.tolist()))
     else:  # the longest slot of an index, ascending target ids
         targets = [0, 1, 2, 3, 40]
         coords = {t: dict(pw.build_reverse_vector(g, t, 0.01, 0.2).coord_items())
@@ -219,6 +220,37 @@ def test_rows_read_like_the_dicts_they_replace(kind):
     with pytest.raises(TypeError):
         view[missing] = 1.0
     assert not any(a.flags.writeable for a in held)
+
+
+def test_every_table_the_package_builds_has_ascending_rows(monkeypatch):
+    # The store's three tables, a search index and reverse_vectors()' table
+    # by target, caught as Table.of builds them.
+    built = []
+    of = push.Table.of.__func__
+
+    def recording(cls, *args, **kwargs):
+        built.append(of(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(push.Table, "of", classmethod(recording))
+    g = pw.apply_sink_convention(
+        pw.parse_edge_lines(generate_synthetic("power-law", 200, 3), undirected=False))
+    params = pw.SharedWalkParams(c3=0.5)
+    store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 50.0, params=params, seed=2)
+    index = pw.build_grouped_index(g, [0, 1, 2, 3, 40], 0.01, 0.2)
+    index.reverse_vectors()
+    assert len(built) == 5
+    assert built[:3] == [store.endpoint_freqs, store.fwd_estimates, store.fwd_residuals]
+    assert built[3] is index.table
+    for table in built:
+        assert table.nodes.size > len(table)
+        for row in table:
+            assert (np.diff(row.arrays()[0]) > 0).all()
+    row = store.fwd_residuals[int(np.argmax(np.diff(store.fwd_residuals.ptr)))]
+    node = next(iter(row))
+    for key in (float(node), str(node), None, (node,)):
+        assert row.get(key) == 0.0 and row.get(key, None) is None and key not in row
+    assert row.get(np.int32(node)) == row[node] > 0.0
 
 
 def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
@@ -467,34 +499,40 @@ def _looped_graph(rng, directed):
 def _batch_rows(batch, k):
     rows, nodes, values = batch
     cut = np.searchsorted(rows, np.arange(k + 1))
-    return [list(zip(nodes[a:b].tolist(), values[a:b].tolist()))
-            for a, b in zip(cut, cut[1:])]
+    return [(nodes[a:b], values[a:b]) for a, b in zip(cut, cut[1:])]
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_batched_forward_pushes_equal_forward_push_in_values_and_key_order(directed):
-    # The batch must give every source forward_push's dicts exactly, key
-    # order included: a node pushed, handed mass by its own self-loop and
-    # pushed again moves to the end of the residual keys. (A queued node's
-    # residual only grows until it is popped, so forward_push never skips a
-    # stale queue entry; there is no such case to cover.)
+def test_batched_forward_rounds_keep_the_identity_stop_rule_and_row_order(directed):
+    # For every source: p + r.Pi equals pi_s, every residual at a node of
+    # positive degree is at most r_max * d, a node of degree 0 is never
+    # pushed, rows are ascending by node, and the batch is each source's
+    # push alone, bit for bit.
     rng = np.random.default_rng(20 if directed else 21)
-    pushed_twice = dangling = 0
+    pushed = dangling = 0
     for _ in range(25):
         g = _looped_graph(rng, directed)
         dangling += int((g.degrees == 0).sum())
         alpha = float(rng.uniform(0.05, 0.9))
+        pim = pw.exact_ppr_matrix(g, alpha)
         sources = rng.permutation(g.n)[: int(rng.integers(1, g.n + 1))]
         for r_max in (1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 1.0, 2.0):
             est, res = push._forward_all(g, sources, r_max, alpha)
             rows = zip(sources.tolist(), _batch_rows(est, sources.size),
                        _batch_rows(res, sources.size))
-            for s, est_row, res_row in rows:
-                ref = pw.forward_push(g, s, r_max, alpha)
-                assert est_row == list(ref.estimates.items())
-                assert res_row == list(ref.residuals.items())
-                pushed_twice += ref.pushes_performed > len(ref.estimates)
-    assert pushed_twice > 100
+            for s, (p_nodes, p_vals), (r_nodes, r_vals) in rows:
+                assert (np.diff(p_nodes) > 0).all() and (np.diff(r_nodes) > 0).all()
+                assert (g.degrees[p_nodes] > 0).all()
+                live = g.degrees[r_nodes] > 0
+                assert (r_vals[live] <= r_max * g.degrees[r_nodes][live]).all()
+                p = np.zeros(g.n)
+                p[p_nodes] = p_vals
+                assert np.abs(p + r_vals @ pim[r_nodes] - pim[s]).max() <= 1e-12
+                alone = push._forward_all(g, np.array([s]), r_max, alpha)
+                assert [a.tolist() for a in alone[0][1:]] == [p_nodes.tolist(), p_vals.tolist()]
+                assert [a.tolist() for a in alone[1][1:]] == [r_nodes.tolist(), r_vals.tolist()]
+                pushed += p_nodes.size > 0
+    assert pushed > 100
     assert dangling > 0
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk import push
 from conftest import rand_graph, two_cycle
 
 
@@ -248,7 +249,8 @@ def test_variable_threshold_scales_with_popularity():
 
 def _reference_store(g, alpha, delta, d_max, params, seed):
     """The store as built node by node: the same walks and endpoint counts,
-    then one forward_push per node that is not full-walk. Rows are dicts."""
+    then one forward push per node that is not full-walk, by the store's
+    kernel with that node alone. Rows are dicts."""
     n = g.n
     full = g.degrees > d_max
     counts = np.where(full, params.full_walks(delta), params.shared_walks(delta))
@@ -265,9 +267,9 @@ def _reference_store(g, alpha, delta, d_max, params, seed):
             est.append({})
             res.append({v: 1.0})
         else:
-            pr = pw.forward_push(g, v, params.r_max_f(delta), alpha)
-            est.append(dict(pr.estimates))
-            res.append(dict(pr.residuals))
+            pr = push._forward_all(g, np.array([v]), params.r_max_f(delta), alpha)
+            est.append(dict(zip(pr[0][1].tolist(), pr[0][2].tolist())))
+            res.append(dict(zip(pr[1][1].tolist(), pr[1][2].tolist())))
     return freqs, est, res
 
 
