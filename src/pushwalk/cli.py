@@ -677,6 +677,8 @@ def _cmd_precompute_search(args, out) -> int:
 
 
 def _cmd_sample_path(args, out) -> int:
+    if args.count < 0:
+        raise SystemExit2(f"--count must be nonnegative, got {args.count}")
     g = _load_graph(args)
     s = g.node_id(args.source)
     tokens: list[str] = []

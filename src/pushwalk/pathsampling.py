@@ -9,19 +9,27 @@ ledgers its mass flowed through. A conditioned path is then an ordinary
 forward walk for the prefix plus one descent through the ledgers for the
 suffix, and its distribution is exactly the geometric walk conditioned on
 ending in T, no matter how far the push was run.
+
+``sample_path_to_target`` takes its variates from blocks of uniforms that
+it draws from the generator, and steps its walks by the one-walk rule of
+``sampling``, with a stop coin per step in place of a drawn length. Its
+paths are deterministic per seed, but differ from those of versions that
+drew one scalar variate at a time (and a walk length per attempt).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sampling
 from .graph import Graph
 from .oracle import UnreachableTargetError
 from .push import SparseVec, _check_node, _fifo_reverse
-from .sampling import WalkConfig, WeightedSampler, random_walk_path
+from .sampling import WalkConfig, WeightedSampler, _one_walk_step
 
 __all__ = [
     "Ledger",
@@ -33,6 +41,19 @@ __all__ = [
 ]
 
 ACCEPTANCE_CAP = 10**6
+
+# Uniform variates per draw from the generator; a call discards what is left
+# of its last block. A path takes ~80 variates on the benchmark's index-serve
+# queries (8 attempts of ~10). Over the 210 path queries among its first 630
+# seed-1 queries (10k-node power-law graph, shared 2-core VM, median of 12
+# passes) blocks of 16, 32, 64, 128 and 256 took 0.203, 0.182, 0.168, 0.169
+# and 0.190 s, against 0.346 s for one scalar draw per variate.
+_BLOCK = 64
+
+# The sampler steps walks itself and calls random_walk_path no more, but
+# perfbench/spans.py wraps ``pushwalk.pathsampling.random_walk_path`` by name
+# to trace walks, so the name stays bound here.
+random_walk_path = sampling.random_walk_path
 
 
 class Ledger(WeightedSampler):
@@ -95,10 +116,11 @@ def precompute_path_samplers(
     settled alpha*r[v] under the frozen copy, hands (1-alpha)*w(u,v)*r[v]
     to each in-neighbor's ledger as a reference to it, and gives v a fresh
     ledger. The push runs until every residual is <= eps_r. A breadth-first
-    search over in-edges from the targets fills ``reachable``.
+    search over in-edges from the targets fills ``reachable``. Raises
+    ValueError unless eps_r is positive and finite.
     """
-    if eps_r <= 0.0:
-        raise ValueError("eps_r must be positive")
+    if not 0.0 < eps_r < math.inf:
+        raise ValueError(f"eps_r must be positive and finite, got {eps_r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     tset = frozenset(int(t) for t in targets)
@@ -140,15 +162,21 @@ def precompute_path_samplers(
     return state
 
 
-def _descend(current, path: list[int], rng: np.random.Generator) -> list[int]:
-    """Unwind a ledger into its walk suffix.
+def _uniforms(rng: np.random.Generator):
+    """Uniform variates in [0, 1), drawn from rng in blocks of _BLOCK."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+def _descend(current, path: list[int], draw) -> list[int]:
+    """Unwind a ledger into its walk suffix, one variate per level.
 
     A drawn child either is the frozen ledger of the suffix's next node
     (append its owner and keep descending) or is None, meaning the walk
     ends at the node we are already standing on.
     """
     while True:
-        child = current.sample(rng)
+        child = current.pick(draw())
         if child is None:
             return path
         path.append(child.owner)
@@ -171,9 +199,17 @@ def sample_path_to_target(
     endpoint u accepted with probability r[u]/(p[s]+eps_r), in which case
     the walk is the prefix and u's live ledger supplies the suffix. Expected
     attempts: (p[s]+eps_r)/pi_s(T), at most 1 + eps_r/pi_s(T). Raises
-    UnreachableTargetError before any walk when no path leads from s into
+    UnreachableTargetError before any draw when no path leads from s into
     the target set, and RuntimeError after ACCEPTANCE_CAP rejections (the
     conditioning event is vanishingly rare from s).
+
+    Every variate comes from blocks of _BLOCK uniforms drawn from rng, so
+    an attempt makes no scalar draw and no ``random_walk_path`` call: one
+    variate picks the branch of an attempt; each walk step takes a stop coin (the
+    walk goes on while it is >= alpha, so P[L = l] = (1-alpha)^l * alpha)
+    and then an edge variate under ``random_walk_path``'s step rule; a
+    ledger descent takes one per level. Paths are deterministic per seed,
+    but differ from those of versions that drew scalar variates.
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
@@ -186,19 +222,25 @@ def sample_path_to_target(
         raise UnreachableTargetError(f"no path leads from node {s} into the target set")
     if rng is None:
         rng = cfg.stream()
+    draw = _uniforms(rng).__next__
+    step = _one_walk_step(g)
+    alpha = state.alpha
     p_s = state.estimates.get(s, 0.0)
     total = p_s + state.eps_r
     residuals = state.residuals
     for attempt in range(1, ACCEPTANCE_CAP + 1):
-        x = rng.random() * total
+        x = draw() * total
         if x < p_s:
-            path = _descend(state.estimate_provenance[s].sample(rng), [s], rng)
+            path = _descend(state.estimate_provenance[s].pick(draw()), [s], draw)
             branch = "settled"
             break
-        walk = random_walk_path(g, s, cfg, rng=rng)
-        u = walk[-1]
+        u = s
+        walk = [u]
+        while draw() >= alpha:
+            u = step(u, draw())
+            walk.append(u)
         if x - p_s < residuals.get(u, 0.0):
-            path = _descend(state.live[u], walk, rng)
+            path = _descend(state.live[u], walk, draw)
             branch = "walk"
             break
     else:

@@ -9,8 +9,9 @@ Batches of walks step in lockstep: each step moves every live walk at once,
 drawing one variate per live walk in a fixed walk order, over the graph's
 out-adjacency CSR arrays and a table of per-node step keys that the first
 walk builds from them. A batch's draws therefore depend only on the seed and
-the walk count. A single path (``random_walk_path`` from one node) steps
-walk by walk on list copies of the same arrays and by the same rule.
+the walk count. A single path (``random_walk_path`` from one node, and the
+conditioned-path sampler's walks) steps by the same rule on list copies of
+the same arrays, through one helper, ``_one_walk_step``.
 """
 
 from __future__ import annotations
@@ -182,6 +183,24 @@ def _dead_end(u: int) -> ValueError:
     return ValueError(f"walk must step from node {u}, which has no out-edges")
 
 
+def _one_walk_step(g: Graph):
+    """``_lockstep``'s rule for one walk, on the table's list views: the
+    returned step(u, x) is the node after u under the uniform variate x in
+    [0, 1). Stepping from a node with no out-edges raises ValueError."""
+    ptr, deg, heads, keys, uneven = _walk_table(g).lists(g)
+
+    def step(u: int, x: float) -> int:
+        d = deg[u]
+        if not d:
+            raise _dead_end(u)
+        lo = ptr[u]
+        if uneven[u]:
+            return heads[min(bisect_right(keys, u + x, lo, lo + d), lo + d - 1)]
+        return heads[lo + int(x * d)]
+
+    return step
+
+
 class Source:
     """Where walks start: one node, or a distribution over nodes.
 
@@ -329,20 +348,12 @@ def random_walk_path(
     if rng is None:
         rng = cfg.stream()
     length = fixed_len if fixed_len is not None else sample_geometric_length(cfg, rng)
-    # _lockstep's rule, one walk at a time on the table's list views
-    ptr, deg, heads, keys, uneven = _walk_table(g).lists(g)
+    step = _one_walk_step(g)
     rand = rng.random
     u = int(start)
     path = [u]
     for _ in range(length):
-        d = deg[u]
-        if not d:
-            raise _dead_end(u)
-        lo = ptr[u]
-        if uneven[u]:
-            u = heads[min(bisect_right(keys, u + rand(), lo, lo + d), lo + d - 1)]
-        else:
-            u = heads[lo + int(rand() * d)]
+        u = step(u, rand())
         path.append(u)
     return path
 

@@ -51,6 +51,23 @@ def two_cycle():
         pw.from_edges([(0, 1, 1.0), (1, 0, 1.0)], n=2))
 
 
+def weighted_five():
+    """Five nodes, every one with uneven out-weights except node 3, so walks
+    on it run both step rules."""
+    return pw.from_edges([
+        (0, 1, 1.0), (0, 2, 3.0), (0, 3, 0.5), (1, 0, 2.0), (1, 3, 1.0),
+        (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
+        (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
+    ], n=5)
+
+
+class NoDraws:
+    """Stands in for a Generator that must not be drawn from."""
+
+    def random(self, size=None):
+        raise AssertionError("drew variates for an unreachable target")
+
+
 def reverse_invariant_gap(g, t, res, pim, sources):
     """max_s |pi_s[t] - (p[s] + sum_v pi_s[v] r[v])| for the given sources."""
     gap = 0.0

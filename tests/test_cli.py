@@ -9,6 +9,7 @@ import pytest
 
 import pushwalk as pw
 from pushwalk import cli, pathsampling, search, sharding
+from conftest import NoDraws
 
 
 @pytest.fixture
@@ -388,6 +389,23 @@ def test_sample_path_targets_file(tmp_path, two_cycle_file, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-1] == "b"
+
+
+@pytest.mark.parametrize("epsr", ["nan", "inf"])
+def test_sample_path_non_finite_epsr_exits_one(two_cycle_file, capsys, epsr):
+    rc = cli.main(["sample-path", "--graph", two_cycle_file, "--source", "a",
+                   "--targets", "b", "--epsr", epsr])
+    assert rc == 1
+    assert "pushwalk sample-path: invalid parameters: eps_r" in capsys.readouterr().err
+
+
+def test_sample_path_negative_count_exits_one(two_cycle_file, capsys):
+    rc = cli.main(["sample-path", "--graph", two_cycle_file, "--source", "a",
+                   "--targets", "b", "--count", "-3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--count" in captured.err
+    assert "paths=" not in captured.out
 
 
 def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
@@ -800,10 +818,7 @@ def test_unreachable_path_target_exits_two_without_walking(tmp_path, capsys, mon
     path = tmp_path / "islands.txt"
     path.write_text("a a\nb b\n")
 
-    def no_walks(*args, **kwargs):
-        raise AssertionError("walked toward an unreachable target")
-
-    monkeypatch.setattr(pathsampling, "random_walk_path", no_walks)
+    monkeypatch.setattr(pw.WalkConfig, "stream", lambda self: NoDraws())
     rc = cli.main(["sample-path", "--graph", str(path), "--source", "a",
                    "--targets", "b"])
     assert rc == 2

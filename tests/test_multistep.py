@@ -136,11 +136,41 @@ def test_heat_kernel_envelope_at_theorem_budget():
     assert violations / n_runs <= params.p_fail
 
 
+def _pickup_variances(W, s, levels, ell_max):
+    """Exact variance of one path's pickup sum_{k=0..ell} r^{ell-k}[V_k], for
+    ell = 1..ell_max, over fixed-length walks V from node s. With f_k the
+    dense level r^{ell-k}, E[X^2] = sum_k mu_k . (f_k^2 + 2 f_k * G_k), where
+    mu_k is the walk's law at step k and G_k = W (f_{k+1} + G_{k+1})."""
+    n = W.shape[0]
+    dense = np.zeros((len(levels), n))
+    for i, level in enumerate(levels):
+        dense[i, list(level)] = list(level.values())
+    mu = np.zeros((ell_max + 1, n))
+    mu[0, s] = 1.0
+    for k in range(ell_max):
+        mu[k + 1] = mu[k] @ W
+    var = np.empty(ell_max)
+    for ell in range(1, ell_max + 1):
+        after = np.zeros(n)
+        mean = second = 0.0
+        for k in range(ell, -1, -1):
+            f = dense[ell - k]
+            mean += mu[k] @ f
+            second += mu[k] @ (f * f + 2.0 * f * after)
+            after = W @ (f + after)
+        var[ell - 1] = second - mean**2
+    return var
+
+
 def test_mstp_envelope_at_theorem_budget_on_the_undirected_load():
     # Criterion 5's per-length envelope, drawn as it draws, on the undirected
     # load of its graph: there the ladder leaves residual that the paths
-    # meet, so every run's sampled term is nonzero and the check sees the
-    # num_paths() budget (on the directed load no run's is).
+    # meet, so every run's sampled term is nonzero (on the directed load no
+    # run's is). The theorem budget keeps every error far inside the
+    # envelope: with num_paths() // 20 paths it still holds in all 40 runs.
+    # So the runs' squared errors are also checked against the exact
+    # variance of num_paths() paths: their mean is 1 when estimate_mstp
+    # draws its budget, and k when it draws 1/k of it.
     g = pw.parse_edge_lines(generate_synthetic("power-law", 100, seed=7), undirected=True)
     rng = np.random.default_rng(23)
     delta = 4.0 / g.n
@@ -149,11 +179,12 @@ def test_mstp_envelope_at_theorem_budget_on_the_undirected_load():
                            use_theorem_c=True)
     n_runs = 40
     violations = 0
+    z2 = []
     for j in range(n_runs):
         s = int(rng.integers(g.n))
         t = int(rng.integers(g.n))
         est = pw.estimate_mstp(g, s, t, params, seed=40 + j)
-        estimates, _ = _ladder(g, t, params.ell_max, params.effective_eps_r(), False)
+        estimates, levels = _ladder(g, t, params.ell_max, params.effective_eps_r(), False)
         pushed = [estimates[ell].get(s, 0.0) for ell in range(1, params.ell_max + 1)]
         assert np.abs(est - pushed).max() > 1e-9  # the sampled term is nonzero
         vec = np.zeros(g.n)
@@ -163,7 +194,11 @@ def test_mstp_envelope_at_theorem_budget_on_the_undirected_load():
             vec = vec @ W
             truth[ell] = vec[t]
         violations += bool((np.abs(est - truth) > np.maximum(params.epsilon * truth, delta)).any())
+        var = _pickup_variances(W, s, levels, params.ell_max) / params.num_paths()
+        seen = var > 1e-18
+        z2.append(float(np.mean((est - truth)[seen] ** 2 / var[seen])))
     assert violations / n_runs <= params.p_fail
+    assert 0.7 <= np.mean(z2) <= 1.4
 
 
 @pytest.mark.parametrize("use_theorem_c, heat, per_horizon", [

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import pushwalk as pw
 from pushwalk import pathsampling, push
-from conftest import rand_graph, two_cycle
+from conftest import NoDraws, rand_graph, two_cycle, weighted_five
 
 
 def _tv_paths(counts, exact, n_samples):
@@ -76,6 +77,9 @@ def test_precompute_rejects_bad_arguments():
         pw.precompute_path_samplers(g, [0], 0.0, 0.2)
     with pytest.raises(ValueError):
         pw.precompute_path_samplers(g, [7], 0.5, 0.2)
+    for eps_r in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="eps_r"):
+            pw.precompute_path_samplers(g, [0], eps_r, 0.2)
 
 
 def test_paths_are_walks_of_the_graph(rng):
@@ -157,17 +161,13 @@ def test_settled_branch_frequency_matches_ledgered_share():
     assert settled / n == pytest.approx(expected, abs=0.01)
 
 
-def test_unreachable_target_raises_before_walking(monkeypatch):
+def test_unreachable_target_raises_before_walking():
     g = pw.from_edges([(0, 0, 1.0), (1, 1, 1.0)], n=2)
     state = pw.precompute_path_samplers(g, [1], 1.0, 0.2)
     assert state.reachable == {1}
-
-    def no_walks(*args, **kwargs):
-        raise AssertionError("walked toward an unreachable target")
-
-    monkeypatch.setattr(pathsampling, "random_walk_path", no_walks)
     with pytest.raises(pw.UnreachableTargetError):
-        pw.sample_path_to_target(g, 0, state, pw.WalkConfig(alpha=0.2, seed=14))
+        pw.sample_path_to_target(g, 0, state, pw.WalkConfig(alpha=0.2, seed=14),
+                                 rng=NoDraws())
 
 
 def test_rare_target_exhausts_attempt_cap(monkeypatch):
@@ -179,6 +179,37 @@ def test_rare_target_exhausts_attempt_cap(monkeypatch):
     monkeypatch.setattr(pathsampling, "ACCEPTANCE_CAP", 200)
     with pytest.raises(RuntimeError, match="200 attempts"):
         pw.sample_path_to_target(g, 0, state, cfg)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_path_law_holds_when_blocks_refill_inside_walks_and_descents(monkeypatch, block):
+    # With blocks of 1 or 3 variates, refills land between a walk's stop
+    # coin and its edge variate and between ledger levels; the law of the
+    # paths must not see them, on a graph whose walks run both step rules.
+    monkeypatch.setattr(pathsampling, "_BLOCK", block)
+    g = weighted_five()
+    targets = [1, 4]
+    state = pw.precompute_path_samplers(g, targets, 0.15, 0.2)
+    cfg = pw.WalkConfig(alpha=0.2, seed=50 + block)
+    n = 20_000
+    rng = cfg.stream()
+    counts: dict[tuple, int] = {}
+    branches = {"settled": 0, "walk": 0}
+    for _ in range(n):
+        path, branch = pw.sample_path_to_target(g, 0, state, cfg, rng=rng, return_branch=True)
+        counts[tuple(path)] = counts.get(tuple(path), 0) + 1
+        branches[branch] += 1
+    assert min(branches.values()) > n // 10  # both branches run
+    exact, _tail = pw.exact_conditional_path_dist(g, 0, targets, 0.2, 12)
+    big = sorted(p for p, q in exact.items() if q * n >= 5.0)
+    obs = np.array([counts.get(p, 0) for p in big] + [n - sum(counts.get(p, 0) for p in big)])
+    exp = np.array([exact[p] * n for p in big] + [n * (1.0 - sum(exact[p] for p in big))])
+    assert stats.chisquare(obs, f_exp=exp).pvalue > 0.001
+
+    again = cfg.stream()
+    first = [pw.sample_path_to_target(g, 0, state, cfg, rng=again) for _ in range(50)]
+    again = cfg.stream()
+    assert [pw.sample_path_to_target(g, 0, state, cfg, rng=again) for _ in range(50)] == first
 
 
 def test_walks_at_another_alpha_are_rejected():

@@ -9,7 +9,7 @@ from scipy import stats
 
 import pushwalk as pw
 from pushwalk.sampling import sample_geometric_length
-from conftest import two_cycle
+from conftest import two_cycle, weighted_five
 
 
 def test_stop_at_zero_probability_is_alpha():
@@ -177,12 +177,7 @@ def _chi2_pvalue(draws, probs) -> float:
     return float(stats.chisquare(obs[reach], f_exp=probs[reach] * draws.size).pvalue)
 
 
-# every node weighted except node 3, so both step rules run
-_WEIGHTED = pw.from_edges([
-    (0, 1, 1.0), (0, 2, 3.0), (0, 3, 0.5), (1, 0, 2.0), (1, 3, 1.0),
-    (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
-    (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
-], n=5)
+_WEIGHTED = weighted_five()
 
 
 def test_weighted_walk_laws_match_the_exact_distributions():
