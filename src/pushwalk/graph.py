@@ -8,11 +8,18 @@ first use: the edge list (``edge_arrays``), the one transposition
 (``in_csr``), and per-node (node, weight) rows (``out_adj``, ``in_adj``) for
 the loops that step one node at a time, which iterate Python rows faster
 than array slices.
+
+Raw edges, repeats allowed, reach a Graph through one array path
+(``_build``): an undirected edge's mirror goes right after the edge, a
+repeated edge sums its raw weights in the order given and keeps the place
+where it first appeared, and each node's weights are divided by its raw
+out-weight total, summed in that order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -190,13 +197,22 @@ def _assemble(n: int, tails, heads, weights, names: list[str], strength=None) ->
     return Graph(n, out_ptr, heads, weights, strength is not None, degrees, names)
 
 
-def _build(raw_edges: dict[tuple[int, int], float], n: int, undirected: bool, names) -> Graph:
-    """Assemble a Graph from deduplicated raw (summed) edge weights. Each
-    node's total sums its raw out-weights in insertion order."""
-    k = len(raw_edges)
-    tails = np.fromiter((u for u, _ in raw_edges), np.intp, k)
-    heads = np.fromiter((v for _, v in raw_edges), np.intp, k)
-    raw = np.fromiter(raw_edges.values(), float, k)
+def _build(tails, heads, raw, n: int, undirected: bool, names) -> Graph:
+    """Assemble a Graph from raw edge arrays that may repeat edges.
+
+    Undirected input places each edge's mirror right after the edge. A
+    repeated edge sums its raw weights in the order given, and takes the
+    place where it first appears, so each node's total sums its raw
+    out-weights in first-appearance order.
+    """
+    keys = tails * n + heads
+    if undirected:
+        keys, raw = np.column_stack((keys, heads * n + tails)).ravel(), np.repeat(raw, 2)
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.bincount(inverse, weights=raw, minlength=first.size)
+    order = np.argsort(first)  # the unique edges in first-appearance order
+    tails, heads = np.divmod(keys[order], n)
+    raw = summed[order]
     totals = np.bincount(tails, weights=raw, minlength=n)
     return _assemble(n, tails, heads, raw / totals[tails], names, totals if undirected else None)
 
@@ -210,48 +226,29 @@ def parse_edge_lines(lines, undirected: bool, source: str = "<memory>") -> Graph
     edge in both directions before normalization.
     """
     ids: dict[str, int] = {}
-    names: list[str] = []
-
-    def intern(tok: str) -> int:
-        node = ids.get(tok)
-        if node is None:
-            node = len(names)
-            ids[tok] = node
-            names.append(tok)
-        return node
-
-    raw: dict[tuple[int, int], float] = {}
-    saw_edge = False
+    tails, heads, raw = array("q"), array("q"), array("d")
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
         if len(parts) not in (2, 3):
-            raise GraphFormatError(
-                f"{source}:{lineno}: expected 'u v [w]', got {line.rstrip()!r}"
-            )
-        u, v = intern(parts[0]), intern(parts[1])
+            raise GraphFormatError(f"{source}:{lineno}: expected 'u v [w]', got {line.rstrip()!r}")
+        w = 1.0
         if len(parts) == 3:
             try:
                 w = float(parts[2])
             except ValueError:
+                raise GraphFormatError(f"{source}:{lineno}: bad weight {parts[2]!r}") from None
+            if not 0.0 < w < math.inf:
                 raise GraphFormatError(
-                    f"{source}:{lineno}: bad weight {parts[2]!r}"
-                ) from None
-        else:
-            w = 1.0
-        if not w > 0.0 or w != w or w == float("inf"):
-            raise GraphFormatError(
-                f"{source}:{lineno}: weight must be positive and finite, got {w!r}"
-            )
-        saw_edge = True
-        raw[(u, v)] = raw.get((u, v), 0.0) + w
-        if undirected:
-            raw[(v, u)] = raw.get((v, u), 0.0) + w
-    if not saw_edge:
+                    f"{source}:{lineno}: weight must be positive and finite, got {w!r}"
+                )
+        tails.append(ids.setdefault(parts[0], len(ids)))
+        heads.append(ids.setdefault(parts[1], len(ids)))
+        raw.append(w)
+    if not raw:
         raise GraphFormatError(f"{source}: no edges found (empty file?)")
-    return _build(raw, len(names), undirected, names)
+    return _build(np.array(tails), np.array(heads), np.array(raw), len(ids), undirected, list(ids))
 
 
 def load_edge_list(path: str, undirected: bool = False) -> Graph:
@@ -260,37 +257,36 @@ def load_edge_list(path: str, undirected: bool = False) -> Graph:
         return parse_edge_lines(fh, undirected, source=path)
 
 
-def from_edges(
-    edges, n: int | None = None, undirected: bool = False
-) -> Graph:
+def from_edges(edges, n: int | None = None, undirected: bool = False) -> Graph:
     """Build a Graph from an iterable of (u, v) or (u, v, w) integer tuples."""
-    raw: dict[tuple[int, int], float] = {}
+    tails, heads, raw = array("q"), array("q"), array("d")
     max_node = -1
     for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = 1.0
-        else:
-            u, v, w = edge
+        if len(edge) not in (2, 3):
+            raise GraphFormatError(f"edge {edge!r} is not a (u, v) or (u, v, w) tuple")
+        u, v, w = edge if len(edge) == 3 else (*edge, 1.0)
         for node in (u, v):
             if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
                 raise GraphFormatError(f"node id {node!r} on edge {u}->{v} is not an integer")
-        if not 0.0 < w < math.inf:
+        try:
+            positive = 0.0 < w < math.inf
+        except TypeError:
+            raise GraphFormatError(f"weight {w!r} on edge {u}->{v} is not a number") from None
+        if not positive:
             raise GraphFormatError(
                 f"weight must be positive and finite on edge {u}->{v}, got {w!r}"
             )
         if u < 0 or v < 0:
             raise GraphFormatError(f"negative node id on edge {u}->{v}")
         max_node = max(max_node, u, v)
-        raw[(u, v)] = raw.get((u, v), 0.0) + w
-        if undirected:
-            raw[(v, u)] = raw.get((v, u), 0.0) + w
-    if n is None:
-        n = max_node + 1
-    elif max_node >= n:
-        raise GraphFormatError(f"node id {max_node} out of range for n={n}")
+        if n is not None and max_node >= n:  # before an id too wide for the buffer
+            raise GraphFormatError(f"node id {max_node} out of range for n={n}")
+        tails.append(u)
+        heads.append(v)
+        raw.append(w)
+    n = max_node + 1 if n is None else n
     names = [str(i) for i in range(n)]
-    return _build(raw, n, undirected, names)
+    return _build(np.array(tails), np.array(heads), np.array(raw), n, undirected, names)
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +325,6 @@ def salsa_transform(g: Graph) -> Graph:
     Consumer ids are [0, n); producer ids are [n, 2n). The directed edge's
     weight is carried over as the raw symmetric weight.
     """
-    n = g.n
     tails, heads, weights = g.edge_arrays
-    consumers, producers, w = tails.tolist(), (heads + n).tolist(), weights.tolist()
-    raw = dict(zip(zip(consumers + producers, producers + consumers), w + w))
     names = [f"{name}'" for name in g.names] + [f"{name}''" for name in g.names]
-    return _build(raw, 2 * n, True, names)
+    return _build(tails, heads + g.n, weights, 2 * g.n, True, names)

@@ -56,6 +56,12 @@ def test_parse_bad_weight_reports_line():
         pw.from_edges([(0, 1), (1, 2)], n=2)
 
 
+@pytest.mark.parametrize("line", ["0", "0 1 2 3"])
+def test_parse_wrong_field_count_reports_line(line):
+    with pytest.raises(pw.GraphFormatError, match=r"^g\.txt:3: expected 'u v \[w\]'"):
+        pw.parse_edge_lines(["0 1", "# 1 2 3 4", line], undirected=False, source="g.txt")
+
+
 def test_parse_empty_input_rejected():
     with pytest.raises(pw.GraphFormatError, match="no edges"):
         pw.parse_edge_lines(["# nothing"], undirected=False)
@@ -173,9 +179,119 @@ def test_from_edges_rejects_non_integer_node_ids(edge):
         pw.from_edges([(0, 1), edge], n=3)
 
 
+@pytest.mark.parametrize("edge, message", [
+    ((0,), r"edge \(0,\) is not a \(u, v\) or \(u, v, w\) tuple"),
+    ((0, 1, 1.0, 2), r"edge \(0, 1, 1\.0, 2\) is not a \(u, v\) or \(u, v, w\) tuple"),
+    ((0, 1, "2"), r"weight '2' on edge 0->1 is not a number"),
+    ((0, 1, None), r"weight None on edge 0->1 is not a number"),
+    ((0, 2**64), r"node id 18446744073709551616 out of range for n=3"),
+], ids=["one-field", "four-fields", "string-weight", "none-weight", "wide-id"])
+def test_from_edges_rejects_malformed_edges(edge, message):
+    with pytest.raises(pw.GraphFormatError, match=message):
+        pw.from_edges([(0, 1), edge], n=3)
+
+
 def test_from_edges_accepts_numpy_integer_ids():
     g = pw.from_edges([(np.int64(0), np.int32(1)), (1, 2), (2, 0)])
     assert g.n == 3 and g.out_adj[0] == [(1, 1.0)]
+
+
+# The dict-of-tuples builders that the array path replaced, kept as the
+# reference it must match bit for bit: repeated edges sum into a dict in
+# input order, an undirected edge adds its mirror right after itself, and
+# each node's total sums its raw out-weights in dict insertion order.
+
+def _reference_raw(edges, undirected):
+    raw = {}
+    for u, v, w in edges:
+        raw[(u, v)] = raw.get((u, v), 0.0) + w
+        if undirected:
+            raw[(v, u)] = raw.get((v, u), 0.0) + w
+    return raw
+
+
+def _reference_graph(raw, n, undirected, names):
+    k = len(raw)
+    tails = np.fromiter((u for u, _ in raw), np.intp, k)
+    heads = np.fromiter((v for _, v in raw), np.intp, k)
+    weights = np.fromiter(raw.values(), float, k)
+    totals = np.bincount(tails, weights=weights, minlength=n)
+    order = np.lexsort((heads, tails))
+    out_ptr = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).astype(np.intp)
+    degrees = totals if undirected else np.diff(out_ptr).astype(float)
+    return (out_ptr, heads[order], (weights / totals[tails])[order], degrees, names, undirected)
+
+
+def _reference_parse(lines, undirected):
+    ids, edges = {}, []
+    for line in lines:
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        u, v = (ids.setdefault(tok, len(ids)) for tok in parts[:2])
+        edges.append((u, v, float(parts[2]) if len(parts) == 3 else 1.0))
+    return _reference_graph(_reference_raw(edges, undirected), len(ids), undirected, list(ids))
+
+
+def _reference_salsa(ref):
+    out_ptr, heads, weights, _, names, _ = ref
+    n = len(out_ptr) - 1
+    tails = np.repeat(np.arange(n), np.diff(out_ptr)).tolist()
+    producers = (heads + n).tolist()
+    raw = dict(zip(zip(tails + producers, producers + tails), weights.tolist() * 2))
+    names = [f"{name}'" for name in names] + [f"{name}''" for name in names]
+    return _reference_graph(raw, 2 * n, True, names)
+
+
+def _assert_bitwise(g, ref):
+    got = (g.out_ptr, g.heads, g.weights, g.degrees, g.names, g.undirected_flag)
+    for field_name, a, b in zip(("out_ptr", "heads", "weights", "degrees"), got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field_name
+    assert got[4:] == ref[4:]
+
+
+def _random_edges(rng):
+    """Edges over a few nodes with frequent repeats, reversed repeats,
+    self-loops and weights whose sums depend on the order they are added."""
+    n = int(rng.integers(1, 12))
+    edges = []
+    for _ in range(int(rng.integers(1, 40))):
+        if edges and rng.random() < 0.35:
+            u, v, _ = edges[int(rng.integers(len(edges)))]
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, v = int(rng.integers(n)), int(rng.integers(n))
+        w = float(rng.choice([1.0, 0.1, 0.2, 0.3, 2.0, 1e-3, rng.uniform(0.01, 5.0)]))
+        edges.append((u, v, w))
+    return edges
+
+
+def test_array_builders_match_the_dict_of_tuples_reference_bit_for_bit():
+    rng = np.random.default_rng(26)
+    labels = ["0", "1", "2", "17", "a", "b", "node-x", "\u00e9", "-3", "1.5", "Z9", "q"]
+    for _ in range(300):
+        edges = _random_edges(rng)
+        lines = []
+        for u, v, w in edges:
+            sep = str(rng.choice([" ", "\t", "  ", " \t "]))
+            if rng.random() < 0.15:
+                lines.append(str(rng.choice(["", "   ", "# comment", "  # indented 1 2", "\t#x y z"])))
+            fields = [labels[u], labels[v]] + ([repr(w)] if w != 1.0 or rng.random() < 0.3 else [])
+            lines.append(str(rng.choice(["", " ", "\t"])) + sep.join(fields) + str(rng.choice(["", "\n", "  \n"])))
+        for undirected in (False, True):
+            ref = _reference_parse(lines, undirected)
+            _assert_bitwise(pw.parse_edge_lines(lines, undirected), ref)
+        tuples = [(u, v, w) if w != 1.0 or rng.random() < 0.5 else (u, v) for u, v, w in edges]
+        top = max(max(u, v) for u, v, _ in edges) + 1
+        for undirected in (False, True):
+            n = None if rng.random() < 0.3 else top + int(rng.integers(0, 3))
+            g = pw.from_edges(tuples, n=n, undirected=undirected)
+            n = n or top
+            ref = _reference_graph(_reference_raw(edges, undirected), n, undirected,
+                                   [str(i) for i in range(n)])
+            _assert_bitwise(g, ref)
+            _assert_bitwise(pw.salsa_transform(g), _reference_salsa(ref))
 
 
 def _tampered(g, **arrays):
