@@ -153,7 +153,7 @@ def _walk_phase(
     if not pr.residuals:
         return PprEstimate(value, 0, pr.pushes_performed, r_max)
     w = num_walks(params, r_max)
-    ends = np.asarray(walk_endpoints(g, s, w, WalkConfig(alpha=params.alpha, seed=seed)))
+    ends = walk_endpoints(g, s, w, WalkConfig(alpha=params.alpha, seed=seed))
     picked = float(pr.residuals.values_at(ends).sum())
     return PprEstimate(value + picked / w, w, pr.pushes_performed, r_max)
 
@@ -215,8 +215,7 @@ def monte_carlo_ppr(
         raise ValueError("walk count must be positive")
     _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    endpoints = walk_endpoints(g, source_of(g, s), walks, cfg)
-    hits = sum(1 for v in endpoints if v == t)
+    hits = int(np.count_nonzero(walk_endpoints(g, source_of(g, s), walks, cfg) == t))
     return PprEstimate(hits / walks, walks, 0, math.inf)
 
 

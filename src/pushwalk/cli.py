@@ -425,6 +425,12 @@ class SystemExit2(Exception):
     """Usage-level problem detected after parsing."""
 
 
+def _check_nonnegative(args, flag: str) -> None:
+    value = getattr(args, flag)
+    if value < 0:
+        raise SystemExit2(f"--{flag} must be nonnegative, got {value}")
+
+
 def _name(g: Graph, v: int) -> str:
     return g.names[v]
 
@@ -484,6 +490,7 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    _check_nonnegative(args, "top")
     g = _load_graph(args)
     s = g.node_id(args.source)
     t0 = time.perf_counter()
@@ -593,6 +600,7 @@ def _cmd_heat_kernel(args, out) -> int:
 
 
 def _cmd_search(args, out) -> int:
+    _check_nonnegative(args, "topk")
     g = _load_graph(args)
     s = g.node_id(args.source)
     if args.index:
@@ -642,6 +650,7 @@ def _cmd_search(args, out) -> int:
 def _cmd_precompute_search(args, out) -> int:
     if not args.output:
         raise SystemExit2("precompute-search needs --output for the index file")
+    _check_nonnegative(args, "topk")
     g = _load_graph(args)
     kw = KeywordIndex.from_file(args.keywords, g=g)
     if args.rmax is None and not args.adaptive:
@@ -677,8 +686,7 @@ def _cmd_precompute_search(args, out) -> int:
 
 
 def _cmd_sample_path(args, out) -> int:
-    if args.count < 0:
-        raise SystemExit2(f"--count must be nonnegative, got {args.count}")
+    _check_nonnegative(args, "count")
     g = _load_graph(args)
     s = g.node_id(args.source)
     tokens: list[str] = []
@@ -816,10 +824,15 @@ def _cmd_serve_sim(args, out) -> int:
         raw_queries.append((parts[0], parts[1]))
     if args.queries:
         with open(args.queries, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip() and not line.startswith("#"):
-                    a, b = line.split()[:2]
-                    raw_queries.append((a, b))
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                if len(parts) < 2:  # bad data, so exit 2 as for an unknown node
+                    raise KeyError(
+                        f"{args.queries}:{lineno}: expected 's t', got {line.rstrip()!r}"
+                    )
+                raw_queries.append((parts[0], parts[1]))
     if not raw_queries:
         raise SystemExit2("serve-sim needs --query or --queries")
     _emit_run(out, args, {"n": g.n, "k": bundle["k"]}, _serve_queries(g, bundle, raw_queries))

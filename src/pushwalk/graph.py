@@ -262,7 +262,7 @@ def from_edges(edges, n: int | None = None, undirected: bool = False) -> Graph:
     tails, heads, raw = array("q"), array("q"), array("d")
     max_node = -1
     for edge in edges:
-        if len(edge) not in (2, 3):
+        if not hasattr(edge, "__len__") or len(edge) not in (2, 3):
             raise GraphFormatError(f"edge {edge!r} is not a (u, v) or (u, v, w) tuple")
         u, v, w = edge if len(edge) == 3 else (*edge, 1.0)
         for node in (u, v):

@@ -24,6 +24,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -220,8 +221,10 @@ def _forward_phase(
     col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
     col[touched] = np.arange(len(touched))
     residuals = np.zeros((ell_max + 1, cells))
-    for i, level in enumerate(levels):
-        residuals[i, col[list(level)]] = list(level.values())
+    sizes = [len(level) for level in levels]
+    nodes = np.fromiter(chain.from_iterable(levels), np.intp, sum(sizes))
+    values = np.fromiter(chain.from_iterable(lv.values() for lv in levels), float, sum(sizes))
+    residuals[np.repeat(np.arange(len(levels)), sizes), col[nodes]] = values
     codes = col[paths]
     if first_arrival:
         hits = paths[:, 1:] == t

@@ -320,7 +320,7 @@ class DenseVec(Row):
         return nz, self.array[nz]
 
     def get(self, node, default=0.0):
-        if 0 <= node < self.array.size:
+        if isinstance(node, (int, np.integer)) and 0 <= node < self.array.size:
             value = self.array[node]
             if value:
                 return float(value)

@@ -9,9 +9,10 @@ Batches of walks step in lockstep: each step moves every live walk at once,
 drawing one variate per live walk in a fixed walk order, over the graph's
 out-adjacency CSR arrays and a table of per-node step keys that the first
 walk builds from them. A batch's draws therefore depend only on the seed and
-the walk count. A single path (``random_walk_path`` from one node, and the
-conditioned-path sampler's walks) steps by the same rule on list copies of
-the same arrays, through one helper, ``_one_walk_step``.
+the walk count, and ``walk_endpoints`` returns the batch's endpoints as one
+intp array whatever the start form. A single path (``random_walk_path`` from
+one node, and the conditioned-path sampler's walks) steps by the same rule
+on list copies of the same arrays, through one helper, ``_one_walk_step``.
 """
 
 from __future__ import annotations
@@ -373,14 +374,15 @@ def walk_endpoints(
     count: int,
     cfg: WalkConfig,
     rng: np.random.Generator | None = None,
-) -> list[int] | np.ndarray:
-    """Endpoints of ``count`` geometric walks (the Monte Carlo workhorse).
+) -> np.ndarray:
+    """Endpoints of ``count`` geometric walks (the Monte Carlo workhorse),
+    as an intp array of length ``count``.
 
     ``start`` is a node, a distribution (a {node: weight} dict or a dense
     float array; see source_of), or a 1-D integer array of start nodes, one
-    walk per entry. A node or a distribution returns a list of endpoints;
-    an array of starts needs ``count == len(start)`` and returns an intp
-    array of endpoints aligned with it.
+    walk per entry; an array of starts needs ``count == len(start)``, and
+    the endpoints are aligned with it. A node source and an array holding
+    that node ``count`` times draw the same walks.
 
     The lengths are drawn as one batch, then the start nodes (for a
     distribution source), then every walk steps in lockstep: walks are
@@ -400,8 +402,6 @@ def walk_endpoints(
         src = source_of(g, start)
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return []
     if rng is None:
         rng = cfg.stream()
     lengths = rng.geometric(cfg.alpha, size=count) - 1
@@ -415,4 +415,4 @@ def walk_endpoints(
     _lockstep(g, u, live.tolist(), rng)
     ends = np.empty_like(u)
     ends[order] = u
-    return ends if src is None else ends.tolist()
+    return ends

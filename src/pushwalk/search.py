@@ -274,9 +274,10 @@ def build_forward_vector(
         indicator = SparseVec({s.node: 1.0})
     else:
         indicator = SparseVec((int(v), float(s.sigma[v])) for v in np.flatnonzero(s.sigma))
-    empirical = SparseVec()
-    for v in walk_endpoints(g, s, w, cfg, rng=rng):
-        empirical.add(v, 1.0 / w)
+    # 1/w added once per walk, in walk order, as a running tally would
+    nodes, hit = np.unique(walk_endpoints(g, s, w, cfg, rng=rng), return_inverse=True)
+    freqs = np.bincount(hit, weights=np.full(w, 1.0 / w))
+    empirical = SparseVec(zip(nodes.tolist(), freqs.tolist()))
     return ForwardVector(g.n, indicator, empirical, w, cfg.alpha)
 
 
@@ -415,16 +416,13 @@ def sample_targets(
     stage1 = list(zip(rows[live].tolist(), (xv * totals)[live].tolist()))
     if sum(wt for _, wt in stage1) <= 0.0:
         return []
-    picked = build_sampler(stage1).sample_many(rng, n_samples)
-    counts: dict[int, int] = {}
-    row_counts: dict[int, int] = {}
-    for row in picked:
-        row_counts[row] = row_counts.get(row, 0) + 1
-    for row in sorted(row_counts):
-        for t in build_sampler(idx.table[row].items()).sample_many(rng, row_counts[row]):
-            counts[t] = counts.get(t, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked
+    picked, per_row = np.unique(build_sampler(stage1).sample_many(rng, n_samples),
+                                return_counts=True)
+    drawn = [t for row, k in zip(picked.tolist(), per_row.tolist())
+             for t in build_sampler(idx.table[row].items()).sample_many(rng, k)]
+    targets, counts = np.unique(drawn, return_counts=True)
+    order = np.argsort(-counts, kind="stable")  # ties stay ascending by node
+    return list(zip(targets[order].tolist(), counts[order].tolist()))
 
 
 def adaptive_r_max(
@@ -440,11 +438,20 @@ def adaptive_r_max(
     Under a power-law model of within-set score decay (exponent beta), the
     top-k scores are resolved by w walks when
     r_max = w * pr(T) / (c2 * |T|^(1-beta)) with c2 = k^beta * c / (1-beta).
+
+    Raises ValueError on an empty target set, w or k below 1, beta outside
+    (0, 1), or a c that is not positive and finite.
     """
     if not targets:
         raise ValueError("target set is empty")
+    if not w >= 1:
+        raise ValueError(f"walk count w must be at least 1, got {w}")
+    if not k >= 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     pr_t = float(sum(global_pr[t] for t in targets))
     c2 = (k**beta) * c / (1.0 - beta)
     return w * pr_t / (c2 * len(targets) ** (1.0 - beta))

@@ -108,8 +108,7 @@ def estimate_ppr_undirected(
         math.ceil(c_u * d_t * r_max / (params.epsilon**2 * params.delta)),
     )
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
-    # w copies of t make the node form's draws, and return an array
-    ends = walk_endpoints(g, np.full(w, t, dtype=np.intp), w, cfg)
+    ends = walk_endpoints(g, t, w, cfg)
     res = np.zeros(g.n)
     res[list(pr.residuals)] = list(pr.residuals.values())
     picked = res[ends] * d_t / g.degrees[ends]

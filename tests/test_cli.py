@@ -408,6 +408,23 @@ def test_sample_path_negative_count_exits_one(two_cycle_file, capsys):
     assert "paths=" not in captured.out
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("oracle", "--top"), ("search", "--topk"), ("precompute-search", "--topk"),
+])
+def test_negative_top_flags_exit_one(tmp_path, two_cycle_file, capsys, command, flag):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\n")
+    extra = {"oracle": ["--source", "a"],
+             "search": ["--source", "a", "--keyword", "topic", "--keywords", str(kw)],
+             "precompute-search": ["--keywords", str(kw), "--adaptive",
+                                   "--output", str(tmp_path / "idx.bin")]}[command]
+    rc = cli.main([command, "--graph", two_cycle_file, *extra, flag, "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be nonnegative, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
     store1 = tmp_path / "store1.bin"
     rc = cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
@@ -496,6 +513,21 @@ def test_serve_sim_queries_file(tmp_path, two_cycle_file, capsys):
     assert len(recs) == 3  # config + two queries
     assert recs[1]["estimates"]["source"] == "a"
     assert recs[2]["estimates"]["source"] == "b"
+
+
+def test_serve_sim_reports_a_malformed_queries_line(tmp_path, two_cycle_file, capsys):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
+                     "0.05", "--output", str(store)]) == 0
+    capsys.readouterr()
+    qf = tmp_path / "queries.txt"
+    qf.write_text("a b\n  # indented comment\n\nb\n")
+    rc = cli.main(["serve-sim", "--graph", two_cycle_file, "--store",
+                   str(store), "--queries", str(qf)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{qf}:4: expected 's t', got 'b'" in captured.err
+    assert captured.out == ""
 
 
 def test_serve_sim_pushes_once_per_query(tmp_path, two_cycle_file, capsys, monkeypatch):

@@ -185,7 +185,8 @@ def test_from_edges_rejects_non_integer_node_ids(edge):
     ((0, 1, "2"), r"weight '2' on edge 0->1 is not a number"),
     ((0, 1, None), r"weight None on edge 0->1 is not a number"),
     ((0, 2**64), r"node id 18446744073709551616 out of range for n=3"),
-], ids=["one-field", "four-fields", "string-weight", "none-weight", "wide-id"])
+    (5, r"edge 5 is not a \(u, v\) or \(u, v, w\) tuple"),
+], ids=["one-field", "four-fields", "string-weight", "none-weight", "wide-id", "no-length"])
 def test_from_edges_rejects_malformed_edges(edge, message):
     with pytest.raises(pw.GraphFormatError, match=message):
         pw.from_edges([(0, 1), edge], n=3)

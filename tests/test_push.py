@@ -217,6 +217,8 @@ def test_rows_read_like_the_dicts_they_replace(kind):
         assert view[key] == view.get(key) == view.get(key, None) == value and key in view
     assert view[missing] == 0.0 and view.get(missing) == 0.0
     assert view.get(missing, None) is None and missing not in view
+    for key in ("a", 1.5):
+        assert view.get(key) == 0.0 and view.get(key, None) is None and key not in view
     with pytest.raises(TypeError):
         view[missing] = 1.0
     assert not any(a.flags.writeable for a in held)

@@ -139,7 +139,7 @@ def test_walk_streams_are_reproducible():
     cfg = pw.WalkConfig(alpha=0.2, seed=13)
     a = pw.walk_endpoints(g, 0, 64, cfg)
     b = pw.walk_endpoints(g, 0, 64, cfg)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 class _FixedVariates:
@@ -205,9 +205,11 @@ def test_array_of_starts_steps_like_a_node_source():
     cfg = pw.WalkConfig(alpha=0.2, seed=23)
     one = pw.walk_endpoints(_WEIGHTED, 2, 500, cfg)
     many = pw.walk_endpoints(_WEIGHTED, np.full(500, 2, dtype=np.int32), 500, cfg)
-    assert isinstance(one, list)
-    assert many.tolist() == one
-    assert pw.walk_endpoints(_WEIGHTED, np.array([], dtype=np.intp), 0, cfg).size == 0
+    assert one.dtype == many.dtype == np.intp
+    assert np.array_equal(many, one)
+    for start in (2, {2: 1.0}, np.ones(_WEIGHTED.n), np.array([], dtype=np.intp)):
+        none = pw.walk_endpoints(_WEIGHTED, start, 0, cfg)
+        assert none.dtype == np.intp and none.size == 0
 
 
 def test_walk_order_keeps_pinned_endpoints():
@@ -225,7 +227,7 @@ def test_walk_order_keeps_pinned_endpoints():
         cfg = pw.WalkConfig(alpha, seed)
         longest = (cfg.stream().geometric(alpha, size=40) - 1).max()
         assert (longest > 255) == (alpha < 0.2)
-        assert pw.walk_endpoints(g, 0, 40, cfg) == want
+        assert pw.walk_endpoints(g, 0, 40, cfg).tolist() == want
         starts = np.zeros(40, dtype=np.intp)
         assert pw.walk_endpoints(g, starts, 40, cfg).tolist() == want
 
@@ -249,7 +251,8 @@ def test_a_float_array_is_still_a_distribution():
     g = two_cycle()
     cfg = pw.WalkConfig(alpha=0.2, seed=25)
     ends = pw.walk_endpoints(g, np.array([0.25, 0.75]), 1000, cfg)
-    assert ends == pw.walk_endpoints(g, {0: 0.25, 1: 0.75}, 1000, cfg)
+    assert ends.dtype == np.intp
+    assert np.array_equal(ends, pw.walk_endpoints(g, {0: 0.25, 1: 0.75}, 1000, cfg))
     # the estimators read every length-n array, integer ones too, as weights
     params = pw.PprParams(delta=0.1)
     assert (pw.monte_carlo_ppr(g, np.array([1, 3]), 0, params, walks=500, seed=2).value

@@ -301,6 +301,10 @@ def test_adaptive_threshold_rejects_bad_input():
         pw.adaptive_r_max([], gp, w=100, k=1)
     with pytest.raises(ValueError):
         pw.adaptive_r_max([1], gp, w=100, k=1, beta=1.0)
+    for bad in ({"w": 0}, {"w": -5}, {"k": 0}, {"k": -1},
+                {"c": 0.0}, {"c": -1.0}, {"c": np.nan}, {"c": np.inf}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            pw.adaptive_r_max([1, 2], gp, **{"w": 100, "k": 1, **bad})
 
 
 def test_storage_monte_carlo_mode_counts_singletons(rng):
