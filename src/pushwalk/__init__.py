@@ -72,6 +72,7 @@ from .search import (
     GroupedIndex,
     IndexFormatError,
     IndexStorageReport,
+    KeywordFormatError,
     KeywordIndex,
     ReverseVector,
     TargetSamplerIndex,

@@ -148,11 +148,32 @@ def _walk_phase(
     seed: int,
 ) -> PprEstimate:
     """Dot the push estimates with the source; if residual is left, add the
-    mean residual picked up by c * r_max / delta walks from the source."""
+    mean residual picked up by c * r_max / max(delta, p_hat) walks from the
+    source, where p_hat is that dot product.
+
+    The push's invariant pi_s[t] = p_hat + E[r[V]], V ~ pi_s, makes each
+    walk's pickup r[V] a variable in [0, r_max] with mean mu = pi_s[t] -
+    p_hat <= pi_s[t]. For w such variables and any scale M >= mu, the
+    multiplicative Chernoff bound gives P(|mean - mu| >= eps * M) <=
+    2 exp(-w eps^2 M / (3 r_max)). The contract asks for error at most
+    eps * max(pi_s[t], delta); take M = max(pi_s[t], delta), which is at
+    least max(delta, p_hat) because the residuals are nonnegative. With the
+    theorem constant c = (3 / eps^2) ln(2 / p_fail) and w = c * r_max /
+    max(delta, p_hat), the exponent is ln(2 / p_fail) * M / max(delta,
+    p_hat) >= ln(2 / p_fail), so the failure probability stays within
+    p_fail, as it does at w = c * r_max / delta. A pair whose push alone
+    passes delta (a hub target, s == t) thus draws fewer walks under the
+    same (eps, delta, p_fail) contract.
+
+    p_hat comes from the deterministic push, not from the walks, so the
+    walk count is fixed before any walk is drawn and the estimate stays
+    unbiased. For a distribution source p_hat averages p over it, which is
+    still a lower bound on the averaged score.
+    """
     value = s.dot(pr.estimates)
     if not pr.residuals:
         return PprEstimate(value, 0, pr.pushes_performed, r_max)
-    w = num_walks(params, r_max)
+    w = max(1, math.ceil(params.effective_c() * r_max / max(params.delta, value)))
     ends = walk_endpoints(g, s, w, WalkConfig(alpha=params.alpha, seed=seed))
     picked = float(pr.residuals.values_at(ends).sum())
     return PprEstimate(value + picked / w, w, pr.pushes_performed, r_max)
@@ -187,8 +208,9 @@ def estimate_ppr_balanced(
 ) -> PprEstimate:
     """Like estimate_ppr, but the push phase picks its own stopping point.
 
-    The walk budget is then c * achieved_rmax / delta. When the push queue
-    drains completely the answer is already exact and no walks run.
+    The walk budget is then c * achieved_rmax / max(delta, p[s]) (see
+    ``_walk_phase``). When the push queue drains completely the answer is
+    already exact and no walks run.
     """
     s = source_of(g, s)
     pr = reverse_push_balanced(

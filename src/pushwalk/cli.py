@@ -8,10 +8,10 @@ record as a ``# `` comment above their text output. ``precompute`` stores
 and ``precompute-search`` indexes share one file format (``save_index`` /
 ``load_index``). Exit codes: 0 success, 1 usage error (including a flag the
 chosen ``--method`` ignores, or an ``--alpha`` other than the stored one's),
-2 data error (unreadable/malformed graph, unknown node or keyword, broken
-store or search index, a store or index built for another graph, path
-targets the source cannot reach), 3 numerical failure (non-convergence,
-exhausted sampling budget).
+2 data error (unreadable/malformed graph, keyword sidecar or queries file,
+unknown node or keyword, broken store or search index, a store or index
+built for another graph, path targets the source cannot reach), 3 numerical
+failure (non-convergence, exhausted sampling budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -64,6 +64,7 @@ from .search import (
     DEFAULT_BETA,
     DEFAULT_SEARCH_C,
     IndexFormatError,
+    KeywordFormatError,
     KeywordIndex,
     adaptive_r_max,
     build_forward_vector,
@@ -765,13 +766,11 @@ def _cmd_precompute(args, out) -> int:
     return 0
 
 
-def _serve_queries(g: Graph, bundle: dict, raw_queries):
-    """One result per query: the broker's sharded answer next to the
+def _serve_queries(g: Graph, bundle: dict, queries):
+    """One result per (s, t) query: the broker's sharded answer next to the
     in-process one, both from a single reverse push to the target."""
     store, shards, k = bundle["store"], bundle["shards"], bundle["k"]
-    for s_tok, t_tok in raw_queries:
-        s = g.node_id(s_tok)
-        t = g.node_id(t_tok)
+    for s, t in queries:
         t0 = time.perf_counter()
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
         local = query_shared_walks(g, store, s, t, rev=rev)
@@ -816,26 +815,29 @@ def _cmd_serve_sim(args, out) -> int:
     _check_built_for(args.store, len(store.walk_counts), bundle["m"], args.graph, g)
     if args.alpha != store.alpha:
         raise ValueError(f"--alpha {args.alpha} differs from the store's alpha {store.alpha}")
-    raw_queries: list[tuple[str, str]] = []
+    queries: list[tuple[int, int]] = []
     for q in args.query:
         parts = [p.strip() for p in q.split(",")]
         if len(parts) != 2:
             raise SystemExit2(f"--query wants 's,t', got {q!r}")
-        raw_queries.append((parts[0], parts[1]))
+        queries.append((g.node_id(parts[0]), g.node_id(parts[1])))
     if args.queries:
         with open(args.queries, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                if len(parts) < 2:  # bad data, so exit 2 as for an unknown node
-                    raise KeyError(
-                        f"{args.queries}:{lineno}: expected 's t', got {line.rstrip()!r}"
-                    )
-                raw_queries.append((parts[0], parts[1]))
-    if not raw_queries:
+                # bad data raises KeyError (exit 2), naming the line
+                where = f"{args.queries}:{lineno}"
+                if len(parts) < 2:
+                    raise KeyError(f"{where}: expected 's t', got {line.rstrip()!r}")
+                try:
+                    queries.append((g.node_id(parts[0]), g.node_id(parts[1])))
+                except KeyError as exc:
+                    raise KeyError(f"{where}: {exc.args[0]}") from None
+    if not queries:
         raise SystemExit2("serve-sim needs --query or --queries")
-    _emit_run(out, args, {"n": g.n, "k": bundle["k"]}, _serve_queries(g, bundle, raw_queries))
+    _emit_run(out, args, {"n": g.n, "k": bundle["k"]}, _serve_queries(g, bundle, queries))
     return 0
 
 
@@ -894,6 +896,9 @@ def main(argv=None) -> int:
         return 1
     except GraphFormatError as exc:
         print(f"pushwalk {args.command}: bad graph data: {exc}", file=sys.stderr)
+        return 2
+    except KeywordFormatError as exc:
+        print(f"pushwalk {args.command}: bad keyword file: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"pushwalk {args.command}: cannot read input: {exc}", file=sys.stderr)

@@ -605,8 +605,10 @@ def reverse_push_balanced(
     accumulated work exceeds m, the result would be kept and serve many
     calls, so the work is divided by ``_KEPT_CALLS`` (256) before the
     comparison. The two hubs of the benchmark graph below then stop three
-    levels deeper, at achieved_rmax 0.0039 against 0.25, and a call draws
-    69 walks instead of 4,375.
+    levels deeper, at achieved_rmax 0.0039 against 0.25, where the
+    source-free walk budget c * achieved_rmax / delta is 69 walks instead of
+    4,375; a call whose source has p[s] > delta draws fewer (see
+    ``bidir._walk_phase``).
 
     achieved_rmax is the largest residual left standing: zero when the
     residuals drain, in which case the estimates are exact.

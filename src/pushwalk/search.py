@@ -58,6 +58,7 @@ __all__ = [
     "load_index",
     "coord_vector",
     "IndexFormatError",
+    "KeywordFormatError",
     "DEFAULT_SEARCH_C",
     "DEFAULT_BETA",
 ]
@@ -226,6 +227,10 @@ class GroupedIndex:
 TargetSamplerIndex = GroupedIndex
 
 
+class KeywordFormatError(ValueError):
+    """A keyword sidecar line that is not 'keyword<TAB>node'."""
+
+
 @dataclass
 class KeywordIndex:
     """keyword -> sorted list of target node ids."""
@@ -238,6 +243,7 @@ class KeywordIndex:
 
         Node tokens are resolved by ``Graph.node_id`` when a graph is
         supplied (an unknown node raises KeyError), else read as integer ids.
+        A malformed line raises KeywordFormatError.
         """
         raw: dict[str, set[int]] = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -247,7 +253,7 @@ class KeywordIndex:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 2:
-                    raise ValueError(
+                    raise KeywordFormatError(
                         f"{path}:{lineno}: expected 'keyword<TAB>node', got {line!r}"
                     )
                 keyword, token = parts[0].strip(), parts[1].strip()

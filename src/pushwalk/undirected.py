@@ -83,9 +83,12 @@ def estimate_ppr_undirected(
     After forward_push(s, r_max) the correction term is
     sum_v r_s[v] * pi_v[t]; by reversibility pi_v[t] = pi_t[v] * d_t / d_v,
     so walks started at t estimate it with per-sample values
-    X = r_s[V] * d_t / d_V, each bounded by d_t * r_max. The walk budget is
-    ceil(3 ln(2/p_fail) * d_t * r_max / (epsilon^2 * delta)). A source or
-    target outside [0, n) raises ValueError.
+    X = r_s[V] * d_t / d_V, each bounded by d_t * r_max, with mean
+    pi_s[t] - p_s[t]. The walk budget is ceil(3 ln(2/p_fail) * d_t * r_max
+    / (epsilon^2 * max(delta, p_s[t]))): the push estimate p_s[t] is a lower
+    bound on pi_s[t], so the Chernoff argument of ``bidir._walk_phase``
+    holds with range d_t * r_max. A source or target outside [0, n) raises
+    ValueError.
     """
     _require_undirected(g)
     _check_node(g, s)
@@ -105,7 +108,7 @@ def estimate_ppr_undirected(
     c_u = 3.0 * math.log(2.0 / params.p_fail)
     w = max(
         1,
-        math.ceil(c_u * d_t * r_max / (params.epsilon**2 * params.delta)),
+        math.ceil(c_u * d_t * r_max / (params.epsilon**2 * max(params.delta, value))),
     )
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     ends = walk_endpoints(g, t, w, cfg)

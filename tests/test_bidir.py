@@ -139,6 +139,59 @@ def test_balanced_budget_tradeoff(rng):
     assert loose.walks_used >= tight.walks_used
 
 
+# Pairs whose push alone passes delta on the undirected load of a 200-node
+# power-law graph: s == t at the top hub and at node 150, a source into
+# the hubs 2 and 0, and a distribution source. The balanced push is stopped
+# after one level (walk_time_constant 1000) so that its walks have residual
+# to pick up.
+_SOURCE_AWARE_WTC = 1000.0
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_source_aware_walk_budget_meets_the_exact_pickup_variance(balanced):
+    # The walks draw c * r_max / max(delta, p[s]) instead of c * r_max /
+    # delta. Over 400 seeds per pair, the mean squared error over the exact
+    # variance of that many pickups, Var(r[V]) / w with V ~ pi_s, is 1 when
+    # the estimator draws w walks (0.90-1.12 on five blocks of 400 seeds)
+    # and about 4 when it draws a quarter of them. Under use_theorem_c the
+    # (eps, delta, p_fail) contract holds too.
+    g = pw.parse_edge_lines(cli.generate_synthetic("power-law", 200, seed=4), undirected=True)
+    params = pw.PprParams(delta=1e-3, r_max=0.1, use_theorem_c=True)
+    c = params.effective_c()
+    ppr = pw.exact_ppr_matrix(g, params.alpha)
+    dist = np.zeros(g.n)
+    dist[[7, 2, 150]] = [0.5, 0.25, 0.25]
+    n_seeds = 400
+    margin = n_seeds * params.p_fail + 3 * math.sqrt(n_seeds * params.p_fail * (1 - params.p_fail))
+    for s, t in ((1, 1), (150, 150), (7, 2), (7, 0), (dist, 2)):
+        if balanced:
+            pr = pw.reverse_push_balanced(g, t, params.alpha, params.delta, c, _SOURCE_AWARE_WTC)
+            r_max = pr.achieved_rmax
+        else:
+            pr = pw.reverse_push(g, t, params.r_max, params.alpha)
+            r_max = params.r_max
+        source = dist if isinstance(s, np.ndarray) else np.eye(g.n)[s]
+        pi = source @ ppr
+        p_hat = sum(source[v] * x for v, x in dict(pr.estimates).items())
+        r = np.zeros(g.n)
+        r[list(dict(pr.residuals))] = list(dict(pr.residuals).values())
+        var = pi @ r**2 - (pi @ r) ** 2
+        assert p_hat > params.delta and var > 0.0
+        w = math.ceil(c * r_max / max(params.delta, p_hat))
+        assert w < pw.num_walks(params, r_max) / 20
+        errors = np.empty(n_seeds)
+        for seed in range(n_seeds):
+            if balanced:
+                est = pw.estimate_ppr_balanced(g, s, t, params, _SOURCE_AWARE_WTC, seed=seed)
+            else:
+                est = pw.estimate_ppr(g, s, t, params, seed=seed)
+            assert est.walks_used == w
+            errors[seed] = est.value - pi[t]
+        assert 0.7 <= np.mean(errors**2) / (var / w) <= 1.4, (s, t)
+        violations = np.count_nonzero(np.abs(errors) > params.epsilon * max(pi[t], params.delta))
+        assert violations <= margin
+
+
 def test_guarantee_floor_warns():
     g = two_cycle()
     params = pw.PprParams(delta=0.2, alpha=0.2, epsilon=0.5, r_max=1e-4)

@@ -530,6 +530,21 @@ def test_serve_sim_reports_a_malformed_queries_line(tmp_path, two_cycle_file, ca
     assert captured.out == ""
 
 
+def test_serve_sim_reports_an_unknown_node_with_its_line(tmp_path, two_cycle_file, capsys):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
+                     "0.05", "--output", str(store)]) == 0
+    capsys.readouterr()
+    qf = tmp_path / "queries.txt"
+    qf.write_text("a b\nzz a\n")
+    rc = cli.main(["serve-sim", "--graph", two_cycle_file, "--store",
+                   str(store), "--queries", str(qf)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"{qf}:2: unknown node 'zz'" in captured.err
+    assert captured.out == ""  # no query runs before every line resolves
+
+
 def test_serve_sim_pushes_once_per_query(tmp_path, two_cycle_file, capsys, monkeypatch):
     store = tmp_path / "store.bin"
     assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
@@ -834,6 +849,20 @@ def test_keyword_file_unknown_node_exits_two(tmp_path, two_cycle_file, capsys):
                      str(kw), "--rmax", "0.1",
                      "--output", str(tmp_path / "idx.bin")]) == 2
     assert "kw.tsv:2: unknown node '99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["search", "precompute-search"])
+def test_keyword_file_malformed_line_exits_two(tmp_path, two_cycle_file, capsys, command):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\nbroken\n")
+    extra = {"search": ["--source", "a", "--keyword", "topic"],
+             "precompute-search": ["--rmax", "0.1", "--output", str(tmp_path / "idx.bin")]}
+    rc = cli.main([command, "--graph", two_cycle_file, "--keywords", str(kw), *extra[command]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "kw.tsv:2: expected 'keyword<TAB>node', got 'broken'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "idx.bin").exists()
 
 
 def test_numerical_failure_exits_three(tmp_path, monkeypatch):

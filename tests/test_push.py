@@ -256,20 +256,31 @@ def test_every_table_the_package_builds_has_ascending_rows(monkeypatch):
 
 
 def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
-    # The estimate is p[s] plus the mean residual at the same walks' endpoints.
+    # The estimate is p[s] plus the mean residual at the same walks' endpoints,
+    # of c * r_max / max(delta, p[s]) walks. The hub's push leaves p[s] above
+    # 0.09 at every node, so each source draws 1 walk. A target at the 99.5%
+    # PageRank quantile, also pushed in rounds, leaves residual at nodes it
+    # never pushed (p[s] = 0); from two of them 700 walks pick it up.
     g = _power_law_3000()
     params = pw.PprParams(delta=1e-5, r_max=1e-3)
-    hub = int(np.argmax(pw.exact_global_pagerank(g, params.alpha)))
-    pr = pw.reverse_push(g, hub, params.r_max, params.alpha)
-    assert isinstance(pr.residuals, pw.DenseVec)
-    for s, seed in ((hub, 3), (17, 5), (2999, 8)):
-        w = pw.num_walks(params, params.r_max)
+    order = np.argsort(pw.exact_global_pagerank(g, params.alpha))
+    hub, mid = int(order[-1]), int(order[int(0.995 * g.n) - 1])
+    cold = pw.reverse_push(g, mid, params.r_max, params.alpha)
+    a, b = np.flatnonzero((cold.residuals.array > 0) & (cold.estimates.array == 0))[:2]
+    for t, s, seed, walks in ((hub, hub, 3, 1), (hub, 17, 5, 1), (hub, 2999, 8, 1),
+                              (mid, int(a), 5, 700), (mid, int(b), 8, 700)):
+        pr = pw.reverse_push(g, t, params.r_max, params.alpha)
+        assert isinstance(pr.residuals, pw.DenseVec)
+        p_s = pr.estimates.get(s, 0.0)
+        w = max(1, math.ceil(params.effective_c() * params.r_max / max(params.delta, p_s)))
+        assert w == walks
         total = 0.0
         for v in pw.walk_endpoints(g, s, w, pw.WalkConfig(params.alpha, seed)):
             total += pr.residuals.get(v, 0.0)
-        est = pw.estimate_ppr(g, s, hub, params, seed=seed)
+        assert total > 0.0 or w == 1
+        est = pw.estimate_ppr(g, s, t, params, seed=seed)
         assert est.walks_used == w
-        assert est.value == pytest.approx(pr.estimates.get(s, 0.0) + total / w, abs=1e-12)
+        assert est.value == pytest.approx(p_s + total / w, abs=1e-12)
 
 
 # ---------------------------------------------------------------- kept pushes

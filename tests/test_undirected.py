@@ -134,6 +134,37 @@ def test_undirected_entry_points_reject_non_integer_nodes(s, t):
         pw.check_symmetry(g, s, t, 0.2)
 
 
+def test_walks_shrink_when_the_forward_push_reaches_the_target():
+    # The walks from t draw c_u * d_t * r_max / (eps^2 * max(delta, p_s[t])):
+    # here the forward push's estimate at t passes delta (s == t, and s = 0
+    # next to the hub t = 1), so each pair draws 4-24x fewer walks than at
+    # delta, and over 400 seeds the mean squared error still matches the
+    # exact variance of that many pickups r_s[V] * d_t / d_V, V ~ pi_t.
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 150, seed=3), undirected=True)
+    ppr = pw.exact_ppr_matrix(g, 0.2)
+    params = pw.PprParams(delta=0.01)
+    c_u = 3 * math.log(2 / params.p_fail)
+    for s, t, walks in ((9, 9, 10), (0, 1, 139), (3, 3, 29)):
+        d_t = g.degree(t)
+        r_max = pw.worst_case_r_max(params, d_t)
+        pr = pw.forward_push(g, s, r_max, params.alpha)
+        p_hat = pr.estimates.get(t, 0.0)
+        assert p_hat > params.delta and pr.residuals
+        at_delta = math.ceil(c_u * d_t * r_max / (params.epsilon**2 * params.delta))
+        w = math.ceil(c_u * d_t * r_max / (params.epsilon**2 * p_hat))
+        assert w == walks and 4 * w <= at_delta
+        res = np.zeros(g.n)
+        res[list(pr.residuals)] = list(pr.residuals.values())
+        pickup = res * d_t / g.degrees
+        var = ppr[t] @ pickup**2 - (ppr[t] @ pickup) ** 2
+        errors = np.empty(400)
+        for seed in range(errors.size):
+            est = pw.estimate_ppr_undirected(g, s, t, params, seed=seed)
+            assert est.walks_used == w
+            errors[seed] = est.value - ppr[s, t]
+        assert 0.7 <= np.mean(errors**2) / (var / w) <= 1.4
+
+
 def _pinned_undirected_queries():
     # a 12-node ring with weighted chords, and a 150-node power-law graph;
     # every query leaves forward residual, so the walks shape each value
