@@ -8,10 +8,10 @@ record as a ``# `` comment above their text output. ``precompute`` stores
 and ``precompute-search`` indexes share one file format (``save_index`` /
 ``load_index``). Exit codes: 0 success, 1 usage error (including a flag the
 chosen ``--method`` ignores, or an ``--alpha`` other than the stored one's),
-2 data error (unreadable/malformed graph, keyword sidecar or queries file,
-unknown node or keyword, broken store or search index, a store or index
-built for another graph, path targets the source cannot reach), 3 numerical
-failure (non-convergence, exhausted sampling budget).
+2 data error (unreadable, malformed or non-UTF-8 graph, keyword, queries or
+targets file, unknown node or keyword, broken store or search index, a store
+or index built for another graph, path targets the source cannot reach), 3
+numerical failure (non-convergence, exhausted sampling budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -41,7 +41,7 @@ from .bidir import (
     monte_carlo_ppr,
     num_walks,
 )
-from .graph import Graph, GraphFormatError, apply_sink_convention, load_edge_list
+from .graph import Graph, GraphFormatError, _text_file, apply_sink_convention, load_edge_list
 from .multistep import (
     HeatKernelParams,
     MstpParams,
@@ -66,11 +66,11 @@ from .search import (
     IndexFormatError,
     KeywordFormatError,
     KeywordIndex,
+    _coord_arrays,
     adaptive_r_max,
     build_forward_vector,
     build_grouped_index,
     build_reverse_vector,
-    coord_vector,
     load_index,
     sample_targets,
     save_index,
@@ -693,8 +693,8 @@ def _cmd_sample_path(args, out) -> int:
     tokens: list[str] = []
     if args.targets:
         tokens += [tok for tok in args.targets.split(",") if tok]
-    if args.targets_file:
-        with open(args.targets_file, "r", encoding="utf-8") as fh:
+    if args.targets_file:  # a file that is not UTF-8 is a data error (exit 2)
+        with _text_file(args.targets_file, KeyError) as fh:
             tokens += fh.read().split()
     if not tokens:
         raise SystemExit2("sample-path needs --targets or --targets-file")
@@ -774,7 +774,8 @@ def _serve_queries(g: Graph, bundle: dict, queries):
         t0 = time.perf_counter()
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
         local = query_shared_walks(g, store, s, t, rev=rev)
-        y_vec = coord_vector(g.n, rev.estimates, rev.residuals)
+        coords, values = _coord_arrays(g.n, rev.estimates, rev.residuals)
+        y_vec = dict(zip(coords.tolist(), values.tolist()))
         key = ("y", t)
         # per-query views: the loaded shards plus this query's y-vector slices
         owners = shards[0].owners | {key}
@@ -822,12 +823,12 @@ def _cmd_serve_sim(args, out) -> int:
             raise SystemExit2(f"--query wants 's,t', got {q!r}")
         queries.append((g.node_id(parts[0]), g.node_id(parts[1])))
     if args.queries:
-        with open(args.queries, "r", encoding="utf-8") as fh:
+        with _text_file(args.queries, KeyError) as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts or parts[0].startswith("#"):
                     continue
-                # bad data raises KeyError (exit 2), naming the line
+                # bad data raises KeyError (exit 2), naming the file or the line
                 where = f"{args.queries}:{lineno}"
                 if len(parts) < 2:
                     raise KeyError(f"{where}: expected 's t', got {line.rstrip()!r}")

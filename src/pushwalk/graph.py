@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -251,9 +252,19 @@ def parse_edge_lines(lines, undirected: bool, source: str = "<memory>") -> Graph
     return _build(np.array(tails), np.array(heads), np.array(raw), len(ids), undirected, list(ids))
 
 
-def load_edge_list(path: str, undirected: bool = False) -> Graph:
-    """Load a whitespace-separated edge list "u v [w]" from ``path``."""
+@contextmanager
+def _text_file(path, error: type[Exception]):
+    """The text file at ``path``, open to read; ``error`` if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_edge_list(path: str, undirected: bool = False) -> Graph:
+    """Load a whitespace-separated UTF-8 edge list "u v [w]" from ``path``."""
+    with _text_file(path, GraphFormatError) as fh:
         return parse_edge_lines(fh, undirected, source=path)
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bidir import PprParams, num_walks
-from .graph import Graph
-from .push import Row, SparseVec, Table, reverse_push
+from .graph import Graph, _text_file
+from .push import DenseVec, Row, SparseVec, Table, reverse_push
 from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "storage_accounting",
     "save_index",
     "load_index",
-    "coord_vector",
     "IndexFormatError",
     "KeywordFormatError",
     "DEFAULT_SEARCH_C",
@@ -67,15 +66,14 @@ DEFAULT_SEARCH_C = 20.0
 DEFAULT_BETA = 0.77
 
 
-def coord_vector(n: int, first, second) -> dict[int, float]:
-    """Two per-node blocks in the 2n-coordinate layout, as {coord: value}.
-
-    Node v's entry in ``first`` goes to coordinate v and its entry in
-    ``second`` to n+v; keys come out in ascending coordinate order.
-    """
-    out = {v: first[v] for v in sorted(first)}
-    out.update((n + v, second[v]) for v in sorted(second))
-    return out
+def _coord_arrays(n: int, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-node blocks (``SparseVec`` or ``Row``, any key order) as 2n-layout
+    (coords, values) arrays in ascending coordinate order: node v's entry in
+    ``first`` at coordinate v and its entry in ``second`` at n+v."""
+    (a, x), (b, y) = first.arrays(), second.arrays()
+    coords = np.concatenate([a, b + n])
+    order = np.argsort(coords, kind="stable")
+    return coords[order], np.concatenate([x, y])[order]
 
 
 @dataclass
@@ -90,39 +88,27 @@ class ForwardVector:
 
     def coord_items(self):
         """Non-zeros as (coordinate, value), ascending coordinate order."""
-        return coord_vector(self.n, self.indicator, self.empirical).items()
+        coords, values = _coord_arrays(self.n, self.indicator, self.empirical)
+        return zip(coords.tolist(), values.tolist())
 
 
 @dataclass
 class ReverseVector:
-    """Target half of the score: (estimate block, residual block)."""
+    """Target half of the score: the push's own (estimate, residual) blocks."""
 
     n: int
     target: int
-    estimates: SparseVec
-    residuals: SparseVec
+    estimates: SparseVec | DenseVec
+    residuals: SparseVec | DenseVec
     r_max: float
     alpha: float
 
-    def coord_value(self, coord: int) -> float:
-        if coord < self.n:
-            return self.estimates.get(coord, 0.0)
-        return self.residuals.get(coord - self.n, 0.0)
-
     def coord_items(self):
-        return coord_vector(self.n, self.estimates, self.residuals).items()
+        coords, values = _coord_arrays(self.n, self.estimates, self.residuals)
+        return zip(coords.tolist(), values.tolist())
 
     def nnz(self) -> int:
         return len(self.estimates) + len(self.residuals)
-
-
-def _coord_arrays(n: int, first, second) -> tuple[np.ndarray, np.ndarray]:
-    """Two per-node blocks (``SparseVec`` or ``Row``) in the 2n-coordinate
-    layout, as (coords, values) arrays: node v's entry in ``first`` at
-    coordinate v and its entry in ``second`` at n+v, each block in its own
-    key order."""
-    (a, x), (b, y) = first.arrays(), second.arrays()
-    return np.concatenate([a, b + n]), np.concatenate([x, y])
 
 
 class _Slots(Mapping):
@@ -193,8 +179,6 @@ class GroupedIndex:
         with the row number of each entry.
         """
         xc, xv = _coord_arrays(x_s.n, x_s.indicator, x_s.empirical)
-        order = np.argsort(xc)
-        xc, xv = xc[order], xv[order]
         keys, ptr = self.table.keys, self.table.ptr
         rows = np.searchsorted(keys, xc)
         found = rows < keys.size
@@ -243,10 +227,10 @@ class KeywordIndex:
 
         Node tokens are resolved by ``Graph.node_id`` when a graph is
         supplied (an unknown node raises KeyError), else read as integer ids.
-        A malformed line raises KeywordFormatError.
+        A malformed line or a non-UTF-8 file raises KeywordFormatError.
         """
         raw: dict[str, set[int]] = {}
-        with open(path, "r", encoding="utf-8") as fh:
+        with _text_file(path, KeywordFormatError) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -288,12 +272,10 @@ def build_forward_vector(
 
 
 def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> ReverseVector:
-    """The push's vectors as ``SparseVec`` blocks, so that a stored index
-    holds only their nonzeros whichever push path ran."""
+    """The push's own vectors, uncopied: a FIFO push's ``SparseVec`` dicts in
+    push order, or a rounds push's ``DenseVec`` views (16*n; a kept push's own)."""
     pr = reverse_push(g, t, r_max, alpha)
-    return ReverseVector(
-        g.n, t, SparseVec(pr.estimates.items()), SparseVec(pr.residuals.items()), r_max, alpha
-    )
+    return ReverseVector(g.n, t, pr.estimates, pr.residuals, r_max, alpha)
 
 
 def build_grouped_index(
@@ -360,21 +342,20 @@ def score_targets_direct(
         w = num_walks(params, r_max)
         forward = build_forward_vector(g, s, w, WalkConfig(params.alpha, seed))
     if vectors is None:
-        vectors = {
-            t: build_reverse_vector(g, t, r_max, params.alpha) for t in targets
-        }
-    x_items = list(forward.coord_items())
-    scores: dict[int, float] = {}
-    for t in sorted(targets):
+        vectors = {t: build_reverse_vector(g, t, r_max, params.alpha) for t in targets}
+    xc, xv = _coord_arrays(forward.n, forward.indicator, forward.empirical)
+    k = int(np.searchsorted(xc, forward.n))
+    first, second = xc[:k], xc[k:] - forward.n
+    ts = sorted(set(targets))
+    products = np.empty((len(ts), xc.size))
+    for row, t in zip(products, ts):
         rv = vectors[t]
         _check_sides(forward, rv)
-        acc = 0.0
-        for coord, xv in x_items:
-            yv = rv.coord_value(coord)
-            if yv:
-                acc += xv * yv
-        scores[t] = acc
-    return _rank(scores)
+        row[:k] = rv.estimates.values_at(first)
+        row[k:] = rv.residuals.values_at(second)
+    # a running sum per target in ascending coordinate order, as grouped adds
+    scores = np.add.accumulate(products * xv, axis=1)[:, -1]
+    return _rank(dict(zip(ts, scores.tolist())))
 
 
 def score_targets_grouped(
@@ -382,8 +363,9 @@ def score_targets_grouped(
 ) -> list[tuple[int, float]]:
     """All targets in one pass over the source vector's coordinates.
 
-    Per-target sums receive exactly the same additions in exactly the same
-    order as score_targets_direct, so the two agree bit for bit.
+    Per-target sums add the same products in the same order, ascending
+    coordinate, as score_targets_direct, which also adds zero products that
+    leave its sums unchanged, so the two agree bit for bit.
     """
     _check_sides(x_s, z)
     _, xv, entries, seg = z._shared(x_s)
@@ -510,13 +492,13 @@ _INDEX_MAGIC = b"PWIX"
 # per keyword
 _INDEX_VERSION = 8
 
-# The globals a saved payload may name: the stored classes, the plain
-# buffers their tables pickle to, and the sparse reverse vectors that a
-# payload built with save_index may also hold.
+# The globals a saved payload may name: the classes that precompute and
+# precompute-search store and the plain buffers their tables pickle to.
+# Neither stores a SparseVec or ReverseVector, so those are refused too.
 _SAVED_GLOBALS = {
     "array": {"_array_reconstructor", "array"},
-    "pushwalk.push": {"SparseVec", "Table"},
-    "pushwalk.search": {"GroupedIndex", "ReverseVector"},
+    "pushwalk.push": {"Table"},
+    "pushwalk.search": {"GroupedIndex"},
     "pushwalk.sharding": {"SharedWalkStore", "SharedWalkParams", "Shard"},
 }
 

@@ -198,10 +198,7 @@ class SharedWalkStore:
         node v's indicator at coordinate v and its endpoint frequencies at
         n + u, in ascending coordinate order. ``n`` must be the node count
         of the graph the store was built for; ValueError otherwise."""
-        if n != len(self.walk_counts):
-            raise ValueError(
-                f"the store was built for a {len(self.walk_counts)}-node graph, not {n} nodes"
-            )
+        self._check_built_for(n)
         freqs = self.endpoint_freqs
         bounds = freqs.ptr.tolist()
         coords = (freqs.nodes + n).tolist()
@@ -212,6 +209,12 @@ class SharedWalkStore:
             vec.update(zip(coords[lo:hi], values[lo:hi]))
             out[("x", v)] = vec
         return out
+
+    def _check_built_for(self, n: int) -> None:
+        """ValueError unless the store was built for an ``n``-node graph."""
+        if n != len(self.walk_counts):
+            raise ValueError(f"the store was built for a {len(self.walk_counts)}-node graph, "
+                             f"not {n} nodes")
 
 
 def _check_delta(delta: float) -> None:
@@ -292,8 +295,9 @@ def query_shared_walks(
     p_s(t) + sum_v r_s(v) * (p_t[v] + mean over v's endpoints of r_t).
     A full-walk source is its own single support node with unit residual.
     A caller that already holds reverse_push(g, t, store.r_max_r,
-    store.alpha) passes it as ``rev`` instead of pushing twice.
-    """
+    store.alpha) passes it as ``rev`` instead of pushing twice. A store
+    built for another node count raises ValueError."""
+    store._check_built_for(g.n)
     _check_node(g, s)
     _check_node(g, t)
     if rev is None:
@@ -359,8 +363,9 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
     c2 and c3 are fitted from the measurements themselves (mean reverse
     vector size, over the first 20 nodes as targets, times r_max_r, and
     likewise forward), then fed back into the model for the side-by-side
-    comparison.
+    comparison. A store built for another node count raises ValueError.
     """
+    store._check_built_for(g.n)
     targets = range(min(g.n, 20))
     walk_entries = store.endpoint_freqs.nodes.size
     fwd_entries = store.fwd_residuals.nodes.size + store.fwd_estimates.nodes.size

@@ -530,6 +530,29 @@ def test_serve_sim_reports_a_malformed_queries_line(tmp_path, two_cycle_file, ca
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--graph", "--keywords", "--targets-file", "--queries"])
+def test_input_that_is_not_utf8_exits_two_naming_the_file(tmp_path, two_cycle_file, capsys,
+                                                          flag):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",
+                     "0.05", "--output", str(store)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"a b\n\xff a\n")
+    argv = {"--graph": ["estimate", "--source", "a", "--target", "b"],
+            "--keywords": ["search", "--source", "a", "--keyword", "topic"],
+            "--targets-file": ["sample-path", "--source", "a"],
+            "--queries": ["serve-sim", "--store", str(store)]}[flag]
+    argv += [flag, str(bad)]
+    if flag != "--graph":
+        argv += ["--graph", two_cycle_file]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
+    kind = {"--graph": "bad graph data", "--keywords": "bad keyword file"}.get(flag, "")
+    assert kind in err
+
+
 def test_serve_sim_reports_an_unknown_node_with_its_line(tmp_path, two_cycle_file, capsys):
     store = tmp_path / "store.bin"
     assert cli.main(["precompute", "--graph", two_cycle_file, "--delta",

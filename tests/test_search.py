@@ -60,6 +60,39 @@ def test_grouped_equals_direct_bit_for_bit(rng):
         z = pw.build_grouped_index(g, targets, r_max, 0.2)
         grouped = pw.score_targets_grouped(x, z)
         assert grouped == direct  # identical floats, identical order
+    # On those graphs every push runs in rounds, so no block above is in
+    # push order. Here: SparseVec targets with descending keys, DenseVec
+    # targets, and a source whose endpoint keys are shuffled. Both scorers
+    # must add in ascending coordinate order, as the scalar loop below does.
+    n = 40
+    vectors = {}
+    for t in range(6):
+        nodes = [rng.choice(n, size=int(rng.integers(3, 20)), replace=False) for _ in range(2)]
+        if t % 2:
+            blocks = [pw.DenseVec(np.zeros(n)) for _ in range(2)]
+            for vec, nz in zip(blocks, nodes):
+                vec.array[nz] = rng.random(nz.size)
+        else:
+            blocks = [SparseVec((int(v), float(rng.random())) for v in sorted(nz, reverse=True))
+                      for nz in nodes]
+        vectors[t] = pw.ReverseVector(n, t, *blocks, 0.05, 0.2)
+    ends = rng.permutation(n)[:25]
+    empirical = SparseVec(zip(ends.tolist(), rng.random(25).tolist()))
+    x = pw.ForwardVector(n, SparseVec({7: 1.0}), empirical, walks=25, alpha=0.2)
+    want = {}
+    for t, rv in vectors.items():
+        acc = 0.0
+        for coord in sorted([7] + [n + int(v) for v in ends]):
+            xv = 1.0 if coord < n else x.empirical[coord - n]
+            yv = rv.estimates.get(coord, 0.0) if coord < n else rv.residuals.get(coord - n, 0.0)
+            acc += xv * yv
+        want[t] = acc
+    g = pw.from_edges([(v, (v + 1) % n, 1.0) for v in range(n)], n=n)
+    params = pw.PprParams(delta=0.05, alpha=0.2, r_max=0.05)
+    direct = pw.score_targets_direct(g, 7, list(vectors), params, forward=x, vectors=vectors)
+    grouped = pw.score_targets_grouped(x, pw.build_grouped_index(g, list(vectors), 0.05, 0.2,
+                                                                 vectors=vectors))
+    assert direct == grouped == sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _dict_slots(vectors):
@@ -370,20 +403,19 @@ def test_stored_reverse_vectors_stay_sparse_through_save_and_load(tmp_path):
     pr = pw.reverse_push(g, hub, r_max, alpha)
     assert isinstance(pr.residuals, pw.DenseVec)  # the push ran in rounds
     rv = pw.build_reverse_vector(g, hub, r_max, alpha)
-    assert type(rv.estimates) is SparseVec and type(rv.residuals) is SparseVec
-    assert rv.estimates == dict(pr.estimates) and rv.residuals == dict(pr.residuals)
+    assert rv.estimates is pr.estimates and rv.residuals is pr.residuals  # the kept push's own
     grouped = pw.build_grouped_index(g, [hub, 5], r_max, alpha)
     path = tmp_path / "idx.bin"
-    pw.save_index(path, {"vectors": {hub: rv}, "grouped": grouped})
+    pw.save_index(path, {"grouped": grouped})
     assert b"numpy" not in path.read_bytes()  # plain ints and floats only
     back = pw.load_index(path)
-    got = back["vectors"][hub]
-    assert type(got.estimates) is SparseVec and type(got.residuals) is SparseVec
-    assert list(got.estimates.items()) == list(rv.estimates.items())
-    assert list(got.residuals.items()) == list(rv.residuals.items())
     assert back["grouped"].targets == grouped.targets
     for name in ("keys", "ptr", "nodes", "data"):
         assert np.array_equal(getattr(back["grouped"].table, name), getattr(grouped.table, name))
+    # no file the CLI writes holds a reverse vector, so a payload naming one is refused
+    pw.save_index(path, {"vectors": {hub: rv}})
+    with pytest.raises(pw.IndexFormatError, match="refusing to load .*ReverseVector"):
+        pw.load_index(path)
 
 
 def test_index_sidecar_rejects_garbage(tmp_path):

@@ -176,6 +176,17 @@ def test_store_coordinate_form_is_shardable():
         store.as_coord_vectors(3)
 
 
+def test_store_for_another_graph_is_refused_by_query_and_report():
+    store = pw.build_shared_walk_vectors(two_cycle(), 0.2, 0.05, d_max=6.0, seed=5)
+    big = pw.from_edges([(v, (v + 1) % 5, 1.0) for v in range(5)], n=5)
+    # (1, 0) would read the store's rows silently; source 4 is past them
+    for s in (1, 4):
+        with pytest.raises(ValueError, match="2-node graph, not 5 nodes"):
+            pw.query_shared_walks(big, store, s, 0)
+    with pytest.raises(ValueError, match="2-node graph, not 5 nodes"):
+        pw.storage_report(big, store)
+
+
 def test_shared_walk_params_cube_root_thresholds():
     p = pw.SharedWalkParams()
     assert p.r_max_r(0.01) == pytest.approx((0.5**2 * 0.01 / 70.0) ** (1 / 3))
@@ -316,7 +327,8 @@ def test_store_equals_the_node_by_node_build(seed):
             table[g.n]
     assert store.fwd_residuals[0] == {0: 1.0}  # the full-walk hub's unit residual
     vectors = store.as_coord_vectors(g.n)
-    want = {("x", v): pw.search.coord_vector(g.n, {v: 1.0}, ref[0][v]) for v in range(g.n)}
+    want = {("x", v): {v: 1.0, **{g.n + u: f for u, f in sorted(ref[0][v].items())}}
+            for v in range(g.n)}
     assert list(vectors) == list(want)
     assert all(list(vectors[key].items()) == list(want[key].items()) for key in want)
     for s in range(g.n):
