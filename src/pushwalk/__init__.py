@@ -55,7 +55,7 @@ from .pathsampling import (
 from .push import (
     DenseVec,
     PushResult,
-    SparseVec,
+    Row,
     forward_push,
     reverse_push,
     reverse_push_balanced,

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import Graph
-from .push import SparseVec, _check_node
+from .push import _check_node
 from .sampling import WalkConfig, random_walk_path, source_of
 
 __all__ = [
@@ -159,7 +159,7 @@ def _ladder(
     ell_max: int,
     eps_r: float,
     absorb_at_target: bool,
-) -> tuple[list[SparseVec], list[SparseVec]]:
+) -> tuple[list[dict[int, float]], list[dict[int, float]]]:
     """Per-level estimates p^i and residuals r^i, i = 0..ell_max, from r^0 = e_t.
 
     Level by level, in ascending node order, every r^i[v] > eps_r moves to
@@ -168,8 +168,8 @@ def _ladder(
     The top level banks without forwarding; with absorb_at_target, so does t
     on levels >= 1, the walk being finished once it first reaches t.
     """
-    estimates = [SparseVec() for _ in range(ell_max + 1)]
-    residuals = [SparseVec() for _ in range(ell_max + 1)]
+    estimates = [{} for _ in range(ell_max + 1)]
+    residuals = [{} for _ in range(ell_max + 1)]
     residuals[0][t] = 1.0
     in_adj = g.in_adj
     for i, level in enumerate(residuals):
@@ -180,7 +180,7 @@ def _ladder(
                 continue
             nxt = residuals[i + 1]
             for u, w in in_adj[v]:
-                nxt.add(u, w * rv)
+                nxt[u] = nxt.get(u, 0.0) + w * rv
     return estimates, residuals
 
 
@@ -216,7 +216,9 @@ def _forward_phase(
     cfg = WalkConfig(alpha=0.5, seed=seed)  # alpha unused in fixed-length mode
     rng = cfg.stream()
     paths = random_walk_path(g, src.starts(rng, n_f), cfg, fixed_len=ell_max, rng=rng)
-    touched = list(set().union(*levels))
+    # built key by key (a union of plain dicts presizes the set and lists the
+    # keys in another order): the column order fixes the rounding below
+    touched = list(set(chain.from_iterable(levels)))
     cells = len(touched) + 1
     col = np.full(g.n, len(touched), dtype=np.intp)  # untouched nodes read the zero column
     col[touched] = np.arange(len(touched))

@@ -28,7 +28,7 @@ import numpy as np
 from . import sampling
 from .graph import Graph
 from .oracle import UnreachableTargetError
-from .push import SparseVec, _check_node, _fifo_reverse
+from .push import Row, _check_node, _fifo_reverse
 from .sampling import WalkConfig, WeightedSampler, _one_walk_step
 
 __all__ = [
@@ -89,18 +89,19 @@ class PathSamplerState:
 
     estimates/residuals are the push's own vectors (seeded by one unit at
     every target); live[v] is v's current residual ledger, whose total
-    weight tracks residuals[v] exactly; estimate_provenance[v] ledgers the
-    settled mass the same way; snapshots lists the frozen ledger created
-    by each push, in push order. reachable holds every node with a path
-    into the target set.
+    weight equals residuals[v] bit for bit (same sums, same order), and
+    estimate_provenance[v] ledgers the settled mass the same way, so the
+    sampler reads p and r from the totals. snapshots lists the frozen ledger
+    created by each push, in push order. reachable holds every node with a
+    path into the target set.
     """
 
     targets: frozenset[int]
     eps_r: float
     alpha: float
     reachable: frozenset[int]
-    estimates: SparseVec
-    residuals: SparseVec
+    estimates: Row
+    residuals: Row
     live: dict[int, Ledger] = field(default_factory=dict)
     estimate_provenance: dict[int, Ledger] = field(default_factory=dict)
     snapshots: list[Ledger] = field(default_factory=list)
@@ -225,13 +226,14 @@ def sample_path_to_target(
     draw = _uniforms(rng).__next__
     step = _one_walk_step(g)
     alpha = state.alpha
-    p_s = state.estimates.get(s, 0.0)
+    settled = state.estimate_provenance.get(s)
+    p_s = settled.total if settled is not None else 0.0
     total = p_s + state.eps_r
-    residuals = state.residuals
+    live = state.live
     for attempt in range(1, ACCEPTANCE_CAP + 1):
         x = draw() * total
         if x < p_s:
-            path = _descend(state.estimate_provenance[s].pick(draw()), [s], draw)
+            path = _descend(settled.pick(draw()), [s], draw)
             branch = "settled"
             break
         u = s
@@ -239,8 +241,9 @@ def sample_path_to_target(
         while draw() >= alpha:
             u = step(u, draw())
             walk.append(u)
-        if x - p_s < residuals.get(u, 0.0):
-            path = _descend(state.live[u], walk, draw)
+        ledger = live.get(u)
+        if ledger is not None and x - p_s < ledger.total:
+            path = _descend(ledger, walk, draw)
             branch = "walk"
             break
     else:

@@ -22,18 +22,18 @@ fraction of m, as on popular targets whose push reaches most of the
 graph. The balanced push runs in levels of rounds, each level at a
 quarter of the largest residual.
 
-The FIFO loops, forward and reverse, touch only the nodes they reach and
-return ``SparseVec`` dicts. Rounds hold dense length-n vectors and return
-them as ``DenseVec`` views, so a call that enters them costs a few passes
-over n at least. The balanced push always does, which pays on targets
-whose push reaches a large share of the graph; on a target whose push
-stays small that floor is most of the cost (see ``reverse_push_balanced``).
-``DenseVec`` is one kind of ``Row``, the read-only view through which
-every stored sparse vector reads like a ``SparseVec``: a ``Row`` is a
-(nodes, data) pair of arrays, ascending by node, and a ``Table`` holds many
-rows as one CSR, built by one stable sort by owner. The shared-walk store's
-per-node tables and each search index are ``Table``s. The dense floor is
-also why the scalar FIFO and forward loops stay for single pushes: on the
+``Row`` is the one sparse vector the package hands out: a read-only
+(nodes, data) pair of arrays, ascending by node. The FIFO loops, forward
+and reverse, touch only the nodes they reach, in plain dicts, and return
+them sorted into ``Row``s. Rounds hold dense length-n vectors and return
+them as ``DenseVec`` views, the dense kind of ``Row``, so a call that
+enters them costs a few passes over n at least. The balanced push always
+does, which pays on targets whose push reaches a large share of the graph;
+on a target whose push stays small that floor is most of the cost (see
+``reverse_push_balanced``). A ``Table`` holds many rows as one CSR, built
+by one stable sort by owner. The shared-walk store's per-node tables and
+each search index are ``Table``s. The dense floor is also why the scalar
+FIFO and forward loops stay for single pushes: on the
 10k-node benchmark graphs (shared 2-core machine), numpy frontier rounds
 in their place took 48 us per forward push against 7 us and 65 us per
 sharded reverse push against 7 us (median), and an array version of the
@@ -83,7 +83,6 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
-    "SparseVec",
     "DenseVec",
     "Row",
     "Table",
@@ -155,47 +154,18 @@ _KEEP_BYTES = 4 << 20
 _KEPT_CALLS = 256
 
 
-class SparseVec(dict):
-    """Sparse real vector over node ids; missing keys read as 0.0.
-
-    Entries are removed rather than set to zero, so iteration only ever
-    visits non-zeros.
-    """
-
-    def __missing__(self, key) -> float:
-        return 0.0
-
-    def add(self, key: int, delta: float) -> float:
-        new = self.get(key, 0.0) + delta
-        if new == 0.0:
-            self.pop(key, None)
-        else:
-            self[key] = new
-        return new
-
-    def max_value(self) -> float:
-        return max(self.values(), default=0.0)
-
-    def values_at(self, nodes: np.ndarray) -> np.ndarray:
-        """The entries at ``nodes``, 0.0 where there is none."""
-        return np.array([self.get(v, 0.0) for v in nodes.tolist()])
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (nodes, values) arrays of the entries, in key order."""
-        k = len(self)
-        return np.fromiter(self.keys(), np.int64, k), np.fromiter(self.values(), np.float64, k)
-
-
 class Row(Mapping):
     """Read-only view of a sparse vector held as a (nodes, data) pair of
     arrays: entries lo:hi of a ``Table``'s ``nodes`` and ``data``, ascending
     by node.
 
     That order is the order of iteration, ``keys``, ``values`` and
-    ``items``, and ``get`` finds a node by binary search. Missing nodes, and
-    keys that are not integers, read as 0.0, as in ``SparseVec``. The view
+    ``items``, and ``get`` and ``values_at`` find nodes by binary search.
+    Missing nodes, and keys that are not integers, read as 0.0. The view
     holds its table and two ints; ``len`` reads no array, and every other
-    read goes through ``arrays()``.
+    read goes through ``arrays()``. A ``get`` costs about 2 us against 0.05
+    us for a dict lookup (numpy 2.4, shared 2-core machine), so a reader of
+    many values reads them with one ``values_at``.
     """
 
     __slots__ = ("_table", "_lo", "_hi")
@@ -205,10 +175,28 @@ class Row(Mapping):
         self._lo = lo
         self._hi = hi
 
+    @staticmethod
+    def of(nodes: np.ndarray, data: np.ndarray) -> Row:
+        """The entries (nodes[i], data[i]), distinct nodes in any order, as
+        a one-row view sorted by node."""
+        order = nodes.argsort()
+        return Row(Table((0, order.size), nodes[order], data[order]), 0, order.size)
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The (nodes, data) arrays of the entries, ascending by node."""
         t = self._table
         return t.nodes[self._lo:self._hi], t.data[self._lo:self._hi]
+
+    def values_at(self, nodes: np.ndarray) -> np.ndarray:
+        """The entries at ``nodes``, 0.0 where there is none."""
+        own, data = self.arrays()
+        if not own.size:
+            return np.zeros(len(nodes))
+        i = np.minimum(np.searchsorted(own, nodes), own.size - 1)
+        return np.where(own[i] == nodes, data[i], 0.0)
+
+    def max_value(self) -> float:
+        return max(self.arrays()[1].tolist(), default=0.0)
 
     def _pairs(self) -> dict[int, float]:
         nodes, data = self.arrays()
@@ -336,7 +324,6 @@ class DenseVec(Row):
         return float(self.array.max())
 
     def values_at(self, nodes: np.ndarray) -> np.ndarray:
-        """The entries at ``nodes``."""
         return self.array[nodes]
 
 
@@ -344,16 +331,16 @@ class DenseVec(Row):
 class PushResult:
     """Outcome of one push run: estimates, residuals, and work accounting.
 
-    The vectors are ``SparseVec`` dicts after a FIFO loop and ``DenseVec``
-    views of the round kernel's arrays after rounds; both read alike. A
-    result may be kept on the graph and shared by later calls, so its fields
-    cannot be reassigned, and a kept result's arrays are read-only. The
-    counts are those of the push that built the result: a call answered
-    from the keep returns them unchanged, though it pushed nothing.
+    The vectors are ``Row``s, ascending by node: sorted from the FIFO loop's
+    dicts, or ``DenseVec`` views of the round kernel's arrays. A result may
+    be kept on the graph and shared by later calls, so its fields cannot be
+    reassigned, and a kept result's arrays are read-only. The counts are
+    those of the push that built the result: a call answered from the keep
+    returns them unchanged, though it pushed nothing.
     """
 
-    estimates: SparseVec | DenseVec
-    residuals: SparseVec | DenseVec
+    estimates: Row
+    residuals: Row
     pushes_performed: int
     achieved_rmax: float
     work_units: int = 0
@@ -430,8 +417,8 @@ def _fifo_reverse(
     A queue longer than ``switch_at`` hands p and r to _rounds_reverse,
     which keeps no log, so logged runs leave it at infinity.
     """
-    p = SparseVec()
-    r = SparseVec(dict.fromkeys(seeds, 1.0))
+    p: dict[int, float] = {}
+    r = dict.fromkeys(seeds, 1.0)
     queue: deque[int] = deque(v for v, rv in r.items() if rv > r_max)
     queued = set(queue)
     in_adj = g.in_adj
@@ -447,19 +434,26 @@ def _fifo_reverse(
             continue
         r.pop(v, None)
         for u, w in in_adj[v]:
-            if r.add(u, keep * w * rv) > r_max and u not in queued:
+            r[u] = ru = r.get(u, 0.0) + keep * w * rv
+            if ru > r_max and u not in queued:
                 queue.append(u)
                 queued.add(u)
-        p.add(v, alpha * rv)
+        p[v] = p.get(v, 0.0) + alpha * rv
         pushes += 1
         work += len(in_adj[v])
         if log is not None:
             log.append((v, rv))
-    return PushResult(p, r, pushes, r.max_value(), work)
+    return PushResult(_row(p), _row(r), pushes, max(r.values(), default=0.0), work)
+
+
+def _row(entries: dict[int, float]) -> Row:
+    """A push loop's scratch dict as a ``Row``, sorted by node."""
+    k = len(entries)
+    return Row.of(np.fromiter(entries, np.int64, k), np.fromiter(entries.values(), np.float64, k))
 
 
 def _rounds_reverse(
-    g: Graph, p: SparseVec, r: SparseVec, r_max: float, alpha: float, pushes: int, work: int
+    g: Graph, p: dict, r: dict, r_max: float, alpha: float, pushes: int, work: int
 ) -> PushResult:
     """Finish a reverse push in whole-vector rounds (PowerPush, Wu et al.,
     SIGMOD 2021): each round pushes every node with r > r_max at once, the
@@ -488,8 +482,8 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_node(g, s)
-    p = SparseVec()
-    r = SparseVec({s: 1.0})
+    p: dict[int, float] = {}
+    r = {s: 1.0}
     queue: deque[int] = deque()
     queued = set()
 
@@ -512,9 +506,10 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
         if not eligible(u, ru):
             continue
         r.pop(u, None)
-        p.add(u, alpha * ru)
+        p[u] = p.get(u, 0.0) + alpha * ru
         for v, w in out_adj[u]:
-            if eligible(v, r.add(v, keep * w * ru)) and v not in queued:
+            r[v] = rv = r.get(v, 0.0) + keep * w * ru
+            if eligible(v, rv) and v not in queued:
                 queue.append(v)
                 queued.add(v)
         pushes += 1
@@ -524,7 +519,7 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
         (ru / g.degree(u) for u, ru in r.items() if g.degree(u) > 0),
         default=0.0,
     )
-    return PushResult(p, r, pushes, achieved, work, degree_sum)
+    return PushResult(_row(p), _row(r), pushes, achieved, work, degree_sum)
 
 
 def _forward_all(g: Graph, sources: np.ndarray, r_max: float, alpha: float):

@@ -17,6 +17,7 @@ on list copies of the same arrays, through one helper, ``_one_walk_step``.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -332,9 +333,12 @@ def random_walk_path(
 
     A walk that must step from a node with no out-edges raises ValueError
     (apply the sink convention to avoid such nodes entirely). A start
-    outside [0, n), a non-integer array, or an array without ``fixed_len``
-    raises ValueError.
+    outside [0, n), a non-integer array, an array without ``fixed_len``, or
+    a ``fixed_len`` that is not a nonnegative integer raises ValueError.
     """
+    if fixed_len is not None and (isinstance(fixed_len, bool)  # True is an Integral too
+                                  or not isinstance(fixed_len, numbers.Integral) or fixed_len < 0):
+        raise ValueError(f"fixed_len must be a nonnegative integer, got {fixed_len!r}")
     if isinstance(start, np.ndarray):
         if fixed_len is None:
             raise ValueError("an array of starts needs fixed_len")

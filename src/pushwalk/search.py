@@ -35,7 +35,7 @@ import numpy as np
 
 from .bidir import PprParams, num_walks
 from .graph import Graph, _text_file
-from .push import DenseVec, Row, SparseVec, Table, reverse_push
+from .push import Row, Table, reverse_push
 from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
 
 __all__ = [
@@ -66,14 +66,12 @@ DEFAULT_SEARCH_C = 20.0
 DEFAULT_BETA = 0.77
 
 
-def _coord_arrays(n: int, first, second) -> tuple[np.ndarray, np.ndarray]:
-    """Two per-node blocks (``SparseVec`` or ``Row``, any key order) as 2n-layout
-    (coords, values) arrays in ascending coordinate order: node v's entry in
-    ``first`` at coordinate v and its entry in ``second`` at n+v."""
+def _coord_arrays(n: int, first: Row, second: Row) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-node blocks as 2n-layout (coords, values) arrays in ascending
+    coordinate order: node v's entry in ``first`` at coordinate v and its
+    entry in ``second`` at n+v. Both rows ascend, so no sort is needed."""
     (a, x), (b, y) = first.arrays(), second.arrays()
-    coords = np.concatenate([a, b + n])
-    order = np.argsort(coords, kind="stable")
-    return coords[order], np.concatenate([x, y])[order]
+    return np.concatenate([a, b + n]), np.concatenate([x, y])
 
 
 @dataclass
@@ -81,8 +79,8 @@ class ForwardVector:
     """Source half of the score: (indicator block, endpoint-frequency block)."""
 
     n: int
-    indicator: SparseVec
-    empirical: SparseVec
+    indicator: Row
+    empirical: Row
     walks: int
     alpha: float
 
@@ -98,8 +96,8 @@ class ReverseVector:
 
     n: int
     target: int
-    estimates: SparseVec | DenseVec
-    residuals: SparseVec | DenseVec
+    estimates: Row
+    residuals: Row
     r_max: float
     alpha: float
 
@@ -191,20 +189,16 @@ class GroupedIndex:
         return rows, xv, entries, seg
 
     def reverse_vectors(self) -> dict[int, ReverseVector]:
-        """The targets' reverse vectors read back from ``table``: one stable
-        sort by target id, then each target's coordinates split at n."""
-        coords = np.repeat(self.table.keys, np.diff(self.table.ptr))
-        by_target = Table.of(self.table.nodes, coords, self.table.data)
-        vectors = {}
-        for t, row in zip(by_target.keys.tolist(), by_target):
-            c, v = row.arrays()
-            est = c < self.n
-            vectors[t] = ReverseVector(
-                self.n, t, SparseVec(zip(c[est].tolist(), v[est].tolist())),
-                SparseVec(zip((c[~est] - self.n).tolist(), v[~est].tolist())),
-                self.r_max, self.alpha,
-            )
-        return vectors
+        """The targets' reverse vectors read back from ``table`` as ``Row``
+        views: the coordinates below n and those from n on, each one by-target
+        ``Table`` (one stable sort, so every row stays ascending)."""
+        n, table = self.n, self.table
+        coords = np.repeat(table.keys, np.diff(table.ptr))
+        est = coords < n
+        estimates = Table.of(table.nodes[est], coords[est], table.data[est], n)
+        residuals = Table.of(table.nodes[~est], coords[~est] - n, table.data[~est], n)
+        return {t: ReverseVector(n, t, estimates[t], residuals[t], self.r_max, self.alpha)
+                for t in self.targets}
 
 
 # the target sampler is the grouped index under the name its callers use
@@ -261,19 +255,19 @@ def build_forward_vector(
         raise ValueError("walk count must be at least 1")
     s = source_of(g, s)
     if s.node is not None:
-        indicator = SparseVec({s.node: 1.0})
+        indicator = Row.of(np.array([s.node]), np.ones(1))
     else:
-        indicator = SparseVec((int(v), float(s.sigma[v])) for v in np.flatnonzero(s.sigma))
+        nz = np.flatnonzero(s.sigma)
+        indicator = Row.of(nz, s.sigma[nz])
     # 1/w added once per walk, in walk order, as a running tally would
     nodes, hit = np.unique(walk_endpoints(g, s, w, cfg, rng=rng), return_inverse=True)
     freqs = np.bincount(hit, weights=np.full(w, 1.0 / w))
-    empirical = SparseVec(zip(nodes.tolist(), freqs.tolist()))
-    return ForwardVector(g.n, indicator, empirical, w, cfg.alpha)
+    return ForwardVector(g.n, indicator, Row.of(nodes, freqs), w, cfg.alpha)
 
 
 def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> ReverseVector:
-    """The push's own vectors, uncopied: a FIFO push's ``SparseVec`` dicts in
-    push order, or a rounds push's ``DenseVec`` views (16*n; a kept push's own)."""
+    """The push's own ``Row``s, uncopied: a FIFO push's sorted rows, or a
+    rounds push's ``DenseVec`` views (16*n; a kept push's own)."""
     pr = reverse_push(g, t, r_max, alpha)
     return ReverseVector(g.n, t, pr.estimates, pr.residuals, r_max, alpha)
 
@@ -494,7 +488,7 @@ _INDEX_VERSION = 8
 
 # The globals a saved payload may name: the classes that precompute and
 # precompute-search store and the plain buffers their tables pickle to.
-# Neither stores a SparseVec or ReverseVector, so those are refused too.
+# Neither stores a ReverseVector, so one is refused too.
 _SAVED_GLOBALS = {
     "array": {"_array_reconstructor", "array"},
     "pushwalk.push": {"Table"},

@@ -303,18 +303,13 @@ def query_shared_walks(
     if rev is None:
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
     value = store.fwd_estimates[s].get(t, 0.0)
-    rev_p = rev.estimates
-    rev_r = rev.residuals
     support, weights = store.fwd_residuals[s].arrays()
     walks = store.endpoint_freqs
-    rows = zip(support.tolist(), weights.tolist(),
-               walks.ptr[support].tolist(), walks.ptr[support + 1].tolist())
-    for v, rs, lo, hi in rows:
-        inner = rev_p.get(v, 0.0)
-        for u, freq in zip(walks.nodes[lo:hi].tolist(), walks.data[lo:hi].tolist()):
-            ru = rev_r.get(u, 0.0)
-            if ru:
-                inner += freq * ru
+    for rs, inner, v in zip(weights.tolist(), rev.estimates.values_at(support).tolist(),
+                            support.tolist()):
+        ends, freqs = walks[v].arrays()
+        for freq, ru in zip(freqs.tolist(), rev.residuals.values_at(ends).tolist()):
+            inner += freq * ru  # a zero product leaves inner as it was
         value += rs * inner
     return value
 
@@ -398,7 +393,9 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
 
 def variable_delta_r_max(w: int, delta: float, global_pr_t: float) -> float:
     """Reverse threshold that spends a fixed walk budget per target:
-    r_max_r = w * max(delta, pr[t]) / c1 with c1 = SharedWalkParams.c1."""
+    r_max_r = w * max(delta, pr[t]) / c1 with c1 = SharedWalkParams.c1.
+    delta must be positive and finite; ValueError otherwise."""
     if w < 1:
         raise ValueError("stored walk count must be at least 1")
+    _check_delta(delta)
     return w * max(delta, global_pr_t) / SharedWalkParams.c1

@@ -63,8 +63,9 @@ def natural_delta(g: Graph, t: int) -> float:
 
 def worst_case_r_max(params: PprParams, d_t: float) -> float:
     """Threshold balancing push and walk costs with no degree statistics:
-    (epsilon / sqrt(ln(1/p_fail))) * sqrt(delta / d_t)."""
-    if d_t <= 0.0:
+    (epsilon / sqrt(ln(1/p_fail))) * sqrt(delta / d_t). A d_t that is
+    not positive, NaN included, raises ValueError."""
+    if not d_t > 0.0:
         raise ValueError("target degree must be positive")
     return (params.epsilon / math.sqrt(math.log(1.0 / params.p_fail))) * math.sqrt(
         params.delta / d_t
@@ -112,9 +113,7 @@ def estimate_ppr_undirected(
     )
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     ends = walk_endpoints(g, t, w, cfg)
-    res = np.zeros(g.n)
-    res[list(pr.residuals)] = list(pr.residuals.values())
-    picked = res[ends] * d_t / g.degrees[ends]
+    picked = pr.residuals.values_at(ends) * d_t / g.degrees[ends]
     total = np.add.accumulate(picked)[-1]  # summed in walk order
     return PprEstimate(value + float(total) / w, w, pr.pushes_performed, r_max)
 

@@ -160,7 +160,7 @@ def test_rounds_results_are_dense_views_that_read_like_sparse_vectors():
         assert vec.max_value() == arr.max()
         assert nz[0] in vec
         nodes = np.arange(g.n)
-        assert vec.values_at(nodes).tolist() == pw.SparseVec(vec.items()).values_at(nodes).tolist()
+        assert vec.values_at(nodes).tolist() == pw.Row.of(*vec.arrays()).values_at(nodes).tolist()
     zero = int(np.flatnonzero(res.residuals.array == 0.0)[0])
     assert res.residuals.get(zero, 0.0) == 0.0 and res.residuals[zero] == 0.0
     assert zero not in res.residuals
@@ -225,8 +225,8 @@ def test_rows_read_like_the_dicts_they_replace(kind):
 
 
 def test_every_table_the_package_builds_has_ascending_rows(monkeypatch):
-    # The store's three tables, a search index and reverse_vectors()' table
-    # by target, caught as Table.of builds them.
+    # The store's three tables, a search index and reverse_vectors()' two
+    # tables by target (estimates, residuals), caught as Table.of builds them.
     built = []
     of = push.Table.of.__func__
 
@@ -241,7 +241,7 @@ def test_every_table_the_package_builds_has_ascending_rows(monkeypatch):
     store = pw.build_shared_walk_vectors(g, 0.2, 1e-3, 50.0, params=params, seed=2)
     index = pw.build_grouped_index(g, [0, 1, 2, 3, 40], 0.01, 0.2)
     index.reverse_vectors()
-    assert len(built) == 5
+    assert len(built) == 6
     assert built[:3] == [store.endpoint_freqs, store.fwd_estimates, store.fwd_residuals]
     assert built[3] is index.table
     for table in built:
@@ -253,6 +253,43 @@ def test_every_table_the_package_builds_has_ascending_rows(monkeypatch):
     for key in (float(node), str(node), None, (node,)):
         assert row.get(key) == 0.0 and row.get(key, None) is None and key not in row
     assert row.get(np.int32(node)) == row[node] > 0.0
+
+
+def test_every_vector_the_package_hands_out_is_an_ascending_row():
+    g = _power_law_3000()
+    order = np.argsort(pw.exact_global_pagerank(g, 0.2))
+    low, mid, hub = int(order[int(0.9 * g.n)]), int(order[int(0.95 * g.n)]), int(order[-1])
+    fifo, rounds, kept = (pw.reverse_push(g, t, 1e-3, 0.2) for t in (low, mid, hub))
+    assert not isinstance(fifo.estimates, pw.DenseVec)
+    assert isinstance(rounds.estimates, pw.DenseVec) and rounds.work_units <= g.m
+    assert pw.reverse_push(g, hub, 1e-3, 0.2) is kept
+    state = pw.precompute_path_samplers(g, [low, mid], 0.01, 0.2)
+    targets = [low, mid, hub, 5]
+    index = pw.build_grouped_index(g, targets, 1e-3, 0.2)
+    forwards = [pw.build_forward_vector(g, s, 50, pw.WalkConfig(0.2, 3))
+                for s in (low, {0: 1, 7: 3})]
+    vectors = [state.estimates, state.residuals]
+    for res in (fifo, rounds, kept, pw.reverse_push_balanced(g, low, 0.2, 4.0 / g.n),
+                pw.forward_push(g, low, 1e-3, 0.2)):
+        vectors += [res.estimates, res.residuals]
+    for x in forwards:
+        vectors += [x.indicator, x.empirical]
+    for t, rv in index.reverse_vectors().items():
+        pushed = pw.build_reverse_vector(g, t, 1e-3, 0.2)
+        assert dict(rv.estimates) == dict(pushed.estimates)
+        assert dict(rv.residuals) == dict(pushed.residuals)
+        vectors += [rv.estimates, rv.residuals, pushed.estimates, pushed.residuals]
+    for vec in vectors:
+        assert isinstance(vec, push.Row)
+        nodes = vec.arrays()[0]
+        assert (np.diff(nodes) > 0).all()
+    assert sum(len(vec) for vec in vectors) > 0
+    # the path sampler reads p and r from the ledger totals, bit for bit
+    everyone = np.arange(g.n)
+    for vec, ledgers in ((state.residuals, state.live),
+                         (state.estimates, state.estimate_provenance)):
+        totals = [ledgers[v].total if v in ledgers else 0.0 for v in range(g.n)]
+        assert totals == vec.values_at(everyone).tolist()
 
 
 def test_walk_pickup_reads_the_rounds_residuals_at_the_walk_endpoints():
@@ -323,7 +360,7 @@ def test_cheap_pushes_are_not_kept():
     order = np.argsort(pw.exact_global_pagerank(g, 0.2))
     fifo_target, small_target = int(order[int(0.9 * g.n)]), int(order[int(0.95 * g.n)])
     fifo = pw.reverse_push(g, fifo_target, 1e-3, 0.2)
-    assert isinstance(fifo.estimates, pw.SparseVec)  # FIFO-only
+    assert not isinstance(fifo.estimates, pw.DenseVec)  # FIFO-only
     small = pw.reverse_push(g, small_target, 1e-3, 0.2)
     assert isinstance(small.estimates, pw.DenseVec) and small.work_units <= g.m
     assert small.estimates.array.flags.writeable  # only kept arrays are frozen

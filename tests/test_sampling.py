@@ -66,6 +66,18 @@ def test_fixed_len_three_on_two_cycle():
     assert pw.random_walk_path(g, 0, cfg, fixed_len=3) == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("fixed_len", [-2, -1, 2.0, 1.5, "3", True])
+def test_fixed_len_must_be_a_nonnegative_integer(fixed_len):
+    # -2 once returned [0] from a node and raised numpy's "negative
+    # dimensions" error from an array of starts
+    g = two_cycle()
+    cfg = pw.WalkConfig(alpha=0.2, seed=8)
+    for start in (0, np.array([0, 1])):
+        with pytest.raises(ValueError, match="fixed_len must be a nonnegative integer"):
+            pw.random_walk_path(g, start, cfg, fixed_len=fixed_len)
+    assert pw.random_walk_path(g, 0, cfg, fixed_len=np.int64(3)) == [0, 1, 0, 1]
+
+
 def test_geometric_path_edge_count_mean():
     g = two_cycle()
     cfg = pw.WalkConfig(alpha=0.2, seed=9)

@@ -5,8 +5,14 @@ import pytest
 
 import pushwalk as pw
 from pushwalk.cli import generate_synthetic
-from pushwalk.push import SparseVec
 from conftest import rand_graph, two_cycle
+
+
+def _row(entries) -> pw.Row:
+    """Hand-made entries, a {node: value} dict or (node, value) pairs, in any
+    node order, as the ``Row`` the package would hand out."""
+    d = dict(entries)
+    return pw.Row.of(np.fromiter(d, np.int64, len(d)), np.fromiter(d.values(), float, len(d)))
 
 
 def test_forward_vector_self_loop_is_double_indicator():
@@ -60,10 +66,11 @@ def test_grouped_equals_direct_bit_for_bit(rng):
         z = pw.build_grouped_index(g, targets, r_max, 0.2)
         grouped = pw.score_targets_grouped(x, z)
         assert grouped == direct  # identical floats, identical order
-    # On those graphs every push runs in rounds, so no block above is in
-    # push order. Here: SparseVec targets with descending keys, DenseVec
-    # targets, and a source whose endpoint keys are shuffled. Both scorers
-    # must add in ascending coordinate order, as the scalar loop below does.
+    # On those graphs every push runs in rounds, so every block above is a
+    # DenseVec. Here: rows built from entries given in descending node order,
+    # DenseVec targets, and a source whose endpoints were given shuffled.
+    # Both scorers must add in ascending coordinate order, as the scalar loop
+    # below does.
     n = 40
     vectors = {}
     for t in range(6):
@@ -73,12 +80,12 @@ def test_grouped_equals_direct_bit_for_bit(rng):
             for vec, nz in zip(blocks, nodes):
                 vec.array[nz] = rng.random(nz.size)
         else:
-            blocks = [SparseVec((int(v), float(rng.random())) for v in sorted(nz, reverse=True))
+            blocks = [_row((int(v), float(rng.random())) for v in sorted(nz, reverse=True))
                       for nz in nodes]
         vectors[t] = pw.ReverseVector(n, t, *blocks, 0.05, 0.2)
     ends = rng.permutation(n)[:25]
-    empirical = SparseVec(zip(ends.tolist(), rng.random(25).tolist()))
-    x = pw.ForwardVector(n, SparseVec({7: 1.0}), empirical, walks=25, alpha=0.2)
+    empirical = _row(zip(ends.tolist(), rng.random(25).tolist()))
+    x = pw.ForwardVector(n, _row({7: 1.0}), empirical, walks=25, alpha=0.2)
     want = {}
     for t, rv in vectors.items():
         acc = 0.0
@@ -130,7 +137,7 @@ def test_csr_index_lists_the_dict_slots_and_draws_alike(rng):
         dense_pushes += sum(isinstance(pw.reverse_push(g, t, r_max, 0.2).residuals,
                                        pw.DenseVec) for t in targets)
         want = _dict_slots(vectors)
-        # Pushed afresh (DenseVec or SparseVec blocks) and from given vectors.
+        # Pushed afresh (DenseVec or sorted FIFO rows) and from given vectors.
         for idx in (pw.build_target_sampler(g, targets, r_max, 0.2),
                     pw.build_target_sampler(g, targets, r_max, 0.2, vectors=vectors),
                     pw.build_grouped_index(g, targets, r_max, 0.2)):
@@ -150,7 +157,7 @@ def _hand_index(build, n, blocks):
     """``build``'s index over hand-made target vectors, given as
     {target: (estimates, residuals)} at r_max 0.5 and alpha 0.2."""
     g = pw.from_edges([(v, (v + 1) % n, 1.0) for v in range(n)], n=n)
-    vectors = {t: pw.ReverseVector(n, t, SparseVec(est), SparseVec(res), 0.5, 0.2)
+    vectors = {t: pw.ReverseVector(n, t, _row(est), _row(res), 0.5, 0.2)
                for t, (est, res) in blocks.items()}
     return build(g, list(vectors), 0.5, 0.2, vectors=vectors)
 
@@ -158,8 +165,8 @@ def _hand_index(build, n, blocks):
 def test_grouped_empty_support_overlap_scores_zero():
     # residual slot of node 2: coordinate 6 = [(2, 0.4), (3, 0.1)]
     z = _hand_index(pw.build_grouped_index, 4, {2: ({}, {2: 0.4}), 3: ({}, {2: 0.1})})
-    x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({1: 1.0}), walks=1, alpha=0.2)
+    x = pw.ForwardVector(n=4, indicator=_row({0: 1.0}),
+                         empirical=_row({1: 1.0}), walks=1, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
     assert scores == [(2, 0.0), (3, 0.0)]
 
@@ -167,16 +174,16 @@ def test_grouped_empty_support_overlap_scores_zero():
 def test_grouped_single_shared_coordinate():
     # residual slot of node 1: coordinate 5 = [(2, 0.4), (3, 0.1)]
     z = _hand_index(pw.build_grouped_index, 4, {2: ({}, {1: 0.4}), 3: ({}, {1: 0.1})})
-    x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({1: 0.5}), walks=2, alpha=0.2)
+    x = pw.ForwardVector(n=4, indicator=_row({0: 1.0}),
+                         empirical=_row({1: 0.5}), walks=2, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
     assert dict(scores) == {2: 0.5 * 0.4, 3: 0.5 * 0.1}
 
 
 def test_all_zero_scores_rank_by_node_id():
     z = _hand_index(pw.build_grouped_index, 4, {3: ({}, {}), 1: ({}, {}), 2: ({}, {})})
-    x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({0: 1.0}), walks=1, alpha=0.2)
+    x = pw.ForwardVector(n=4, indicator=_row({0: 1.0}),
+                         empirical=_row({0: 1.0}), walks=1, alpha=0.2)
     scores = pw.score_targets_grouped(x, z)
     assert [t for t, _ in scores] == [1, 2, 3]
 
@@ -204,8 +211,8 @@ def test_sampler_three_to_one_ratio():
     # residual slot of node 3: coordinate 8 = [(1, 0.3), (2, 0.1)]
     idx = _hand_index(pw.build_target_sampler, 5, {1: ({}, {3: 0.3}), 2: ({}, {3: 0.1})})
     assert pw.build_sampler(idx.samplers[8].items()).total == pytest.approx(0.4)
-    x = pw.ForwardVector(n=5, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({3: 1.0}), walks=1, alpha=0.2)
+    x = pw.ForwardVector(n=5, indicator=_row({0: 1.0}),
+                         empirical=_row({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
     assert abs(counts[1] / counts[2] - 3.0) <= 0.06
 
@@ -220,8 +227,8 @@ def test_sampler_worked_two_stage_arithmetic():
     idx = _hand_index(pw.build_target_sampler, 8, {5: ({}, {3: 0.4, 4: 0.4}),
                                                    6: ({}, {3: 0.12, 4: 0.16}),
                                                    7: ({}, {3: 0.12, 4: 0.16})})
-    x = pw.ForwardVector(n=8, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
+    x = pw.ForwardVector(n=8, indicator=_row({0: 1.0}),
+                         empirical=_row({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}),
                          walks=3, alpha=0.2)
     stage1 = {coord: xv * sum(idx.samplers[coord].values())
               for coord, xv in x.coord_items() if coord in idx.samplers}
@@ -243,8 +250,8 @@ def test_sampler_worked_two_stage_arithmetic():
 
 def test_sampler_with_nothing_reachable_returns_empty_ranking():
     idx = _hand_index(pw.build_target_sampler, 4, {2: ({}, {})})
-    x = pw.ForwardVector(n=4, indicator=SparseVec({0: 1.0}),
-                         empirical=SparseVec({1: 1.0}), walks=1, alpha=0.2)
+    x = pw.ForwardVector(n=4, indicator=_row({0: 1.0}),
+                         empirical=_row({1: 1.0}), walks=1, alpha=0.2)
     assert pw.sample_targets(x, idx, 10, seed=1) == []
     # Two components: walks from 0 never leave {0, 1}, targets sit in {2, 3}.
     g = pw.from_edges([(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)], n=4)

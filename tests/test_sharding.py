@@ -351,6 +351,8 @@ def test_store_rejects_bad_delta_and_d_max(kwargs, message):
     if "delta" in kwargs:
         with pytest.raises(ValueError, match=message):
             pw.storage_model(1000, kwargs["delta"])
+        with pytest.raises(ValueError, match=message):  # a NaN delta once returned nan
+            pw.variable_delta_r_max(3, kwargs["delta"], 0.1)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2", "c3"])

@@ -68,6 +68,9 @@ def test_worst_case_threshold_arithmetic():
     params = pw.PprParams(delta=1e-3, epsilon=0.5, p_fail=1 / math.e)
     r = pw.worst_case_r_max(params, d_t=4.0)
     assert r == pytest.approx(0.5 * math.sqrt(1e-3 / 4.0), rel=1e-9)  # 0.0079
+    for d_t in (0.0, -1.0, math.nan):  # a NaN d_t once returned nan
+        with pytest.raises(ValueError, match="target degree must be positive"):
+            pw.worst_case_r_max(params, d_t)
 
 
 def test_natural_delta_is_degree_share():
