@@ -62,10 +62,9 @@ from .push import (
 )
 from .sampling import (
     WalkConfig,
-    WeightedSampler,
-    build_sampler,
     random_walk_path,
     walk_endpoints,
+    weighted_draw,
 )
 from .search import (
     ForwardVector,

@@ -59,7 +59,7 @@ from .oracle import (
 )
 from .pathsampling import precompute_path_samplers, sample_path_to_target
 from .push import reverse_push
-from .sampling import WalkConfig, build_sampler
+from .sampling import WalkConfig, weighted_draw
 from .search import (
     DEFAULT_BETA,
     DEFAULT_SEARCH_C,
@@ -216,7 +216,7 @@ def _sample_pairs(g: Graph, spec: BenchSpec, rng: np.random.Generator):
         targets = rng.integers(g.n, size=spec.n_pairs)
     elif spec.pair_mode == "pagerank":
         pr = exact_global_pagerank(g, spec.alpha)
-        targets = build_sampler(enumerate(pr)).sample_many(rng, spec.n_pairs)
+        targets = weighted_draw(pr, rng, spec.n_pairs)
     else:
         raise ValueError(f"unknown pair mode {spec.pair_mode!r}")
     sources = rng.integers(g.n, size=spec.n_pairs)

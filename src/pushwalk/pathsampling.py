@@ -8,7 +8,8 @@ into provenance ledgers: per node, weighted references to the frozen
 ledgers its mass flowed through. A conditioned path is then an ordinary
 forward walk for the prefix plus one descent through the ledgers for the
 suffix, and its distribution is exactly the geometric walk conditioned on
-ending in T, no matter how far the push was run.
+ending in T, no matter how far the push was run. Each descent level picks
+by one ``bisect_right`` over a ledger's running weight totals.
 
 ``sample_path_to_target`` takes its variates from blocks of uniforms that
 it draws from the generator, and steps its walks by the one-walk rule of
@@ -20,6 +21,7 @@ drew one scalar variate at a time (and a walk length per attempt).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,7 +31,7 @@ from . import sampling
 from .graph import Graph
 from .oracle import UnreachableTargetError
 from .push import Row, _check_node, _fifo_reverse
-from .sampling import WalkConfig, WeightedSampler, _one_walk_step
+from .sampling import WalkConfig, _one_walk_step
 
 __all__ = [
     "Ledger",
@@ -56,21 +58,29 @@ _BLOCK = 64
 random_walk_path = sampling.random_walk_path
 
 
-class Ledger(WeightedSampler):
+class Ledger:
     """One node's weighted references to the frozen ledgers its mass came
     through; a None item means the walk ends here, at a target.
 
-    ``freeze`` turns a live ledger into a frozen one in place at push time;
-    the owner then gets a fresh live ledger, so references held by other
-    nodes keep resolving to the frozen version after the owner is pushed
-    again.
+    ``cumweights[i]`` is the running weight total through item i, so a
+    uniform variate x in [0, 1) picks the first item whose running total
+    exceeds x * total. ``freeze`` turns a live ledger into a frozen one in
+    place at push time; the owner then gets a fresh live ledger, so
+    references held by other nodes keep resolving to the frozen version
+    after the owner is pushed again.
     """
 
-    __slots__ = ("owner",)
+    __slots__ = ("owner", "items", "cumweights", "total")
 
     def __init__(self, owner: int, items, cumweights, total: float):
-        super().__init__(items, cumweights, total)
         self.owner = owner
+        self.items = items
+        self.cumweights = cumweights
+        self.total = total
+
+    def pick(self, x: float) -> Ledger | None:
+        """The item drawn by the uniform variate x in [0, 1)."""
+        return self.items[min(bisect_right(self.cumweights, x * self.total), len(self.items) - 1)]
 
     def append(self, child: Ledger | None, weight: float) -> None:
         self.total += weight

@@ -13,6 +13,8 @@ the walk count, and ``walk_endpoints`` returns the batch's endpoints as one
 intp array whatever the start form. A single path (``random_walk_path`` from
 one node, and the conditioned-path sampler's walks) steps by the same rule
 on list copies of the same arrays, through one helper, ``_one_walk_step``.
+Weighted draws (distribution starts, sampled search targets, bench pairs)
+are one ``cumsum`` and one ``searchsorted`` over weights: ``weighted_draw``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .push import _check_node
 
 __all__ = [
     "WalkConfig",
-    "WeightedSampler",
-    "build_sampler",
+    "weighted_draw",
     "sample_geometric_length",
     "random_walk_path",
     "walk_endpoints",
@@ -55,70 +56,31 @@ class WalkConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
 
 
-class WeightedSampler:
-    """Draws one of ``items`` with probability proportional to its weight.
+def weighted_draw(weights, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Indices of ``count`` draws from a 1-D array of weights, each index
+    with probability proportional to its weight.
 
-    ``cumweights[i]`` is the running weight total through item i, so a
-    uniform variate x in [0, 1) picks the first item whose running total
-    exceeds x * total. ``cumweights`` is None when all weights are equal;
-    x then indexes the items directly.
+    The draw takes ``rng.random(count)``; a variate x picks the first
+    positive weight whose running total exceeds x times the total, so zero
+    weights are never drawn. When all positive weights are equal, x indexes
+    them directly by int(x * k). Raises ValueError on a weight that is
+    negative or not finite, and when no weight is positive.
     """
-
-    __slots__ = ("items", "cumweights", "total")
-
-    def __init__(self, items, cumweights, total: float):
-        self.items = items
-        self.cumweights = cumweights
-        self.total = total
-
-    def pick(self, x: float):
-        """The item drawn by the uniform variate x in [0, 1)."""
-        items = self.items
-        cum = self.cumweights
-        if cum is None:
-            return items[int(x * len(items))]
-        return items[min(bisect_right(cum, x * self.total), len(items) - 1)]
-
-    def sample(self, rng: np.random.Generator):
-        return self.pick(rng.random())
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> list:
-        """``count`` draws; the same items as ``pick`` on each of
-        ``rng.random(count)``."""
-        x = rng.random(count)
-        k = len(self.items)
-        if self.cumweights is None:
-            idx = (x * k).astype(np.intp)
-        else:
-            idx = np.searchsorted(self.cumweights, x * self.total, side="right")
-            np.minimum(idx, k - 1, out=idx)
-        items = self.items
-        return [items[i] for i in idx]
-
-
-def build_sampler(weighted_items) -> WeightedSampler:
-    """Build a WeightedSampler from (item, weight >= 0) pairs.
-
-    Zero-weight items are dropped (they must never be sampled); raises
-    ValueError on a negative weight or when no item has positive weight.
-    """
-    items = []
-    weights = []
-    cum = []
-    total = 0.0
-    for item, w in weighted_items:
-        if w < 0.0:
-            raise ValueError(f"negative weight {w!r} for item {item!r}")
-        if w > 0.0:
-            items.append(item)
-            weights.append(w)
-            total += float(w)
-            cum.append(total)
-    if not items:
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 1:
+        raise ValueError("weights must be a 1-D array")
+    if not np.isfinite(weights).all() or (weights < 0.0).any():
+        raise ValueError("weights must be nonnegative and finite")
+    live = np.flatnonzero(weights)
+    if not live.size:
         raise ValueError("all weights are zero")
-    if all(abs(w - weights[0]) < 1e-15 * total for w in weights):
-        cum = None  # the direct index keeps equal-weight draws bisect-free
-    return WeightedSampler(items, cum, total)
+    w = weights[live]
+    cum = np.cumsum(w)  # adds in item order, one running total
+    x = rng.random(count)
+    if (np.abs(w - w[0]) < 1e-15 * cum[-1]).all():
+        return live[(x * live.size).astype(np.intp)]
+    picks = np.searchsorted(cum, x * cum[-1], side="right")
+    return live[np.minimum(picks, live.size - 1)]
 
 
 def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
@@ -148,7 +110,7 @@ class _WalkTable:
         firsts = g.out_ptr[:-1][has]
         spread = np.maximum.reduceat(weights, firsts) - np.minimum.reduceat(weights, firsts)
         uneven = np.zeros(g.n, dtype=bool)
-        uneven[has] = spread >= 1e-15 * np.add.reduceat(weights, firsts)  # build_sampler's tolerance
+        uneven[has] = spread >= 1e-15 * np.add.reduceat(weights, firsts)  # weighted_draw's tolerance
         self.deg = deg
         self.uneven = uneven
         self.dead_ends = not has.all()
@@ -236,9 +198,7 @@ class Source:
         """Start nodes of ``count`` walks; a node source draws nothing."""
         if self.node is not None:
             return np.full(count, self.node, dtype=np.intp)
-        nodes = np.flatnonzero(self.sigma)
-        picks = build_sampler(zip(nodes.tolist(), self.sigma[nodes])).sample_many(rng, count)
-        return np.array(picks, dtype=np.intp)
+        return weighted_draw(self.sigma, rng, count)
 
 
 def source_of(g: Graph, source) -> Source:

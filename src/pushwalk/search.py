@@ -36,7 +36,7 @@ import numpy as np
 from .bidir import PprParams, num_walks
 from .graph import Graph, _text_file
 from .push import Row, Table, reverse_push
-from .sampling import WalkConfig, build_sampler, source_of, walk_endpoints
+from .sampling import WalkConfig, source_of, walk_endpoints, weighted_draw
 
 __all__ = [
     "ForwardVector",
@@ -380,9 +380,10 @@ def sample_targets(
     """Draw targets with probability proportional to their scores.
 
     Stage one picks a coordinate v with weight x_s[v] times the total of
-    v's slot; stage two picks a target from a sampler over that slot, built
-    only for the coordinates stage one drew. The product of the two stage
-    probabilities telescopes to score(t)/total, so the marginal is exact.
+    v's slot; stage two picks a target t with weight y_t[v] from the slot's
+    entries in the index table, for each coordinate stage one drew. The
+    product of the two stage probabilities telescopes to score(t)/total, so
+    the marginal is exact.
     Returns (target, count) ranked by descending count, ties by node id;
     the ranking is empty when no stage-one coordinate carries weight.
     """
@@ -394,15 +395,15 @@ def sample_targets(
     rows, xv, entries, seg = idx._shared(x_s)
     totals = np.zeros(len(rows))
     np.add.at(totals, seg, idx.table.data[entries])  # in target order, as sum() would
-    live = xv > 0.0
-    stage1 = list(zip(rows[live].tolist(), (xv * totals)[live].tolist()))
-    if sum(wt for _, wt in stage1) <= 0.0:
+    weights = xv * totals
+    if not weights.any():
         return []
-    picked, per_row = np.unique(build_sampler(stage1).sample_many(rng, n_samples),
+    picked, per_row = np.unique(rows[weighted_draw(weights, rng, n_samples)],
                                 return_counts=True)
-    drawn = [t for row, k in zip(picked.tolist(), per_row.tolist())
-             for t in build_sampler(idx.table[row].items()).sample_many(rng, k)]
-    targets, counts = np.unique(drawn, return_counts=True)
+    ptr, nodes, data = idx.table.ptr, idx.table.nodes, idx.table.data
+    drawn = [nodes[lo:hi][weighted_draw(data[lo:hi], rng, k)]
+             for lo, hi, k in zip(ptr[picked].tolist(), ptr[picked + 1].tolist(), per_row.tolist())]
+    targets, counts = np.unique(np.concatenate(drawn), return_counts=True)
     order = np.argsort(-counts, kind="stable")  # ties stay ascending by node
     return list(zip(targets[order].tolist(), counts[order].tolist()))
 

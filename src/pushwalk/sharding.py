@@ -217,9 +217,9 @@ class SharedWalkStore:
                              f"not {n} nodes")
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
+def _check_positive(value: float, name: str = "delta") -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def build_shared_walk_vectors(
@@ -248,7 +248,7 @@ def build_shared_walk_vectors(
     delta and the params' c1, c2, c3 must be positive and finite, and
     d_max must not be NaN; ValueError otherwise.
     """
-    _check_delta(delta)
+    _check_positive(delta)
     if math.isnan(d_max):
         raise ValueError("d_max must not be NaN")
     if params is None:
@@ -325,11 +325,13 @@ def storage_model(
 ) -> dict:
     """Predicted total stored entries under the two-term and three-term
     models, plus their optimized closed forms. delta must be positive and
-    finite, and so must c1, c2, c3; ValueError otherwise."""
-    _check_delta(delta)
+    finite, and so must c1, c2, c3 and the thresholds; ValueError otherwise."""
+    _check_positive(delta)
     params = SharedWalkParams(c1, c2, c3)
     rr = r_max_r if r_max_r is not None else params.r_max_r(delta)
     rf = r_max_f if r_max_f is not None else params.r_max_f(delta)
+    _check_positive(rr, "r_max_r")
+    _check_positive(rf, "r_max_f")
     unshared_rr = math.sqrt(c2 * delta / c1)  # minimizer of the 2-term form
     return {
         "unshared": n * c1 * rr / delta + n * c2 / rr,
@@ -394,8 +396,11 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
 def variable_delta_r_max(w: int, delta: float, global_pr_t: float) -> float:
     """Reverse threshold that spends a fixed walk budget per target:
     r_max_r = w * max(delta, pr[t]) / c1 with c1 = SharedWalkParams.c1.
-    delta must be positive and finite; ValueError otherwise."""
-    if w < 1:
-        raise ValueError("stored walk count must be at least 1")
-    _check_delta(delta)
+    w must be a finite count of at least 1, delta positive and finite, and
+    pr[t] nonnegative and finite; ValueError otherwise."""
+    if not 1 <= w < math.inf:
+        raise ValueError("stored walk count must be at least 1 and finite")
+    _check_positive(delta)
+    if not 0.0 <= global_pr_t < math.inf:
+        raise ValueError("pr[t] must be nonnegative and finite")
     return w * max(delta, global_pr_t) / SharedWalkParams.c1

@@ -1,5 +1,7 @@
 """Shared helpers: random graph generation with controlled shape."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,32 @@ def weighted_five():
         (2, 1, 1.0), (2, 3, 4.0), (2, 4, 2.0), (3, 0, 1.0), (3, 4, 1.0),
         (4, 0, 1.0), (4, 2, 2.5), (4, 4, 0.7),
     ], n=5)
+
+
+def reference_draw(weights, xs):
+    """The indices that the uniforms xs pick from a list of weights, drawn
+    without numpy: a running total of the positive weights and one
+    ``bisect_right`` per variate, clamped to the last positive weight, or
+    the direct index int(x * k) when the k positive weights are all equal."""
+    live = [i for i, w in enumerate(weights) if w > 0.0]
+    cum, total = [], 0.0
+    for i in live:
+        total += weights[i]
+        cum.append(total)
+    if all(abs(weights[i] - weights[live[0]]) < 1e-15 * total for i in live):
+        return [live[int(x * len(live))] for x in xs]
+    return [live[min(bisect_right(cum, x * total), len(live) - 1)] for x in xs]
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose ``random`` hands out given variates."""
+
+    def __init__(self, xs):
+        self.xs = np.asarray(xs, dtype=float)
+
+    def random(self, size):
+        assert size == self.xs.size
+        return self.xs
 
 
 class NoDraws:

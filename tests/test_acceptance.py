@@ -35,14 +35,13 @@ def _mixed_pairs(g, n_pairs, rng, alpha=0.2):
     """Random (s, t) pairs: uniform targets alternating with popularity-drawn
     targets (global-rank mass), sources always uniform."""
     pr = pw.exact_global_pagerank(g, alpha)
-    popular = pw.build_sampler(enumerate(pr))
     pairs = []
     for j in range(n_pairs):
         s = int(rng.integers(g.n))
         if j % 2 == 0:
             t = int(rng.integers(g.n))
         else:
-            t = int(popular.sample_many(rng, 1)[0])
+            t = int(pw.weighted_draw(pr, rng, 1)[0])
         pairs.append((s, t))
     return pairs
 

@@ -1,4 +1,4 @@
-"""Geometric walk lengths, endpoint sampling, weighted samplers."""
+"""Geometric walk lengths, endpoint sampling, weighted draws."""
 
 import gc
 import weakref
@@ -9,7 +9,7 @@ from scipy import stats
 
 import pushwalk as pw
 from pushwalk.sampling import sample_geometric_length
-from conftest import two_cycle, weighted_five
+from conftest import FixedUniforms, NoDraws, reference_draw, two_cycle, weighted_five
 
 
 def test_stop_at_zero_probability_is_alpha():
@@ -88,31 +88,52 @@ def test_geometric_path_edge_count_mean():
 
 
 def test_alias_uniform_four_items():
-    at = pw.build_sampler(zip("abcd", [1.0] * 4))
-    rng = np.random.default_rng(10)
-    picks = at.sample_many(rng, 1_000_000)
-    for item in "abcd":
-        assert abs(picks.count(item) / 1e6 - 0.25) < 0.005
+    picks = pw.weighted_draw([1.0] * 4, np.random.default_rng(10), 1_000_000)
+    assert picks.dtype == np.intp
+    for i in range(4):
+        assert abs((picks == i).mean() - 0.25) < 0.005
 
 
 def test_alias_one_three_split():
-    at = pw.build_sampler(zip([0, 1], [1.0, 3.0]))
-    rng = np.random.default_rng(11)
-    picks = at.sample_many(rng, 1_000_000)
-    assert abs(picks.count(1) / 1e6 - 0.75) < 0.005
+    picks = pw.weighted_draw([1.0, 3.0], np.random.default_rng(11), 1_000_000)
+    assert abs((picks == 1).mean() - 0.75) < 0.005
 
 
 def test_alias_single_item():
-    at = pw.build_sampler(zip(["only"], [2.5]))
-    rng = np.random.default_rng(12)
-    assert all(at.sample(rng) == "only" for _ in range(20))
+    assert pw.weighted_draw([2.5], np.random.default_rng(12), 20).tolist() == [0] * 20
 
 
 def test_alias_rejects_empty_and_nonpositive():
-    with pytest.raises(ValueError):
-        pw.build_sampler(zip([], []))
-    with pytest.raises(ValueError):
-        pw.build_sampler(zip([1], [0.0]))
+    # NaN and infinite weights were once dropped silently; no bad draw takes variates
+    for weights in ([], [0.0], [0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0],
+                    [1.0, -float("inf")], [1.0, -0.5], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            pw.weighted_draw(weights, NoDraws(), 3)
+
+
+# x = 0.9 takes 0.9 * total to total itself on these subnormal weights, so
+# the running-total search runs off the end and is clamped to the last one.
+_ROUNDS_UP = [5e-324, 0.0, 1e-323]
+
+
+@pytest.mark.parametrize("weights", [
+    [0.1] * 10,                               # equal: direct index (x = 0.3 picks 3, not 2)
+    [0.0, 1.5, 0.0, 1.5],                     # equal among zeros
+    [1.0, 3.0, 0.5, 2.25],                    # uneven
+    [0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.5],      # zeros between positive weights
+    [1.0, 2.0, 0.0],                          # trailing zero: the clamp case
+    _ROUNDS_UP,
+])
+def test_weighted_draw_matches_the_reference(weights):
+    if weights is _ROUNDS_UP:
+        assert 0.9 * sum(weights) == sum(weights)
+    xs = np.concatenate([np.random.default_rng(0).random(1000), [0.0, 0.3, 0.5, 0.9, 1 - 2**-53]])
+    picks = pw.weighted_draw(np.array(weights), FixedUniforms(xs), xs.size)
+    assert picks.dtype == np.intp
+    assert picks.tolist() == reference_draw(weights, xs.tolist())
+    # a generator hands its next ``count`` variates to one draw
+    ref = reference_draw(weights, np.random.default_rng(3).random(50).tolist())
+    assert pw.weighted_draw(weights, np.random.default_rng(3), 50).tolist() == ref
 
 
 def test_walked_graph_is_freed_after_del():

@@ -5,7 +5,7 @@ import pytest
 
 import pushwalk as pw
 from pushwalk.cli import generate_synthetic
-from conftest import rand_graph, two_cycle
+from conftest import rand_graph, reference_draw, two_cycle
 
 
 def _row(entries) -> pw.Row:
@@ -119,10 +119,13 @@ def _dict_draw(x, slots, n_samples, seed):
               for coord, xv in x.coord_items() if coord in slots and xv > 0.0]
     if sum(wt for _, wt in stage1) <= 0.0:
         return []
-    coords = pw.build_sampler(stage1).sample_many(rng, n_samples)
+    picks = reference_draw([wt for _, wt in stage1], rng.random(n_samples).tolist())
+    coords = [stage1[i][0] for i in picks]
     counts = {}
     for coord in sorted(set(coords)):
-        for t in pw.build_sampler(slots[coord]).sample_many(rng, coords.count(coord)):
+        xs = rng.random(coords.count(coord)).tolist()
+        for i in reference_draw([yv for _, yv in slots[coord]], xs):
+            t = slots[coord][i][0]
             counts[t] = counts.get(t, 0) + 1
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
@@ -210,7 +213,7 @@ def test_sampler_single_target_always_wins():
 def test_sampler_three_to_one_ratio():
     # residual slot of node 3: coordinate 8 = [(1, 0.3), (2, 0.1)]
     idx = _hand_index(pw.build_target_sampler, 5, {1: ({}, {3: 0.3}), 2: ({}, {3: 0.1})})
-    assert pw.build_sampler(idx.samplers[8].items()).total == pytest.approx(0.4)
+    assert sum(idx.samplers[8].values()) == pytest.approx(0.4)
     x = pw.ForwardVector(n=5, indicator=_row({0: 1.0}),
                          empirical=_row({3: 1.0}), walks=1, alpha=0.2)
     counts = dict(pw.sample_targets(x, idx, 1_000_000, seed=7))
@@ -235,11 +238,10 @@ def test_sampler_worked_two_stage_arithmetic():
     assert stage1.get(10, 0.0) == 0.0
     assert stage1[11] == pytest.approx(0.64 / 3)
     assert stage1[12] == pytest.approx(0.72 / 3)
-    c_split = pw.build_sampler(zip([5, 6, 7], [0.4, 0.16, 0.16]))
-    rng = np.random.default_rng(8)
-    picks = c_split.sample_many(rng, 200_000)
-    assert abs(picks.count(5) / 2e5 - 5 / 9) < 0.005
-    assert abs(picks.count(6) / 2e5 - 2 / 9) < 0.005
+    assert list(idx.samplers[12].values()) == [0.4, 0.16, 0.16]
+    picks = pw.weighted_draw(np.array([0.4, 0.16, 0.16]), np.random.default_rng(8), 200_000)
+    assert abs((picks == 0).mean() - 5 / 9) < 0.005
+    assert abs((picks == 1).mean() - 2 / 9) < 0.005
     # End-to-end marginal: P(t) proportional to sum_v x[v] * y_t[v], here
     # (0.8, 0.28, 0.28) / 1.36 over targets (5, 6, 7).
     counts = dict(pw.sample_targets(x, idx, 300_000, seed=9))

@@ -232,6 +232,11 @@ def test_storage_model_accepts_threshold_overrides():
     # at the optimizing thresholds the three-term model meets its closed form
     assert base["shared"] == pytest.approx(base["shared_optimal"], rel=0.05)
     assert base["unshared"] == pytest.approx(base["unshared_optimal"], rel=0.3)
+    # a NaN override once returned nan entries, a negative one a negative total
+    for name, value in [("r_max_r", float("nan")), ("r_max_f", -1.0), ("r_max_r", 0.0),
+                        ("r_max_f", float("inf"))]:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            pw.storage_model(1000, 0.01, **{name: value})
 
 
 def test_storage_report_fits_measurements(rng):
@@ -254,8 +259,11 @@ def test_variable_threshold_scales_with_popularity():
     assert pw.variable_delta_r_max(100, 0.01, 0.05) == pytest.approx(5.0 / 7.0)
     assert pw.variable_delta_r_max(200, 0.01, 0.05) == pytest.approx(10.0 / 7.0)
     assert pw.variable_delta_r_max(7, 0.02, 0.0) == pytest.approx(0.02)
-    with pytest.raises(ValueError):
-        pw.variable_delta_r_max(0, 0.01, 0.1)
+    # a NaN count once returned nan, and a NaN pr[t] read as 0
+    for w, pr_t in [(0, 0.1), (float("nan"), 0.2), (float("inf"), 0.2), (3, float("nan")),
+                    (3, -0.2), (3, float("inf"))]:
+        with pytest.raises(ValueError):
+            pw.variable_delta_r_max(w, 0.1, pr_t)
 
 
 def _reference_store(g, alpha, delta, d_max, params, seed):
