@@ -757,6 +757,7 @@ def _cmd_precompute(args, out) -> int:
         {"delta": args.delta, "dmax": args.dmax, "shards": args.shards},
         {"store": args.output},
         {
+            "walks": sum(store.walk_counts),
             "walk_entries": store.endpoint_freqs.nodes.size,
             "full_walk_nodes": sum(store.full_walk),
         },

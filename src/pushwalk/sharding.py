@@ -8,12 +8,15 @@ combined result is bit-identical to the unsharded dot product no matter how
 the coordinates were split.
 
 The walk-sharing store answers the "how many walks must we precompute"
-problem: instead of w walks from every node, store a few walks per node
-plus each node's forward-push residuals, and synthesize a source's walk
-distribution from its residual-weighted neighborhood at query time. The
-store holds its three per-node tables as ``push.Table`` CSRs, with a row
-for every node, ascending by node, and ``store.fwd_residuals[v]`` reads
-node v's row as a read-only ``push.Row`` mapping.
+problem: instead of w walks from every node, store each node's forward-push
+residuals plus, at every node v, walks in proportion to the largest
+residual any push leaves there (none where no push leaves any), and
+synthesize a source's walk distribution from its residual-weighted
+neighborhood at query time. The walks are drawn and tallied in blocks, so
+the build's transient memory is one block's walks. The store holds its
+three per-node tables as ``push.Table`` CSRs, with a row for every node,
+ascending by node, and ``store.fwd_residuals[v]`` reads node v's row as a
+read-only ``push.Row`` mapping.
 """
 
 from __future__ import annotations
@@ -33,6 +36,15 @@ from .sampling import WalkConfig, walk_endpoints
 # perfbench/spans.py wraps ``pushwalk.sharding.forward_push`` by name to
 # trace pushes, so the name stays bound here.
 forward_push = push.forward_push
+
+# Walks per block of the store build (see _tally_walks). On the 10k-node
+# index-serve benchmark graph (390k walks) the build took 39-40 ms at 2^15
+# to 2^17 walks per block, 45 ms at 2^13 and 51 ms at 2^12, and its
+# resident-memory peak rose 7 MB at 2^16 against 19 MB at 2^18 and 27 MB
+# in one block; at 100k nodes (4.3M walks) 0.55 s at 2^16 against 0.58 s
+# at 2^14 and 0.60 s at 2^20, with the peak set by the forward pushes
+# below 2^18 (best of 2-3 builds, shared 2-core machine, numpy 2.4).
+_WALK_BLOCK = 1 << 16
 
 __all__ = [
     "Shard",
@@ -146,7 +158,8 @@ class SharedWalkParams:
     c1 scales walk counts, c2 reverse-residual storage, c3 forward-residual
     storage. The cube-root thresholds equalize the three terms' growth:
     r_max_r = (c2^2 d / (c1 c3))^(1/3), r_max_f = (c3^2 d / (c1 c2))^(1/3),
-    and each shared node stores n_w = c1 * r_max_f * r_max_r / d walks.
+    and the model's shared node stores n_w = c1 * r_max_f * r_max_r / d
+    walks.
     """
 
     c1: float = 7.0
@@ -165,6 +178,11 @@ class SharedWalkParams:
         return (self.c3**2 * delta / (self.c1 * self.c2)) ** (1.0 / 3.0)
 
     def shared_walks(self, delta: float) -> int:
+        """The model's uniform per-node count c1 * r_max_f * r_max_r /
+        delta, rounded up. A built store sizes each node's walks by the
+        residual its pushes leave there instead (see
+        ``build_shared_walk_vectors``); ``sum(store.walk_counts)`` is the
+        count it drew."""
         return max(1, math.ceil(self.c1 * self.r_max_f(delta) * self.r_max_r(delta) / delta))
 
     def full_walks(self, delta: float) -> int:
@@ -230,55 +248,87 @@ def build_shared_walk_vectors(
     params: SharedWalkParams | None = None,
     seed: int = 0,
 ) -> SharedWalkStore:
-    """Precompute every node's walk endpoints and forward residuals.
+    """Precompute every node's forward residuals and the walks they read.
 
-    Nodes with degree above d_max are flagged full-walk: they store the
-    complete per-node budget c1*r_max_r/delta and no push result (pushing
-    forward from a hub floods the graph for no savings). Everyone else
-    stores the reduced budget n_w plus a forward push at r_max_f, whose
-    residuals let queries borrow the neighborhood's walks.
+    Nodes with degree above d_max are flagged full-walk: they store no push
+    result (pushing forward from a hub floods the graph for no savings) and
+    hold a unit residual at themselves. Everyone else stores a forward push
+    at r_max_f, whose residuals let queries borrow the neighborhood's walks.
+    The pushes run first, as one batch (``push._forward_all``: rounds over
+    every node's push at once, each row the same as that node's push alone).
 
-    Every node's walks step together as one lockstep batch (node v's walks
-    are entries of one ``walk_endpoints`` call over the repeated starts), and
+    A query from s weights node v's walks by r_s(v), so v stores
+    n_w(v) = ceil(c1 * r_max_r * max_s r_s(v) / delta) walks, the maximum
+    taken over the stored residual table: a full-walk node, whose residual
+    at itself is 1, keeps the full budget c1 * r_max_r / delta, and a node
+    that holds no residual stores none (the FORA index rule). The counts
+    come from the deterministic pushes alone. The walks step in lockstep,
+    ``_WALK_BLOCK`` walks of whole nodes at a time from one generator, and
     node v's ``endpoint_freqs[v][u]`` is the number of its walks that ended
-    at u divided by its walk count, in ascending u. The forward pushes run
-    as one batch too (``push._forward_all``): rounds over every node's
-    push at once, each row the same as that node's push alone.
+    at u divided by its walk count, in ascending u.
 
-    delta and the params' c1, c2, c3 must be positive and finite, and
-    d_max must not be NaN; ValueError otherwise.
+    alpha must lie in (0, 1), delta and the params' c1, c2, c3 must be
+    positive and finite, and d_max must not be NaN; ValueError otherwise,
+    before any push.
     """
     _check_positive(delta)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if math.isnan(d_max):
         raise ValueError("d_max must not be NaN")
     if params is None:
         params = SharedWalkParams()
-    r_max_f = params.r_max_f(delta)
+    r_max_f, r_max_r = params.r_max_f(delta), params.r_max_r(delta)
     n = g.n
     full_walk = g.degrees > d_max
-    counts = np.where(full_walk, params.full_walks(delta), params.shared_walks(delta))
-    starts = np.repeat(np.arange(n), counts)
-    ends = walk_endpoints(g, starts, len(starts), WalkConfig(alpha=alpha, seed=seed))
-    codes, hits = np.unique(starts * n + ends, return_counts=True)
-    owners, nodes = np.divmod(codes, n)
     pushed = np.flatnonzero(~full_walk)
     (p_rows, p_nodes, p_vals), (r_rows, r_nodes, r_vals) = _forward_all(
         g, pushed, r_max_f, alpha
     )
     held = np.flatnonzero(full_walk)  # a unit residual at the node itself
+    residuals = Table.of(
+        np.concatenate([pushed[r_rows], held]),
+        np.concatenate([r_nodes, held]),
+        np.concatenate([r_vals, np.ones(held.size)]),
+        n,
+    )
+    peak = np.zeros(n)
+    np.maximum.at(peak, residuals.nodes, residuals.data)
+    counts = np.ceil(params.c1 * r_max_r * peak / delta).astype(np.int64)
     return SharedWalkStore(
-        alpha, delta, d_max, params, r_max_f, params.r_max_r(delta),
+        alpha, delta, d_max, params, r_max_f, r_max_r,
         walk_counts=counts.tolist(),
-        endpoint_freqs=Table.of(owners, nodes, hits / counts[owners], n),
+        endpoint_freqs=_tally_walks(g, counts, WalkConfig(alpha=alpha, seed=seed)),
         full_walk=full_walk.tolist(),
         fwd_estimates=Table.of(pushed[p_rows], p_nodes, p_vals, n),
-        fwd_residuals=Table.of(
-            np.concatenate([pushed[r_rows], held]),
-            np.concatenate([r_nodes, held]),
-            np.concatenate([r_vals, np.ones(held.size)]),
-            n,
-        ),
+        fwd_residuals=residuals,
     )
+
+
+def _tally_walks(g: Graph, counts: np.ndarray, cfg: WalkConfig) -> Table:
+    """Walk ``counts[v]`` walks from every node v; row v of the returned
+    table holds the nodes v's walks ended at, ascending, each with the
+    share of v's walks that ended there.
+
+    Nodes go in blocks of whole nodes, a new block starting at each
+    multiple of ``_WALK_BLOCK`` walks; each block's walks are one
+    ``walk_endpoints`` call on one shared generator, tallied with
+    ``np.unique`` before the next block walks."""
+    n = g.n
+    rng = cfg.stream()
+    first = np.cumsum(counts) - counts  # each node's first walk
+    cuts = (np.flatnonzero(np.diff(first // _WALK_BLOCK)) + 1).tolist()
+    sizes, nodes, freqs = [], [], []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        starts = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        ends = walk_endpoints(g, starts, starts.size, cfg, rng)
+        codes, hits = np.unique(starts * n + ends, return_counts=True)
+        owners, at = np.divmod(codes, n)
+        sizes.append(np.bincount(owners - lo, minlength=hi - lo))
+        nodes.append(at)
+        freqs.append(hits / counts[owners])
+    ptr = np.append(0, np.cumsum(np.concatenate(sizes)))
+    return Table(ptr, np.concatenate(nodes), np.concatenate(freqs))
 
 
 def query_shared_walks(
@@ -296,7 +346,21 @@ def query_shared_walks(
     A full-walk source is its own single support node with unit residual.
     A caller that already holds reverse_push(g, t, store.r_max_r,
     store.alpha) passes it as ``rev`` instead of pushing twice. A store
-    built for another node count raises ValueError."""
+    built for another node count raises ValueError.
+
+    The sampled term is the sum over the support's walks, each adding
+    r_s(v) * r_t[X] / n_w(v) with X ~ pi_v. By the two push invariants its
+    mean is mu = pi_s[t] - p_s(t) - sum_v r_s(v) p_t[v] <= pi_s[t], and
+    each walk's share lies in [0, delta / c1], since r_t <= r_max_r and
+    n_w(v) >= c1 * r_max_r * r_s(v) / delta. For any M >= mu the
+    multiplicative Chernoff bound gives P(|term - mu| >= eps * M) <=
+    2 exp(-eps^2 * M * c1 / (3 delta)); with M = max(pi_s[t], delta) the
+    error stays within eps * max(pi_s[t], delta) except with probability
+    p_fail = 2 exp(-c1 * eps^2 / 3), the contract of ``bidir._walk_phase``
+    at c = c1. The theorem constant c1 = (3 / eps^2) ln(2 / p_fail) meets
+    any (eps, delta, p_fail); the default c1 = 7 gives eps = 1 at p_fail
+    = 2 e^(-7/3) ~ 0.19. The counts n_w(v) come from the deterministic
+    pushes before any walk is drawn, so the estimate is unbiased."""
     store._check_built_for(g.n)
     _check_node(g, s)
     _check_node(g, t)
@@ -324,8 +388,9 @@ def storage_model(
     r_max_f: float | None = None,
 ) -> dict:
     """Predicted total stored entries under the two-term and three-term
-    models, plus their optimized closed forms. delta must be positive and
-    finite, and so must c1, c2, c3 and the thresholds; ValueError otherwise."""
+    models, plus their optimized closed forms and the three-term model's
+    walk count n * n_w ("walks"). delta must be positive and finite, and so
+    must c1, c2, c3 and the thresholds; ValueError otherwise."""
     _check_positive(delta)
     params = SharedWalkParams(c1, c2, c3)
     rr = r_max_r if r_max_r is not None else params.r_max_r(delta)
@@ -339,6 +404,7 @@ def storage_model(
         "unshared_optimal_r_max_r": unshared_rr,
         "shared": n * c3 / rf + n * c1 * rr * rf / delta + n * c2 / rr,
         "shared_optimal": 3.0 * n * (c1 * c2 * c3 / delta) ** (1.0 / 3.0),
+        "walks": n * c1 * rr * rf / delta,
         "r_max_r": rr,
         "r_max_f": rf,
     }
@@ -346,6 +412,7 @@ def storage_model(
 
 @dataclass
 class StorageReport:
+    measured_walks: int
     measured_walk_entries: int
     measured_forward_entries: int
     measured_reverse_entries: int
@@ -355,7 +422,9 @@ class StorageReport:
 
 
 def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
-    """Measured non-zeros next to the storage model's predictions.
+    """Measured non-zeros next to the storage model's predictions, and the
+    store's measured walk count (``measured_walks``) next to the model's
+    n * n_w (``model["walks"]``).
 
     c2 and c3 are fitted from the measurements themselves (mean reverse
     vector size, over the first 20 nodes as targets, times r_max_r, and
@@ -389,7 +458,8 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
         r_max_f=store.r_max_f,
     )
     return StorageReport(
-        walk_entries, fwd_entries, rev_entries, fitted_c2, fitted_c3, model
+        sum(store.walk_counts), walk_entries, fwd_entries, rev_entries,
+        fitted_c2, fitted_c3, model,
     )
 
 

@@ -451,19 +451,34 @@ def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
     assert len(set(values.values())) == 1
 
 
+def test_precompute_reports_the_store_walk_count_beside_the_model(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("\n".join(cli.generate_synthetic("power-law", 120, seed=3)) + "\n")
+    out = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", str(graph), "--delta", "0.01",
+                     "--output", str(out)]) == 0
+    config, result = _records(capsys)
+    store = pw.load_index(out)["store"]
+    # the walks the store drew, next to the model's uniform per-node count
+    model = config["parameters"]
+    assert model["shared_walks"] == store.params.shared_walks(0.01)
+    assert result["counters"]["walks"] == sum(store.walk_counts) > 0
+    assert result["counters"]["walks"] != model["n"] * model["shared_walks"]
+
+
 # (source, target) -> (sharded value, in-process value) of the serve-sim
 # round trip below, as answered by the store's batched forward push, whose
 # rows are ascending by node.
 _ROUND_TRIP = {
-    ("0", "1"): (0.07599312815779528, 0.07599312815779528),
-    ("5", "0"): (0.024338902764599588, 0.02433890276459958),
-    ("17", "3"): (0.029271774954164848, 0.02927177495416485),
-    ("3", "0"): (0.005702490666472142, 0.005702490666472143),
-    ("40", "1"): (0.025685784300271845, 0.025685784300271842),
-    ("99", "0"): (0.005018807811466436, 0.005018807811466436),
-    ("2", "2"): (0.28662678336892156, 0.2866267833689215),
-    ("7", "1"): (0.02389228869712582, 0.02389228869712582),
-    ("60", "0"): (0.005161371593561962, 0.005161371593561961),
+    ("0", "1"): (0.07774708500514836, 0.07774708500514836),
+    ("5", "0"): (0.02411989447262114, 0.02411989447262114),
+    ("17", "3"): (0.030029409199844277, 0.03002940919984428),
+    ("3", "0"): (0.005824730051143205, 0.005824730051143204),
+    ("40", "1"): (0.025884587754222317, 0.025884587754222317),
+    ("99", "0"): (0.005766968997761373, 0.005766968997761372),
+    ("2", "2"): (0.28617597591554217, 0.28617597591554217),
+    ("7", "1"): (0.024566682627289404, 0.0245666826272894),
+    ("60", "0"): (0.005240322817654585, 0.005240322817654584),
 }
 
 
@@ -474,7 +489,8 @@ def test_precompute_serve_round_trip_answers_are_pinned(tmp_path, capsys):
     assert cli.main(["precompute", "--graph", str(graph), "--undirected", "--delta", "0.002",
                      "--dmax", "10", "--c3", "2", "--shards", "3", "--seed", "5",
                      "--output", str(store)]) == 0
-    assert _records(capsys)[1]["counters"] == {"full_walk_nodes": 8, "walk_entries": 1563}
+    assert _records(capsys)[1]["counters"] == {"full_walk_nodes": 8, "walk_entries": 1751,
+                                               "walks": 3484}
     assert b"numpy" not in store.read_bytes()  # the tables are plain buffers
     args = ["serve-sim", "--graph", str(graph), "--undirected", "--store", str(store)]
     for s, t in _ROUND_TRIP:

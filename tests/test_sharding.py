@@ -1,12 +1,13 @@
 """Sharded serving simulation and the walk-sharing storage model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import pushwalk as pw
-from pushwalk import push
+from pushwalk import cli, push, sharding
 from conftest import rand_graph, two_cycle
 
 
@@ -146,15 +147,30 @@ def test_store_flags_hubs_as_full_walk():
         assert sum(store.endpoint_freqs[v].values()) == pytest.approx(1.0)
 
 
+def _residual_walk_counts(store, g):
+    """n_w(v) = ceil(c1 * r_max_r * max_s r_s(v) / delta), read off the
+    store's residual table."""
+    peak = np.zeros(g.n)
+    for row in store.fwd_residuals:
+        for v, r in row.items():
+            peak[v] = max(peak[v], r)
+    return [math.ceil(store.params.c1 * store.r_max_r * p / store.delta) for p in peak]
+
+
 def test_store_frequencies_count_each_nodes_own_walks(rng):
     g = rand_graph(rng, n_max=40, n_min=20, directed=True)
     d_max = float(np.median([g.degree(v) for v in range(g.n)]))
     store = pw.build_shared_walk_vectors(g, 0.2, 0.01, d_max=d_max, seed=7)
-    assert set(store.walk_counts) == {store.params.shared_walks(0.01),
-                                      store.params.full_walks(0.01)}
+    assert store.walk_counts == _residual_walk_counts(store, g)
+    n_full = store.params.full_walks(0.01)
+    assert all(c == n_full for c, full in zip(store.walk_counts, store.full_walk) if full)
+    assert 0 in store.walk_counts and len(set(store.walk_counts)) > 2
     pim = pw.exact_ppr_matrix(g, 0.2)
     for v in range(g.n):
         count = store.walk_counts[v]
+        if count == 0:  # no push leaves residual at v, so no query reads its walks
+            assert len(store.endpoint_freqs[v]) == 0
+            continue
         assert all(pim[v][u] > 0.0 for u in store.endpoint_freqs[v])  # v's own walks
         freqs = np.array(list(store.endpoint_freqs[v].values()))
         hits = freqs * count
@@ -245,7 +261,9 @@ def test_storage_report_fits_measurements(rng):
     report = pw.storage_report(g, store)
     assert report.fitted_c2 > 0.0
     assert report.fitted_c3 > 0.0
-    assert report.measured_walk_entries <= sum(store.walk_counts)
+    assert report.measured_walk_entries <= report.measured_walks == sum(store.walk_counts)
+    model_walks = g.n * store.params.c1 * store.r_max_r * store.r_max_f / 0.05  # n * n_w
+    assert report.model["walks"] == pytest.approx(model_walks)
     n_sampled = min(g.n, 20)
     measured = (report.measured_walk_entries
                 + report.measured_forward_entries
@@ -267,19 +285,12 @@ def test_variable_threshold_scales_with_popularity():
 
 
 def _reference_store(g, alpha, delta, d_max, params, seed):
-    """The store as built node by node: the same walks and endpoint counts,
-    then one forward push per node that is not full-walk, by the store's
-    kernel with that node alone. Rows are dicts."""
+    """The store as built node by node: one forward push per node that is
+    not full-walk, by the store's kernel with that node alone, then
+    ceil(c1 * r_max_r * max_s r_s(v) / delta) walks from each node v as
+    one ``walk_endpoints`` call and their endpoint counts. Rows are dicts."""
     n = g.n
     full = g.degrees > d_max
-    counts = np.where(full, params.full_walks(delta), params.shared_walks(delta))
-    starts = np.repeat(np.arange(n), counts)
-    ends = pw.walk_endpoints(g, starts, len(starts), pw.WalkConfig(alpha=alpha, seed=seed))
-    codes, hits = np.unique(starts * n + ends, return_counts=True)
-    freqs = [{} for _ in range(n)]
-    for code, hit in zip(codes.tolist(), hits.tolist()):
-        v, u = divmod(code, n)
-        freqs[v][u] = hit / int(counts[v])
     est, res = [], []
     for v in range(n):
         if full[v]:
@@ -289,6 +300,15 @@ def _reference_store(g, alpha, delta, d_max, params, seed):
             pr = push._forward_all(g, np.array([v]), params.r_max_f(delta), alpha)
             est.append(dict(zip(pr[0][1].tolist(), pr[0][2].tolist())))
             res.append(dict(zip(pr[1][1].tolist(), pr[1][2].tolist())))
+    peak = [max((row.get(u, 0.0) for row in res), default=0.0) for u in range(n)]
+    counts = [math.ceil(params.c1 * params.r_max_r(delta) * p / delta) for p in peak]
+    starts = np.repeat(np.arange(n), counts)
+    ends = pw.walk_endpoints(g, starts, len(starts), pw.WalkConfig(alpha=alpha, seed=seed))
+    codes, hits = np.unique(starts * n + ends, return_counts=True)
+    freqs = [{} for _ in range(n)]
+    for code, hit in zip(codes.tolist(), hits.tolist()):
+        v, u = divmod(code, n)
+        freqs[v][u] = hit / counts[v]
     return freqs, est, res
 
 
@@ -324,6 +344,8 @@ def test_store_equals_the_node_by_node_build(seed):
     store = pw.build_shared_walk_vectors(g, alpha, delta, d_max, params=params, seed=seed)
     ref = _reference_store(g, alpha, delta, d_max, params, seed)
     assert store.full_walk[0] and sum(store.full_walk) == 1
+    assert 0 < sum(store.walk_counts) <= sharding._WALK_BLOCK  # one block, as the reference
+    assert 0 in store.walk_counts  # a node no push leaves residual at
     for table, rows in zip((store.endpoint_freqs, store.fwd_estimates, store.fwd_residuals), ref):
         assert len(table) == g.n
         for v in range(g.n):
@@ -368,3 +390,96 @@ def test_store_rejects_bad_delta_and_d_max(kwargs, message):
 def test_shared_walk_params_reject_non_positive_or_non_finite_constants(name, value):
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         pw.SharedWalkParams(**{name: value})
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), -0.5])
+def test_store_checks_alpha_before_any_push(monkeypatch, alpha):
+    # at alpha 0 a batched forward push settles nothing and never returns
+    def no_push(*args):
+        raise AssertionError("pushed before checking alpha")
+
+    monkeypatch.setattr(sharding, "_forward_all", no_push)
+    with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+        pw.build_shared_walk_vectors(two_cycle(), alpha, 0.05, 6.0)
+
+
+def _walk_test_graph():
+    return pw.parse_edge_lines(cli.generate_synthetic("power-law", 300, seed=3), undirected=True)
+
+
+def test_store_walks_in_blocks_of_bounded_memory(monkeypatch):
+    # Memory the build allocates after its pushes: the walk blocks and the
+    # tables they fill. It stays below 12 times one block's array of walks
+    # plus twice the store's tables; the same build in one block peaks
+    # well above that (about 8 walk-sized arrays over all 89k walks).
+    g = _walk_test_graph()
+    pushes = sharding._forward_all
+    after_pushes = []
+
+    def push_then_reset(*args):
+        out = pushes(*args)
+        tracemalloc.reset_peak()
+        after_pushes.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(sharding, "_forward_all", push_then_reset)
+
+    def build_peak(block):
+        monkeypatch.setattr(sharding, "_WALK_BLOCK", block)
+        tracemalloc.start()
+        try:
+            store = pw.build_shared_walk_vectors(g, 0.2, 2e-5, 1000.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - after_pushes[-1]
+        finally:
+            tracemalloc.stop()
+        return store, peak
+
+    store, peak = build_peak(2048)
+    block_walks = 2048 + max(store.walk_counts)  # a block's walks, at most
+    walks = sum(store.walk_counts)
+    assert walks > 20 * block_walks
+    tables = sum(a.nbytes for t in (store.endpoint_freqs, store.fwd_estimates,
+                                    store.fwd_residuals) for a in (t.ptr, t.nodes, t.data))
+    bound = 12 * 8 * block_walks + 2 * tables
+    assert peak < bound
+    _, whole = build_peak(walks)
+    assert whole > 2 * bound
+
+
+def test_store_builds_alike_at_one_seed(monkeypatch):
+    monkeypatch.setattr(sharding, "_WALK_BLOCK", 512)
+    g = _walk_test_graph()
+    first, again, other = (pw.build_shared_walk_vectors(g, 0.2, 2e-5, 1000.0, seed=seed)
+                           for seed in (4, 4, 5))
+    assert sum(first.walk_counts) > 100 * 512  # over 100 blocks
+    for name in ("endpoint_freqs", "fwd_estimates", "fwd_residuals"):
+        a, b = getattr(first, name), getattr(again, name)
+        for attr in ("ptr", "nodes", "data"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), (name, attr)
+    assert first.walk_counts == again.walk_counts == other.walk_counts
+    assert not np.array_equal(first.endpoint_freqs.data, other.endpoint_freqs.data)
+
+
+def test_store_budget_meets_the_exact_sampled_term_variance():
+    # On this graph the walks carry most of each pair's score. Over 400
+    # builds the mean squared error over the exact variance of the sampled
+    # term at n_w(v) = ceil(c1 r_max_r max_s r_s(v) / delta) walks,
+    # sum_v r_s(v)^2 Var(r_t[X]) / n_w(v) with X ~ pi_v, is 1 (0.85-1.12
+    # on five blocks of 400 seeds); with a tenth of the walks it is about 10.
+    g = pw.parse_edge_lines(cli.generate_synthetic("power-law", 60, seed=4), undirected=True)
+    alpha, delta, params = 0.2, 1e-3, pw.SharedWalkParams(c3=2.0)
+    ppr = pw.exact_ppr_matrix(g, alpha)
+    stores = [pw.build_shared_walk_vectors(g, alpha, delta, 1000.0, params=params, seed=seed)
+              for seed in range(400)]
+    budget = np.array(_residual_walk_counts(stores[0], g))
+    for s, t in ((30, 0), (17, 0), (30, 2)):
+        support, rs = stores[0].fwd_residuals[s].arrays()
+        rev = pw.reverse_push(g, t, stores[0].r_max_r, alpha)
+        r = np.zeros(g.n)
+        nodes, values = rev.residuals.arrays()
+        r[nodes] = values
+        mean = ppr[support] @ r
+        var = np.sum(rs**2 * (ppr[support] @ r**2 - mean**2) / budget[support])
+        assert support.size >= 3 and rs @ mean > 0.7 * ppr[s][t]  # the walks carry the score
+        errors = np.array([pw.query_shared_walks(g, st, s, t, rev=rev) for st in stores]) - ppr[s][t]
+        assert 0.7 <= np.mean(errors**2) / var <= 1.4, (s, t)
