@@ -171,7 +171,7 @@ def _walk_phase(
     still a lower bound on the averaged score.
     """
     value = s.dot(pr.estimates)
-    if not pr.residuals:
+    if pr.achieved_rmax == 0.0:  # the largest residual; no pass over a DenseVec's n entries
         return PprEstimate(value, 0, pr.pushes_performed, r_max)
     w = max(1, math.ceil(params.effective_c() * r_max / max(params.delta, value)))
     ends = walk_endpoints(g, s, w, WalkConfig(alpha=params.alpha, seed=seed))

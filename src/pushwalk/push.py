@@ -27,10 +27,12 @@ quarter of the largest residual.
 and reverse, touch only the nodes they reach, in plain dicts, and return
 them sorted into ``Row``s. Rounds hold dense length-n vectors and return
 them as ``DenseVec`` views, the dense kind of ``Row``, so a call that
-enters them costs a few passes over n at least. The balanced push always
-does, which pays on targets whose push reaches a large share of the graph;
-on a target whose push stays small that floor is most of the cost (see
-``reverse_push_balanced``). A ``Table`` holds many rows as one CSR, built
+enters them costs a few passes over n at least. The balanced push runs its
+first rounds on dicts too, with the dense rounds' arithmetic in the same
+order, and enters the dense rounds only once a round outgrows them
+(``_DICT_TOUCHED``, ``_DICT_EDGES``): a target whose push stays small
+never pays the floor, and its result is sorted ``Row``s, bit for bit the
+dense result's entries. A ``Table`` holds many rows as one CSR, built
 by one stable sort by owner. The shared-walk store's per-node tables and
 each search index are ``Table``s. The dense floor is also why the scalar
 FIFO and forward loops stay for single pushes: on the
@@ -49,8 +51,9 @@ Both reverse pushes keep their costly results on the graph
 (``Graph.kept_pushes``) and return the kept result, the same object, when
 the same push is asked for again. ``reverse_push`` keys on (t, r_max,
 alpha) and ``reverse_push_balanced`` on (t, alpha, delta, c,
-walk_time_constant). A result is kept only when it came from the rounds
-and its work exceeds m: it has cost more than one pass over the graph,
+walk_time_constant). A result is kept only when it is dense and its work
+exceeds m (a balanced push that does that much work always ends dense): it
+has cost more than one pass over the graph,
 and keeping it costs its two dense arrays, 16*n bytes (160 KB at n =
 10k). FIFO results are cheap and never kept. The kept bytes per graph are
 bounded by ``_KEEP_BYTES``, least recently used out first. Results are
@@ -121,6 +124,20 @@ _LEVEL_RATIO = 1 / 4
 # 1/4 to 1/2 against 30-33 ms when every round gathers; the 22 balanced
 # ones 8-11 ms at any cutoff from 1/8 to 1.
 _GATHER_SHARE = 1 / 3
+
+# A balanced push's levels start on dicts, as the FIFO loop does, and move
+# to dense vectors for good before a round that would start with more than
+# _DICT_TOUCHED dict entries or push more than _DICT_EDGES in-edges. On the
+# pair-hot benchmark graph (10k nodes; numpy 2.4, best of 9 on a shared
+# 2-core machine), a target of in-degree 0 took 17-18 us against 28-29 us
+# dense, targets of 6 to 26 pushes 27-46 us against 68-132 us, and the hubs
+# 5.0-5.4 ms either way; all in dicts, a push of 900 entries took 582 us
+# against 210 us dense, and one of 170-235 entries 135-166 against 156-190
+# us. The 400 unkept balanced calls of the first 1,260 seed-1 queries took
+# 71 ms dense only and 63-68 ms at any cutoff from 32/64 to 256/128 (least
+# of 7 runs); the dense floor grows with n and the dict rounds do not.
+_DICT_TOUCHED = 32
+_DICT_EDGES = 64
 
 # Bytes of kept push results per graph past which the least recently used
 # is dropped. A kept result holds two float64 arrays of n, 16*n bytes. On
@@ -387,8 +404,8 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
 
 def _keeping(g: Graph, key: tuple, push) -> PushResult:
     """The result kept on ``g`` under ``key``, else ``push()``'s, which is
-    kept if it came from the rounds and did more than m work (see the
-    module docstring). A kept result's arrays are set read-only before it
+    kept if it is dense and did more than m work (see the module
+    docstring). A kept result's arrays are set read-only before it
     is returned, and it reports the counts of the push that made it."""
     kept = g.kept_pushes
     res = kept.get(key)
@@ -459,10 +476,7 @@ def _rounds_reverse(
     SIGMOD 2021): each round pushes every node with r > r_max at once, the
     FIFO loop's own eligibility rule, so pushes < sum(p)/(alpha*r_max)
     still holds. The counts continue the FIFO's."""
-    est = np.zeros(g.n)
-    est[list(p)] = list(p.values())
-    res = np.zeros(g.n)
-    res[list(r)] = list(r.values())
+    est, res = _dense(g, p), _dense(g, r)
     more, more_work = _rounds(g, est, res, r_max, alpha)
     return PushResult(
         DenseVec(est), DenseVec(res), pushes + more, float(res.max()), work + more_work
@@ -588,10 +602,10 @@ def reverse_push_balanced(
     """Reverse push run until its cost balances the walks it would save.
 
     There is no fixed residual threshold. The push runs in levels: each
-    takes the largest residual rv (at node v) and, unless the run stops,
-    pushes down to threshold rv/4 (``_LEVEL_RATIO``) in gathered rounds. A
-    round pushes every node with r > rv/4 at once, collecting their in-edges
-    from ``g.in_csr``, until no residual exceeds rv/4. The run stops before
+    takes the largest residual rv (at node v, the lowest such node) and,
+    unless the run stops, pushes down to threshold rv/4 (``_LEVEL_RATIO``)
+    in rounds. A round pushes every node with r > rv/4 at once, along their
+    in-edges, until no residual exceeds rv/4. The run stops before
     a level once the accumulated deterministic work (in-degree per push,
     plus v's in-degree) would reach the predicted sampling cost
     c * rv / delta, scaled by ``walk_time_constant`` (cost of one walk
@@ -608,19 +622,23 @@ def reverse_push_balanced(
     achieved_rmax is the largest residual left standing: zero when the
     residuals drain, in which case the estimates are exact.
 
-    The dense vectors give every call a floor of a few passes over n. On
-    the 10k-node ``gen --kind power-law`` graph (delta = 4/n) the push to
-    the top-PageRank node takes 9-10 ms (1.2-1.8 ms when balanced against
-    one call) and a target of in-degree 0 takes 26-41 us, which the FIFO
-    loop pushes in 4-6 us; at n = 100k, 88-91 ms (9-13 ms) and 0.13-0.21
-    ms (medians over repeated calls on a shared 2-core machine, numpy 2.4).
+    The first rounds run on dicts, and the push moves to dense length-n
+    vectors, with their floor of a few passes over n, only once a round
+    outgrows the dicts (``_DICT_TOUCHED``, ``_DICT_EDGES``). A push that
+    ends in the dicts returns sorted ``Row``s; one that ends dense, or does
+    more than m work, ``DenseVec``s. Both carry the same entries and counts,
+    bit for bit. On the 10k-node ``gen --kind power-law`` graph (delta =
+    4/n) the push to the top-PageRank node takes 9-10 ms (1.2-1.8 ms when
+    balanced against one call), and a target of in-degree 0 takes 17-18 us
+    in the dicts, against 28-29 us dense; at n = 100k, 88-91 ms (9-13 ms),
+    and 19-30 us against 119-123 us (best of 5 or medians over repeated
+    calls on a shared 2-core machine, numpy 2.4).
 
     A result whose work exceeds m is kept on the graph under (t, alpha,
     delta, c, walk_time_constant), with ``None`` resolved to alpha first,
     at 16*n bytes, and a later call with the same arguments returns it, the
-    same read-only object, without pushing (see the module docstring). Every
-    call that pushes pays the floor above; its counts include the levels
-    pushed past the one-call balance point.
+    same read-only object, without pushing (see the module docstring). Its
+    counts include the levels pushed past the one-call balance point.
 
     delta and c must be positive and finite, and walk_time_constant
     positive; NaN raises ``ValueError``.
@@ -645,23 +663,73 @@ def reverse_push_balanced(
 def _balanced(
     g: Graph, t: int, alpha: float, delta: float, c: float, walk_time_constant: float
 ) -> PushResult:
-    """The levels of reverse_push_balanced (arguments already validated)."""
-    in_ptr = g.in_csr[0]
-    est = np.zeros(g.n)
-    res = np.zeros(g.n)
-    res[t] = 1.0
+    """The levels of reverse_push_balanced (arguments already validated).
+
+    The levels start on the FIFO loop's dicts over ``g.in_adj``, and move to
+    dense arrays for good before the first round that outgrows them
+    (``_DICT_TOUCHED``, ``_DICT_EDGES``) or, at the end, when the work
+    exceeds m and the result would be kept. A dict round does the dense
+    round's arithmetic in the same order (see ``_dict_round``), and a
+    level's largest residual breaks ties on the lowest node, as ``argmax``
+    does, so either form gives the same numbers bit for bit."""
+    in_adj = g.in_adj
+    p: dict[int, float] = {}
+    r = {t: 1.0}
+    est = res = None  # the dense vectors, once a round outgrows the dicts
     pushes = work = 0
     while True:
-        v = int(res.argmax())
-        rv = float(res[v])
-        cost = walk_time_constant * (work + int(in_ptr[v + 1] - in_ptr[v]))
+        if res is None:
+            rv = max(r.values(), default=0.0)
+            v = min((u for u, x in r.items() if x == rv), default=0)
+        else:
+            v = int(res.argmax())
+            rv = float(res[v])
+        cost = walk_time_constant * (work + len(in_adj[v]))
         if work > g.m:  # stopping here would be kept: paid once, served many times
             cost /= _KEPT_CALLS
         if rv == 0.0 or math.isnan(cost) or cost >= c * rv / delta:
-            return PushResult(DenseVec(est), DenseVec(res), pushes, rv, work)
-        more, more_work = _rounds(g, est, res, rv * _LEVEL_RATIO, alpha)
-        pushes += more
-        work += more_work
+            break
+        theta = rv * _LEVEL_RATIO
+        while res is None and (frontier := sorted(u for u, x in r.items() if x > theta)):
+            edges = sum(len(in_adj[u]) for u in frontier)
+            # never past m * _GATHER_SHARE edges, where dense rounds bincount
+            # and so sum in another order
+            if len(p) + len(r) > _DICT_TOUCHED or edges > min(_DICT_EDGES,
+                                                              g.m * _GATHER_SHARE):
+                est, res = _dense(g, p), _dense(g, r)
+                break
+            _dict_round(in_adj, p, r, frontier, alpha)
+            pushes += len(frontier)
+            work += edges
+        if res is not None:
+            more, more_work = _rounds(g, est, res, theta, alpha)
+            pushes += more
+            work += more_work
+    if res is None and work > g.m:
+        est, res = _dense(g, p), _dense(g, r)
+    if res is None:  # a residual or estimate that underflowed to 0.0 is no entry
+        p, r = ({u: x for u, x in d.items() if x} for d in (p, r))
+        return PushResult(_row(p), _row(r), pushes, rv, work)
+    return PushResult(DenseVec(est), DenseVec(res), pushes, rv, work)
+
+
+def _dict_round(in_adj: list, p: dict, r: dict, frontier: list, alpha: float) -> None:
+    """``_gathered_round``'s gather on the dicts (p, r): zero the whole
+    ``frontier`` (ascending), then push its nodes in order, adding along
+    each in-row in order, as ``add.at`` adds the gathered edges."""
+    keep = 1.0 - alpha
+    moved = [r.pop(v) for v in frontier]
+    for v, rv in zip(frontier, moved):
+        p[v] = p.get(v, 0.0) + alpha * rv
+        for u, w in in_adj[v]:
+            r[u] = r.get(u, 0.0) + keep * w * rv
+
+
+def _dense(g: Graph, entries: dict[int, float]) -> np.ndarray:
+    """A push loop's scratch dict as a dense length-n vector."""
+    vec = np.zeros(g.n)
+    vec[list(entries)] = list(entries.values())
+    return vec
 
 
 def _rounds(

@@ -11,8 +11,12 @@ out-adjacency CSR arrays and a table of per-node step keys that the first
 walk builds from them. A batch's draws therefore depend only on the seed and
 the walk count, and ``walk_endpoints`` returns the batch's endpoints as one
 intp array whatever the start form. A single path (``random_walk_path`` from
-one node, and the conditioned-path sampler's walks) steps by the same rule
-on list copies of the same arrays, through one helper, ``_one_walk_step``.
+one node, and the conditioned-path sampler's walks) steps by the same rule,
+read in place through memoryviews of the same arrays, by one helper,
+``_one_walk_step``. So does a batch of at most ``_SMALL_BATCH`` walks, one
+walk at a time but on the variates lockstep would give each walk, so its
+endpoints are the lockstep ones bit for bit without lockstep's fixed numpy
+cost per step.
 Weighted draws (distribution starts, sampled search targets, bench pairs)
 are one ``cumsum`` and one ``searchsorted`` over weights: ``weighted_draw``.
 """
@@ -88,6 +92,17 @@ def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
     return int(rng.geometric(cfg.alpha)) - 1
 
 
+# Walk batches of at most this many walks step one walk at a time in Python
+# (``_walk_one_by_one``); larger ones step in numpy lockstep, whose sort,
+# bincount and 8 numpy calls per step cost more than a few walks' steps. On
+# the 10k-node benchmark graphs, directed and undirected, a batch from one
+# node took 10-15 us one at a time against 32-40 us in lockstep for 1 walk,
+# 37-62 against 92-109 us for 16, 71-105 against 117-126 us for 32, and
+# 95-143 against 128-131 us for 48 (best of 5, numpy 2.4, shared 2-core
+# machine). Both forms draw the same variates, so the cutoff moves no walk.
+_SMALL_BATCH = 32
+
+
 class _WalkTable:
     """What a walk step reads besides the graph's CSR arrays, built by the
     first walk and kept on the graph.
@@ -101,7 +116,7 @@ class _WalkTable:
     ``keys`` is None: no step reads it.
     """
 
-    __slots__ = ("deg", "keys", "uneven", "dead_ends", "_lists")
+    __slots__ = ("deg", "keys", "uneven", "dead_ends", "_views")
 
     def __init__(self, g: Graph):
         tails, _, weights = g.edge_arrays
@@ -123,17 +138,23 @@ class _WalkTable:
             np.minimum(within, 1.0, out=within)
             within[firsts + deg[has] - 1] = 1.0
             self.keys = tails + within
-        self._lists = None
+        self._views = None
 
-    def lists(self, g: Graph) -> tuple[list, list, list, list | None, list]:
-        """(out_ptr, deg, heads, keys, uneven) as Python lists, built by the
-        first one-walk step, where list indexing beats numpy scalar
-        indexing."""
-        if self._lists is None:
-            keys = None if self.keys is None else self.keys.tolist()
-            self._lists = (g.out_ptr.tolist(), self.deg.tolist(), g.heads.tolist(), keys,
-                           self.uneven.tolist())
-        return self._lists
+    def views(self, g: Graph) -> tuple:
+        """(out_ptr, deg, heads, keys, uneven) for the one-walk step, built
+        on its first use: memoryviews of the int arrays, whose items read as
+        Python ints without a copy, ``keys`` as it is, for ``bisect_right``
+        to read in place, and ``uneven`` as the set of uneven nodes. On the
+        10k-node benchmark graphs a step on Python lists of the same arrays
+        took 290-310 ns against 340-430 ns here, but the lists held 1.2 MB
+        on the directed graph and 3.2 MB on the undirected one, 1.2 MB of it
+        ``keys``, which only that graph's 2 uneven nodes read (best of 7,
+        ``tracemalloc``; numpy 2.4, shared 2-core machine)."""
+        if self._views is None:
+            uneven = frozenset(np.flatnonzero(self.uneven).tolist())
+            self._views = (memoryview(g.out_ptr), memoryview(self.deg), memoryview(g.heads),
+                           self.keys, uneven)
+        return self._views
 
 
 def _walk_table(g: Graph) -> _WalkTable:
@@ -148,17 +169,17 @@ def _dead_end(u: int) -> ValueError:
 
 
 def _one_walk_step(g: Graph):
-    """``_lockstep``'s rule for one walk, on the table's list views: the
+    """``_lockstep``'s rule for one walk, on the table's views: the
     returned step(u, x) is the node after u under the uniform variate x in
     [0, 1). Stepping from a node with no out-edges raises ValueError."""
-    ptr, deg, heads, keys, uneven = _walk_table(g).lists(g)
+    ptr, deg, heads, keys, uneven = _walk_table(g).views(g)
 
     def step(u: int, x: float) -> int:
         d = deg[u]
         if not d:
             raise _dead_end(u)
         lo = ptr[u]
-        if uneven[u]:
+        if u in uneven:
             return heads[min(bisect_right(keys, u + x, lo, lo + d), lo + d - 1)]
         return heads[lo + int(x * d)]
 
@@ -351,11 +372,12 @@ def walk_endpoints(
     The lengths are drawn as one batch, then the start nodes (for a
     distribution source), then every walk steps in lockstep: walks are
     ordered longest first, and step k draws one variate for each walk still
-    live. Results are deterministic per seed and count, and come back in
-    the order the lengths were drawn. A walk that must step from a node with
-    no out-edges raises ValueError, as does a bad ``start`` (see source_of;
-    an array entry outside [0, n) or an array that is not 1-D), even when
-    ``count`` is 0.
+    live (a batch of at most ``_SMALL_BATCH`` walks takes the same variates
+    and steps one walk at a time). Results are deterministic per seed and
+    count, and come back in the order the lengths were drawn. A walk that
+    must step from a node with no out-edges raises ValueError, as does a bad
+    ``start`` (see source_of; an array entry outside [0, n) or an array that
+    is not 1-D), even when ``count`` is 0.
     """
     src = None
     if isinstance(start, np.ndarray) and np.issubdtype(start.dtype, np.integer):
@@ -370,6 +392,8 @@ def walk_endpoints(
         rng = cfg.stream()
     lengths = rng.geometric(cfg.alpha, size=count) - 1
     starts = np.asarray(start, dtype=np.intp) if src is None else src.starts(rng, count)
+    if count <= _SMALL_BATCH:
+        return _walk_one_by_one(g, starts, lengths, rng)
     # Longest first, ties in draw order: a stable sort on the narrowest
     # unsigned key, which numpy radix-sorts.
     top = lengths.max(initial=0)
@@ -379,4 +403,28 @@ def walk_endpoints(
     _lockstep(g, u, live.tolist(), rng)
     ends = np.empty_like(u)
     ends[order] = u
+    return ends
+
+
+def _walk_one_by_one(g: Graph, starts: np.ndarray, lengths: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``walk_endpoints``' lockstep walks, stepped one at a time by
+    ``_one_walk_step``: the same longest-first stable order, and every step's
+    variates from one block in ``_lockstep``'s step-major order, so each walk
+    steps on the variate it gets there and lands on the same node."""
+    lens = lengths.tolist()
+    order = sorted(range(len(lens)), key=lens.__getitem__, reverse=True)  # stable
+    at = starts[order].tolist()
+    total = sum(lens)
+    if total:
+        step = _one_walk_step(g)
+        x = iter(rng.random(total).tolist()).__next__
+        live = len(at)
+        for k in range(lens[order[0]]):
+            while lens[order[live - 1]] <= k:
+                live -= 1
+            for i in range(live):
+                at[i] = step(at[i], x())
+    ends = np.empty(len(at), dtype=np.intp)
+    ends[order] = at
     return ends

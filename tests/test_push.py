@@ -713,3 +713,84 @@ def test_balanced_hub_push_brackets_exact_scores_and_counts_in_degrees(monkeypat
 def test_non_integer_node_ids_are_rejected(entry, node):
     with pytest.raises(ValueError, match="not an integer node id"):
         entry(two_cycle(), node)
+
+
+def _dense_only(monkeypatch):
+    monkeypatch.setattr(push, "_DICT_EDGES", -1)  # no round fits the dicts
+
+
+def _entries(vec):
+    return [a.tolist() for a in vec.arrays()]
+
+
+@pytest.mark.parametrize("graph", ["power-law-3000", "small-random"])
+def test_small_balanced_pushes_run_on_dicts_bit_for_bit(monkeypatch, graph):
+    # every target, three (delta, c) pairs: the same entries, counts and
+    # achieved_rmax as a push that runs every round dense
+    if graph == "power-law-3000":
+        graphs = [_power_law_3000()]
+    else:  # m/3 under the dict-round limit, so dense rounds there may bincount
+        graphs = [rand_graph(np.random.default_rng(seed), n_max=30) for seed in range(40)]
+        assert all(g.m * push._GATHER_SHARE < push._DICT_EDGES for g in graphs)
+    pairs = [(4.0 / graphs[0].n, 7.0), (1e-3, 7.0), (0.02, 2.0)]
+    runs = {}
+    for form in ("as is", "dense"):
+        if form == "dense":
+            _dense_only(monkeypatch)
+        runs[form] = [push._balanced(g, t, 0.2, delta, c, 0.2)
+                      for g in graphs for t in range(g.n) for delta, c in pairs]
+    ended_in_dicts = 0
+    for res, dense in zip(runs["as is"], runs["dense"]):
+        assert isinstance(dense.estimates, pw.DenseVec)
+        ended_in_dicts += not isinstance(res.estimates, pw.DenseVec)
+        assert _entries(res.estimates) == _entries(dense.estimates)
+        assert _entries(res.residuals) == _entries(dense.residuals)
+        assert ((res.pushes_performed, res.work_units, res.achieved_rmax)
+                == (dense.pushes_performed, dense.work_units, dense.achieved_rmax))
+    assert 0 < ended_in_dicts < len(runs["dense"])
+
+
+def test_a_leaf_targets_balanced_push_holds_no_length_n_array():
+    g = _power_law_3000()
+    leaf = int(np.flatnonzero(np.diff(g.in_csr[0]) == 0)[0])  # in-degree 0
+    res = pw.reverse_push_balanced(g, leaf, 0.2, 4.0 / g.n)
+    assert (res.pushes_performed, res.work_units, res.achieved_rmax) == (1, 0, 0.0)
+    assert dict(res.estimates) == {leaf: 0.2} and not res.residuals
+    for vec in (res.estimates, res.residuals):
+        assert type(vec) is push.Row
+        assert all(a.size == len(vec) for a in vec.arrays())
+    assert pw.estimate_ppr_balanced(g, leaf, leaf, pw.PprParams(delta=4.0 / g.n)).walks_used == 0
+
+
+def test_balanced_pushes_keep_what_dense_pushes_keep(monkeypatch):
+    # a result is kept when its work exceeds m, in whichever form its
+    # rounds ran; one that ends in the dicts with that much work ends dense
+    def calls(g, targets):
+        for t in targets:
+            yield lambda: pw.reverse_push(g, t, 1e-3, 0.2)
+            for delta, c in ((4.0 / g.n, 7.0), (1e-3, 7.0), (0.02, 2.0)):
+                yield lambda: pw.reverse_push_balanced(g, t, 0.2, delta, c)
+
+    def kept_after(make_graphs):
+        kept = []
+        for g, targets in make_graphs():
+            results = [call() for call in calls(g, targets)]
+            assert all(isinstance(res.estimates, pw.DenseVec)
+                       for res in g.kept_pushes.values())
+            assert all(any(res is k for res in results) for k in g.kept_pushes.values())
+            kept.append(list(g.kept_pushes))
+        return kept
+
+    def graphs():
+        g = _power_law_3000()
+        order = np.argsort(pw.exact_global_pagerank(g, 0.2))
+        yield g, [int(order[int(q * g.n)]) for q in (0.0, 0.5, 0.9, 0.95, 0.99, 0.999)] + [
+            int(order[-1])]
+        for seed in range(6):
+            small = rand_graph(np.random.default_rng(seed), n_max=30)
+            yield small, range(small.n)
+
+    ours = kept_after(graphs)
+    _dense_only(monkeypatch)
+    assert ours == kept_after(graphs)
+    assert all(ours) and sum(key[0] == "balanced" for keys in ours for key in keys) > 6

@@ -8,6 +8,8 @@ import pytest
 from scipy import stats
 
 import pushwalk as pw
+from pushwalk import sampling
+from pushwalk.cli import generate_synthetic
 from pushwalk.sampling import sample_geometric_length
 from conftest import FixedUniforms, NoDraws, reference_draw, two_cycle, weighted_five
 
@@ -263,6 +265,61 @@ def test_walk_order_keeps_pinned_endpoints():
         assert pw.walk_endpoints(g, 0, 40, cfg).tolist() == want
         starts = np.zeros(40, dtype=np.intp)
         assert pw.walk_endpoints(g, starts, 40, cfg).tolist() == want
+
+
+def _walked(g, start, count, cfg):
+    """walk_endpoints' answer, or its ValueError message, and the next
+    variate of its generator."""
+    rng = cfg.stream()
+    try:
+        ends = pw.walk_endpoints(g, start, count, cfg, rng)
+    except ValueError as exc:
+        return str(exc), None
+    assert ends.dtype == np.intp and ends.shape == (count,)
+    return ends.tolist(), rng.random()
+
+
+def _both_ways(g, start, count, cfg):
+    """``_walked`` as it is, and with every batch in lockstep."""
+    small = _walked(g, start, count, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_SMALL_BATCH", 0)
+        return small, _walked(g, start, count, cfg)
+
+
+@pytest.mark.parametrize("graph", ["power-law", "weighted"])
+def test_small_batches_step_like_lockstep(graph):
+    # One walk at a time, each on the variate lockstep gives it: the same
+    # endpoints, and the generator left where lockstep leaves it.
+    if graph == "power-law":
+        g = pw.apply_sink_convention(
+            pw.parse_edge_lines(generate_synthetic("power-law", 300, 0), undirected=False))
+    else:
+        g = _WEIGHTED  # uneven out-weights on every node but one
+    assert sampling._SMALL_BATCH > 0
+    weights = np.arange(g.n, dtype=float) % 3
+    for count in range(2 * sampling._SMALL_BATCH + 1):
+        starts = (np.arange(count) * 7 + 2) % g.n
+        for start in (2, {0: 1.0, g.n - 1: 2.5}, weights, starts):
+            cfg = pw.WalkConfig(alpha=0.1 if count % 2 else 0.3, seed=100 + count)
+            small, lockstep = _both_ways(g, start, count, cfg)
+            assert small == lockstep and small[1] is not None
+
+
+def test_small_batches_leave_a_dead_end_as_lockstep_does():
+    # nodes 1 and 3 have no out-edges; a batch that must step from one
+    # raises, naming the node of the first walk in lockstep's order to stand
+    # on one at that step
+    g = pw.from_edges([(0, 1), (0, 3), (0, 2), (2, 0), (2, 3)], n=4)
+    raised = set()
+    for count in range(1, 2 * sampling._SMALL_BATCH + 1):
+        for seed in range(4):
+            cfg = pw.WalkConfig(alpha=0.2, seed=seed)
+            small, lockstep = _both_ways(g, 0, count, cfg)
+            assert small == lockstep
+            if small[1] is None:
+                raised.add(small[0])
+    assert raised == {f"walk must step from node {u}, which has no out-edges" for u in (1, 3)}
 
 
 def test_array_of_starts_is_checked():
