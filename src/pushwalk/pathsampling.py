@@ -12,10 +12,15 @@ ending in T, no matter how far the push was run. Each descent level picks
 by one ``bisect_right`` over a ledger's running weight totals.
 
 ``sample_path_to_target`` takes its variates from blocks of uniforms that
-it draws from the generator, and steps its walks by the one-walk rule of
-``sampling``, with a stop coin per step in place of a drawn length. Its
-paths are deterministic per seed, but differ from those of versions that
-drew one scalar variate at a time (and a walk length per attempt).
+it draws from the generator. An attempt takes one variate for its branch;
+one whose branch no live ledger can accept (no ledger total exceeds the
+state's largest residual r_bar) takes no more, so only
+(p_s + r_bar)/pi_s(T) of the (p_s + eps_r)/pi_s(T) attempts per path go
+on to a walk or a settled descent. A walk takes one variate for its
+length and one per step, stepped by the one-walk rule of ``sampling``; a
+descent takes one per ledger level. Its paths are deterministic per seed,
+but differ from those of versions that drew a stop coin per step, drew
+one scalar variate at a time, or drew a walk for every attempt.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -45,11 +51,13 @@ __all__ = [
 ACCEPTANCE_CAP = 10**6
 
 # Uniform variates per draw from the generator; a call discards what is left
-# of its last block. A path takes ~80 variates on the benchmark's index-serve
-# queries (8 attempts of ~10). Over the 210 path queries among its first 630
-# seed-1 queries (10k-node power-law graph, shared 2-core VM, median of 12
-# passes) blocks of 16, 32, 64, 128 and 256 took 0.203, 0.182, 0.168, 0.169
-# and 0.190 s, against 0.346 s for one scalar draw per variate.
+# of its last block. A path takes ~42 variates on the benchmark's index-serve
+# queries (8.2 attempts, 6 of them walks of 4 steps). Over the 1,260 path
+# queries among its first 3,780 seed-1 queries (10k-node power-law graph,
+# shared 2-core VM, each query run once per block size in turn, 3 passes)
+# blocks of 16, 32, 64, 128 and 256 took 0.73, 0.69, 0.67, 0.71 and 0.80 s a
+# pass; in a second such sweep 48 and 96 took 0.89 and 0.91 s against 0.88 s
+# for 64.
 _BLOCK = 64
 
 # The sampler steps walks itself and calls random_walk_path no more, but
@@ -101,9 +109,10 @@ class PathSamplerState:
     every target); live[v] is v's current residual ledger, whose total
     weight equals residuals[v] bit for bit (same sums, same order), and
     estimate_provenance[v] ledgers the settled mass the same way, so the
-    sampler reads p and r from the totals. snapshots lists the frozen ledger
-    created by each push, in push order. reachable holds every node with a
-    path into the target set.
+    sampler reads p and r from the totals. max_residual is the largest live
+    ledger total, 0.0 when the push leaves no residual. snapshots lists the
+    frozen ledger created by each push, in push order. reachable holds every
+    node with a path into the target set.
     """
 
     targets: frozenset[int]
@@ -112,6 +121,7 @@ class PathSamplerState:
     reachable: frozenset[int]
     estimates: Row
     residuals: Row
+    max_residual: float = 0.0
     live: dict[int, Ledger] = field(default_factory=dict)
     estimate_provenance: dict[int, Ledger] = field(default_factory=dict)
     snapshots: list[Ledger] = field(default_factory=list)
@@ -170,13 +180,14 @@ def precompute_path_samplers(
             if acc is None:
                 acc = live[u] = Ledger(u, [], [], 0.0)
             acc.append(frozen, keep * w * rv)
+    state.max_residual = max(acc.total for acc in live.values())
     return state
 
 
 def _uniforms(rng: np.random.Generator):
-    """Uniform variates in [0, 1), drawn from rng in blocks of _BLOCK."""
-    while True:
-        yield from rng.random(_BLOCK).tolist()
+    """Uniform variates in [0, 1), drawn from rng in blocks of _BLOCK. The
+    blocks are chained in C, so a variate costs no Python frame."""
+    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
 
 def _descend(current, path: list[int], draw) -> list[int]:
@@ -209,18 +220,23 @@ def sample_path_to_target(
     s's settled-mass ledger; otherwise a fresh geometric walk is run and its
     endpoint u accepted with probability r[u]/(p[s]+eps_r), in which case
     the walk is the prefix and u's live ledger supplies the suffix. Expected
-    attempts: (p[s]+eps_r)/pi_s(T), at most 1 + eps_r/pi_s(T). Raises
+    attempts: (p[s]+eps_r)/pi_s(T), at most 1 + eps_r/pi_s(T). A walk is
+    drawn only when it could be accepted: no r[u] exceeds the state's
+    ``max_residual`` r_bar, so an attempt whose branch variate lands at or
+    past p[s]+r_bar is counted as rejected without one. The attempts that
+    go on to a walk or a settled descent average (p[s]+r_bar)/pi_s(T). Raises
     UnreachableTargetError before any draw when no path leads from s into
     the target set, and RuntimeError after ACCEPTANCE_CAP rejections (the
     conditioning event is vanishingly rare from s).
 
     Every variate comes from blocks of _BLOCK uniforms drawn from rng, so
     an attempt makes no scalar draw and no ``random_walk_path`` call: one
-    variate picks the branch of an attempt; each walk step takes a stop coin (the
-    walk goes on while it is >= alpha, so P[L = l] = (1-alpha)^l * alpha)
-    and then an edge variate under ``random_walk_path``'s step rule; a
+    variate picks the branch of an attempt, and is all a rejected one
+    without a walk takes; a walk takes one variate U for its length
+    L = floor(ln(1-U)/ln(1-alpha)), so P[L >= l] = (1-alpha)^l, and then
+    one edge variate per step under ``random_walk_path``'s step rule; a
     ledger descent takes one per level. Paths are deterministic per seed,
-    but differ from those of versions that drew scalar variates.
+    but differ from those of versions that drew other variates.
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
@@ -235,10 +251,11 @@ def sample_path_to_target(
         rng = cfg.stream()
     draw = _uniforms(rng).__next__
     step = _one_walk_step(g)
-    alpha = state.alpha
+    log_keep = math.log(1.0 - state.alpha)
     settled = state.estimate_provenance.get(s)
     p_s = settled.total if settled is not None else 0.0
     total = p_s + state.eps_r
+    r_bar = state.max_residual
     live = state.live
     for attempt in range(1, ACCEPTANCE_CAP + 1):
         x = draw() * total
@@ -246,13 +263,16 @@ def sample_path_to_target(
             path = _descend(settled.pick(draw()), [s], draw)
             branch = "settled"
             break
+        x -= p_s
+        if x >= r_bar:
+            continue  # no live ledger holds more than r_bar: every walk would be rejected
         u = s
         walk = [u]
-        while draw() >= alpha:
+        for _ in range(int(math.log(1.0 - draw()) / log_keep)):
             u = step(u, draw())
             walk.append(u)
         ledger = live.get(u)
-        if ledger is not None and x - p_s < ledger.total:
+        if ledger is not None and x < ledger.total:
             path = _descend(ledger, walk, draw)
             branch = "walk"
             break

@@ -11,12 +11,13 @@ out-adjacency CSR arrays and a table of per-node step keys that the first
 walk builds from them. A batch's draws therefore depend only on the seed and
 the walk count, and ``walk_endpoints`` returns the batch's endpoints as one
 intp array whatever the start form. A single path (``random_walk_path`` from
-one node, and the conditioned-path sampler's walks) steps by the same rule,
-read in place through memoryviews of the same arrays, by one helper,
-``_one_walk_step``. So does a batch of at most ``_SMALL_BATCH`` walks, one
-walk at a time but on the variates lockstep would give each walk, so its
-endpoints are the lockstep ones bit for bit without lockstep's fixed numpy
-cost per step.
+one node, and each walk of the conditioned-path sampler, which draws its
+length from one variate and only when the walk could be accepted) steps by
+the same rule, read in place through memoryviews of the same arrays, by one
+helper, ``_one_walk_step``. So does a batch of at most ``_SMALL_BATCH``
+walks, one walk at a time but on the variates lockstep would give each
+walk, so its endpoints are the lockstep ones bit for bit without
+lockstep's fixed numpy cost per step.
 Weighted draws (distribution starts, sampled search targets, bench pairs)
 are one ``cumsum`` and one ``searchsorted`` over weights: ``weighted_draw``.
 """

@@ -183,9 +183,10 @@ def test_rare_target_exhausts_attempt_cap(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_path_law_holds_when_blocks_refill_inside_walks_and_descents(monkeypatch, block):
-    # With blocks of 1 or 3 variates, refills land between a walk's stop
-    # coin and its edge variate and between ledger levels; the law of the
-    # paths must not see them, on a graph whose walks run both step rules.
+    # With blocks of 1 or 3 variates, refills land between a walk's length
+    # variate and its edge variates, between steps and between ledger
+    # levels; the law of the paths must not see them, on a graph whose walks
+    # run both step rules.
     monkeypatch.setattr(pathsampling, "_BLOCK", block)
     g = weighted_five()
     targets = [1, 4]
@@ -210,6 +211,128 @@ def test_path_law_holds_when_blocks_refill_inside_walks_and_descents(monkeypatch
     first = [pw.sample_path_to_target(g, 0, state, cfg, rng=again) for _ in range(50)]
     again = cfg.stream()
     assert [pw.sample_path_to_target(g, 0, state, cfg, rng=again) for _ in range(50)] == first
+
+
+def _thin_residual_graph():
+    """Target 3's in-neighbours 1 and 2 each send it a quarter of their
+    out-weight, so one push from 3 leaves residual 0.8 * 0.25 = 0.2 at both:
+    at eps_r = 0.5, the largest residual r_bar is under eps_r / 2. Node 1's
+    out-weights are uneven, so its steps bisect."""
+    return pw.from_edges([
+        (0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (1, 0, 1.0), (1, 2, 2.0),
+        (2, 3, 1.0), (2, 0, 1.0), (2, 1, 1.0), (2, 2, 1.0), (3, 0, 1.0),
+    ], n=4)
+
+
+class _ScriptedVariates:
+    """Stands in for a Generator that hands out a script of uniform variates
+    one per draw (with ``pathsampling._BLOCK`` at 1) and counts them."""
+
+    def __init__(self, xs):
+        self.xs = list(xs)
+        self.drawn = 0
+
+    def random(self, size):
+        assert size == 1
+        self.drawn += 1
+        return np.array([self.xs[self.drawn - 1]])
+
+
+class _CountingLedgers(dict):
+    """Live ledgers that count lookups: the sampler looks up the endpoint of
+    every walk it draws, once, and nothing else."""
+
+    walks = 0
+
+    def get(self, key, default=None):
+        self.walks += 1
+        return super().get(key, default)
+
+
+def _assert_mean(counts, exact):
+    counts = np.asarray(counts, dtype=float)
+    assert abs(counts.mean() - exact) < 5.0 * counts.std() / np.sqrt(counts.size), (
+        counts.mean(), exact)
+
+
+def test_certainly_rejected_attempts_draw_no_walk(monkeypatch):
+    # From s = 3, p_s = 0.2 and p_s + eps_r = 0.7, so a branch variate u
+    # leaves x - p_s = 0.7u - 0.2, which no ledger can accept once it
+    # reaches r_bar = 0.2, at u >= 4/7. The script: two such attempts (one
+    # variate each), one at u = 0.5 whose walk is drawn (length variate 0:
+    # it stays at 3, whose live ledger is empty, and is rejected), then the
+    # settled branch (branch variate, settled pick, one ledger level).
+    monkeypatch.setattr(pathsampling, "_BLOCK", 1)
+    g = _thin_residual_graph()
+    state = pw.precompute_path_samplers(g, [3], 0.5, 0.2)
+    assert state.estimates[3] == 0.2 and state.max_residual == 0.8 * 0.25
+    state.live = ledgers = _CountingLedgers(state.live)
+    rng = _ScriptedVariates([0.9, 0.9, 0.5, 0.0, 0.0, 0.0, 0.0])
+    cfg = pw.WalkConfig(alpha=0.2, seed=0)
+    path, attempts, branch = pw.sample_path_to_target(
+        g, 3, state, cfg, rng=rng, return_attempts=True, return_branch=True)
+    assert (path, attempts, branch) == ([3], 4, "settled")
+    assert ledgers.walks == 1
+    assert rng.drawn == 7
+
+
+def test_attempts_and_drawn_walks_average_their_exact_counts():
+    # Attempts average (p_s + eps_r)/pi_s(T) as without the skip; the ones
+    # that go past their branch variate, into a walk or a settled descent,
+    # average (p_s + r_bar)/pi_s(T).
+    g = _thin_residual_graph()
+    state = pw.precompute_path_samplers(g, [3], 0.5, 0.2)
+    state.live = ledgers = _CountingLedgers(state.live)
+    p_s, r_bar = state.estimates[3], state.max_residual
+    pi = float(pw.exact_ppr(g, 3, 0.2)[3])
+    cfg = pw.WalkConfig(alpha=0.2, seed=20)
+    rng = cfg.stream()
+    attempts, drawn = [], []
+    for _ in range(20_000):
+        before = ledgers.walks
+        _, att, branch = pw.sample_path_to_target(
+            g, 3, state, cfg, rng=rng, return_attempts=True, return_branch=True)
+        attempts.append(att)
+        drawn.append(ledgers.walks - before + (branch == "settled"))
+    _assert_mean(attempts, (p_s + 0.5) / pi)
+    _assert_mean(drawn, (p_s + r_bar) / pi)
+
+
+def test_max_residual_is_the_largest_live_ledger_total(rng):
+    cases = [
+        (two_cycle(), [0, 1], 1.0), (two_cycle(), [1], 0.9), (two_cycle(), [1], 0.5),
+        (two_cycle(), [1], 0.05), (weighted_five(), [1, 4], 0.15),
+        (_thin_residual_graph(), [3], 0.5),
+        (pw.from_edges([(0, 1, 0.7), (0, 2, 0.3), (1, 1, 0.4), (1, 2, 0.6), (2, 2, 1.0)],
+                       n=3), [1], 0.05),
+    ]
+    for _ in range(6):
+        g = rand_graph(rng, n_max=30)
+        cases += [(g, [int(rng.integers(g.n))], eps_r) for eps_r in (0.3, 0.01)]
+    for g, targets, eps_r in cases:
+        state = pw.precompute_path_samplers(g, targets, eps_r, 0.2)
+        assert state.max_residual == max(led.total for led in state.live.values())
+        assert state.max_residual == max(dict(state.residuals).values(), default=0.0)
+
+
+def test_drained_push_samples_its_source_from_the_settled_branch():
+    # Target 0 has no in-edges: its one push settles alpha and hands on
+    # nothing, so no residual is left, r_bar is 0.0 and no walk can be
+    # accepted. Attempts still average (p_s + eps_r)/pi_s(T) = 0.7/0.2.
+    g = pw.from_edges([(0, 1, 1.0), (1, 1, 1.0)], n=2)
+    state = pw.precompute_path_samplers(g, [0], 0.5, 0.2)
+    assert dict(state.residuals) == {} and state.max_residual == 0.0
+    state.live = ledgers = _CountingLedgers(state.live)
+    cfg = pw.WalkConfig(alpha=0.2, seed=21)
+    rng = cfg.stream()
+    attempts = []
+    for _ in range(10_000):
+        path, att, branch = pw.sample_path_to_target(
+            g, 0, state, cfg, rng=rng, return_attempts=True, return_branch=True)
+        assert (path, branch) == ([0], "settled")
+        attempts.append(att)
+    assert ledgers.walks == 0
+    _assert_mean(attempts, 3.5)
 
 
 def test_walks_at_another_alpha_are_rejected():
