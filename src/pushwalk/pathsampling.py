@@ -2,8 +2,8 @@
 
 A reverse push from a target set T leaves settled mass (the walk surely
 ends in T) and residual mass (still undecided) at every touched node.
-``precompute_path_samplers`` runs the scalar FIFO kernel of
-``push.reverse_push`` from all of T with a push log, and replays the log
+``precompute_path_samplers`` runs the rounds of ``push.reverse_push``
+from all of T, on dicts, with a log of each round, and replays the log
 into provenance ledgers: per node, weighted references to the frozen
 ledgers its mass flowed through. A conditioned path is then an ordinary
 forward walk for the prefix plus one descent through the ledgers for the
@@ -36,7 +36,7 @@ import numpy as np
 from . import sampling
 from .graph import Graph
 from .oracle import UnreachableTargetError
-from .push import Row, _check_node, _fifo_reverse
+from .push import Row, _check_node, _fixed
 from .sampling import WalkConfig, _one_walk_step
 
 __all__ = [
@@ -111,13 +111,17 @@ class PathSamplerState:
     estimate_provenance[v] ledgers the settled mass the same way, so the
     sampler reads p and r from the totals. max_residual is the largest live
     ledger total, 0.0 when the push leaves no residual. snapshots lists the
-    frozen ledger created by each push, in push order. reachable holds every
-    node with a path into the target set.
+    frozen ledger created by each push, in round order and ascending by
+    node within a round. reachable holds every node with a path into the
+    target set. n and m are the node and edge counts of the graph the push
+    ran on.
     """
 
     targets: frozenset[int]
     eps_r: float
     alpha: float
+    n: int
+    m: int
     reachable: frozenset[int]
     estimates: Row
     residuals: Row
@@ -133,22 +137,26 @@ def precompute_path_samplers(
     """Reverse push from the whole target set, recording provenance.
 
     Each target starts with one unit of residual, backed by a None entry in
-    its ledger. Replaying a push on v freezes v's ledger, ledgers the
-    settled alpha*r[v] under the frozen copy, hands (1-alpha)*w(u,v)*r[v]
-    to each in-neighbor's ledger as a reference to it, and gives v a fresh
-    ledger. The push runs until every residual is <= eps_r. A breadth-first
-    search over in-edges from the targets fills ``reachable``. Raises
-    ValueError unless eps_r is positive and finite.
+    its ledger. The push runs in rounds until every residual is <= eps_r.
+    Replaying a round freezes the ledger of every node it pushed and gives
+    each a fresh one; then, for each pushed v in turn, it ledgers the
+    settled alpha*r[v] under v's frozen copy and hands (1-alpha)*w(u,v)*r[v]
+    to each in-neighbor's ledger as a reference to it, in the push's own
+    order, so every live ledger's total is its residual bit for bit. A
+    breadth-first search over in-edges from the targets fills
+    ``reachable``. Raises ValueError unless eps_r is positive and finite
+    and every target is an integer node id of g.
     """
     if not 0.0 < eps_r < math.inf:
         raise ValueError(f"eps_r must be positive and finite, got {eps_r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    targets = list(targets)
+    for t in targets:
+        _check_node(g, t)
     tset = frozenset(int(t) for t in targets)
     if not tset:
         raise ValueError("target set is empty")
-    for t in tset:
-        _check_node(g, t)
     reachable = set(tset)
     frontier = deque(tset)
     while frontier:
@@ -157,29 +165,32 @@ def precompute_path_samplers(
                 reachable.add(u)
                 frontier.append(u)
     seeds = sorted(tset)
-    log: list[tuple[int, float]] = []
-    push = _fifo_reverse(g, seeds, eps_r, alpha, log)
+    log: list[tuple[list[int], list[float]]] = []
+    push = _fixed(g, seeds, eps_r, alpha, log)
     state = PathSamplerState(
-        tset, eps_r, alpha, frozenset(reachable), push.estimates, push.residuals
+        tset, eps_r, alpha, g.n, g.m, frozenset(reachable), push.estimates, push.residuals
     )
     live = state.live
     for t in seeds:
         live[t] = Ledger(t, [None], [1.0], 1.0)
     keep = 1.0 - alpha
     settled_by = state.estimate_provenance
-    for v, rv in log:
-        frozen = live[v].freeze()
-        state.snapshots.append(frozen)
-        live[v] = Ledger(v, [], [], 0.0)
-        settled = settled_by.get(v)
-        if settled is None:
-            settled = settled_by[v] = Ledger(v, [], [], 0.0)
-        settled.append(frozen, alpha * rv)
-        for u, w in g.in_adj[v]:
-            acc = live.get(u)
-            if acc is None:
-                acc = live[u] = Ledger(u, [], [], 0.0)
-            acc.append(frozen, keep * w * rv)
+    for pushed, moved in log:
+        # freeze the whole round first: a pushed node that is another's
+        # in-neighbor takes that node's reference in its fresh ledger
+        frozen = [live[v].freeze() for v in pushed]
+        state.snapshots.extend(frozen)
+        live.update((v, Ledger(v, [], [], 0.0)) for v in pushed)
+        for v, snap, rv in zip(pushed, frozen, moved):
+            settled = settled_by.get(v)
+            if settled is None:
+                settled = settled_by[v] = Ledger(v, [], [], 0.0)
+            settled.append(snap, alpha * rv)
+            for u, w in g.in_adj[v]:
+                acc = live.get(u)
+                if acc is None:
+                    acc = live[u] = Ledger(u, [], [], 0.0)
+                acc.append(snap, keep * w * rv)
     state.max_residual = max(acc.total for acc in live.values())
     return state
 
@@ -240,9 +251,14 @@ def sample_path_to_target(
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
-    Raises ValueError when cfg walks at another alpha than the state's.
+    Raises ValueError when cfg walks at another alpha than the state's, or
+    when g has other node or edge counts than the graph the state was built
+    on.
     """
     _check_node(g, s)
+    if (g.n, g.m) != (state.n, state.m):
+        raise ValueError(f"path samplers built on a graph of {state.n} nodes and {state.m} "
+                         f"edges, sampled on one of {g.n} nodes and {g.m} edges")
     if cfg.alpha != state.alpha:
         raise ValueError(f"walks at alpha={cfg.alpha}, path samplers at alpha={state.alpha}")
     if s not in state.reachable:

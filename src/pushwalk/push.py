@@ -11,51 +11,49 @@ rest one edge outward, so the identity is preserved while the residual mass
 shrinks. Termination leaves every residual below a threshold, which bounds
 the estimate error.
 
-One scalar FIFO loop serves the fixed-threshold and logged reverse
-pushes. Past that loop there is one dense round kernel: a round pushes
-every node over the threshold at once, and chooses by the number of
-in-edges those nodes have whether to gather just those edges from the
-graph's in-CSR or to scan all m edges with one ``bincount``. Either way
-its work is the pushed nodes' in-degrees, the FIFO loop's own unit. The
-fixed-threshold push switches to rounds once its queue outgrows a fixed
-fraction of m, as on popular targets whose push reaches most of the
-graph. The balanced push runs in levels of rounds, each level at a
-quarter of the largest residual.
+Every push moves residual in rounds, as power iteration confined to the
+nodes near its seed: a round takes every node over the threshold, in
+ascending order, zeroes them all, banks alpha*r of each into p, and then
+hands (1-alpha)*w*r along each one's rows in order. The fixed-threshold
+reverse push drains to r_max; the balanced push runs levels, each a drain
+to a quarter of the largest residual; the path samplers' push drains to
+eps_r and logs each round. A push's work is the pushed nodes' in-degrees
+(out-degrees forward).
 
-``Row`` is the one sparse vector the package hands out: a read-only
-(nodes, data) pair of arrays, ascending by node. The FIFO loops, forward
-and reverse, touch only the nodes they reach, in plain dicts, and return
-them sorted into ``Row``s. Rounds hold dense length-n vectors and return
-them as ``DenseVec`` views, the dense kind of ``Row``, so a call that
-enters them costs a few passes over n at least. The balanced push runs its
-first rounds on dicts too, with the dense rounds' arithmetic in the same
-order, and enters the dense rounds only once a round outgrows them
-(``_DICT_TOUCHED``, ``_DICT_EDGES``): a target whose push stays small
-never pays the floor, and its result is sorted ``Row``s, bit for bit the
-dense result's entries. A ``Table`` holds many rows as one CSR, built
+Only where a round holds its vectors changes. A reverse push starts on
+dicts, which touch only the nodes it reaches and collect the next
+frontier as residuals cross the threshold. Once a round's in-edges pass
+m * ``_DICT_SHARE`` it moves for good to dense length-n vectors, where a
+round gathers the frontier's in-edges from the graph's in-CSR for
+``add.at``, or past m * ``_GATHER_SHARE`` in-edges scans all m edges with
+one ``bincount``. A dict round adds the gather's terms in the gather's
+order, and never runs past m * ``_GATHER_SHARE`` edges, so where a push
+changes form never changes its numbers. A push that ends on dicts
+returns sorted ``Row``s; one that ends dense, or did more than m work,
+``DenseVec`` views, the dense kind of ``Row``. The dense form costs a few
+passes over n per round, which small pushes never pay. ``Row`` is the one
+sparse vector the package hands out: a read-only (nodes, data) pair of
+arrays, ascending by node. A ``Table`` holds many rows as one CSR, built
 by one stable sort by owner. The shared-walk store's per-node tables and
-each search index are ``Table``s. The dense floor is also why the scalar
-FIFO and forward loops stay for single pushes: on the
-10k-node benchmark graphs (shared 2-core machine), numpy frontier rounds
-in their place took 48 us per forward push against 7 us and 65 us per
-sharded reverse push against 7 us (median), and an array version of the
-layered fixed-horizon push ran 1.5-2x slower per sweep.
-The shared-walk store, which pushes forward from every node, batches
-across sources instead of within one push: ``_forward_all`` runs rounds
-over every source's touched entries at once, held as one sorted array of
-(source, node) codes, so its rows come out ascending by node. Only
-single-source calls (``forward_push``, as ``estimate_ppr_undirected``
-makes) stay scalar.
+each search index are ``Table``s.
+
+Forward pushes run the same rounds over out-rows, pushing u while
+r[u]/d_u > r_max and d_u > 0: ``forward_push`` on dicts for one source,
+and ``_forward_all`` for every source of the shared-walk store at once,
+over one sorted array of (source, node) codes, so its rows come out
+ascending by node. Both sum a round's arrivals at a node from 0.0 before
+adding them to r, so ``forward_push`` returns the store's row for its
+source bit for bit.
 
 Both reverse pushes keep their costly results on the graph
 (``Graph.kept_pushes``) and return the kept result, the same object, when
 the same push is asked for again. ``reverse_push`` keys on (t, r_max,
 alpha) and ``reverse_push_balanced`` on (t, alpha, delta, c,
 walk_time_constant). A result is kept only when it is dense and its work
-exceeds m (a balanced push that does that much work always ends dense): it
+exceeds m (a push that does that much work always ends dense): it
 has cost more than one pass over the graph,
 and keeping it costs its two dense arrays, 16*n bytes (160 KB at n =
-10k). FIFO results are cheap and never kept. The kept bytes per graph are
+10k). Results of less work are cheap and never kept. The kept bytes per graph are
 bounded by ``_KEEP_BYTES``, least recently used out first. Results are
 frozen and a kept result's arrays read-only, so sharing one is safe, and
 pushes are deterministic, so every estimate is what a fresh push would
@@ -76,7 +74,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
@@ -94,14 +91,6 @@ __all__ = [
     "forward_push",
     "reverse_push_balanced",
 ]
-
-# Queue length, as a fraction of m, past which an unlogged reverse push
-# switches from the FIFO loop to whole-vector rounds. On the 10k-node
-# power-law graph of `pushwalk gen` (m = 20k, r_max 0.0082), reverse pushes
-# to the 200 PageRank-quantile targets of the pair-hot mix took 30 s with
-# the FIFO loop alone and 0.7-1.0 s at any fraction from 1/50 to 1/5000
-# (1.4 s at 1/10; at 1/2 the switch never fires).
-_ROUNDS_FRONTIER = 1 / 700
 
 # Each level of the balanced push lowers its threshold to this fraction of
 # the largest residual. Over the 22 distinct balanced pair-hot targets
@@ -125,19 +114,26 @@ _LEVEL_RATIO = 1 / 4
 # ones 8-11 ms at any cutoff from 1/8 to 1.
 _GATHER_SHARE = 1 / 3
 
-# A balanced push's levels start on dicts, as the FIFO loop does, and move
-# to dense vectors for good before a round that would start with more than
-# _DICT_TOUCHED dict entries or push more than _DICT_EDGES in-edges. On the
-# pair-hot benchmark graph (10k nodes; numpy 2.4, best of 9 on a shared
-# 2-core machine), a target of in-degree 0 took 17-18 us against 28-29 us
-# dense, targets of 6 to 26 pushes 27-46 us against 68-132 us, and the hubs
-# 5.0-5.4 ms either way; all in dicts, a push of 900 entries took 582 us
-# against 210 us dense, and one of 170-235 entries 135-166 against 156-190
-# us. The 400 unkept balanced calls of the first 1,260 seed-1 queries took
-# 71 ms dense only and 63-68 ms at any cutoff from 32/64 to 256/128 (least
-# of 7 runs); the dense floor grows with n and the dict rounds do not.
-_DICT_TOUCHED = 32
-_DICT_EDGES = 64
+# In-edges of a round, as a fraction of m, past which a reverse push moves
+# from dicts to dense vectors for good; at most _GATHER_SHARE, past which
+# dense rounds bincount and so sum in another order. Over the distinct
+# targets of 200 PageRank quantiles of the pair-hot mix (`pushwalk gen`
+# power-law graphs, default r_max, delta = 4/n; per-target best of 9 at 10k
+# and of 5 at 100k, shared 2-core machine, numpy 2.4), in ms:
+#
+#   share              dense  1/2000  1/1000  1/700  1/500  1/300
+#   10k  (122) fixed    27.5    26.0    25.3   25.3   25.2   26.2
+#              balanced 29.4    27.3    27.2   26.7   26.6   26.9
+#   100k (141) fixed     349     374     342    354    360    375
+#              balanced  248     242     235    279    249    262
+#
+# Dicts skip the dense floor on small pushes (the 68-69 fixed ones of under
+# 100 work: 4.2 -> 2.0 ms at 10k, 14.0 -> 2.1 ms at 100k); past about m/500
+# mid-size ones run faster dense. Sweeps repeated on this machine differ by
+# up to 30%: the FIFO loop with its m/700 queue switch and the old
+# 32-entry/64-edge balanced rule took 32-41 and 34-47 ms, 357-475 and
+# 243-301 ms in two sweeps each.
+_DICT_SHARE = 1 / 1000
 
 # Bytes of kept push results per graph past which the least recently used
 # is dropped. A kept result holds two float64 arrays of n, 16*n bytes. On
@@ -348,8 +344,8 @@ class DenseVec(Row):
 class PushResult:
     """Outcome of one push run: estimates, residuals, and work accounting.
 
-    The vectors are ``Row``s, ascending by node: sorted from the FIFO loop's
-    dicts, or ``DenseVec`` views of the round kernel's arrays. A result may
+    The vectors are ``Row``s, ascending by node: sorted from a push's
+    dicts, or ``DenseVec`` views of its dense arrays. A result may
     be kept on the graph and shared by later calls, so its fields cannot be
     reassigned, and a kept result's arrays are read-only. The counts are
     those of the push that built the result: a call answered from the keep
@@ -370,36 +366,32 @@ class PushResult:
 def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
     """Drain residuals toward in-neighbors until all fall to <= r_max.
 
-    Starting from a unit residual at the target, repeatedly take any node v
-    with r[v] > r_max (strictly), credit alpha*r[v] to p[v], and hand
-    (1-alpha)*w(u,v)*r[v] to every in-neighbor u. On return p[s] lower-bounds
-    pi_s[t] with additive error at most r_max, for every source s at once.
+    Starting from a unit residual at the target, push in rounds: a round
+    takes every node v with r[v] > r_max (strictly), credits alpha*r[v] to
+    p[v], and hands (1-alpha)*w(u,v)*r[v] to every in-neighbor u. On return
+    p[s] lower-bounds pi_s[t] with additive error at most r_max, for every
+    source s at once.
 
-    The push starts as a FIFO loop and, once its queue holds more than
-    m/700 nodes, finishes in whole-vector rounds that push every node with
-    r > r_max at once; its vectors are then ``DenseVec`` views.
-    ``pushes_performed`` counts pushed nodes and ``work_units`` their
-    in-degrees, on either path. Each push settles more than alpha*r_max
-    into p, so pushes < sum(p)/(alpha*r_max).
+    The rounds run on dicts while small and on dense vectors once a round
+    passes the switch rule (``_DICT_SHARE``), with the same numbers bit for
+    bit either way. ``pushes_performed`` counts pushed nodes and
+    ``work_units`` their in-degrees. Each push settles more than
+    alpha*r_max into p, so pushes < sum(p)/(alpha*r_max).
 
     r_max >= 1 returns immediately with p empty and r the unit vector at t;
     a NaN r_max raises ``ValueError``.
 
-    A result that finished in rounds after more than m units of work is
-    kept on the graph under (t, r_max, alpha), at 16*n bytes, and a later
-    call with the same arguments returns it, the same read-only object,
-    without pushing (see the module docstring).
+    A result that did more than m units of work is returned as ``DenseVec``
+    views and kept on the graph under (t, r_max, alpha), at 16*n bytes, and
+    a later call with the same arguments returns it, the same read-only
+    object, without pushing (see the module docstring).
     """
     if not r_max > 0.0:  # also NaN
         raise ValueError("r_max must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_node(g, t)
-    return _keeping(
-        g,
-        ("fixed", t, r_max, alpha),
-        lambda: _fifo_reverse(g, (t,), r_max, alpha, None, g.m * _ROUNDS_FRONTIER),
-    )
+    return _keeping(g, ("fixed", t, r_max, alpha), lambda: _fixed(g, (t,), r_max, alpha))
 
 
 def _keeping(g: Graph, key: tuple, push) -> PushResult:
@@ -422,65 +414,97 @@ def _keeping(g: Graph, key: tuple, push) -> PushResult:
     return res
 
 
-def _fifo_reverse(
-    g: Graph, seeds, r_max: float, alpha: float, log, switch_at: float = math.inf
-) -> PushResult:
-    """The FIFO reverse push behind reverse_push, from a unit residual at
-    each seed (in the given order; arguments already validated), until
-    every residual is <= r_max.
+def _fixed(g: Graph, seeds, r_max: float, alpha: float, log=None) -> PushResult:
+    """The reverse push to threshold r_max from a unit residual at each seed
+    (arguments already validated): reverse_push's, and with a ``log`` the
+    path samplers', which stays on dicts (see ``_Reverse.drain``)."""
+    push = _Reverse(g, seeds, alpha)
+    push.drain(r_max, log)
+    return push.result(push.largest()[1])
 
-    ``log``, when not None, receives (v, r[v]) for every push in push order,
-    which is enough to replay the run (pathsampling's provenance ledgers).
-    A queue longer than ``switch_at`` hands p and r to _rounds_reverse,
-    which keeps no log, so logged runs leave it at infinity.
-    """
-    p: dict[int, float] = {}
-    r = dict.fromkeys(seeds, 1.0)
-    queue: deque[int] = deque(v for v, rv in r.items() if rv > r_max)
-    queued = set(queue)
-    in_adj = g.in_adj
-    keep = 1.0 - alpha
-    pushes = work = 0
-    while queue:
-        if len(queue) > switch_at:
-            return _rounds_reverse(g, p, r, r_max, alpha, pushes, work)
-        v = queue.popleft()
-        queued.discard(v)
-        rv = r.get(v, 0.0)
-        if not rv > r_max:
-            continue
-        r.pop(v, None)
-        for u, w in in_adj[v]:
-            r[u] = ru = r.get(u, 0.0) + keep * w * rv
-            if ru > r_max and u not in queued:
-                queue.append(u)
-                queued.add(u)
-        p[v] = p.get(v, 0.0) + alpha * rv
-        pushes += 1
-        work += len(in_adj[v])
-        if log is not None:
-            log.append((v, rv))
-    return PushResult(_row(p), _row(r), pushes, max(r.values(), default=0.0), work)
+
+class _Reverse:
+    """One reverse push in rounds: its estimates and residuals, on the dicts
+    (p, r) while its rounds are small and on the dense vectors (est, res)
+    for good once a round passes the switch rule, and its counts."""
+
+    __slots__ = ("g", "alpha", "p", "r", "est", "res", "pushes", "work")
+
+    def __init__(self, g: Graph, seeds, alpha: float):
+        self.g, self.alpha = g, alpha
+        self.p: dict[int, float] = {}
+        self.r = dict.fromkeys(seeds, 1.0)
+        self.est = self.res = None
+        self.pushes = self.work = 0
+
+    def largest(self) -> tuple[int, float]:
+        """The largest residual's node and value, the lowest node on ties,
+        as ``argmax`` breaks them; (0, 0.0) when no residual is left."""
+        if self.res is not None:
+            v = int(self.res.argmax())
+            return v, float(self.res[v])
+        rv = max(self.r.values(), default=0.0)
+        return min((u for u, x in self.r.items() if x == rv), default=0), rv
+
+    def drain(self, theta: float, log=None) -> None:
+        """Push in rounds until no residual exceeds theta.
+
+        A dict round zeroes its whole frontier (ascending), then pushes its
+        nodes in order, adding along each in-row in order, as
+        ``_gathered_round``'s ``add.at`` adds the gathered edges, and
+        collects the next frontier as residuals cross theta. A round whose
+        in-edges pass m * ``_DICT_SHARE`` moves the push to the dense
+        vectors first, which keeps dict rounds below m * ``_GATHER_SHARE``
+        edges, where a dense round would sum in another order. ``log``,
+        when not None, receives each round's (frontier, moved residuals),
+        enough to replay the push (pathsampling's ledgers), and keeps the
+        push on dicts."""
+        g, p, r = self.g, self.p, self.r
+        if self.res is None:
+            in_adj, alpha, keep = g.in_adj, self.alpha, 1.0 - self.alpha
+            frontier = sorted(u for u, x in r.items() if x > theta)
+            while frontier:
+                edges = sum(map(len, map(in_adj.__getitem__, frontier)))
+                if log is None and edges > g.m * _DICT_SHARE:
+                    self.est, self.res = _dense(g, p), _dense(g, r)
+                    break
+                moved = [r.pop(v) for v in frontier]
+                crossed = set()
+                for v, rv in zip(frontier, moved):
+                    p[v] = p.get(v, 0.0) + alpha * rv
+                    for u, w in in_adj[v]:
+                        r[u] = ru = r.get(u, 0.0) + keep * w * rv
+                        if ru > theta:
+                            crossed.add(u)
+                self.pushes += len(frontier)
+                self.work += edges
+                if log is not None:
+                    log.append((frontier, moved))
+                frontier = sorted(crossed)
+        while self.res is not None and (frontier := np.flatnonzero(self.res > theta)).size:
+            self.work += _gathered_round(g, self.est, self.res, frontier, self.alpha)
+            self.pushes += frontier.size
+
+    def result(self, achieved: float) -> PushResult:
+        """The push as a ``PushResult``: dense views if it ended dense or
+        did more than m work (so ``_keeping`` keeps it), else sorted
+        ``Row``s of the dicts."""
+        if self.res is None and self.work > self.g.m:
+            self.est, self.res = _dense(self.g, self.p), _dense(self.g, self.r)
+        if self.res is None:
+            est, res = _row(self.p), _row(self.r)
+        else:
+            est, res = DenseVec(self.est), DenseVec(self.res)
+        return PushResult(est, res, self.pushes, achieved, self.work)
 
 
 def _row(entries: dict[int, float]) -> Row:
-    """A push loop's scratch dict as a ``Row``, sorted by node."""
+    """A push's scratch dict as a ``Row``, sorted by node; an entry that
+    underflowed to 0.0 is no entry, as in the dense views."""
+    if 0.0 in entries.values():
+        entries = {u: x for u, x in entries.items() if x}
     k = len(entries)
     return Row.of(np.fromiter(entries, np.int64, k), np.fromiter(entries.values(), np.float64, k))
-
-
-def _rounds_reverse(
-    g: Graph, p: dict, r: dict, r_max: float, alpha: float, pushes: int, work: int
-) -> PushResult:
-    """Finish a reverse push in whole-vector rounds (PowerPush, Wu et al.,
-    SIGMOD 2021): each round pushes every node with r > r_max at once, the
-    FIFO loop's own eligibility rule, so pushes < sum(p)/(alpha*r_max)
-    still holds. The counts continue the FIFO's."""
-    est, res = _dense(g, p), _dense(g, r)
-    more, more_work = _rounds(g, est, res, r_max, alpha)
-    return PushResult(
-        DenseVec(est), DenseVec(res), pushes + more, float(res.max()), work + more_work
-    )
 
 
 def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
@@ -490,49 +514,42 @@ def forward_push(g: Graph, s: int, r_max: float, alpha: float) -> PushResult:
     Nodes of degree zero are never pushed; their residual simply remains.
     On return p[t] approximates pi_s[t] with the residual term
     sum_v r[v]*pi_v[t] as the exact correction.
+
+    The push runs in rounds on dicts, as ``_forward_all`` runs them for
+    many sources: a round pushes every node over the threshold, in
+    ascending order, sums what lands on each node from 0.0, and then adds
+    the sums to r, so the result is the shared-walk store's row for s, bit
+    for bit.
     """
     if not r_max > 0.0:  # also NaN
         raise ValueError("r_max must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     _check_node(g, s)
+    out_adj, degree = g.out_adj, g.degree
+    keep = 1.0 - alpha
     p: dict[int, float] = {}
     r = {s: 1.0}
-    queue: deque[int] = deque()
-    queued = set()
-
-    def eligible(u: int, ru: float) -> bool:
-        d = g.degree(u)
-        return d > 0 and ru / d > r_max
-
-    if eligible(s, 1.0):
-        queue.append(s)
-        queued.add(s)
-    out_adj = g.out_adj
-    keep = 1.0 - alpha
-    pushes = 0
-    work = 0
+    frontier = [s] if degree(s) > 0 and 1.0 / degree(s) > r_max else []
+    pushes = work = 0
     degree_sum = 0.0
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        ru = r.get(u, 0.0)
-        if not eligible(u, ru):
-            continue
-        r.pop(u, None)
-        p[u] = p.get(u, 0.0) + alpha * ru
-        for v, w in out_adj[u]:
-            r[v] = rv = r.get(v, 0.0) + keep * w * ru
-            if eligible(v, rv) and v not in queued:
-                queue.append(v)
-                queued.add(v)
-        pushes += 1
-        work += len(out_adj[u])
-        degree_sum += g.degree(u)
-    achieved = max(
-        (ru / g.degree(u) for u, ru in r.items() if g.degree(u) > 0),
-        default=0.0,
-    )
+    while frontier:
+        landed: dict[int, float] = {}
+        for u in frontier:
+            ru = r.pop(u)
+            p[u] = p.get(u, 0.0) + alpha * ru
+            for v, w in out_adj[u]:
+                landed[v] = landed.get(v, 0.0) + keep * w * ru
+            work += len(out_adj[u])
+            degree_sum += degree(u)
+        pushes += len(frontier)
+        frontier = []
+        for v, x in landed.items():
+            r[v] = rv = r.get(v, 0.0) + x
+            if (d := degree(v)) > 0 and rv / d > r_max:
+                frontier.append(v)
+        frontier.sort()
+    achieved = max((ru / degree(u) for u, ru in r.items() if degree(u) > 0), default=0.0)
     return PushResult(_row(p), _row(r), pushes, achieved, work, degree_sum)
 
 
@@ -622,17 +639,12 @@ def reverse_push_balanced(
     achieved_rmax is the largest residual left standing: zero when the
     residuals drain, in which case the estimates are exact.
 
-    The first rounds run on dicts, and the push moves to dense length-n
-    vectors, with their floor of a few passes over n, only once a round
-    outgrows the dicts (``_DICT_TOUCHED``, ``_DICT_EDGES``). A push that
-    ends in the dicts returns sorted ``Row``s; one that ends dense, or does
-    more than m work, ``DenseVec``s. Both carry the same entries and counts,
-    bit for bit. On the 10k-node ``gen --kind power-law`` graph (delta =
-    4/n) the push to the top-PageRank node takes 9-10 ms (1.2-1.8 ms when
-    balanced against one call), and a target of in-degree 0 takes 17-18 us
-    in the dicts, against 28-29 us dense; at n = 100k, 88-91 ms (9-13 ms),
-    and 19-30 us against 119-123 us (best of 5 or medians over repeated
-    calls on a shared 2-core machine, numpy 2.4).
+    The rounds run on dicts, then dense, under ``reverse_push``'s switch
+    rule, with the same entries and counts either way. On the 10k-node
+    ``gen --kind power-law`` graph (delta = 4/n) the push to the
+    top-PageRank node takes 9-10 ms (1.2-1.8 ms when balanced against one
+    call); at n = 100k, 88-91 ms (9-13 ms) (best of 5 or medians over
+    repeated calls on a shared 2-core machine, numpy 2.4).
 
     A result whose work exceeds m is kept on the graph under (t, alpha,
     delta, c, walk_time_constant), with ``None`` resolved to alpha first,
@@ -663,85 +675,26 @@ def reverse_push_balanced(
 def _balanced(
     g: Graph, t: int, alpha: float, delta: float, c: float, walk_time_constant: float
 ) -> PushResult:
-    """The levels of reverse_push_balanced (arguments already validated).
-
-    The levels start on the FIFO loop's dicts over ``g.in_adj``, and move to
-    dense arrays for good before the first round that outgrows them
-    (``_DICT_TOUCHED``, ``_DICT_EDGES``) or, at the end, when the work
-    exceeds m and the result would be kept. A dict round does the dense
-    round's arithmetic in the same order (see ``_dict_round``), and a
-    level's largest residual breaks ties on the lowest node, as ``argmax``
-    does, so either form gives the same numbers bit for bit."""
-    in_adj = g.in_adj
-    p: dict[int, float] = {}
-    r = {t: 1.0}
-    est = res = None  # the dense vectors, once a round outgrows the dicts
-    pushes = work = 0
+    """The levels of reverse_push_balanced (arguments already validated),
+    each a ``_Reverse.drain`` to a quarter of the largest residual, so the
+    push changes form where the fixed-threshold push does and gives the
+    same numbers in either form."""
+    push = _Reverse(g, (t,), alpha)
     while True:
-        if res is None:
-            rv = max(r.values(), default=0.0)
-            v = min((u for u, x in r.items() if x == rv), default=0)
-        else:
-            v = int(res.argmax())
-            rv = float(res[v])
-        cost = walk_time_constant * (work + len(in_adj[v]))
-        if work > g.m:  # stopping here would be kept: paid once, served many times
+        v, rv = push.largest()
+        cost = walk_time_constant * (push.work + len(g.in_adj[v]))
+        if push.work > g.m:  # stopping here would be kept: paid once, served many times
             cost /= _KEPT_CALLS
         if rv == 0.0 or math.isnan(cost) or cost >= c * rv / delta:
-            break
-        theta = rv * _LEVEL_RATIO
-        while res is None and (frontier := sorted(u for u, x in r.items() if x > theta)):
-            edges = sum(len(in_adj[u]) for u in frontier)
-            # never past m * _GATHER_SHARE edges, where dense rounds bincount
-            # and so sum in another order
-            if len(p) + len(r) > _DICT_TOUCHED or edges > min(_DICT_EDGES,
-                                                              g.m * _GATHER_SHARE):
-                est, res = _dense(g, p), _dense(g, r)
-                break
-            _dict_round(in_adj, p, r, frontier, alpha)
-            pushes += len(frontier)
-            work += edges
-        if res is not None:
-            more, more_work = _rounds(g, est, res, theta, alpha)
-            pushes += more
-            work += more_work
-    if res is None and work > g.m:
-        est, res = _dense(g, p), _dense(g, r)
-    if res is None:  # a residual or estimate that underflowed to 0.0 is no entry
-        p, r = ({u: x for u, x in d.items() if x} for d in (p, r))
-        return PushResult(_row(p), _row(r), pushes, rv, work)
-    return PushResult(DenseVec(est), DenseVec(res), pushes, rv, work)
-
-
-def _dict_round(in_adj: list, p: dict, r: dict, frontier: list, alpha: float) -> None:
-    """``_gathered_round``'s gather on the dicts (p, r): zero the whole
-    ``frontier`` (ascending), then push its nodes in order, adding along
-    each in-row in order, as ``add.at`` adds the gathered edges."""
-    keep = 1.0 - alpha
-    moved = [r.pop(v) for v in frontier]
-    for v, rv in zip(frontier, moved):
-        p[v] = p.get(v, 0.0) + alpha * rv
-        for u, w in in_adj[v]:
-            r[u] = r.get(u, 0.0) + keep * w * rv
+            return push.result(rv)
+        push.drain(rv * _LEVEL_RATIO)
 
 
 def _dense(g: Graph, entries: dict[int, float]) -> np.ndarray:
-    """A push loop's scratch dict as a dense length-n vector."""
+    """A push's scratch dict as a dense length-n vector."""
     vec = np.zeros(g.n)
     vec[list(entries)] = list(entries.values())
     return vec
-
-
-def _rounds(
-    g: Graph, est: np.ndarray, res: np.ndarray, theta: float, alpha: float
-) -> tuple[int, int]:
-    """Push the dense (est, res) in rounds until no residual exceeds theta.
-    Returns the pushes and the work, in in-degrees, that it took."""
-    pushes = work = 0
-    while (frontier := np.flatnonzero(res > theta)).size:
-        work += _gathered_round(g, est, res, frontier, alpha)
-        pushes += frontier.size
-    return pushes, work
 
 
 def _gathered_round(
@@ -752,7 +705,7 @@ def _gathered_round(
     A frontier with at most m * ``_GATHER_SHARE`` in-edges has them gathered
     from the graph's in-CSR and scattered with ``add.at``; a larger one
     scans all m edges with one ``bincount``. Returns the pushed nodes'
-    in-degrees, the FIFO loop's work unit, on both paths."""
+    in-degrees, the push's work unit, on both paths."""
     in_ptr, in_tails, in_weights = g.in_csr
     moved = res[frontier]
     res[frontier] = 0.0
@@ -773,8 +726,12 @@ def _gathered_round(
 
 
 def _check_node(g: Graph, v: int) -> None:
+    _check_id(v, g.n)
+
+
+def _check_id(v: int, n: int) -> None:
     # bool is an int subclass, but numpy reads True as a mask, not as node 1
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"node {v!r} is not an integer node id")
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} out of range for graph with {g.n} nodes")
+    if not 0 <= v < n:
+        raise ValueError(f"node {v} out of range for graph with {n} nodes")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bidir import PprParams, num_walks
 from .graph import Graph, _text_file
-from .push import Row, Table, reverse_push
+from .push import Row, Table, _check_id, reverse_push
 from .sampling import WalkConfig, source_of, walk_endpoints, weighted_draw
 
 __all__ = [
@@ -266,8 +266,9 @@ def build_forward_vector(
 
 
 def build_reverse_vector(g: Graph, t: int, r_max: float, alpha: float) -> ReverseVector:
-    """The push's own ``Row``s, uncopied: a FIFO push's sorted rows, or a
-    rounds push's ``DenseVec`` views (16*n; a kept push's own)."""
+    """The push's own ``Row``s, uncopied: the sorted rows of a push that
+    ended on dicts, or a dense push's ``DenseVec`` views (16*n; a kept
+    push's own)."""
     pr = reverse_push(g, t, r_max, alpha)
     return ReverseVector(g.n, t, pr.estimates, pr.residuals, r_max, alpha)
 
@@ -422,11 +423,14 @@ def adaptive_r_max(
     top-k scores are resolved by w walks when
     r_max = w * pr(T) / (c2 * |T|^(1-beta)) with c2 = k^beta * c / (1-beta).
 
-    Raises ValueError on an empty target set, w or k below 1, beta outside
-    (0, 1), or a c that is not positive and finite.
+    Raises ValueError on an empty target set, a target that is not an
+    integer in [0, len(global_pr)), w or k below 1, beta outside (0, 1), or
+    a c that is not positive and finite.
     """
     if not targets:
         raise ValueError("target set is empty")
+    for t in targets:
+        _check_id(t, len(global_pr))
     if not w >= 1:
         raise ValueError(f"walk count w must be at least 1, got {w}")
     if not k >= 1:

@@ -6,6 +6,7 @@ from scipy import stats
 
 import pushwalk as pw
 from pushwalk import pathsampling, push
+from pushwalk.cli import generate_synthetic
 from conftest import NoDraws, rand_graph, two_cycle, weighted_five
 
 
@@ -57,13 +58,15 @@ def test_repushed_node_freezes_distinct_snapshots():
     assert dict(state.residuals) == pytest.approx({1: 0.4096})
 
 
-def test_single_target_state_is_fifo_reverse_bit_for_bit(rng):
+def test_single_target_state_is_fifo_reverse_bit_for_bit(rng, monkeypatch):
+    # the unlogged rounds, kept on dicts as the logged push keeps them
+    monkeypatch.setattr(push, "_DICT_SHARE", float("inf"))
     for trial in range(12):
         g = rand_graph(rng, n_max=30)
         t = int(rng.integers(g.n))
         for eps_r in (0.3, 0.01, 1e-4):
             state = pw.precompute_path_samplers(g, [t], eps_r, 0.2)
-            pr = push._fifo_reverse(g, (t,), eps_r, 0.2, None)
+            pr = push._fixed(g, (t,), eps_r, 0.2)
             assert list(state.estimates.items()) == list(pr.estimates.items())
             assert list(state.residuals.items()) == list(pr.residuals.items())
             assert len(state.snapshots) == pr.pushes_performed
@@ -80,6 +83,24 @@ def test_precompute_rejects_bad_arguments():
     for eps_r in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="eps_r"):
             pw.precompute_path_samplers(g, [0], eps_r, 0.2)
+    # node ids that int() would turn into nodes 1, 1 and 2 of a 3-node graph
+    cycle3 = pw.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], n=3)
+    for targets in ([1.5], [True], ["2"]):
+        with pytest.raises(ValueError, match="not an integer node id"):
+            pw.precompute_path_samplers(cycle3, targets, 0.5, 0.2)
+
+
+def test_path_samplers_refuse_a_graph_of_other_size():
+    def power_law(n, seed):
+        return pw.parse_edge_lines(generate_synthetic("power-law", n, seed), undirected=False)
+
+    state = pw.precompute_path_samplers(power_law(300, 0), [5], 0.3, 0.2)
+    small = power_law(50, 1)
+    # the state's ledgers hold steps of the 300-node graph, such as 6 -> 5
+    with pytest.raises(ValueError, match="300 nodes"):
+        pw.sample_path_to_target(small, 6, state, pw.WalkConfig(0.2, 1))
+    g = power_law(300, 0)
+    assert pw.sample_path_to_target(g, 6, state, pw.WalkConfig(0.2, 1))[-1] == 5
 
 
 def test_paths_are_walks_of_the_graph(rng):

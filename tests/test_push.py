@@ -81,11 +81,11 @@ def test_reverse_invariant_random_graphs(rng):
 @given(
     seed=st.integers(0, 2**32 - 1),
     r_max=st.floats(1e-4, 0.5),
-    switch_at=st.sampled_from([math.inf, 0.0, 2.0, 6.0]),
+    dict_share=st.sampled_from([math.inf, -1.0, push._DICT_SHARE, push._GATHER_SHARE]),
 )
-def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, switch_at):
-    # switch_at=inf is the scalar FIFO loop, 0 runs rounds from the start,
-    # and the others hand a partly drained queue to the rounds.
+def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, dict_share):
+    # dict_share=inf keeps every round on dicts, as the logged push does,
+    # -1 runs every round dense, and the others switch where the rule says.
     g = rand_graph(np.random.default_rng(seed), n_max=30)
     t = seed % g.n
     alpha = 0.2
@@ -98,7 +98,8 @@ def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, sw
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(push, "_gathered_round", counting_round)
-        res = push._fifo_reverse(g, (t,), r_max, alpha, None, switch_at)
+        mp.setattr(push, "_DICT_SHARE", dict_share)
+        res = push._fixed(g, (t,), r_max, alpha)
     pim = pw.exact_ppr_matrix(g, alpha)
     assert reverse_invariant_gap(g, t, res, pim, range(g.n)) < 1e-10
     assert res.residuals.max_value() <= r_max
@@ -106,7 +107,7 @@ def test_reverse_kernels_keep_identity_threshold_and_count_bound(seed, r_max, sw
     assert res.pushes_performed <= pim[:, t].sum() / (alpha * r_max)
     assert 0.0 not in res.estimates.values()
     assert 0.0 not in res.residuals.values()
-    if switch_at == 0.0:  # every push is a round's, counted in in-degrees
+    if dict_share == -1.0:  # every push is a round's, counted in in-degrees
         nodes = np.concatenate(pushed) if pushed else np.empty(0, dtype=int)
         assert res.pushes_performed == nodes.size
         assert res.work_units == sum(len(g.in_adj[v]) for v in nodes.tolist())
@@ -122,19 +123,20 @@ def test_reverse_rounds_stay_off_local_pushes_and_bound_hub_pushes():
     alpha, r_max = 0.2, 1e-3
     order = np.argsort(pw.exact_global_pagerank(g, alpha))
     # A 90th-percentile target: a real push (about 20 nodes) that stays local,
-    # so the switch never fires and the result is the FIFO loop's.
+    # so it never leaves the dicts and is the logged kernel's push.
     low = int(order[int(0.9 * g.n)])
     res = pw.reverse_push(g, low, r_max, alpha)
-    fifo = push._fifo_reverse(g, (low,), r_max, alpha, None)
+    on_dicts = push._fixed(g, (low,), r_max, alpha, [])
     assert res.pushes_performed > 5
-    assert list(res.estimates.items()) == list(fifo.estimates.items())
-    assert list(res.residuals.items()) == list(fifo.residuals.items())
-    assert (res.pushes_performed, res.work_units) == (fifo.pushes_performed, fifo.work_units)
-    # The top target's push reaches much of the graph and finishes in rounds.
+    assert type(res.estimates) is pw.Row
+    assert list(res.estimates.items()) == list(on_dicts.estimates.items())
+    assert list(res.residuals.items()) == list(on_dicts.residuals.items())
+    assert ((res.pushes_performed, res.work_units)
+            == (on_dicts.pushes_performed, on_dicts.work_units))
+    # The top target's push reaches much of the graph and finishes dense.
     hub = int(order[-1])
     res = pw.reverse_push(g, hub, r_max, alpha)
-    fifo = push._fifo_reverse(g, (hub,), r_max, alpha, None)
-    assert list(res.estimates.items()) != list(fifo.estimates.items())
+    assert isinstance(res.estimates, pw.DenseVec)
     assert res.residuals.max_value() <= r_max
     for s in (hub, 1, 17, 500, 2999):
         truth = pw.exact_ppr(g, s, alpha)[hub]
@@ -716,7 +718,7 @@ def test_non_integer_node_ids_are_rejected(entry, node):
 
 
 def _dense_only(monkeypatch):
-    monkeypatch.setattr(push, "_DICT_EDGES", -1)  # no round fits the dicts
+    monkeypatch.setattr(push, "_DICT_SHARE", -1.0)  # no round fits the dicts
 
 
 def _entries(vec):
@@ -729,9 +731,9 @@ def test_small_balanced_pushes_run_on_dicts_bit_for_bit(monkeypatch, graph):
     # achieved_rmax as a push that runs every round dense
     if graph == "power-law-3000":
         graphs = [_power_law_3000()]
-    else:  # m/3 under the dict-round limit, so dense rounds there may bincount
+    else:  # dict rounds up to m/3 edges, past which dense rounds bincount
         graphs = [rand_graph(np.random.default_rng(seed), n_max=30) for seed in range(40)]
-        assert all(g.m * push._GATHER_SHARE < push._DICT_EDGES for g in graphs)
+        monkeypatch.setattr(push, "_DICT_SHARE", push._GATHER_SHARE)
     pairs = [(4.0 / graphs[0].n, 7.0), (1e-3, 7.0), (0.02, 2.0)]
     runs = {}
     for form in ("as is", "dense"):
@@ -748,6 +750,53 @@ def test_small_balanced_pushes_run_on_dicts_bit_for_bit(monkeypatch, graph):
         assert ((res.pushes_performed, res.work_units, res.achieved_rmax)
                 == (dense.pushes_performed, dense.work_units, dense.achieved_rmax))
     assert 0 < ended_in_dicts < len(runs["dense"])
+
+
+def test_no_reverse_push_depends_on_where_it_goes_dense(monkeypatch):
+    # Dense before the first round, at the default rule, and dicts for
+    # every round a dense round would gather: the same entries, counts and
+    # achieved_rmax, bit for bit, for random graphs, targets and thresholds.
+    rng = np.random.default_rng(35)
+    graphs = [rand_graph(rng, n_max=30) for _ in range(30)]
+    graphs += [pw.parse_edge_lines(generate_synthetic("power-law", 2000, seed), undirected=seed == 1)
+               for seed in (0, 1)]
+    calls = []
+    for g in graphs:
+        for t in rng.choice(g.n, size=min(g.n, 8), replace=False).tolist():
+            r_max, delta = 10 ** rng.uniform(-4, -0.5), 10 ** rng.uniform(-4, -1)
+            calls.append(lambda g=g, t=t, r=r_max: push._fixed(g, (t,), r, 0.2))
+            calls.append(lambda g=g, t=t, d=delta: push._balanced(g, t, 0.2, d, 7.0, 0.2))
+    runs = []
+    for share in (-1.0, push._DICT_SHARE, push._GATHER_SHARE):
+        monkeypatch.setattr(push, "_DICT_SHARE", share)
+        runs.append([call() for call in calls])
+    forms = {(type(res.estimates), type(late.estimates)) for res, late in zip(*runs[1:])}
+    assert (pw.Row, pw.Row) in forms and (pw.DenseVec, pw.DenseVec) in forms
+    assert (pw.DenseVec, pw.Row) in forms  # the default rule goes dense sooner
+    for dense, res, late in zip(*runs):
+        assert isinstance(dense.estimates, pw.DenseVec)
+        for other in (res, late):
+            assert _entries(other.estimates) == _entries(dense.estimates)
+            assert _entries(other.residuals) == _entries(dense.residuals)
+            assert ((other.pushes_performed, other.work_units, other.achieved_rmax)
+                    == (dense.pushes_performed, dense.work_units, dense.achieved_rmax))
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+def test_forward_push_is_the_store_batchs_row_bit_for_bit(undirected):
+    rng = np.random.default_rng(36)
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 1000, 2), undirected=undirected)
+    graphs = [g] + [_looped_graph(rng, not undirected) for _ in range(10)]
+    pushed = 0
+    for g in graphs:
+        for s in rng.choice(g.n, size=min(g.n, 12), replace=False).tolist():
+            r_max, alpha = 10 ** rng.uniform(-4, 0), float(rng.uniform(0.05, 0.5))
+            res = pw.forward_push(g, s, r_max, alpha)
+            est, left = push._forward_all(g, np.array([s]), r_max, alpha)
+            assert _entries(res.estimates) == [a.tolist() for a in est[1:]]
+            assert _entries(res.residuals) == [a.tolist() for a in left[1:]]
+            pushed += res.pushes_performed > 1
+    assert pushed > 20
 
 
 def test_a_leaf_targets_balanced_push_holds_no_length_n_array():

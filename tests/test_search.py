@@ -349,6 +349,18 @@ def test_adaptive_threshold_rejects_bad_input():
             pw.adaptive_r_max([1, 2], gp, **{"w": 100, "k": 1, **bad})
 
 
+def test_adaptive_threshold_rejects_targets_outside_the_graph():
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 300, 0), undirected=False)
+    gp = pw.exact_global_pagerank(g, 0.2)
+    assert pw.adaptive_r_max([299], gp, w=100, k=1) > 0.0
+    for bad in (-1, 300, 10**6):  # -1 read the last node's PageRank
+        with pytest.raises(ValueError, match="out of range"):
+            pw.adaptive_r_max([1, bad], gp, w=100, k=1)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="not an integer node id"):
+            pw.adaptive_r_max([bad], gp, w=100, k=1)
+
+
 def test_storage_monte_carlo_mode_counts_singletons(rng):
     g = rand_graph(rng, n_max=15, directed=True)
     targets = [0, 1, 2]

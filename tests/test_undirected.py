@@ -188,11 +188,13 @@ def _pinned_undirected_queries():
 
 # float.hex of value, walks and pushes, recorded when the pickups were a
 # Python loop over the endpoints; the array pickups must match bit for bit.
+# Rows 3 and 4 were re-recorded when forward_push moved from a FIFO queue to
+# rounds, which leave other residuals for the walks to correct.
 _PINNED_UNDIRECTED = [
     ("0x1.07201df344cd8p-4", 92, 6),
     ("0x1.9999999999984p-4", 360, 2),
-    ("0x1.ed42e66da51a8p-7", 556, 11),
-    ("0x1.229354d927334p-7", 474, 17),
+    ("0x1.ec6ed7db79590p-7", 556, 11),
+    ("0x1.219411f1478d8p-7", 474, 17),
     ("0x1.73bf06be8d27ep-10", 168, 2),
 ]
 
