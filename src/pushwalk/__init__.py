@@ -20,6 +20,7 @@ from .graph import (
     SINK_NAME,
     Graph,
     GraphFormatError,
+    GraphMismatchError,
     apply_sink_convention,
     from_edges,
     load_edge_list,

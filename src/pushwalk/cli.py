@@ -6,12 +6,14 @@ round-trip losslessly through :meth:`RunRecord.to_line` /
 :meth:`RunRecord.from_line`; ``gen`` and ``sample-path`` print the config
 record as a ``# `` comment above their text output. ``precompute`` stores
 and ``precompute-search`` indexes share one file format (``save_index`` /
-``load_index``). Exit codes: 0 success, 1 usage error (including a flag the
-chosen ``--method`` ignores, or an ``--alpha`` other than the stored one's),
+``load_index``), each recording its graph's ``Graph.identity``. Exit codes:
+0 success, 1 usage error (including a flag the chosen ``--method`` or
+``search --index`` ignores, or an ``--alpha`` other than the stored one's),
 2 data error (unreadable, malformed or non-UTF-8 graph, keyword, queries or
 targets file, unknown node or keyword, broken store or search index, a store
-or index built for another graph, path targets the source cannot reach), 3
-numerical failure (non-convergence, exhausted sampling budget).
+or index built for another graph, even of the same size, path targets the
+source cannot reach), 3 numerical failure (non-convergence, exhausted
+sampling budget).
 
 Directed graphs are loaded with the dangling-node sink convention applied,
 so estimators, oracles, and walks all see the same chain. Undirected graphs
@@ -41,7 +43,8 @@ from .bidir import (
     monte_carlo_ppr,
     num_walks,
 )
-from .graph import Graph, GraphFormatError, _text_file, apply_sink_convention, load_edge_list
+from .graph import (Graph, GraphFormatError, GraphMismatchError, _text_file,
+                    apply_sink_convention, check_built_for, load_edge_list)
 from .multistep import (
     HeatKernelParams,
     MstpParams,
@@ -70,7 +73,6 @@ from .search import (
     adaptive_r_max,
     build_forward_vector,
     build_grouped_index,
-    build_reverse_vector,
     load_index,
     sample_targets,
     save_index,
@@ -602,13 +604,16 @@ def _cmd_heat_kernel(args, out) -> int:
 
 def _cmd_search(args, out) -> int:
     _check_nonnegative(args, "topk")
+    for flag in ("rmax", "keywords"):
+        if args.index and getattr(args, flag) is not None:
+            raise SystemExit2(f"--{flag} does not apply with --index")
     g = _load_graph(args)
     s = g.node_id(args.source)
     if args.index:
         payload = load_index(args.index)
         if "keywords" not in payload:
             raise IndexFormatError(f"{args.index} is not a search index")
-        _check_built_for(args.index, payload["n"], payload["m"], args.graph, g)
+        check_built_for(payload["graph"], g, args.index)
         kw_map = payload["keywords"]
     elif args.keywords:
         kw_map = KeywordIndex.from_file(args.keywords, g=g).mapping
@@ -616,21 +621,21 @@ def _cmd_search(args, out) -> int:
         raise SystemExit2("search needs --index or --keywords")
     if args.keyword not in kw_map:
         raise KeyError(f"unknown keyword {args.keyword!r}")
-    targets = list(kw_map[args.keyword])
-    stored = payload["per_keyword"][args.keyword] if args.index else None  # precomputed entry
-    r_max = args.rmax if stored is None else stored["r_max"]
+    stored = kw_map[args.keyword] if args.index else None  # the keyword's GroupedIndex
+    targets = list(kw_map[args.keyword]) if stored is None else stored.targets
+    r_max = args.rmax if stored is None else stored.r_max
     params = PprParams(delta=_default_delta(args, g), alpha=args.alpha, r_max=r_max)
     r_max = params.resolved_r_max(g)
     w = args.walks if args.walks is not None else num_walks(params, r_max)
     t0 = time.perf_counter()
     forward = build_forward_vector(g, s, w, WalkConfig(args.alpha, args.seed))
     if args.method == "direct":
-        vectors = stored["index"].reverse_vectors() if stored else None
+        vectors = stored.reverse_vectors() if stored else None
         ranked = score_targets_direct(
             g, s, targets, params, seed=args.seed, forward=forward, vectors=vectors
         )
     else:
-        index = stored["index"] if stored else build_grouped_index(g, targets, r_max, args.alpha)
+        index = stored if stored else build_grouped_index(g, targets, r_max, args.alpha)
         if args.method == "grouped":
             ranked = score_targets_grouped(forward, index)
         else:
@@ -657,29 +662,18 @@ def _cmd_precompute_search(args, out) -> int:
     if args.rmax is None and not args.adaptive:
         raise SystemExit2("give --rmax or --adaptive")
     global_pr = exact_global_pagerank(g, args.alpha) if args.adaptive else None
-    per_keyword: dict = {}
+    indexes: dict = {}
     t0 = time.perf_counter()
-    for keyword in sorted(kw.mapping):
-        targets = list(kw.mapping[keyword])
-        if args.adaptive:
-            r_max = adaptive_r_max(
-                targets, global_pr, args.walks, args.topk, beta=args.beta, c=args.c
-            )
-        else:
-            r_max = args.rmax
-        vectors = {t: build_reverse_vector(g, t, r_max, args.alpha) for t in targets}
-        per_keyword[keyword] = {
-            "targets": targets,
-            "r_max": r_max,
-            "index": build_grouped_index(g, targets, r_max, args.alpha, vectors=vectors),
-        }
+    for keyword, targets in sorted(kw.mapping.items()):
+        r_max = args.rmax if not args.adaptive else adaptive_r_max(
+            targets, global_pr, args.walks, args.topk, beta=args.beta, c=args.c)
+        indexes[keyword] = build_grouped_index(g, targets, r_max, args.alpha)
     wall = time.perf_counter() - t0
-    save_index(args.output, {"alpha": args.alpha, "n": g.n, "m": g.m,
-                             "keywords": kw.mapping, "per_keyword": per_keyword})
+    save_index(args.output, {"graph": g.identity, "keywords": indexes})
     result = (
-        {"keywords": len(per_keyword), "adaptive": args.adaptive},
+        {"keywords": len(indexes), "adaptive": args.adaptive},
         {"index": args.output},
-        {"targets": sum(len(v["targets"]) for v in per_keyword.values())},
+        {"targets": sum(len(index.targets) for index in indexes.values())},
         wall,
     )
     _emit_run(out, args, {"n": g.n, "m": g.m}, [result])
@@ -726,25 +720,16 @@ def _cmd_sample_path(args, out) -> int:
 def _cmd_precompute(args, out) -> int:
     if not args.output:
         raise SystemExit2("precompute needs --output for the store file")
+    if args.shards < 1:
+        raise SystemExit2(f"--shards must be at least 1, got {args.shards}")
     g = _load_graph(args)
     params = SharedWalkParams(args.c1, args.c2, args.c3)
     t0 = time.perf_counter()
     store = build_shared_walk_vectors(
         g, args.alpha, args.delta, args.dmax, params=params, seed=args.seed
     )
-    shards = shard_vectors(store.as_coord_vectors(g.n), args.shards)
     wall = time.perf_counter() - t0
-    save_index(
-        args.output,
-        {
-            "store": store,
-            "shards": shards,
-            "k": args.shards,
-            "m": g.m,
-            "alpha": args.alpha,
-            "delta": args.delta,
-        },
-    )
+    save_index(args.output, {"store": store, "k": args.shards})
     config = {
         "n": g.n,
         "m": g.m,
@@ -767,10 +752,10 @@ def _cmd_precompute(args, out) -> int:
     return 0
 
 
-def _serve_queries(g: Graph, bundle: dict, queries):
-    """One result per (s, t) query: the broker's sharded answer next to the
-    in-process one, both from a single reverse push to the target."""
-    store, shards, k = bundle["store"], bundle["shards"], bundle["k"]
+def _serve_queries(g: Graph, store, k: int, queries):
+    """One result per (s, t) query: the broker's answer over the store split
+    into k shards next to the in-process one, both from one reverse push to t."""
+    shards = shard_vectors(store.as_coord_vectors(g.n), k)
     for s, t in queries:
         t0 = time.perf_counter()
         rev = reverse_push(g, t, store.r_max_r, store.alpha)
@@ -798,23 +783,13 @@ def _serve_queries(g: Graph, bundle: dict, queries):
         yield {"k": k}, estimates, {"shards": k}, wall
 
 
-def _check_built_for(path, n: int, m: int, graph_path, g: Graph) -> None:
-    """IndexFormatError unless the artifact at ``path`` was built for a graph
-    with g's node and edge counts."""
-    if (n, m) != (g.n, g.m):
-        raise IndexFormatError(
-            f"{path} was built for a {n}-node graph with {m} edges, "
-            f"but {graph_path} has {g.n} nodes and {g.m} edges"
-        )
-
-
 def _cmd_serve_sim(args, out) -> int:
     g = _load_graph(args)
     bundle = load_index(args.store)
     if "store" not in bundle:
         raise IndexFormatError(f"{args.store} is not a shared-walk store")
-    store = bundle["store"]
-    _check_built_for(args.store, len(store.walk_counts), bundle["m"], args.graph, g)
+    store, k = bundle["store"], bundle["k"]
+    check_built_for(store.graph, g, args.store)
     if args.alpha != store.alpha:
         raise ValueError(f"--alpha {args.alpha} differs from the store's alpha {store.alpha}")
     queries: list[tuple[int, int]] = []
@@ -839,7 +814,7 @@ def _cmd_serve_sim(args, out) -> int:
                     raise KeyError(f"{where}: {exc.args[0]}") from None
     if not queries:
         raise SystemExit2("serve-sim needs --query or --queries")
-    _emit_run(out, args, {"n": g.n, "k": bundle["k"]}, _serve_queries(g, bundle, queries))
+    _emit_run(out, args, {"n": g.n, "k": k}, _serve_queries(g, store, k, queries))
     return 0
 
 
@@ -905,7 +880,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"pushwalk {args.command}: cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, UnreachableTargetError) as exc:
+    except (KeyError, UnreachableTargetError, GraphMismatchError) as exc:
         print(f"pushwalk {args.command}: {exc.args[0]}", file=sys.stderr)
         return 2
     except IndexFormatError as exc:

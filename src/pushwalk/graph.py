@@ -18,6 +18,7 @@ out-weight total, summed in that order.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from array import array
 from collections import OrderedDict
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphFormatError",
+    "GraphMismatchError",
     "load_edge_list",
     "parse_edge_lines",
     "apply_sink_convention",
@@ -45,6 +47,10 @@ _STOCHASTIC_TOL = 1e-12
 
 class GraphFormatError(ValueError):
     """Raised when an edge-list file cannot be parsed into a valid graph."""
+
+
+class GraphMismatchError(ValueError):
+    """Raised when an artifact built for one graph meets another."""
 
 
 @dataclass(eq=False)
@@ -83,6 +89,16 @@ class Graph:
     def degree(self, u: int) -> float:
         """``degrees[u]``, read from a list for the scalar loops."""
         return self._degree_row[u]
+
+    @cached_property
+    def identity(self) -> tuple[int, int, str]:
+        """(n, m, blake2b digest of the arrays every estimate reads, in fixed
+        little-endian dtypes): what an artifact records of its graph."""
+        h = hashlib.blake2b(digest_size=16)
+        for arr, dtype in ((self.out_ptr, "<i8"), (self.heads, "<i8"),
+                           (self.weights, "<f8"), (self.degrees, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).data)
+        return self.n, self.m, h.hexdigest()
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +170,18 @@ class Graph:
             assert np.array_equal(self.degrees > 0, counts > 0), "strength disagrees with edges"
         else:
             assert np.array_equal(self.degrees, counts), "degrees are not the out-degrees"
+
+
+def check_built_for(identity: tuple[int, int, str], g: Graph, what: str) -> None:
+    """GraphMismatchError, naming ``what`` and both graphs, unless
+    ``identity`` is ``g.identity``."""
+    if identity != g.identity:
+        (n, m, digest), (gn, gm, gdigest) = identity, g.identity
+        gist = f"a {n}-node graph, not {gn} nodes" if n != gn else "another graph"
+        raise GraphMismatchError(
+            f"{what} was built for {gist} (a {n}-node graph with {m} edges): the graph given "
+            f"has {gn} nodes and {gm} edges and digest {gdigest}, not {n} nodes and {m} edges "
+            f"and digest {digest}")
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from . import sampling
-from .graph import Graph
+from .graph import Graph, check_built_for
 from .oracle import UnreachableTargetError
 from .push import Row, _check_node, _fixed
 from .sampling import WalkConfig, _one_walk_step
@@ -113,15 +113,14 @@ class PathSamplerState:
     ledger total, 0.0 when the push leaves no residual. snapshots lists the
     frozen ledger created by each push, in round order and ascending by
     node within a round. reachable holds every node with a path into the
-    target set. n and m are the node and edge counts of the graph the push
-    ran on.
+    target set. graph is the ``Graph.identity`` of the graph the push ran
+    on, which ``sample_path_to_target`` checks.
     """
 
     targets: frozenset[int]
     eps_r: float
     alpha: float
-    n: int
-    m: int
+    graph: tuple[int, int, str]
     reachable: frozenset[int]
     estimates: Row
     residuals: Row
@@ -168,7 +167,7 @@ def precompute_path_samplers(
     log: list[tuple[list[int], list[float]]] = []
     push = _fixed(g, seeds, eps_r, alpha, log)
     state = PathSamplerState(
-        tset, eps_r, alpha, g.n, g.m, frozenset(reachable), push.estimates, push.residuals
+        tset, eps_r, alpha, g.identity, frozenset(reachable), push.estimates, push.residuals
     )
     live = state.live
     for t in seeds:
@@ -251,14 +250,11 @@ def sample_path_to_target(
 
     return_attempts appends the attempt count to the return value;
     return_branch appends which branch accepted ("settled" or "walk").
-    Raises ValueError when cfg walks at another alpha than the state's, or
-    when g has other node or edge counts than the graph the state was built
-    on.
+    Raises ValueError when cfg walks at another alpha than the state's, and
+    ``GraphMismatchError`` when g is not the graph the state was built on.
     """
     _check_node(g, s)
-    if (g.n, g.m) != (state.n, state.m):
-        raise ValueError(f"path samplers built on a graph of {state.n} nodes and {state.m} "
-                         f"edges, sampled on one of {g.n} nodes and {g.m} edges")
+    check_built_for(state.graph, g, "the path-sampler state")
     if cfg.alpha != state.alpha:
         raise ValueError(f"walks at alpha={cfg.alpha}, path samplers at alpha={state.alpha}")
     if s not in state.reachable:

@@ -49,18 +49,18 @@ Both reverse pushes keep their costly results on the graph
 (``Graph.kept_pushes``) and return the kept result, the same object, when
 the same push is asked for again. ``reverse_push`` keys on (t, r_max,
 alpha) and ``reverse_push_balanced`` on (t, alpha, delta, c,
-walk_time_constant). A result is kept only when it is dense and its work
-exceeds m (a push that does that much work always ends dense): it
-has cost more than one pass over the graph,
-and keeping it costs its two dense arrays, 16*n bytes (160 KB at n =
-10k). Results of less work are cheap and never kept. The kept bytes per graph are
-bounded by ``_KEEP_BYTES``, least recently used out first. Results are
-frozen and a kept result's arrays read-only, so sharing one is safe, and
-pushes are deterministic, so every estimate is what a fresh push would
-give. A kept result's counts are those of the push that made it. On the
-pair-hot benchmark the kept pushes are 90% of the push time (see
-``_KEEP_BYTES``); HubPPR (Wang et al., VLDB 2016) and FORA (Wang et al.,
-KDD 2017) precompute the reverse pushes of hub targets for the same reason.
+walk_time_constant). A result is kept only when its work exceeds m (a
+push that does that much work always ends dense): it has cost more than
+one pass over the graph, and keeping it costs its two dense arrays, 16*n
+bytes (160 KB at n = 10k). Results of less work are cheap and never kept.
+At most ``_KEEP_RESULTS`` results are kept per graph, least recently used
+out first. Results are frozen and a kept result's arrays read-only, so
+sharing one is safe, and pushes are deterministic, so every estimate is
+what a fresh push would give. A kept result's counts are those of the push
+that made it. On the pair-hot benchmark the kept pushes are 90% of the
+push time (see ``_KEEP_RESULTS``); HubPPR (Wang et al., VLDB 2016) and
+FORA (Wang et al., KDD 2017) precompute the reverse pushes of hub targets
+for the same reason.
 
 A kept balanced push is paid once, but the walks it leaves are paid on
 every call that it answers. So once a balanced push's work exceeds m, and
@@ -135,17 +135,17 @@ _GATHER_SHARE = 1 / 3
 # 243-301 ms in two sweeps each.
 _DICT_SHARE = 1 / 1000
 
-# Bytes of kept push results per graph past which the least recently used
-# is dropped. A kept result holds two float64 arrays of n, 16*n bytes. On
-# the pair-hot benchmark (10k nodes) six (estimator, target) pairs do more
-# than m work; they are 24 of every 63 queries and took 99 of the 110 ms of
-# push time in one block (best of 3 per push, shared 2-core machine), and
-# kept they take 0.96 MB; index-serve keeps 4 to 7 (0.64-1.1 MB). 4 MiB
-# is about four times that working set (26 results at n = 10k) and under a
-# tenth of the ~53 MB the pair-hot process peaks at, so a mix of many
-# costly keys cannot grow a process by more than that. At n = 100k it
-# holds 2 results, so there only the two most recent costly pushes stay.
-_KEEP_BYTES = 4 << 20
+# Kept push results per graph past which the least recently used is
+# dropped. A kept result holds two float64 arrays of n, 16*n bytes, so 8
+# hold 8*16*n bytes: 1.3 MB at n = 10k, 12.8 MB at 100k. On the pair-hot
+# benchmark (10k nodes) six (estimator, target) pairs do more than m work;
+# they are 24 of every 63 queries and took 99 of the 110 ms of push time in
+# one block (best of 3 per push, shared 2-core machine). Over set-up plus
+# 6,300 queries at seeds 1 and 2, pair-hot kept 6 keys, index-serve 2 to 5
+# and diffusion-cold none, so 8 evicts nothing the benchmark keeps, at any
+# n; a budget in bytes (4 MiB) held 26 results at 10k but 2 at 100k, where
+# pair-hot's four hub keys then evicted each other.
+_KEEP_RESULTS = 8
 
 # Calls a kept balanced push is balanced against. Once a balanced push's
 # work exceeds m, stopping would keep its result (see ``_keeping``): the
@@ -396,7 +396,7 @@ def reverse_push(g: Graph, t: int, r_max: float, alpha: float) -> PushResult:
 
 def _keeping(g: Graph, key: tuple, push) -> PushResult:
     """The result kept on ``g`` under ``key``, else ``push()``'s, which is
-    kept if it is dense and did more than m work (see the module
+    kept if it did more than m work, and so ended dense (see the module
     docstring). A kept result's arrays are set read-only before it
     is returned, and it reports the counts of the push that made it."""
     kept = g.kept_pushes
@@ -405,11 +405,11 @@ def _keeping(g: Graph, key: tuple, push) -> PushResult:
         kept.move_to_end(key)
         return res
     res = push()
-    if isinstance(res.estimates, DenseVec) and res.work_units > g.m:
+    if res.work_units > g.m:
         res.estimates.array.flags.writeable = False
         res.residuals.array.flags.writeable = False
         kept[key] = res
-        while len(kept) * 16 * g.n > _KEEP_BYTES:
+        if len(kept) > _KEEP_RESULTS:
             kept.popitem(last=False)
     return res
 

@@ -486,19 +486,19 @@ class IndexFormatError(ValueError):
 
 
 _INDEX_MAGIC = b"PWIX"
-# 8: every push.Table row is ascending by node (7 held store rows in push
-# order); search indexes record their graph's n and m and hold one index
-# per keyword
-_INDEX_VERSION = 8
+# 9: files record their graph's Graph.identity once; a store file holds no
+# shards, and a search file one GroupedIndex per keyword and nothing else
+# (8 held shards, and each keyword's targets three times)
+_INDEX_VERSION = 9
 
 # The globals a saved payload may name: the classes that precompute and
 # precompute-search store and the plain buffers their tables pickle to.
-# Neither stores a ReverseVector, so one is refused too.
+# Neither stores a ReverseVector or a Shard, so those are refused too.
 _SAVED_GLOBALS = {
     "array": {"_array_reconstructor", "array"},
     "pushwalk.push": {"Table"},
     "pushwalk.search": {"GroupedIndex"},
-    "pushwalk.sharding": {"SharedWalkStore", "SharedWalkParams", "Shard"},
+    "pushwalk.sharding": {"SharedWalkStore", "SharedWalkParams"},
 }
 
 
@@ -513,8 +513,9 @@ class _SavedUnpickler(pickle.Unpickler):
 
 
 def save_index(path, payload: dict) -> None:
-    """Persist a precomputed payload (search indexes or a shared-walk store)
-    as a versioned binary file."""
+    """Persist a payload as a versioned binary file: ``precompute``'s {"store":
+    SharedWalkStore, "k": shard count} or ``precompute-search``'s {"graph":
+    Graph.identity, "keywords": {keyword: GroupedIndex}}."""
     with open(path, "wb") as fh:
         fh.write(_INDEX_MAGIC)
         fh.write(_INDEX_VERSION.to_bytes(2, "little"))

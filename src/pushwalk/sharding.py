@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import push
-from .graph import Graph
+from .graph import Graph, check_built_for
 from .push import PushResult, Table, _check_node, _forward_all, reverse_push
 from .sampling import WalkConfig, walk_endpoints
 
@@ -193,12 +193,14 @@ class SharedWalkParams:
 class SharedWalkStore:
     """Per-node stored walks plus per-node forward push results.
 
-    ``endpoint_freqs``, ``fwd_estimates`` and ``fwd_residuals`` are CSR
-    tables (``push.Table``) with a row for every node, ascending by node;
-    ``store.fwd_residuals[v]`` reads node v's row as a read-only ``Row``
-    mapping.
+    ``graph`` is the ``Graph.identity`` the store was built for, which
+    every call that takes a graph checks. ``endpoint_freqs``,
+    ``fwd_estimates`` and ``fwd_residuals`` are CSR tables (``push.Table``)
+    with a row for every node, ascending by node; ``store.fwd_residuals[v]``
+    reads node v's row as a read-only ``Row`` mapping.
     """
 
+    graph: tuple[int, int, str]
     alpha: float
     delta: float
     d_max: float
@@ -216,7 +218,8 @@ class SharedWalkStore:
         node v's indicator at coordinate v and its endpoint frequencies at
         n + u, in ascending coordinate order. ``n`` must be the node count
         of the graph the store was built for; ValueError otherwise."""
-        self._check_built_for(n)
+        if n != self.graph[0]:
+            raise ValueError(f"the store was built for a {self.graph[0]}-node graph, not {n} nodes")
         freqs = self.endpoint_freqs
         bounds = freqs.ptr.tolist()
         coords = (freqs.nodes + n).tolist()
@@ -227,12 +230,6 @@ class SharedWalkStore:
             vec.update(zip(coords[lo:hi], values[lo:hi]))
             out[("x", v)] = vec
         return out
-
-    def _check_built_for(self, n: int) -> None:
-        """ValueError unless the store was built for an ``n``-node graph."""
-        if n != len(self.walk_counts):
-            raise ValueError(f"the store was built for a {len(self.walk_counts)}-node graph, "
-                             f"not {n} nodes")
 
 
 def _check_positive(value: float, name: str = "delta") -> None:
@@ -296,7 +293,7 @@ def build_shared_walk_vectors(
     np.maximum.at(peak, residuals.nodes, residuals.data)
     counts = np.ceil(params.c1 * r_max_r * peak / delta).astype(np.int64)
     return SharedWalkStore(
-        alpha, delta, d_max, params, r_max_f, r_max_r,
+        g.identity, alpha, delta, d_max, params, r_max_f, r_max_r,
         walk_counts=counts.tolist(),
         endpoint_freqs=_tally_walks(g, counts, WalkConfig(alpha=alpha, seed=seed)),
         full_walk=full_walk.tolist(),
@@ -346,7 +343,7 @@ def query_shared_walks(
     A full-walk source is its own single support node with unit residual.
     A caller that already holds reverse_push(g, t, store.r_max_r,
     store.alpha) passes it as ``rev`` instead of pushing twice. A store
-    built for another node count raises ValueError.
+    built for another graph raises ``GraphMismatchError``.
 
     The sampled term is the sum over the support's walks, each adding
     r_s(v) * r_t[X] / n_w(v) with X ~ pi_v. By the two push invariants its
@@ -361,7 +358,7 @@ def query_shared_walks(
     any (eps, delta, p_fail); the default c1 = 7 gives eps = 1 at p_fail
     = 2 e^(-7/3) ~ 0.19. The counts n_w(v) come from the deterministic
     pushes before any walk is drawn, so the estimate is unbiased."""
-    store._check_built_for(g.n)
+    check_built_for(store.graph, g, "the store")
     _check_node(g, s)
     _check_node(g, t)
     if rev is None:
@@ -429,9 +426,10 @@ def storage_report(g: Graph, store: SharedWalkStore) -> StorageReport:
     c2 and c3 are fitted from the measurements themselves (mean reverse
     vector size, over the first 20 nodes as targets, times r_max_r, and
     likewise forward), then fed back into the model for the side-by-side
-    comparison. A store built for another node count raises ValueError.
+    comparison. A store built for another graph raises
+    ``GraphMismatchError``.
     """
-    store._check_built_for(g.n)
+    check_built_for(store.graph, g, "the store")
     targets = range(min(g.n, 20))
     walk_entries = store.endpoint_freqs.nodes.size
     fwd_entries = store.fwd_residuals.nodes.size + store.fwd_estimates.nodes.size

@@ -270,6 +270,22 @@ def test_search_with_nothing_reachable_exits_zero(tmp_path, capsys):
         assert scores == ([] if method == "sampling" else [0.0, 0.0])
 
 
+def test_search_with_an_index_refuses_the_flags_it_ignores(tmp_path, two_cycle_file, capsys):
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("topic\tb\n")
+    idx = tmp_path / "idx.bin"
+    assert cli.main(["precompute-search", "--graph", two_cycle_file, "--keywords",
+                     str(kw), "--rmax", "0.05", "--output", str(idx)]) == 0
+    capsys.readouterr()
+    query = ["search", "--graph", two_cycle_file, "--source", "a", "--keyword", "topic",
+             "--index", str(idx)]
+    # the index ranks at its own r_max and targets, so the flags would be ignored
+    for flag, value in (("--rmax", "0.9"), ("--keywords", str(kw))):
+        assert cli.main(query + [flag, value]) == 1
+        assert f"{flag} does not apply with --index" in capsys.readouterr().err
+    assert cli.main(query) == 0
+
+
 def test_search_index_at_another_alpha_exits_one(tmp_path, two_cycle_file, capsys):
     kw = tmp_path / "kw.tsv"
     kw.write_text("topic\tb\n")
@@ -295,7 +311,7 @@ def test_precompute_search_then_query(tmp_path, two_cycle_file, capsys):
     recs = _records(capsys)
     assert recs[1]["counters"]["targets"] == 2
     payload = pw.load_index(idx)
-    assert payload["per_keyword"]["topic"]["r_max"] == 0.3
+    assert payload["keywords"]["topic"].r_max == 0.3
 
     rc = cli.main(["search", "--graph", two_cycle_file, "--source", "a",
                    "--keyword", "topic", "--index", str(idx), "--seed", "2"])
@@ -314,7 +330,7 @@ def test_precompute_search_adaptive_threshold(tmp_path, two_cycle_file, capsys):
                    "--topk", "1", "--output", str(idx)])
     assert rc == 0
     payload = pw.load_index(idx)
-    got = payload["per_keyword"]["topic"]["r_max"]
+    got = payload["keywords"]["topic"].r_max
     want = pw.adaptive_r_max([1], pw.exact_global_pagerank(
         pw.load_edge_list(two_cycle_file), 0.2), 100, 1)
     assert got == pytest.approx(want)
@@ -336,17 +352,19 @@ def test_precompute_search_pushes_each_target_once(tmp_path, monkeypatch, capsys
     payload = pw.load_index(idx)
     assert len(pushed) == 6  # one push per (keyword, target)
     g = pw.apply_sink_convention(pw.load_edge_list(str(graph)))
-    for word, targets in payload["keywords"].items():
-        stored = payload["per_keyword"][word]
-        assert set(stored) == {"targets", "r_max", "index"}  # one index per keyword
+    assert set(payload) == {"graph", "keywords"}  # the graph once, one index per keyword
+    keywords = {"red": ["1", "5", "9", "40"], "blue": ["5", "77"]}
+    assert set(payload["keywords"]) == set(keywords)
+    for word, stored in payload["keywords"].items():
+        targets = sorted(g.node_id(token) for token in keywords[word])
         for build in (pw.build_grouped_index, pw.build_target_sampler):
             fresh = build(g, targets, 0.01, 0.2)
-            assert stored["index"].targets == fresh.targets == sorted(targets)
+            assert stored.targets == fresh.targets == targets
+            assert stored.r_max == 0.01 and stored.alpha == 0.2
             for name in ("keys", "ptr", "nodes", "data"):
-                assert np.array_equal(getattr(stored["index"].table, name),
-                                      getattr(fresh.table, name))
+                assert np.array_equal(getattr(stored.table, name), getattr(fresh.table, name))
         # the index gives back every target's reverse vector
-        back = stored["index"].reverse_vectors()
+        back = stored.reverse_vectors()
         assert sorted(back) == sorted(targets)
         for t in targets:
             fresh = pw.build_reverse_vector(g, t, 0.01, 0.2)
@@ -449,6 +467,14 @@ def test_precompute_store_and_serve(tmp_path, two_cycle_file, capsys):
         values[str(store)] = result["estimates"]["value"]
     # identical walks, exact partial sums: shard count cannot change the answer
     assert len(set(values.values())) == 1
+
+
+def test_precompute_refuses_a_shard_count_below_one(tmp_path, two_cycle_file, capsys):
+    store = tmp_path / "store.bin"
+    assert cli.main(["precompute", "--graph", two_cycle_file, "--delta", "0.05",
+                     "--shards", "0", "--output", str(store)]) == 1
+    assert "--shards must be at least 1" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_precompute_reports_the_store_walk_count_beside_the_model(tmp_path, capsys):
@@ -658,6 +684,29 @@ def test_serve_sim_rejects_a_store_for_a_graph_with_other_edges(tmp_path, capsys
                      "--query", "1,2"]) == 2
     err = capsys.readouterr().err
     assert "5-node graph with 5 edges" in err and "has 5 nodes and 8 edges" in err
+
+
+def test_store_and_index_refuse_a_graph_of_the_same_size(tmp_path, capsys):
+    graphs = {}
+    for seed in (4, 5):  # both 300 nodes and 598 edges
+        graphs[seed] = tmp_path / f"g{seed}.txt"
+        graphs[seed].write_text("\n".join(cli.generate_synthetic("power-law", 300, seed)) + "\n")
+    kw = tmp_path / "kw.tsv"
+    kw.write_text("red\t1\nred\t9\nred\t250\n")
+    store, idx = tmp_path / "store.bin", tmp_path / "idx.bin"
+    assert cli.main(["precompute", "--graph", str(graphs[4]), "--delta", "0.05",
+                     "--output", str(store)]) == 0
+    assert cli.main(["precompute-search", "--graph", str(graphs[4]), "--keywords", str(kw),
+                     "--rmax", "0.05", "--output", str(idx)]) == 0
+    capsys.readouterr()
+    for seed, rc in ((5, 2), (4, 0)):
+        assert cli.main(["serve-sim", "--graph", str(graphs[seed]), "--store", str(store),
+                         "--query", "2,9"]) == rc
+        assert cli.main(["search", "--graph", str(graphs[seed]), "--source", "2",
+                         "--keyword", "red", "--index", str(idx)]) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert err.count("another graph (a 300-node graph with 598 edges)") == 2
 
 
 def test_serve_sim_and_search_reject_the_other_artifact(tmp_path, two_cycle_file, capsys):
@@ -877,6 +926,17 @@ def test_bad_search_index_exits_two(tmp_path, two_cycle_file, capsys):
         assert "bad store/index file: " in capsys.readouterr().err
         with pytest.raises(ValueError, match=why):
             pw.load_index(path)
+
+
+def test_a_version_8_file_exits_two(tmp_path, two_cycle_file, capsys):
+    # format 8 stored shards beside the store, and each keyword's targets three times
+    v8 = tmp_path / "v8.bin"
+    v8.write_bytes(b"PWIX" + (8).to_bytes(2, "little") + pickle.dumps({"keywords": {}}))
+    assert cli.main(["search", "--graph", two_cycle_file, "--source", "a",
+                     "--keyword", "topic", "--index", str(v8)]) == 2
+    assert cli.main(["serve-sim", "--graph", two_cycle_file, "--store", str(v8),
+                     "--query", "a,b"]) == 2
+    assert capsys.readouterr().err.count("unsupported index version 8") == 2
 
 
 def test_keyword_file_unknown_node_exits_two(tmp_path, two_cycle_file, capsys):

@@ -1,11 +1,16 @@
 """Edge-list parsing, normalization, sink convention, bipartite transform."""
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pushwalk as pw
+from pushwalk.cli import generate_synthetic
+from pushwalk.graph import check_built_for
 from conftest import rand_graph
 
 
@@ -337,3 +342,23 @@ def test_core_arrays_are_read_only_and_m_is_derived():
     for arr in (g.out_ptr, g.heads, g.weights, g.degrees, *g.edge_arrays):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+def test_identity_tells_same_size_graphs_apart_and_not_how_they_were_loaded():
+    lines = {seed: generate_synthetic("power-law", 300, seed) for seed in (4, 5)}
+    four, five = (pw.parse_edge_lines(lines[seed], undirected=False) for seed in (4, 5))
+    assert four.identity[:2] == five.identity[:2] == (300, 598)
+    assert four.identity != five.identity
+    with pytest.raises(pw.GraphMismatchError, match="digest"):
+        check_built_for(four.identity, five, "the artifact")
+    check_built_for(four.identity, four, "the artifact")
+    # the same edges through from_edges, and in a fresh process
+    again = pw.from_edges([tuple(map(int, line.split())) for line in lines[4]])
+    assert again.identity == four.identity
+    src = str(Path(pw.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pushwalk as pw; "
+            "from pushwalk.cli import generate_synthetic; "
+            "print(pw.parse_edge_lines(generate_synthetic('power-law', 300, 4), False).identity)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == repr(four.identity)

@@ -103,6 +103,16 @@ def test_path_samplers_refuse_a_graph_of_other_size():
     assert pw.sample_path_to_target(g, 6, state, pw.WalkConfig(0.2, 1))[-1] == 5
 
 
+def test_path_samplers_refuse_a_graph_of_the_same_size():
+    four, five = (pw.parse_edge_lines(generate_synthetic("power-law", 300, seed), False)
+                  for seed in (4, 5))
+    assert (four.n, four.m) == (five.n, five.m)
+    state = pw.precompute_path_samplers(four, [0, 1], 0.3, 0.2)
+    with pytest.raises(pw.GraphMismatchError, match="built for another graph"):
+        pw.sample_path_to_target(five, 6, state, pw.WalkConfig(0.2, 1))
+    assert pw.sample_path_to_target(four, 6, state, pw.WalkConfig(0.2, 1))[-1] in (0, 1)
+
+
 def test_paths_are_walks_of_the_graph(rng):
     for trial in range(4):
         g = rand_graph(rng, n_max=12, directed=True)

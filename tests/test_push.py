@@ -409,7 +409,7 @@ def test_kept_pushes_are_keyed_by_every_argument():
 
 def test_kept_pushes_evict_the_least_recently_used(monkeypatch):
     g = _power_law_3000()
-    monkeypatch.setattr(push, "_KEEP_BYTES", 2 * 16 * g.n)  # room for two
+    monkeypatch.setattr(push, "_KEEP_RESULTS", 2)  # room for two
     hub = int(np.argmax(pw.exact_global_pagerank(g, 0.2)))
     a = pw.reverse_push(g, hub, 1e-3, 0.2)
     b = pw.reverse_push(g, hub, 5e-4, 0.2)

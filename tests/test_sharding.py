@@ -227,6 +227,18 @@ def test_query_shared_walks_tracks_exact_value(rng):
     assert abs(arr.mean() - truth) <= 3.0 * se + 1e-9
 
 
+def test_store_for_a_graph_of_the_same_size_is_refused():
+    four, five = (pw.parse_edge_lines(cli.generate_synthetic("power-law", 300, seed), False)
+                  for seed in (4, 5))
+    assert (four.n, four.m) == (five.n, five.m)
+    store = pw.build_shared_walk_vectors(four, 0.2, 0.05, d_max=1000.0, seed=1)
+    with pytest.raises(pw.GraphMismatchError, match="built for another graph"):
+        pw.query_shared_walks(five, store, 2, 0)
+    with pytest.raises(pw.GraphMismatchError, match="built for another graph"):
+        pw.storage_report(five, store)
+    assert pw.query_shared_walks(four, store, 2, 0) >= 0.0
+
+
 def test_storage_model_closed_forms_at_web_scale():
     n = 41_000_000
     model = pw.storage_model(n, 1.0 / n)
