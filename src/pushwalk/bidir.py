@@ -19,7 +19,7 @@ import numpy as np
 from .graph import Graph
 from .oracle import exact_global_pagerank
 from .push import PushResult, _check_node, reverse_push, reverse_push_balanced
-from .sampling import Source, WalkConfig, source_of, walk_endpoints
+from .sampling import Source, WalkConfig, _check_count, source_of, walk_endpoints
 
 __all__ = [
     "PprParams",
@@ -229,12 +229,12 @@ def monte_carlo_ppr(
 ) -> PprEstimate:
     """Plain endpoint-frequency estimate of pi_s[t].
 
-    The default budget is params.chernoff_walks().
+    The default budget is params.chernoff_walks(). A ``walks`` that is not
+    a positive integer (a bool is not one) raises ValueError.
     """
     if walks is None:
         walks = params.chernoff_walks()
-    if walks <= 0:
-        raise ValueError("walk count must be positive")
+    _check_count("walks", walks, positive=True)
     _check_node(g, t)
     cfg = WalkConfig(alpha=params.alpha, seed=seed)
     hits = int(np.count_nonzero(walk_endpoints(g, source_of(g, s), walks, cfg) == t))

@@ -6,18 +6,31 @@ P[L = l] = (1-alpha)^l * alpha with support {0, 1, ...} — a walk may stop
 before taking any step, in which case its endpoint is its start.
 
 Batches of walks step in lockstep: each step moves every live walk at once,
-drawing one variate per live walk in a fixed walk order, over the graph's
-out-adjacency CSR arrays and a table of per-node step keys that the first
-walk builds from them. A batch's draws therefore depend only on the seed and
-the walk count, and ``walk_endpoints`` returns the batch's endpoints as one
-intp array whatever the start form. A single path (``random_walk_path`` from
-one node, and each walk of the conditioned-path sampler, which draws its
-length from one variate and only when the walk could be accepted) steps by
-the same rule, read in place through memoryviews of the same arrays, by one
-helper, ``_one_walk_step``. So does a batch of at most ``_SMALL_BATCH``
-walks, one walk at a time but on the variates lockstep would give each
-walk, so its endpoints are the lockstep ones bit for bit without
-lockstep's fixed numpy cost per step.
+drawing one variate per live walk in a fixed walk order. A batch's draws
+therefore depend only on the seed and the walk count, and ``walk_endpoints``
+returns the batch's endpoints as one intp array whatever the start form.
+
+Every step reads one slot table (``_WalkTable``), built by the first walk
+on a graph: a walk at node v steps on the variate x to slot int(x * c_v) of
+v's c_v slots. A node whose out-weights are all equal has one slot per
+out-edge, so on an unweighted graph the table is the out-CSR itself. A node
+with unequal weights has a power-of-two count of slots, 64-128 per out-edge
+(the factor is halved per graph while those slots total more than 4m, so a
+table never holds much more than 5m entries), each holding the edge that
+the key rule (a ``searchsorted`` over running out-weights) picks for every
+variate in the slot. Only a slot split by an edge boundary holds -1, and
+only its variates run the key rule. A weighted step thus costs what an
+unweighted one costs, and lands where the key rule lands, bit for bit. On
+the 10k-node undirected benchmark graph the two uneven hubs hold 32,768
+slots (256 KB); at 100k nodes, 131,072 (1 MB).
+
+A single path (``random_walk_path`` from one node, and each walk of the
+conditioned-path sampler, which draws its length from one variate and only
+when the walk could be accepted) steps by the same table, read in place
+through memoryviews, by one helper, ``_one_walk_step``. So does a batch of
+at most ``_SMALL_BATCH`` walks, one walk at a time but on the variates
+lockstep would give each walk, so its endpoints are the lockstep ones bit
+for bit without lockstep's fixed numpy cost per step.
 Weighted draws (distribution starts, sampled search targets, bench pairs)
 are one ``cumsum`` and one ``searchsorted`` over weights: ``weighted_draw``.
 """
@@ -104,33 +117,65 @@ def sample_geometric_length(cfg: WalkConfig, rng: np.random.Generator) -> int:
 _SMALL_BATCH = 32
 
 
+# Slots per out-edge of a node with unequal out-weights: node v gets
+# K_v = 2^ceil(log2(f * d_v)) slots, f = _SLOT_FACTOR halved while the uneven
+# nodes' slots total more than _SLOT_CAP * m, so a table holds at most about
+# 5m entries of 8 bytes: at f = 64, 64 * d_v to 128 * d_v slots, 0.5-1 KB per
+# out-edge. On the 10k-node undirected benchmark graph only hubs 0 and 1 are
+# uneven: 32,768 slots (256 KB), 360 of them split; at 100k nodes they hold
+# 131,072 (0.33 m, 1 MB). The hubs split 360 slots at every f, and a split
+# slot's walks pay the key rule's searchsorted. Walk-batch time there against
+# the key rule's, in-process A/B on a prototype: 0.84-0.97 at f = 4,
+# 0.70-0.84 at 16, 0.68-0.81 at 64, 0.67-0.79 at 256 (170k slots in all).
+# Batches of 523 and 1,323 walks in separate processes, median of 8
+# alternating runs: 0.80 and 0.88 at f = 4, 0.80 and 0.86 at 16, 0.85 and
+# 0.82 at 64, 0.73 and 0.81 at 256, run-to-run spread about +-0.1 (numpy
+# 2.4, shared 2-core machine).
+_SLOT_FACTOR = 64
+_SLOT_CAP = 4
+
+
 class _WalkTable:
     """What a walk step reads besides the graph's CSR arrays, built by the
-    first walk and kept on the graph.
+    first walk and kept on the graph: one slot table, the guide table of
+    indexed search (Chen and Asau, 1974).
 
-    Node u's out-edges are entries out_ptr[u]:out_ptr[u] + deg[u] of
-    ``Graph.heads``. ``uneven[u]`` says that u's out-weights are not all
-    equal, which holds on no node of an unweighted graph. On a graph with
-    uneven nodes, ``keys[e]`` is the tail of edge e plus the inclusive
-    running out-weight of its node through e; each node's last key is
-    exactly tail + 1, so the keys never decrease along the array. Otherwise
-    ``keys`` is None: no step reads it.
+    Node v's slots are entries slot_ptr[v]:slot_ptr[v] + slot_count[v] of
+    ``slot_heads``, and a walk at v steps on the variate x to
+    ``slot_heads[slot_ptr[v] + int(x * slot_count[v])]``. A node whose
+    out-weights are all equal has one slot per out-edge, holding the edge's
+    head, so on a graph with no uneven node the three arrays are
+    ``out_ptr[:-1]``, the out-degrees and ``heads`` themselves. A node with
+    unequal weights has K_v slots (see ``_SLOT_FACTOR``), a power of two, so
+    x * K_v is exact and slot k holds exactly the variates with
+    floor(x * K_v) = k. The slot holds the head the key rule picks for every
+    such x, or -1 when an edge boundary splits the slot. The key rule: the
+    first edge whose key exceeds v + x, clamped to v's last edge, since
+    v + x can round up to v + 1. ``keys[e]`` is the tail of edge e plus the
+    inclusive running out-weight of its node through e; each node's last key
+    is exactly tail + 1, so the keys never decrease along the array. The
+    rule is monotone in x, so its picks at k / K_v and at the largest float
+    below (k + 1) / K_v decide the slot. Only a split slot's variates run the
+    key rule at step time. ``keys`` is None, and no slot is split, on a
+    graph with no uneven node.
     """
 
-    __slots__ = ("deg", "keys", "uneven", "dead_ends", "_views")
+    __slots__ = ("slot_ptr", "slot_count", "slot_heads", "keys", "split", "dead_ends",
+                 "_views")
 
     def __init__(self, g: Graph):
-        tails, _, weights = g.edge_arrays
+        tails, heads, weights = g.edge_arrays
         deg = np.diff(g.out_ptr)
         has = deg > 0
         firsts = g.out_ptr[:-1][has]
         spread = np.maximum.reduceat(weights, firsts) - np.minimum.reduceat(weights, firsts)
         uneven = np.zeros(g.n, dtype=bool)
         uneven[has] = spread >= 1e-15 * np.add.reduceat(weights, firsts)  # weighted_draw's tolerance
-        self.deg = deg
-        self.uneven = uneven
         self.dead_ends = not has.all()
+        self.slot_ptr, self.slot_count, self.slot_heads = g.out_ptr[:-1], deg, heads
         self.keys = None
+        self.split = False
+        self._views = None
         if uneven.any():
             # each node's running out-weight, capped and ended at exactly 1
             # so that rounding never lets one node's keys pass the next's
@@ -139,23 +184,54 @@ class _WalkTable:
             np.minimum(within, 1.0, out=within)
             within[firsts + deg[has] - 1] = 1.0
             self.keys = tails + within
-        self._views = None
+            self.slot_ptr, self.slot_count, self.slot_heads = _slots(g, self.keys, uneven)
+            self.split = bool(self.slot_heads.min() < 0)
 
     def views(self, g: Graph) -> tuple:
-        """(out_ptr, deg, heads, keys, uneven) for the one-walk step, built
-        on its first use: memoryviews of the int arrays, whose items read as
-        Python ints without a copy, ``keys`` as it is, for ``bisect_right``
-        to read in place, and ``uneven`` as the set of uneven nodes. On the
-        10k-node benchmark graphs a step on Python lists of the same arrays
-        took 290-310 ns against 340-430 ns here, but the lists held 1.2 MB
-        on the directed graph and 3.2 MB on the undirected one, 1.2 MB of it
-        ``keys``, which only that graph's 2 uneven nodes read (best of 7,
+        """(slot_ptr, slot_count, slot_heads, out_ptr, heads, keys) for the
+        one-walk step, built on its first use: memoryviews of the int arrays,
+        whose items read as Python ints without a copy, and ``keys`` as it
+        is, for ``bisect_right`` to read in place. On the 10k-node benchmark
+        graphs a step on Python lists of the same arrays took 290-310 ns
+        against 340-430 ns on memoryviews, but the lists held 1.2 MB on the
+        directed graph and 3.2 MB on the undirected one (best of 7,
         ``tracemalloc``; numpy 2.4, shared 2-core machine)."""
         if self._views is None:
-            uneven = frozenset(np.flatnonzero(self.uneven).tolist())
-            self._views = (memoryview(g.out_ptr), memoryview(self.deg), memoryview(g.heads),
-                           self.keys, uneven)
+            self._views = (memoryview(self.slot_ptr), memoryview(self.slot_count),
+                           memoryview(self.slot_heads), memoryview(g.out_ptr),
+                           memoryview(g.heads), self.keys)
         return self._views
+
+
+def _slots(g: Graph, keys: np.ndarray, uneven: np.ndarray) -> tuple:
+    """(slot_ptr, slot_count, slot_heads) of ``_WalkTable`` for a graph with
+    uneven nodes. An even node's slots are its edges' heads; every slot of
+    every uneven node is decided in one pass, by the key rule at the slot's
+    two end variates."""
+    tails, heads, _ = g.edge_arrays
+    ptr = g.out_ptr
+    count = np.diff(ptr)
+    un = np.flatnonzero(uneven)
+    size = np.left_shift(1, np.frexp(count[un] - 1)[1])  # 2^ceil(log2 d_v)
+    f = _SLOT_FACTOR
+    while f > 1 and f * int(size.sum()) > _SLOT_CAP * g.m:
+        f //= 2
+    size *= f
+    count[un] = size
+    slot_ptr = np.zeros(g.n, dtype=np.intp)
+    np.cumsum(count[:-1], out=slot_ptr[1:])
+    slots = np.empty(int(slot_ptr[-1] + count[-1]), dtype=np.intp)
+    even = ~uneven[tails]
+    slots[(slot_ptr[tails] - ptr[tails] + np.arange(g.m))[even]] = heads[even]
+    v = np.repeat(un, size)  # each uneven slot's node, index k and count K_v
+    k = np.arange(v.size) - np.repeat(np.cumsum(size) - size, size)
+    kv = np.repeat(size, size)
+    last = ptr[v + 1] - 1
+    first = np.minimum(np.searchsorted(keys, v + k / kv, side="right"), last)
+    below_next = np.nextafter((k + 1) / kv, 0.0)  # the slot's largest variate
+    final = np.minimum(np.searchsorted(keys, v + below_next, side="right"), last)
+    slots[slot_ptr[v] + k] = np.where(first == final, heads[first], -1)
+    return slot_ptr, count, slots
 
 
 def _walk_table(g: Graph) -> _WalkTable:
@@ -173,16 +249,17 @@ def _one_walk_step(g: Graph):
     """``_lockstep``'s rule for one walk, on the table's views: the
     returned step(u, x) is the node after u under the uniform variate x in
     [0, 1). Stepping from a node with no out-edges raises ValueError."""
-    ptr, deg, heads, keys, uneven = _walk_table(g).views(g)
+    slot_ptr, slot_count, slot_heads, ptr, heads, keys = _walk_table(g).views(g)
 
     def step(u: int, x: float) -> int:
-        d = deg[u]
-        if not d:
+        c = slot_count[u]
+        if not c:
             raise _dead_end(u)
-        lo = ptr[u]
-        if u in uneven:
-            return heads[min(bisect_right(keys, u + x, lo, lo + d), lo + d - 1)]
-        return heads[lo + int(x * d)]
+        v = slot_heads[slot_ptr[u] + int(x * c)]
+        if v >= 0:
+            return v
+        lo, hi = ptr[u], ptr[u + 1]  # a split slot: the key rule
+        return heads[min(bisect_right(keys, u + x, lo, hi), hi - 1)]
 
     return step
 
@@ -266,30 +343,27 @@ def _lockstep(
 
     Step k moves the first live[k] walks (the caller orders them longest
     first, so the live walks are a prefix) and draws one variate x per live
-    walk, in walk order. A walk at node v with d out-edges steps to edge
-    ptr[v] + int(x*d) when v's out-weights are all equal; x*d rounds below d
-    for every x < 1, so that index stays in v's slice. Otherwise it takes
-    the first edge whose key exceeds v + x, clamped to v's last edge, since
-    v + x can round up to v + 1. ``trail[k + 1]``, when given, records the
-    nodes after step k. A walk that must step from a node with no out-edges
-    raises ValueError.
+    walk, in walk order. A walk at node v steps to slot int(x*c) of v's c
+    slots (see ``_WalkTable``); x*c rounds below c for every x < 1, so that
+    slot is v's. The walks whose slot is split take the key rule instead.
+    ``trail[k + 1]``, when given, records the nodes after step k. A walk
+    that must step from a node with no out-edges raises ValueError.
     """
     table = _walk_table(g)
-    ptr, deg, heads = g.out_ptr, table.deg, g.heads
+    slot_ptr, slot_count, slot_heads = table.slot_ptr, table.slot_count, table.slot_heads
     for k, count in enumerate(live):
         at = u[:count]
-        d = deg[at]
-        if table.dead_ends and not d.all():
-            raise _dead_end(int(at[np.argmin(d)]))
+        c = slot_count[at]
+        if table.dead_ends and not c.all():
+            raise _dead_end(int(at[np.argmin(c)]))
         x = rng.random(count)
-        lo = ptr[at]
-        e = lo + (x * d).astype(np.intp)
-        if table.keys is not None:
-            w = np.flatnonzero(table.uneven[at])
-            if w.size:
-                hit = np.searchsorted(table.keys, at[w] + x[w], side="right")
-                e[w] = np.minimum(hit, lo[w] + d[w] - 1)
-        at[:] = heads[e]
+        nxt = slot_heads[slot_ptr[at] + (x * c).astype(np.intp)]
+        if table.split and count and nxt.min() < 0:
+            w = np.flatnonzero(nxt < 0)
+            v = at[w]
+            hit = np.searchsorted(table.keys, v + x[w], side="right")
+            nxt[w] = g.heads[np.minimum(hit, g.out_ptr[v + 1] - 1)]
+        at[:] = nxt
         if trail is not None:
             trail[k + 1] = u
 
@@ -318,9 +392,8 @@ def random_walk_path(
     outside [0, n), a non-integer array, an array without ``fixed_len``, or
     a ``fixed_len`` that is not a nonnegative integer raises ValueError.
     """
-    if fixed_len is not None and (isinstance(fixed_len, bool)  # True is an Integral too
-                                  or not isinstance(fixed_len, numbers.Integral) or fixed_len < 0):
-        raise ValueError(f"fixed_len must be a nonnegative integer, got {fixed_len!r}")
+    if fixed_len is not None:
+        _check_count("fixed_len", fixed_len)
     if isinstance(start, np.ndarray):
         if fixed_len is None:
             raise ValueError("an array of starts needs fixed_len")
@@ -343,6 +416,15 @@ def random_walk_path(
         u = step(u, rand())
         path.append(u)
     return path
+
+
+def _check_count(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a nonnegative
+    (or positive) integer, a numpy one too; True is an Integral but no count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < int(positive)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _check_starts(g: Graph, starts: np.ndarray) -> None:
@@ -378,8 +460,10 @@ def walk_endpoints(
     count, and come back in the order the lengths were drawn. A walk that
     must step from a node with no out-edges raises ValueError, as does a bad
     ``start`` (see source_of; an array entry outside [0, n) or an array that
-    is not 1-D), even when ``count`` is 0.
+    is not 1-D), even when ``count`` is 0, and a ``count`` that is not a
+    nonnegative integer (a bool is not one).
     """
+    _check_count("count", count)
     src = None
     if isinstance(start, np.ndarray) and np.issubdtype(start.dtype, np.integer):
         _check_starts(g, start)
@@ -387,8 +471,6 @@ def walk_endpoints(
             raise ValueError(f"count {count} does not match the {len(start)} starts")
     else:
         src = source_of(g, start)
-        if count < 0:
-            raise ValueError("count must be nonnegative")
     if rng is None:
         rng = cfg.stream()
     lengths = rng.geometric(cfg.alpha, size=count) - 1

@@ -201,6 +201,52 @@ def test_mstp_envelope_at_theorem_budget_on_the_undirected_load():
     assert 0.7 <= np.mean(z2) <= 1.4
 
 
+def _heat_pickup_moments(W, s, levels, weights):
+    """Exact mean and variance of one path's heat pickup X = sum_k a_k[V_k],
+    a_k[v] = sum_i w_{k+i} r^i[v], over fixed-length walks V from node s.
+    Backwards from the top position, h_k = a_k + W h_{k+1} is the mean and
+    q_k = a_k^2 + 2 a_k (W h_{k+1}) + W q_{k+1} the second moment of the
+    pickups from position k on."""
+    ell_max = len(weights) - 1
+    dense = np.zeros((ell_max + 1, W.shape[0]))
+    for i, level in enumerate(levels):
+        dense[i, list(level)] = list(level.values())
+    h = q = np.zeros(W.shape[0])
+    for k in range(ell_max, -1, -1):
+        a = weights[k:] @ dense[: ell_max + 1 - k]
+        ahead = W @ h
+        q = a * a + 2.0 * a * ahead + W @ q
+        h = a + ahead
+    return h[s], q[s] - h[s] ** 2
+
+
+def test_heat_kernel_paths_meet_the_exact_pickup_variance():
+    # The heat estimate's error is the mean of n_f path pickups minus their
+    # mean, so over many seeds its mean square is Var(X) / n_f when the
+    # estimator draws n_f = ceil(c * R * eps_r / delta) paths: 0.91-1.07 on
+    # five blocks of 250 seeds per pair, and about 10 with a tenth of the
+    # paths. On this undirected graph at eps_r 0.1 the sampled term is a
+    # third of the first pair's score and all of the others'.
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 60, seed=3), undirected=True)
+    W = pw.transition_matrix(g)
+    hk = pw.HeatKernelParams(3.0)
+    weights, _ = pw.poisson_weights(hk.t_param, hk.ell_max)
+    params = pw.MstpParams(ell_max=hk.ell_max, delta=0.02, eps_r=0.1)
+    reach = float(weights[1:] @ np.arange(2, hk.ell_max + 2))
+    n_f = math.ceil(params.c * reach * params.eps_r / params.delta)
+    assert n_f == 139
+    z2 = []
+    for s, t in ((0, 1), (5, 9), (17, 40), (2, 30)):
+        _, levels = _ladder(g, t, hk.ell_max, params.eps_r, False)
+        mean, var = _heat_pickup_moments(W, s, levels, weights)
+        truth = _heat_truth(g, s, t, hk)
+        assert mean >= truth / 3 and var > 0.0
+        for seed in range(250):
+            err = pw.estimate_heat_kernel(g, s, t, hk, params, seed=seed) - truth
+            z2.append(err**2 / (var / n_f))
+    assert 0.7 <= np.mean(z2) <= 1.4
+
+
 @pytest.mark.parametrize("use_theorem_c, heat, per_horizon", [
     (False, 523, 2646),
     (True, 1953, 19771),

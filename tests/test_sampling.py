@@ -1,10 +1,14 @@
 """Geometric walk lengths, endpoint sampling, weighted draws."""
 
 import gc
+import math
 import weakref
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import pushwalk as pw
@@ -437,3 +441,157 @@ def test_out_of_range_target_is_rejected(entry, bad):
                  "True": (True, "is not an integer node id")}[bad]
     with pytest.raises(ValueError, match=rf"node {node} {why}"):
         _TARGET_ENTRY_POINTS[entry](g, node)
+
+
+def _key_rule(g):
+    """The step rule the slot table stands in for, written out: step(u, x)
+    takes edge lo + int(x * d) at a node whose d out-weights are all equal
+    (weighted_draw's tolerance). Elsewhere it takes the first edge whose key
+    exceeds u + x, clamped to the node's last edge; a key is u plus the
+    edge's running weight from the graph-wide running total, capped at 1,
+    and exactly u + 1 on the node's last edge."""
+    ptr, heads, w = g.out_ptr.tolist(), g.heads.tolist(), g.weights.tolist()
+    cum = list(accumulate(w))
+    keys = {}
+    for u in range(g.n):
+        lo, hi = ptr[u], ptr[u + 1]
+        if hi > lo and max(w[lo:hi]) - min(w[lo:hi]) >= 1e-15 * sum(w[lo:hi]):
+            base = cum[lo] - w[lo]
+            keys[u] = [u + min(cum[e] - base, 1.0) for e in range(lo, hi - 1)] + [u + 1.0]
+
+    def step(u, x):
+        lo, hi = ptr[u], ptr[u + 1]
+        if u not in keys:
+            return heads[lo + int(x * (hi - lo))]
+        return heads[lo + min(bisect_right(keys[u], u + x), hi - lo - 1)]
+
+    return step, keys
+
+
+def _both_forms(g, u, xs):
+    """The node after u under each variate, stepped in lockstep and one walk
+    at a time."""
+    paths = pw.random_walk_path(g, np.full(len(xs), u), pw.WalkConfig(), fixed_len=1,
+                                rng=_FixedVariates(np.array(xs)))  # one variate per walk
+    step = sampling._one_walk_step(g)
+    return paths[:, 1].tolist(), [step(u, x) for x in xs]
+
+
+def _slot_ends(table, u):
+    """Each slot's smallest variate k / c and largest one, below (k + 1) / c."""
+    c = int(table.slot_count[u])
+    k = np.arange(c)
+    return np.concatenate([k / c, np.nextafter((k + 1) / c, 0.0)]).tolist()
+
+
+_TINY = [1e-9, 2.0**-40, 1e-300]
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(1, 40))
+    edges = []
+    for u in range(n):
+        kind = draw(st.sampled_from(["equal", "uneven", "tiny"]))
+        d = draw(st.integers(1, min(n, 30 if kind == "tiny" else 8)))
+        heads = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d, unique=True))
+        if draw(st.booleans()) and u not in heads:
+            heads[-1] = u  # a self-loop
+        if kind == "equal":
+            weights = [2.5] * d
+        elif kind == "uneven":
+            weights = draw(st.lists(st.integers(1, 1000), min_size=d, max_size=d))
+        else:  # many weights far below 1 / K_v beside a few large ones
+            weights = draw(st.lists(st.sampled_from(_TINY + [1.0, 3.0]), min_size=d, max_size=d))
+        edges += [(u, v, float(x)) for v, x in zip(heads, weights)]
+    return pw.from_edges(edges, n=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_graphs())
+@example(_WEIGHTED)
+@example(pw.from_edges([(0, v, 1.0 if v else 1e-12) for v in range(20)]
+                       + [(0, 0, 5.0)] + [(v, 0) for v in range(1, 20)], n=20))
+def test_slots_step_like_the_key_rule(g):
+    # every slot's two end variates, and the floats on either side of every
+    # key boundary, in both step forms
+    reference, keys = _key_rule(g)
+    table = sampling._walk_table(g)
+    for u in range(g.n):
+        xs = _slot_ends(table, u)
+        for key in keys.get(u, ()):
+            b = key - u
+            xs += [x for x in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0)) if 0.0 <= x < 1.0]
+        want = [reference(u, x) for x in xs]
+        assert _both_forms(g, u, xs) == (want, want)
+
+
+def test_split_slots_take_the_key_rule_in_both_forms():
+    # node 0 has 64 * 4 slots (a ring of 70 even nodes keeps the cap from
+    # binding): the boundary after its tiny first weight splits slot 0, the
+    # next one a slot near a third
+    ring = [(v, v % 70 + 1) for v in range(1, 71)]
+    g = pw.from_edges([(0, 1, 1e-9), (0, 2, 1.0), (0, 3, 2.0), (70, 0)] + ring, n=71)
+    table = sampling._walk_table(g)
+    reference, keys = _key_rule(g)
+    assert table.split and table.slot_count[0] == 64 * 4
+    split = np.flatnonzero(table.slot_heads[: table.slot_count[0]] < 0)
+    assert split.size == 2
+    for k in split.tolist():
+        c = int(table.slot_count[0])
+        xs = [k / c, float(np.nextafter((k + 1) / c, 0.0))]
+        xs += [x for key in keys[0] for x in (key, np.nextafter(key, 0.0)) if xs[0] <= x <= xs[1]]
+        want = [reference(0, x) for x in xs]
+        assert len(set(want)) == 2  # the slot holds two edges' variates
+        assert _both_forms(g, 0, xs) == (want, want)
+
+
+def test_slot_factor_halves_until_the_uneven_slots_fit_four_m():
+    # 200 nodes of 5 uneven out-edges: 2^ceil(log2 5) = 8 slots per node at
+    # factor 1, so 64 would need 102,400 slots against 4m = 4,000
+    edges = [(u, (u + j + 1) % 200, float(j + 1)) for u in range(200) for j in range(5)]
+    g = pw.from_edges(edges, n=200)
+    table = sampling._walk_table(g)
+    assert set(table.slot_count.tolist()) == {16}  # factor 2: 2 * 8 * 200 = 3,200 <= 4m
+    assert 2 * table.slot_count.sum() > 4 * g.m
+    assert table.slot_heads.size <= 5 * g.m
+    np.testing.assert_array_equal(table.slot_ptr, np.arange(200) * 16)
+    # one uneven node among even ones keeps the full factor
+    g = pw.from_edges(edges[:5] + [(u, (u + 1) % 200) for u in range(1, 200)], n=200)
+    table = sampling._walk_table(g)
+    assert table.slot_count[0] == 64 * 8 and (table.slot_count[1:] == 1).all()
+
+
+def test_unweighted_slots_are_the_csr_arrays():
+    g = pw.parse_edge_lines(generate_synthetic("power-law", 300, 0), undirected=False)
+    table = sampling._walk_table(g)
+    assert table.keys is None and not table.split
+    assert np.shares_memory(table.slot_ptr, g.out_ptr)
+    assert np.shares_memory(table.slot_heads, g.heads)
+    np.testing.assert_array_equal(table.slot_ptr, g.out_ptr[:-1])
+    np.testing.assert_array_equal(table.slot_count, np.diff(g.out_ptr))
+    assert table.slot_heads is g.heads
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0, 2.5, math.nan, -1, "3", None])
+def test_walk_counts_must_be_nonnegative_integers(count):
+    g = two_cycle()
+    cfg = pw.WalkConfig(seed=3)
+    with pytest.raises(ValueError, match=f"count must be a nonnegative integer, got {count!r}"):
+        pw.walk_endpoints(g, 0, count, cfg)
+    with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+        pw.walk_endpoints(g, np.array([0]), count, cfg)  # True == 1 == len(start)
+    if count is not None:  # monte_carlo_ppr's default budget
+        with pytest.raises(ValueError, match="walks must be a positive integer"):
+            pw.monte_carlo_ppr(g, 0, 1, pw.PprParams(delta=0.1), walks=count)
+
+
+def test_numpy_integer_walk_counts_count():
+    g, cfg = _WEIGHTED, pw.WalkConfig(seed=4)
+    assert np.array_equal(pw.walk_endpoints(g, 2, np.int64(40), cfg),
+                          pw.walk_endpoints(g, 2, 40, cfg))
+    assert np.array_equal(pw.walk_endpoints(g, np.full(3, 2), np.int32(3), cfg),
+                          pw.walk_endpoints(g, 2, 3, cfg))
+    params = pw.PprParams(delta=0.1)
+    assert (pw.monte_carlo_ppr(g, 0, 1, params, walks=np.int64(50), seed=5).value
+            == pw.monte_carlo_ppr(g, 0, 1, params, walks=50, seed=5).value)
